@@ -1,10 +1,21 @@
-"""Variable elimination for maximizing a sum of scoped functions.
+"""Variable elimination over scoped functions, driven by one symbolic plan.
 
-Computes max over all full states of sum(f(x) for f in fs) without touching
-the full joint space: variables are eliminated one at a time along a fixed
-order, each step replacing the functions that mention the variable by their
-locally maximized combination.  Values live in the extended rationals, where
-negative infinity marks assignments excluded by indicator functions.
+An ``ElimPlan`` is the elimination schedule of a function family along a
+fixed variable order: per round, the variable removed, the slots of the
+functions mentioning it, and the joint scope ``scope_e`` of their
+replacement.  ``ElimPlan.build`` is the only place the schedule is
+derived; it checks the inputs once and precomputes every dependent's
+integer table index at every point of each round, so interpreters index
+tables directly instead of assembling partial states.  The interpreters:
+
+* ``ElimPlan.sweep``, the numeric max-and-argmax pass over any values
+  with ``+`` and ``<``;
+* ``max_sum_decode``, which sweeps extended reals (negative infinity marks
+  assignments excluded by indicator functions) and walks the argmax tables
+  back into a maximizing state; ``max_sum`` is its value-only case;
+* ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
+* ``fmdp.weights``, which sweeps exact rationals to complete a primal
+  solution and walks the rounds backwards to lift a dual one.
 
 ``explicit_max`` is the deliberately inefficient reference that enumerates
 every full state; tests hold the two implementations against each other.
@@ -12,30 +23,24 @@ every full state; tests hold the two implementations against each other.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-from .factored import EMPTY_STATE, PartialState, ScopedFn, assignments
+from .factored import PartialState, ScopedFn, assignments
 from .values import NEG_INF, ExtReal, ext_sum, fin
 
 __all__ = [
-    "ElimState",
-    "elim_step",
+    "ElimRound",
+    "ElimPlan",
     "max_sum",
     "max_sum_decode",
     "explicit_max",
     "identity_order",
     "min_degree_order",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class ElimState:
-    """Worklist of not-yet-combined functions after ``iteration`` steps."""
-
-    iteration: int
-    worklist: tuple[ScopedFn, ...]
 
 
 def identity_order(n: int) -> tuple[int, ...]:
@@ -68,106 +73,150 @@ def min_degree_order(scopes: Iterable[Sequence[int]], n: int) -> tuple[int, ...]
     return tuple(order)
 
 
-def _check_inputs(fs: Sequence[ScopedFn], order: Sequence[int], dims: Sequence[int]) -> None:
-    n = len(dims)
-    if sorted(order) != list(range(n)):
-        raise InvalidInputError(f"order {order!r} is not a permutation of 0..{n - 1}")
-    for f in fs:
-        if any(v < 0 or v >= n for v in f.scope):
-            raise InvalidInputError(f"scope {f.scope!r} outside the {n}-variable space")
+def _index(point: Sequence[int], digits: Iterable[tuple[int, int]]) -> int:
+    """Mixed-radix table index of ``point`` read at (position, radix) digits."""
+    j = 0
+    for axis, card in digits:
+        j = j * card + point[axis]
+    return j
 
 
-def elim_step(dims: Sequence[int], order: Sequence[int], state: ElimState) -> ElimState:
-    """Eliminate the next variable of ``order`` from the worklist.
+@dataclass(frozen=True, slots=True)
+class ElimRound:
+    """One round: the variable removed, the slots of the functions it
+    consumes, and the scope of their replacement.
 
-    The functions mentioning the variable are replaced by a single function
-    over the union of their scopes minus the variable, holding the maximum
-    over the variable's domain of their sum.  When nothing mentions the
-    variable, the replacement degenerates to the constant zero (empty sum),
-    keeping the step total.
+    The round's points are the assignments to ``scope_e`` plus ``var`` in
+    table order, ``var`` as the least significant digit: point ``j`` is
+    entry ``j // dims[var]`` of the replacement with ``var`` set to
+    ``j % dims[var]``.  ``gather[k][j]`` is the table entry of
+    ``dependents[k]`` at point ``j``.
     """
-    var = order[state.iteration]
-    dependent = [f for f in state.worklist if var in f.scope]
-    rest = [f for f in state.worklist if var not in f.scope]
-    if not dependent:
-        combined = ScopedFn.constant(fin(0))
-    else:
-        joint: set[int] = set()
-        for f in dependent:
-            joint.update(f.scope)
-        joint.discard(var)
 
-        def local_max(z: PartialState) -> ExtReal:
-            return max(
-                ext_sum(f(z.override(PartialState(((var, y),)))) for f in dependent)
-                for y in range(dims[var])
-            )
+    var: int
+    dependents: tuple[int, ...]
+    scope_e: tuple[int, ...]
+    gather: tuple[tuple[int, ...], ...]
 
-        combined = ScopedFn.tabulate(joint, dims, local_max)
-    return ElimState(state.iteration + 1, tuple(rest) + (combined,))
+
+@dataclass(frozen=True, slots=True)
+class ElimPlan:
+    """The elimination schedule of a function family along one order.
+
+    ``scopes`` holds the scope of every slot, inputs first, then one
+    replacement per round; ``final`` lists the slots left over once every
+    variable is gone, all of them constants whose sum is the maximum.
+    """
+
+    dims: tuple[int, ...]
+    scopes: tuple[tuple[int, ...], ...]
+    rounds: tuple[ElimRound, ...]
+    final: tuple[int, ...]
+
+    @property
+    def inputs(self) -> int:
+        return len(self.scopes) - len(self.rounds)
+
+    @classmethod
+    def build(
+        cls, fns: Sequence[ScopedFn], order: Sequence[int], dims: Sequence[int]
+    ) -> "ElimPlan":
+        """Plan eliminating ``order`` from functions shaped like ``fns``.
+
+        Only the scopes and cardinalities of ``fns`` are read, so the plan
+        serves every family of the same shape.
+        """
+        dims = tuple(dims)
+        n = len(dims)
+        if sorted(order) != list(range(n)):
+            raise InvalidInputError(f"order {tuple(order)!r} is not a permutation of 0..{n - 1}")
+        for i, f in enumerate(fns):
+            if any(v < 0 or v >= n for v in f.scope):
+                raise InvalidInputError(f"function {i} scope {f.scope} leaves 0..{n - 1}")
+            want = tuple(dims[v] for v in f.scope)
+            if f.card != want:
+                raise InvalidInputError(f"function {i} cardinalities {f.card} do not match {want}")
+        scopes = [f.scope for f in fns]
+        live = list(range(len(scopes)))
+        rounds = []
+        for var in order:
+            dependents = tuple(s for s in live if var in scopes[s])
+            scope_e = tuple(sorted({v for s in dependents for v in scopes[s]} - {var}))
+            axes = scope_e + (var,)
+            points = list(itertools.product(*(range(dims[v]) for v in axes)))
+            digits = [[(axes.index(v), dims[v]) for v in scopes[s]] for s in dependents]
+            gather = tuple(tuple(_index(p, d) for p in points) for d in digits)
+            live = [s for s in live if s not in dependents] + [len(scopes)]
+            scopes.append(scope_e)
+            rounds.append(ElimRound(var, dependents, scope_e, gather))
+        return cls(dims, tuple(scopes), tuple(rounds), tuple(live))
+
+    def entry(self, scope: Sequence[int], x: Sequence[int]) -> int:
+        """Table index over ``scope`` of the full state with values ``x``."""
+        return _index(x, [(v, self.dims[v]) for v in scope])
+
+    def sweep(self, tables: Sequence[Sequence], zero) -> tuple[list[tuple], list[tuple[int, ...]]]:
+        """Run every round over one value table per input slot.
+
+        Values need ``+`` and ``<``; ``zero`` is the empty sum, so a round
+        nothing depends on yields the constant ``zero``.  Returns the table
+        of every slot and, per round, the winning value of the eliminated
+        variable at each entry of the replacement, the lowest on ties.
+        """
+        tables = list(tables)
+        choices = []
+        for rnd in self.rounds:
+            card = self.dims[rnd.var]
+            deps = [(tables[s], g) for s, g in zip(rnd.dependents, rnd.gather)]
+            size = math.prod(self.dims[v] for v in rnd.scope_e)
+            values, args = [], []
+            for start in range(0, size * card, card):
+                best, arg = None, 0
+                for y in range(card):
+                    total = zero
+                    for table, g in deps:
+                        total = total + table[g[start + y]]
+                    if best is None or best < total:
+                        best, arg = total, y
+                values.append(best)
+                args.append(arg)
+            tables.append(tuple(values))
+            choices.append(tuple(args))
+        return tables, choices
 
 
 def max_sum(fs: Sequence[ScopedFn], order: Sequence[int], dims: Sequence[int]) -> ExtReal:
     """Maximum over all full states of the sum of ``fs``.
 
-    Runs one elimination step per variable, after which every scope is empty,
-    and adds up the surviving constants.  The result is negative infinity
-    exactly when every full state is excluded.
+    The result is negative infinity exactly when every full state is
+    excluded.
     """
-    _check_inputs(fs, order, dims)
-    state = ElimState(0, tuple(fs))
-    for _ in range(len(dims)):
-        state = elim_step(dims, order, state)
-    return ext_sum(f(EMPTY_STATE) for f in state.worklist)
+    return max_sum_decode(fs, order, dims)[0]
 
 
 def max_sum_decode(
-    fs: Sequence[ScopedFn], order: Sequence[int], dims: Sequence[int]
+    fs: Sequence[ScopedFn],
+    order: Sequence[int],
+    dims: Sequence[int],
+    plan: ElimPlan | None = None,
 ) -> tuple[ExtReal, PartialState]:
     """Like ``max_sum`` but also returns a full state attaining the maximum.
 
-    Each elimination step records which value of the eliminated variable won
-    for every assignment of the replacement's scope; walking those tables
-    backwards reconstructs an argmax.  When the maximum is negative infinity
-    the returned state is still a valid full state (every state is equally
-    excluded, so an arbitrary consistent choice is fine).
+    ``plan``, when given, must have been built for functions shaped like
+    ``fs`` along ``order``; it spares rebuilding the schedule.  Walking the
+    rounds backwards, each eliminated variable takes its recorded winner
+    given the variables eliminated after it.  When the maximum is negative
+    infinity the returned state is still a valid full state (every state is
+    equally excluded, so an arbitrary consistent choice is fine).
     """
-    _check_inputs(fs, order, dims)
-    worklist = tuple(fs)
-    choices: list[tuple[int, ScopedFn | None]] = []
-    for step in range(len(dims)):
-        var = order[step]
-        dependent = [f for f in worklist if var in f.scope]
-        rest = tuple(f for f in worklist if var not in f.scope)
-        if not dependent:
-            choices.append((var, None))
-            worklist = rest + (ScopedFn.constant(fin(0)),)
-            continue
-        joint: set[int] = set()
-        for f in dependent:
-            joint.update(f.scope)
-        joint.discard(var)
-
-        def best_value_and_choice(z: PartialState) -> tuple[ExtReal, int]:
-            best: tuple[ExtReal, int] | None = None
-            for y in range(dims[var]):
-                total = ext_sum(
-                    f(z.override(PartialState(((var, y),)))) for f in dependent
-                )
-                if best is None or best[0] < total:
-                    best = (total, y)
-            assert best is not None
-            return best
-
-        paired = ScopedFn.tabulate(joint, dims, best_value_and_choice)
-        choices.append((var, paired.map_table(lambda p: p[1])))
-        worklist = rest + (paired.map_table(lambda p: p[0]),)
-    value = ext_sum(f(EMPTY_STATE) for f in worklist)
-    witness = EMPTY_STATE
-    for var, choice in reversed(choices):
-        y = 0 if choice is None else choice(witness)
-        witness = witness.override(PartialState(((var, y),)))
-    return value, witness
+    if plan is None:
+        plan = ElimPlan.build(fs, order, dims)
+    tables, choices = plan.sweep([f.table for f in fs], fin(0))
+    value = ext_sum(tables[s][0] for s in plan.final)
+    x = [0] * len(plan.dims)
+    for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
+        x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]
+    return value, PartialState(tuple(enumerate(x)))
 
 
 def explicit_max(fs: Sequence[ScopedFn], dims: Sequence[int]) -> ExtReal:

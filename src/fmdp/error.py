@@ -26,6 +26,7 @@ from .values import NEG_INF, ExtReal, fin
 
 __all__ = [
     "indicator_fns",
+    "difference_fns",
     "value_diff_fns",
     "branch_error",
     "factored_bellman_err",
@@ -54,20 +55,29 @@ def indicator_fns(
     return out
 
 
+def difference_fns(mdp: FactoredMdp, t: PartialState, a: int) -> tuple[ScopedFn, ...]:
+    """The basis differences h_i - gamma * g_i^a instantiated by ``t``: the
+    weight LP's weighted summands, and, scaled by -w_i, the basis part of
+    ``value_diff_fns``."""
+    out = []
+    for i, h in enumerate(mdp.basis):
+        g = mdp.g(i, a)
+        combined = ScopedFn.tabulate(
+            set(h.scope) | set(g.scope), mdp.dims, lambda x, h=h, g=g: h(x) - mdp.discount * g(x)
+        )
+        out.append(instantiate(combined, t))
+    return tuple(out)
+
+
 def value_diff_fns(
     mdp: FactoredMdp, w: Sequence[Fraction], t: PartialState, a: int
 ) -> list[ScopedFn]:
     """Scoped functions (rational tables) summing to Q_w^a(x) - nu_w(x)
-    for every full x consistent with ``t``."""
+    for every full x consistent with ``t``: the action's rewards plus each
+    basis difference scaled by -w_i."""
     parts = [instantiate(r, t) for r in mdp.rewards[a]]
-    for i, wi in enumerate(w):
-        h = mdp.basis[i]
-        g = mdp.g(i, a)
-        joint = set(h.scope) | set(g.scope)
-        swing = ScopedFn.tabulate(
-            joint, mdp.dims, lambda x: wi * (mdp.discount * g(x) - h(x))
-        )
-        parts.append(instantiate(swing, t))
+    for wi, diff in zip(w, difference_fns(mdp, t, a)):
+        parts.append(diff.map_table(lambda q, wi=wi: -wi * q))
     return parts
 
 

@@ -93,6 +93,18 @@ class FactoredMdp:
         if not (0 <= self.default < len(self.actions)):
             out.append(f"default_act: default index {self.default} out of range")
 
+        families = {
+            "transitions": self.transitions,
+            "rewards": self.rewards,
+            "effects": self.effects,
+        }
+        for name, family in families.items():
+            if len(family) != len(self.actions):
+                out.append(
+                    f"{name}_count: {len(family)} {name} entries for "
+                    f"{len(self.actions)} actions"
+                )
+
         def scope_ok(f: ScopedFn) -> bool:
             return all(0 <= v < n for v in f.scope) and all(
                 c == dims[v] for v, c in zip(f.scope, f.card)
@@ -136,9 +148,10 @@ class FactoredMdp:
             out.append(f"disc_nonneg: discount {format_rational(self.discount)} negative")
 
         d = self.default
-        if 0 <= d < len(self.actions) and all(len(p) == self.n for p in self.transitions):
+        counts_ok = all(len(family) == len(self.actions) for family in families.values())
+        if 0 <= d < len(self.actions) and counts_ok and all(len(p) == n for p in self.transitions):
             for a in range(len(self.actions)):
-                eff = set(self.effects[a]) if a < len(self.effects) else set()
+                eff = set(self.effects[a])
                 if not eff <= set(range(n)):
                     out.append(f"effects: action {a} lists variables outside the model")
                 for i in range(n):
@@ -492,6 +505,9 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
     effects_raw = need("effects")
     if not isinstance(effects_raw, Mapping):
         raise InvalidInputError("model file: effects must map action names to variables")
+    unknown = [key for key in effects_raw if key not in names]
+    if unknown:
+        raise InvalidInputError(f"model file: effects name undefined actions {unknown}")
     effects: list[tuple[int, ...]] = []
     for name in names:
         eff = effects_raw.get(name, [])

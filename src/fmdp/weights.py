@@ -4,16 +4,21 @@ The full program per branch block is far too wide to hand a dense solver,
 but its projection onto (phi, w) is what actually matters.  So a small
 master program over (phi, w) collects one cut per violated block per
 round: pricing a block at the master optimum is a numeric elimination
-sweep, and its argmax yields the affine inequality the master was
-missing.  A box trust region keeps the early masters bounded; whenever a
-box row carries positive dual weight at convergence the box grows and
-pricing resumes, since a binding box could be hiding the true optimum.
+sweep over the block's own plan, and its argmax yields the affine
+inequality the master was missing.  A box trust region keeps the early
+masters bounded; whenever a box row carries positive dual weight at
+convergence the box grows and pricing resumes, since a binding box could
+be hiding the true optimum.
 
-Convergence alone is not trusted.  The finished point is lifted to a full
-primal solution (private variables recomputed by forward elimination,
-entries pinned nowhere pushed far enough down that every summary row
-still holds) and the master duals are propagated backwards along each
-cut's argmax path into a full dual vector.  The pair must then survive
+Convergence alone is not trusted.  Each block's elimination plan
+(``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
+source of its schedule, and both halves of the certificate interpret it.
+The finished point is lifted to a full primal solution by sweeping the
+plan over exact rationals (entries pinned nowhere start at a stand-in
+pushed far enough down that every summary row still holds).  The master
+duals are propagated backwards through the plan's rounds along each
+cut's argmax path into a full dual vector, landing on rows located with
+``fmdp.lpbuild``'s row helpers.  The pair must then survive
 ``check_optimality`` on the complete standard form; anything less raises
 ``LpInternalError``.
 """
@@ -28,9 +33,10 @@ from typing import Sequence
 from .certify import check_optimality
 from .elim import identity_order, max_sum_decode
 from .errors import LpInternalError
-from .factored import EMPTY_STATE, PartialState, assignments, restrict
-from .lp import PHI, Constraint, FnId, FnVar, Lp, Optimal, Weight, make_constraint, to_standard_form
+from .factored import PartialState
+from .lp import PHI, Lp, Optimal, Weight, make_constraint, to_standard_form
 from .lpbuild import TagBlock, assemble_lp, weight_lp_blocks
+from .lpbuild import dominance_row, pin_row, summary_row, tie_row
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
@@ -57,13 +63,12 @@ def _price(block: TagBlock, w: Sequence[Fraction], order, dims) -> tuple[ExtReal
         c.map_table(lambda q, wi=wi: fin(wi * q))
         for wi, c in zip(w, block.c_fns)
     ] + list(block.b_fns)
-    return max_sum_decode(fns, order, dims)
+    return max_sum_decode(fns, order, dims, block.plan)
 
 
 def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:
-    alpha = tuple(c(restrict(x, c.scope)) for c in block.c_fns)
-    parts = [b(restrict(x, b.scope)) for b in block.b_fns]
-    total = ext_sum(parts)
+    alpha = tuple(c(x) for c in block.c_fns)
+    total = ext_sum(b(x) for b in block.b_fns)
     if not total.is_finite:
         raise LpInternalError("cut witness passed through an excluded state")
     return _Cut(block_index, x, alpha, total.unwrap())
@@ -161,7 +166,7 @@ def update_weights(
 
     full_lp = assemble_lp(blocks)
     std = to_standard_form(full_lp)
-    primal = _complete_primal(std, blocks, phi, w, dims)
+    primal = _complete_primal(std, blocks, phi, w)
     dual = _lift_dual(full_lp, std, blocks, cuts, cut_duals)
     lp_seconds = time.perf_counter() - started
     if not check_optimality(std, primal, dual):
@@ -181,9 +186,10 @@ def update_weights(
 
 
 def _block_tables(
-    block: TagBlock, w: Sequence[Fraction], phi: Fraction, dims: tuple[int, ...]
-) -> dict[FnId, dict[tuple, Fraction]]:
-    """Exact values for every private variable of one block.
+    block: TagBlock, w: Sequence[Fraction], phi: Fraction
+) -> list[tuple[Fraction, ...]]:
+    """Exact values for every private variable of one block, one table
+    per plan slot.
 
     Entries that the program leaves unpinned start at a stand-in far below
     everything finite; if the summary row still ends up above phi the
@@ -195,32 +201,13 @@ def _block_tables(
     for b in block.b_fns:
         reach += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
     stand_in = -reach
+    weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, block.c_fns)]
     while True:
-        tables: dict[FnId, dict[tuple, Fraction]] = {}
-        for i, c in enumerate(block.c_fns):
-            tables[FnId("c", i)] = {
-                z.items: w[i] * c(z) for z in assignments(c.scope, dims)
-            }
-        for j, b in enumerate(block.b_fns):
-            tables[FnId("b", j)] = {
-                z.items: (v.unwrap() if (v := b(z)).is_finite else stand_in)
-                for z in assignments(b.scope, dims)
-            }
-        for rnd in block.rounds:
-            table: dict[tuple, Fraction] = {}
-            for z in assignments(rnd.scope_e, dims):
-                best: Fraction | None = None
-                for xl in range(dims[rnd.var]):
-                    ext = z.override(PartialState.of({rnd.var: xl}))
-                    total = Fraction(0)
-                    for dep_id, dep_scope in rnd.dependents:
-                        total += tables[dep_id][restrict(ext, dep_scope).items]
-                    if best is None or total > best:
-                        best = total
-                table[z.items] = best if best is not None else Fraction(0)
-            tables[FnId("e", rnd.var)] = table
-        summary = sum((tables[fid][()] for fid in block.final_fns), Fraction(0))
-        if summary <= phi:
+        pinned = [
+            tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in block.b_fns
+        ]
+        tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
+        if sum((tables[s][0] for s in block.plan.final), Fraction(0)) <= phi:
             return tables
         stand_in *= 2
 
@@ -230,7 +217,6 @@ def _complete_primal(
     blocks: Sequence[TagBlock],
     phi: Fraction,
     w: Sequence[Fraction],
-    dims: tuple[int, ...],
 ) -> tuple[Fraction, ...]:
     primal = [Fraction(0)] * std.num_cols
     primal[std.col_of[PHI]] = phi
@@ -239,10 +225,9 @@ def _complete_primal(
         if col is not None:
             primal[col] = wi
     for block in blocks:
-        tables = _block_tables(block, w, phi, dims)
-        for fid, table in tables.items():
-            for z_items, value in table.items():
-                col = std.col_of.get(FnVar(block.tag, fid, PartialState(z_items)))
+        for fn_vars, table in zip(block.fn_vars, _block_tables(block, w, phi)):
+            for var, value in zip(fn_vars, table):
+                col = std.col_of.get(var)
                 if col is not None:
                     primal[col] = value
     return tuple(primal)
@@ -255,61 +240,38 @@ def _lift_dual(
     cuts: Sequence[_Cut],
     cut_duals: Sequence[Fraction],
 ) -> tuple[Fraction, ...]:
-    row_of: dict[Constraint, tuple[int, ...]] = {}
-    for k, con in enumerate(full_lp.constraints):
-        row_of[con] = std.constraint_rows[k]
+    """Push each cut's dual weight back along its witness: through the
+    summary row, down every round's dominance row at the witness, and onto
+    the tie and pin rows of the input entries it reaches."""
+    row_of = dict(zip(full_lp.constraints, std.constraint_rows))
     dual = [Fraction(0)] * std.num_rows
 
     for cut, lam in zip(cuts, cut_duals):
         if lam == 0:
             continue
         block = blocks[cut.block_index]
-        tag = block.tag
-        x = cut.witness
-        gen = _gen_constraint(block)
-        dual[row_of[gen][0]] += lam
-        demand: dict[FnId, Fraction] = {fid: lam for fid in block.final_fns}
-        for rnd in reversed(block.rounds):
-            fid = FnId("e", rnd.var)
-            flow = demand.pop(fid, Fraction(0))
+        plan = block.plan
+        x = [v for _, v in cut.witness.items]
+        dual[row_of[summary_row(block)][0]] += lam
+        demand: dict[int, Fraction] = {s: lam for s in plan.final}
+        for r in reversed(range(len(plan.rounds))):
+            flow = demand.pop(plan.inputs + r, Fraction(0))
             if flow == 0:
                 continue
-            z = restrict(x, rnd.scope_e)
-            xl = x.value(rnd.var)
-            ext = z.override(PartialState.of({rnd.var: xl}))
-            coefs: list[tuple[FnVar, Fraction]] = [(FnVar(tag, fid, z), Fraction(-1))]
-            for dep_id, dep_scope in rnd.dependents:
-                coefs.append((FnVar(tag, dep_id, restrict(ext, dep_scope)), Fraction(1)))
-            rows = row_of[make_constraint("le", coefs, 0)]
-            dual[rows[0]] += flow
-            for dep_id, _ in rnd.dependents:
-                demand[dep_id] = demand.get(dep_id, Fraction(0)) + flow
-        for fid, flow in demand.items():
+            rnd = plan.rounds[r]
+            j = plan.entry(rnd.scope_e, x) * plan.dims[rnd.var] + x[rnd.var]
+            dual[row_of[dominance_row(block, r, j)][0]] += flow
+            for s in rnd.dependents:
+                demand[s] = demand.get(s, Fraction(0)) + flow
+        for s, flow in demand.items():
             if flow == 0:
                 continue
-            if fid.kind == "c":
-                fn = block.c_fns[fid.idx]
-                z = restrict(x, fn.scope)
-                con = make_constraint(
-                    "eq", [(FnVar(tag, fid, z), Fraction(-1)), (Weight(fid.idx), fn(z))], 0
-                )
-                dual[row_of[con][0]] += flow
-            elif fid.kind == "b":
-                fn = block.b_fns[fid.idx]
-                z = restrict(x, fn.scope)
-                val = fn(z)
-                if not val.is_finite:
-                    raise LpInternalError("dual flow reached an unpinned entry")
-                con = make_constraint("eq", [(FnVar(tag, fid, z), Fraction(1))], val.unwrap())
-                dual[row_of[con][1]] += flow
-            else:
-                raise LpInternalError(f"dual flow stranded on {fid}")
+            j = plan.entry(plan.scopes[s], x)
+            if s < len(block.c_fns):
+                dual[row_of[tie_row(block, s, j)][0]] += flow
+                continue
+            con = pin_row(block, s - len(block.c_fns), j)
+            if con is None:
+                raise LpInternalError("dual flow reached an unpinned entry")
+            dual[row_of[con][1]] += flow
     return tuple(dual)
-
-
-def _gen_constraint(block: TagBlock) -> Constraint:
-    coefs: list[tuple[object, Fraction]] = [
-        (FnVar(block.tag, fid, EMPTY_STATE), Fraction(1)) for fid in block.final_fns
-    ]
-    coefs.append((PHI, Fraction(-1)))
-    return make_constraint("le", coefs, 0)

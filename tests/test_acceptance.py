@@ -360,6 +360,9 @@ def test_accept_8_validator_names_each_violated_assumption():
                 ring, rewards=(ring.rewards[0], ring.rewards[1][:1], ring.rewards[2])
             ),
         ),
+        ("transitions_count", dataclasses.replace(ring, transitions=ring.transitions[:2])),
+        ("rewards_count", dataclasses.replace(ring, rewards=ring.rewards[:2])),
+        ("effects_count", dataclasses.replace(ring, effects=ring.effects[:2])),
         ("rewards_eq", corrupt_reward(ring, 1, 0, doubled)),
         ("reward_scope_eq", corrupt_reward(ring, 1, 0, swapped_scope)),
     ]

@@ -1,5 +1,6 @@
 """The command line surface, driven through main() with real files."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -48,6 +49,37 @@ def test_no_timing_reports_are_byte_identical(tmp_path):
         )
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert b"seconds=-" in paths[0].read_bytes()
+
+
+GOLDEN_SHA256 = {
+    3: {
+        "report": "1a5c73c568d84f13f52401d234e6754c0af9c5b140d08a28d44b54de06c99630",
+        "lp": "f956bba2b1b1732227d064dccef0fd9eaf51372f2e95c846caf2cb638bde86ca",
+        "cert": "2a70aa78212e2beefacaf76fb5aa37df1c4e893d9b61effa5d873b19a104af39",
+        "policy": "d6268ba78bf30eb1281b6f751dc8fe3ab98007aed6ba6a802ac3e467cd54c394",
+    },
+    4: {
+        "report": "c516590edfc000ccd406c4d80af29a37078ebf48155cfd5b3ba508c2cd912cbc",
+        "lp": "665afbb7d062551c80bc8514d4c2eaa14f2e88e77e35110b429f50005ada1b06",
+        "cert": "b0a5c2e5c343f9cf6323c06d1be78e701e3469a512cb4dff193a3034266be026",
+        "policy": "cd8b98263ebf40ec70d7c8a62096437ebdd6f5e59c52cc0e469f064e772a3d1b",
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_SHA256))
+def test_no_timing_outputs_match_golden_bytes(tmp_path, capsys, n):
+    """Reports, LPs, certificates and policies are pinned across versions:
+    a change in row order, tie-breaking or witnesses shows up here."""
+    model = _ring_file(tmp_path, n)
+    out = {kind: tmp_path / kind for kind in GOLDEN_SHA256[n]}
+    args = ["solve", "--model", model, "--order", "min-degree", "--no-timing"]
+    args += ["--report", str(out["report"]), "--dump-lp", str(out["lp"])]
+    args += ["--dump-cert", str(out["cert"]), "--policy-out", str(out["policy"])]
+    assert main(args) == 0
+    capsys.readouterr()
+    digests = {kind: hashlib.sha256(p.read_bytes()).hexdigest() for kind, p in out.items()}
+    assert digests == GOLDEN_SHA256[n]
 
 
 def test_solve_dumps_feed_certify(tmp_path, capsys):

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fmdp.elim import (
-    ElimState,
-    elim_step,
+    ElimPlan,
     explicit_max,
     identity_order,
     max_sum,
@@ -16,36 +15,57 @@ from fmdp.elim import (
     min_degree_order,
 )
 from fmdp.errors import InvalidInputError
-from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
+from fmdp.factored import PartialState, ScopedFn
 from fmdp.values import NEG_INF, ext_sum, fin
 
 from helpers import random_ext_table_fns
 
 
+def _swept(fns, order, dims):
+    """The plan for ``fns`` and every slot's table after an extended-real sweep."""
+    plan = ElimPlan.build(fns, order, dims)
+    tables, _ = plan.sweep([f.table for f in fns], fin(0))
+    return plan, tables
+
+
+def _worklists(plan, tables):
+    """The functions still to combine after each round, as ScopedFns."""
+    live = list(range(plan.inputs))
+    for r, rnd in enumerate(plan.rounds):
+        live = [s for s in live if s not in rnd.dependents] + [plan.inputs + r]
+        yield [
+            ScopedFn(plan.scopes[s], tuple(plan.dims[v] for v in plan.scopes[s]), tables[s])
+            for s in live
+        ]
+
+
 def test_single_function_collapses_to_its_max():
     f = ScopedFn((0,), (2,), (fin(1), fin(3)))
-    state = elim_step([2], (0,), ElimState(0, (f,)))
-    assert state.iteration == 1
-    (e,) = state.worklist
-    assert e.scope == ()
-    assert e(EMPTY_STATE) == fin(3)
+    plan, tables = _swept([f], (0,), [2])
+    assert plan.final == (1,)
+    assert plan.scopes[1] == ()
+    assert tables[1] == (fin(3),)
+    assert max_sum_decode([f], (0,), [2]) == (fin(3), PartialState.of({0: 1}))
 
 
 def test_step_with_no_dependent_functions_adds_constant_zero():
     f = ScopedFn((1,), (2,), (fin(4), fin(6)))
-    state = elim_step([2, 2], (0, 1), ElimState(0, (f,)))
-    assert state.worklist == (f, ScopedFn.constant(fin(0)))
+    plan, tables = _swept([f], (0, 1), [2, 2])
+    first = plan.rounds[0]
+    assert (first.var, first.dependents, first.scope_e) == (0, (), ())
+    assert tables[1] == (fin(0),)
+    assert next(_worklists(plan, tables)) == [f, ScopedFn.constant(fin(0))]
 
 
 def test_step_hand_example_with_neg_inf():
     f1 = ScopedFn((0,), (2,), (fin(1), fin(3)))
     f2 = ScopedFn((0, 1), (2, 2), (fin(0), NEG_INF, fin(2), fin(5)))
-    state = elim_step([2, 2], (0, 1), ElimState(0, (f1, f2)))
-    (e,) = state.worklist
-    assert e.scope == (1,)
+    plan, tables = _swept([f1, f2], (0, 1), [2, 2])
+    first = plan.rounds[0]
+    assert (first.dependents, first.scope_e) == ((0, 1), (1,))
     # e(y) = max over x0 of f1(x0) + f2(x0, y)
-    assert e(PartialState.of({1: 0})) == fin(5)  # max(1+0, 3+2)
-    assert e(PartialState.of({1: 1})) == fin(8)  # max(1-inf, 3+5)
+    assert tables[2] == (fin(5), fin(8))  # max(1+0, 3+2), max(1-inf, 3+5)
+    assert max_sum_decode([f1, f2], (0, 1), [2, 2]) == (fin(8), PartialState.of({0: 1, 1: 1}))
 
 
 def test_max_sum_constants_and_disjoint_scopes():
@@ -70,18 +90,20 @@ def test_max_sum_rejects_bad_inputs():
         max_sum([], (0, 0), [2, 2])
     with pytest.raises(InvalidInputError):
         max_sum([], (0,), [2, 2])
+    with pytest.raises(InvalidInputError, match="cardinalities"):
+        max_sum([ScopedFn((0,), (2,), (fin(0), fin(1)))], (0,), [3])
 
 
 def test_worklist_count_invariant():
     rng = random.Random(3)
     for _ in range(20):
         fns, dims = random_ext_table_fns(rng, n_max=4)
-        state = ElimState(0, tuple(fns))
-        for step in range(len(dims)):
-            state = elim_step(dims, identity_order(len(dims)), state)
-            # each step removes the dependent set and adds exactly one function
-            assert state.iteration == step + 1
-        assert all(f.scope == () for f in state.worklist)
+        plan, tables = _swept(fns, identity_order(len(dims)), dims)
+        # each round consumes its dependents and adds exactly one function
+        assert len(plan.scopes) == len(tables) == len(fns) + len(dims)
+        assert all(plan.scopes[s] == () for s in plan.final)
+        last = list(_worklists(plan, tables))[-1]
+        assert all(f.scope == () for f in last)
 
 
 def test_invariant_max_preserved_per_step():
@@ -89,10 +111,9 @@ def test_invariant_max_preserved_per_step():
     for _ in range(40):
         fns, dims = random_ext_table_fns(rng, n_max=5)
         reference = explicit_max(fns, dims)
-        state = ElimState(0, tuple(fns))
-        for _ in range(len(dims)):
-            state = elim_step(dims, identity_order(len(dims)), state)
-            assert explicit_max(state.worklist, dims) == reference
+        plan, tables = _swept(fns, identity_order(len(dims)), dims)
+        for worklist in _worklists(plan, tables):
+            assert explicit_max(worklist, dims) == reference
 
 
 def test_matches_explicit_max_on_random_instances():

@@ -313,6 +313,25 @@ def test_validate_effects_default_empty():
     )
 
 
+def test_validate_transitions_count():
+    mdp = make_ring(2)
+    short = dataclasses.replace(mdp, transitions=mdp.transitions[:1])
+    assert violations_contain(short, "transitions_count")
+
+
+def test_validate_rewards_count():
+    mdp = make_ring(2)
+    short = dataclasses.replace(mdp, rewards=mdp.rewards[:1])
+    assert short.validate() == ["rewards_count: 1 rewards entries for 3 actions"]
+
+
+def test_validate_effects_count():
+    mdp = make_ring(2)
+    assert dataclasses.replace(mdp, effects=()).validate() == [
+        "effects_count: 0 effects entries for 3 actions"
+    ]
+
+
 def test_validate_rewards_default_dim():
     mdp = make_ring(2)
     rewards = list(mdp.rewards)
@@ -400,6 +419,13 @@ def test_load_rejects_missing_default(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InvalidInputError):
         load_mdp(str(path))
+
+
+def test_load_rejects_effects_of_undefined_actions():
+    data = mdp_to_json_dict(make_ring(2))
+    data["effects"]["nonexistent"] = [0]
+    with pytest.raises(InvalidInputError, match="nonexistent"):
+        mdp_from_json_dict(data)
 
 
 def test_load_reports_validation_names(tmp_path):
