@@ -375,7 +375,8 @@ def _cmd_bench(args) -> int:
             f"constraints={len(last['lp'].constraints)} "
             f"variables={last['lp_cols']} "
             f"total={_seconds(total, args.no_timing)} "
-            f"lp={_seconds(in_lp, args.no_timing)}"
+            f"lp={_seconds(in_lp, args.no_timing)} "
+            f"pivots={sum(step['pivots'] for step in steps)}"
         )
     _emit(lines, args.report)
     return 0

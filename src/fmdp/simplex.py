@@ -1,22 +1,48 @@
-"""Exact two-phase primal simplex over rationals.
+"""Exact two-phase primal simplex over rationals, pivoting on integer rows.
 
-Free variables are split into nonnegative pairs, every row gets a slack,
-rows are sign-flipped so right-hand sides start nonnegative, and one
-artificial variable per row seeds the basis.  Bland's rule (lowest
-eligible column enters, ties on the ratio test broken by the lowest basic
-index) guarantees termination without cycling.
+The program is the textbook one: free variables are split into
+nonnegative pairs u - v, every row gets a slack, rows are sign-flipped
+(sigma_i = +1 or -1) so right-hand sides start nonnegative, and one
+artificial variable per row seeds the basis.  Columns are numbered u, v,
+slack, artificial, and Bland's rule runs over that numbering: the lowest
+eligible column enters, ties on the ratio test go to the lowest basic
+index.  That guarantees termination without cycling.
 
-Artificial columns are kept through both phases but never re-enter the
-basis.  Their reduced costs express the pricing functional in original row
-coordinates, which is where every certificate comes from: Farkas vectors
-from the phase-one objective row when the artificial optimum stays
-positive, dual optima from the phase-two objective row, and rays straight
-from an entering column with no positive entries.
+Only the u columns, the slacks and the right-hand side are stored, n + m + 1
+entries per row instead of 2n + 2m + 1.  The other columns follow from
+them at every step, because every pivot applies the same row operations
+to all columns and they start out related:
+
+- v_j = -u_j, in every row and in both objective rows;
+- artificial a_i = sigma_i * s_i in every constraint row, since both start
+  as multiples of the unit vector e_i.  In the objective rows the reduced
+  costs satisfy a_i = 1 + sigma_i * s_i in phase one and a_i = sigma_i * s_i
+  in phase two, so the Farkas vector (phase one) and the dual (phase two)
+  are exactly the objective row on the slack columns.
+
+Artificials never re-enter, so no artificial entry is ever needed.
+
+Each row is a list of Python ints with one positive denominator.  Input
+rows are scaled by the lcm of their denominators.  A pivot with pivot
+entry P turns row k into (P * row_k - f * row_r) / (den_k * P), reduced by
+a single gcd over the row; the objective rows are updated the same way.
+The ratio test cross-multiplies, since a row's denominator cancels in
+rhs / entry.  The real tableau these rows represent is, entry for entry,
+the one a dense ``Fraction`` tableau would hold, so every sign test and
+ratio comparison decides the same way: the Bland pivot sequence, the
+certificates and the recorded stats are those of the plain rational
+simplex.  ``Fraction`` appears only when the certificate is read out.
+
+Certificates come from three places: Farkas vectors from the phase-one
+objective row when the artificial optimum stays positive, dual optima from
+the phase-two objective row, and rays straight from an entering column
+with no positive entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import LpInternalError
 from .lp import Certificate, Infeasible, Optimal, StdLp, Unbounded
@@ -25,6 +51,19 @@ __all__ = ["solve_lp"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _eliminate(
+    row: list[int], den: int, f: int, pivot_row: list[int], p: int
+) -> tuple[list[int], int]:
+    """``row / den - (f / den) * (pivot_row / p)`` as a reduced integer row."""
+    new = [p * a - f * b for a, b in zip(row, pivot_row)]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [q // g for q in new]
+        den //= g
+    return new, den
 
 
 def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
@@ -36,91 +75,106 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     """
     n = std.num_cols
     m = std.num_rows
-    u0, v0, s0, a0 = 0, n, 2 * n, 2 * n + m
-    ncols = 2 * n + 2 * m
+    v0, s0, a0 = n, 2 * n, 2 * n + m
 
-    sigma = [1 if b >= 0 else -1 for b in std.rhs]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    def column(e: int) -> tuple[int, int]:
+        """Stored index and sign of tableau column ``e`` (never artificial)."""
+        if e < v0:
+            return e, 1
+        if e < s0:
+            return e - v0, -1
+        return e - s0 + n, 1
+
+    # rows[:m] are the constraint rows; while a phase runs, its objective
+    # row is rows[m], so every pivot updates it with the rest.
+    rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
-    for i, sparse in enumerate(std.rows):
-        row = [_ZERO] * ncols
-        sg = sigma[i]
+    for i, (sparse, b) in enumerate(zip(std.rows, std.rhs)):
+        den = lcm(b.denominator, *(q.denominator for _, q in sparse))
+        sg = 1 if b >= 0 else -1
+        row = [0] * (n + m + 1)
         for j, q in sparse:
-            row[u0 + j] = sg * q
-            row[v0 + j] = -sg * q
-        row[s0 + i] = Fraction(sg)
-        row[a0 + i] = _ONE
+            row[j] = sg * q.numerator * (den // q.denominator)
+        row[n + i] = sg * den
+        row[-1] = sg * b.numerator * (den // b.denominator)
         rows.append(row)
-        rhs.append(sg * std.rhs[i])
+        dens.append(den)
         basis.append(a0 + i)
 
     counts = {"phase1": 0, "phase2": 0, "driveout": 0}
 
-    def pivot(r: int, e: int, objective: list[Fraction] | None) -> None:
-        p = rows[r][e]
-        if p != 0 and p != 1:
-            inv = 1 / p
-            rows[r] = [q * inv for q in rows[r]]
-            rhs[r] = rhs[r] * inv
-        for k in range(len(rows)):
-            if k == r:
+    def pivot(r: int, e: int) -> None:
+        k, sg = column(e)
+        pr = rows[r]
+        p = sg * pr[k]
+        if p < 0:
+            pr = [-q for q in pr]
+            p = -p
+        for i, row in enumerate(rows):
+            if i == r:
                 continue
-            f = rows[k][e]
-            if f == 0:
-                continue
-            pr = rows[r]
-            rows[k] = [a - f * b for a, b in zip(rows[k], pr)]
-            rhs[k] = rhs[k] - f * rhs[r]
-        if objective is not None:
-            f = objective[e]
-            if f != 0:
-                pr = rows[r]
-                objective[:] = [a - f * b for a, b in zip(objective, pr)]
+            f = sg * row[k]
+            if f:
+                rows[i], dens[i] = _eliminate(row, dens[i], f, pr, p)
+        g = gcd(p, *pr)
+        rows[r] = [q // g for q in pr] if g > 1 else pr
+        dens[r] = p // g
         basis[r] = e
 
-    def run(objective: list[Fraction], phase: str) -> int | None:
+    def entering() -> int | None:
+        z = rows[m]
+        for j in range(n):
+            if z[j] < 0:
+                return j
+        for j in range(n):
+            if z[j] > 0:
+                return v0 + j
+        for i in range(m):
+            if z[n + i] < 0:
+                return s0 + i
+        return None
+
+    def run(phase: str) -> int | None:
         """Iterate to optimality; return the entering column on unboundedness."""
         while True:
-            enter = None
-            for j in range(a0):
-                if objective[j] < 0:
-                    enter = j
-                    break
+            enter = entering()
             if enter is None:
                 return None
+            k, sg = column(enter)
             leave = None
-            best: tuple[Fraction, int] | None = None
-            for r in range(len(rows)):
-                t = rows[r][enter]
+            for r in range(m):
+                t = sg * rows[r][k]
                 if t > 0:
-                    key = (rhs[r] / t, basis[r])
-                    if best is None or key < best:
-                        best = key
-                        leave = r
+                    num = rows[r][-1]
+                    if leave is None:
+                        leave, best_num, best_t = r, num, t
+                        continue
+                    lhs, rhs = num * best_t, best_num * t
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        leave, best_num, best_t = r, num, t
             if leave is None:
                 return enter
-            pivot(leave, enter, objective)
+            pivot(leave, enter)
             counts[phase] += 1
 
     # Phase one: minimize the artificial sum from the all-artificial basis.
-    z1 = [_ZERO] * ncols
-    for j in range(ncols):
-        total = _ZERO
-        for r in range(len(rows)):
-            total += rows[r][j]
-        z1[j] = (_ONE if j >= a0 else _ZERO) - total
-    blocked = run(z1, "phase1")
+    # Its reduced costs on stored columns are minus the column sums.
+    z1, d1 = [0] * (n + m + 1), 1
+    for row, den in zip(rows, dens):
+        z1, d1 = _eliminate(z1, d1, d1, row, den)
+    rows.append(z1)
+    dens.append(d1)
+    blocked = run("phase1")
     if blocked is not None:
         raise LpInternalError("artificial phase cannot be unbounded")
+    z1, d1 = rows.pop(), dens.pop()
 
-    art_value = _ZERO
-    for r in range(len(rows)):
-        if basis[r] >= a0:
-            art_value += rhs[r]
-    if art_value > 0:
-        farkas = tuple(sigma[i] * (z1[a0 + i] - _ONE) for i in range(m))
-        _record(stats, counts, len(rows), ncols)
+    # Every right-hand side is nonnegative here, so the artificial sum is
+    # positive exactly when some basic artificial is.
+    if any(basis[r] >= a0 and rows[r][-1] > 0 for r in range(m)):
+        farkas = tuple(Fraction(z1[n + i], d1) for i in range(m))
+        _record(stats, counts, m, 2 * n + 2 * m)
         return Infeasible(farkas)
 
     # Evict artificials still sitting in the basis at value zero.  Such a
@@ -128,43 +182,57 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     # input rows, the weight on its own is one (the basic artificial
     # column is a unit vector), so its own slack appears with coefficient
     # +1 or -1.  Pivoting at value zero preserves feasibility either way.
-    for r in range(len(rows)):
+    # A v column is nonzero exactly where its u column is, so it never
+    # comes first.
+    for r in range(m):
         if basis[r] >= a0:
-            enter = next((j for j in range(a0) if rows[r][j] != 0), None)
+            row = rows[r]
+            enter = next((j for j in range(n) if row[j] != 0), None)
+            if enter is None:
+                enter = next((s0 + i for i in range(m) if row[n + i] != 0), None)
             if enter is None:
                 raise LpInternalError("dependent row lost its slack column")
-            pivot(r, enter, None)
+            pivot(r, enter)
             counts["driveout"] += 1
 
-    # Phase two: the real objective, artificial columns still priced but
-    # barred from entering.
-    cvec = [_ZERO] * ncols
+    # Phase two: the real objective, priced against the current basis.
+    cost = [_ZERO] * n
     for j, q in std.objective:
-        cvec[u0 + j] += q
-        cvec[v0 + j] -= q
-    z2 = list(cvec)
-    for r in range(len(rows)):
-        cb = cvec[basis[r]]
+        cost[j] += q
+    dz = lcm(*(q.denominator for q in cost))
+    z2 = [q.numerator * (dz // q.denominator) for q in cost] + [0] * (m + 1)
+    for r in range(m):
+        e = basis[r]
+        cb = cost[e] if e < v0 else -cost[e - v0] if e < s0 else _ZERO
         if cb != 0:
-            pr = rows[r]
-            z2 = [a - cb * b for a, b in zip(z2, pr)]
-    blocked = run(z2, "phase2")
-    _record(stats, counts, len(rows), ncols)
+            z2, dz = _eliminate(z2, dz, cb.numerator * dz, rows[r], cb.denominator * dens[r])
+    rows.append(z2)
+    dens.append(dz)
+    blocked = run("phase2")
+    z2, dz = rows.pop(), dens.pop()
+    _record(stats, counts, m, 2 * n + 2 * m)
 
-    values = [_ZERO] * ncols
-    for r in range(len(rows)):
-        values[basis[r]] = rhs[r]
-    point = tuple(values[u0 + j] - values[v0 + j] for j in range(n))
+    def coordinates(entry) -> list[Fraction]:
+        """u - v over the basic columns, row r contributing ``entry(row_r)``."""
+        out = [_ZERO] * n
+        for e, row, den in zip(basis, rows, dens):
+            if e < s0:
+                value = Fraction(entry(row), den)
+                if e < v0:
+                    out[e] = value
+                else:
+                    out[e - v0] = -value
+        return out
 
+    point = tuple(coordinates(lambda row: row[-1]))
     if blocked is not None:
-        delta = [_ZERO] * ncols
-        delta[blocked] = _ONE
-        for r in range(len(rows)):
-            delta[basis[r]] = -rows[r][blocked]
-        ray = tuple(delta[u0 + j] - delta[v0 + j] for j in range(n))
-        return Unbounded(point, ray)
+        k, sg = column(blocked)
+        ray = coordinates(lambda row: -sg * row[k])
+        if blocked < s0:
+            ray[k] = _ONE if blocked < v0 else -_ONE
+        return Unbounded(point, tuple(ray))
 
-    dual = tuple(sigma[i] * z2[a0 + i] for i in range(m))
+    dual = tuple(Fraction(z2[n + i], dz) for i in range(m))
     return Optimal(point, dual)
 
 

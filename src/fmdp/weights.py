@@ -130,12 +130,15 @@ def update_weights(
     box = _INITIAL_BOX
     growths = 0
     rounds = 0
+    pivots = 0
     while True:
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise LpInternalError("cut generation failed to converge")
         master_std = to_standard_form(_master_lp(m, box, cuts))
-        cert = solve_lp(master_std)
+        stats: dict = {}
+        cert = solve_lp(master_std, stats)
+        pivots += stats["pivots"]
         if not isinstance(cert, Optimal):
             raise LpInternalError(f"master program came back {type(cert).__name__}")
         if not check_optimality(master_std, cert.primal, cert.dual):
@@ -175,6 +178,7 @@ def update_weights(
         trace["rounds"] = rounds
         trace["cuts"] = len(cuts)
         trace["box_growths"] = growths
+        trace["pivots"] = pivots
         trace["blocks"] = len(blocks)
         trace["lp_rows"] = std.num_rows
         trace["lp_cols"] = std.num_cols

@@ -7,7 +7,7 @@ import pytest
 
 from fmdp.api import ApiConfig, ApiResult, api, posterior_bound
 from fmdp.errors import InvalidInputError, OracleLimitError
-from fmdp.model import make_ring
+from fmdp.model import elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err
 from fmdp.weights import update_weights
 
@@ -50,6 +50,19 @@ def test_reported_error_matches_oracle():
 def test_bit_for_bit_determinism():
     cfg = ApiConfig(epsilon=Fraction(0), t_max=30)
     assert api(make_ring(3), cfg) == api(make_ring(3), cfg)
+
+
+@pytest.mark.parametrize(
+    "n, pivots", [(3, [104, 24, 24]), (4, [260, 27, 30])]
+)
+def test_master_pivots_per_iteration_are_pinned(n, pivots):
+    # Counts of the master simplex over each update_weights call with the
+    # min-degree order (ring-3 totals 152, as in perfbench/test_bench.py).
+    # A change to the pivot rule or to the cut sequence moves them.
+    mdp = make_ring(n)
+    steps: list[dict] = []
+    api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
+    assert [step["pivots"] for step in steps] == pivots
 
 
 def test_trace_is_optional_and_inert():

@@ -221,6 +221,7 @@ def test_bench_rows_and_bad_size(tmp_path, capsys):
     assert code == 0
     assert "n=1 " in out and "n=2 " in out
     assert "constraints=" in out and "variables=" in out
+    assert all(line.split()[-1].startswith("pivots=") for line in out.splitlines()[1:])
     assert report.read_text(encoding="utf-8") == out
     assert main(["bench", "--sizes", "0"]) == 1
     capsys.readouterr()

@@ -1,10 +1,13 @@
 """Solver behavior on hand-sized programs plus randomized self-certification."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 from helpers import random_token_lp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.lp import Infeasible, Lp, Optimal, Unbounded, make_constraint, to_standard_form
@@ -126,3 +129,70 @@ def test_pivot_counts_stay_under_basis_bound():
         bound = math.comb(stats["cols"], max(std.num_rows, 1))
         assert stats["pivots_phase1"] <= bound
         assert stats["pivots_phase2"] <= bound
+
+
+def _certificate_coordinates(cert):
+    if isinstance(cert, Optimal):
+        return cert.primal + cert.dual
+    if isinstance(cert, Infeasible):
+        return cert.farkas
+    return cert.point + cert.ray
+
+
+# SHA-256 over the repr of every certificate and stats dict in the batch
+# below.  Any change to the pivot path (entering or leaving choice, drive-out
+# order, certificate extraction) moves it even when the result still certifies.
+_GOLDEN_SOLVER_DIGEST = "fee333ccdeee2e6cbb65c6769843d1c8c1b42006192fda5492071f356b297fd4"
+
+
+def test_golden_solver_digest():
+    rng = random.Random(20261018)
+    batch = [random_token_lp(rng) for _ in range(200)]
+    batch += [random_token_lp(rng, max_vars=8, max_rows=30) for _ in range(50)]
+    digest = hashlib.sha256()
+    for lp in batch:
+        stats: dict = {}
+        cert = solve_lp(to_standard_form(lp), stats)
+        assert all(type(q) is Fraction for q in _certificate_coordinates(cert))
+        digest.update(repr(cert).encode())
+        digest.update(repr(stats).encode())
+    assert digest.hexdigest() == _GOLDEN_SOLVER_DIGEST
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def _mixed_lps(draw):
+    """Mixed le/eq rows with negative right-hand sides allowed; some
+    equalities appear twice, which leaves dependent rows for drive-out."""
+    names = [f"x{j}" for j in range(draw(st.integers(1, 4)))]
+    cons = []
+    for _ in range(draw(st.integers(0, 6))):
+        coefs = {name: draw(_rationals) for name in names if draw(st.booleans())}
+        kind = draw(st.sampled_from(["le", "eq"]))
+        cons.append(make_constraint(kind, coefs, draw(_rationals)))
+    cons += [con for con in cons if con.kind == "eq" and draw(st.booleans())]
+    order = draw(st.permutations(range(len(cons))))
+    return Lp(tuple(cons[k] for k in order), "x0")
+
+
+def _certifies(std, cert, normalized):
+    if isinstance(cert, Optimal):
+        return check_optimality(std, cert.primal, cert.dual, normalized=normalized)
+    if isinstance(cert, Infeasible):
+        return check_infeasible(std, cert.farkas, normalized=normalized)
+    return check_unbounded(std, cert.point, cert.ray, normalized=normalized)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_mixed_lps())
+def test_property_certificates_verify_and_repeat(lp):
+    std = to_standard_form(lp)
+    stats: dict = {}
+    cert = solve_lp(std, stats)
+    assert _certifies(std, cert, normalized=True)
+    assert _certifies(std, cert, normalized=False)
+    again: dict = {}
+    assert solve_lp(std, again) == cert
+    assert again == stats
