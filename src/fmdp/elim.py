@@ -185,13 +185,18 @@ class ElimPlan:
         return tables, choices
 
 
-def max_sum(fs: Sequence[ScopedFn], order: Sequence[int], dims: Sequence[int]) -> ExtReal:
+def max_sum(
+    fs: Sequence[ScopedFn],
+    order: Sequence[int],
+    dims: Sequence[int],
+    plan: ElimPlan | None = None,
+) -> ExtReal:
     """Maximum over all full states of the sum of ``fs``.
 
     The result is negative infinity exactly when every full state is
-    excluded.
+    excluded.  ``plan`` is as for ``max_sum_decode``.
     """
-    return max_sum_decode(fs, order, dims)[0]
+    return max_sum_decode(fs, order, dims, plan)[0]
 
 
 def max_sum_decode(

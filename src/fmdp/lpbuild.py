@@ -1,61 +1,94 @@
-"""Compact linear programs whose projection onto (phi, w) enforces
-`sum_i w_i C_i(x) + sum_j B_j(x) <= phi` for every full assignment x,
-without ever enumerating the assignments.
+"""The weight LP's blocks: the one summand family of each branch, read
+as numbers by pricing and as rows by the full program.
 
-A block is the elimination plan of its summands (``fmdp.elim.ElimPlan``)
-read as rows; the plan is the single source of the schedule, and this
-module only names its slots and entries.  Each input function gets one
-private variable per point of its scope, tied down by equalities (tie
-rows for weighted summands, pin rows for constant ones); each round's
-replacement gets a fresh function variable whose dominance rows say it
-bounds every one-variable extension of its dependents; a final summary
-row says the surviving constants sum to at most phi.  Eliminating a
-variable therefore costs rows proportional to the local joint scope, not
-to the full state space.  The row helpers are the one definition of each
-row form: ``fmdp.weights`` calls them again to locate the rows its lifted
-dual loads.
+A block holds one tag's scoped summands (built here only, by
+``difference_fns`` and ``indicator_fns``) and their elimination plan
+(``fmdp.elim.ElimPlan``).  Branch blocks come in mirrored pairs sharing
+one plan: priced at w (``TagBlock.at``), the positive block sums to
+nu_w - Q_w^a on the branch's states and the negative one to the
+negation, while indicator summands send every state an earlier branch
+claimed to minus infinity.  ``fmdp.weights`` prices blocks for cuts and
+``fmdp.error`` for the Bellman error; ``weight_lp_blocks`` keeps the
+latest policy's blocks in the model's cache, so both share one build.
 
-Branch blocks come in mirrored pairs that share one plan: the positive
-tag bounds how far the linear value estimate can sit above the backed-up
-value on the branch's states, the negative tag the other direction.
-Negated indicator summands release every state some earlier branch
-already claimed, because any sum through minus infinity imposes nothing.
+As rows, a block's projection onto (phi, w) enforces
+`sum_i w_i C_i(x) + sum_j B_j(x) <= phi` for every full assignment x
+without enumerating the assignments.  Rows and their private variables
+are derived on first use, so a block that is only priced never pays for
+them.  Each input function gets one variable per point of its scope,
+tied down by equalities (tie rows for weighted summands, pin rows for
+constant ones); each round's replacement gets a function variable whose
+dominance rows bound every one-variable extension of its dependents; a
+summary row says the surviving constants sum to at most phi.  The row
+helpers are the one definition of each row form: ``fmdp.weights`` calls
+them again to locate the rows its lifted dual loads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 from .elim import ElimPlan, ElimRound, identity_order
 from .errors import InvalidInputError
-from .error import difference_fns, indicator_fns
 from .factored import PartialState, ScopedFn, assignments, instantiate
 from .lp import PHI, Constraint, FnId, FnVar, Lp, Tag, Weight, make_constraint
 from .model import FactoredMdp
 from .policy import DecisionList
-from .values import fin
+from .values import NEG_INF, fin
 
 __all__ = ["TagBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
+__all__ += ["indicator_fns", "difference_fns"]
 __all__ += ["tie_row", "pin_row", "dominance_row", "summary_row"]
 
 
 @dataclass(frozen=True)
 class TagBlock:
-    """Everything one tag contributes: its summands, the elimination plan
-    over them, one private variable per table entry of every plan slot,
-    and the finished constraint rows in generation order."""
+    """Everything one tag contributes: its weighted summands ``c_fns``
+    (rational tables), its constant summands ``b_fns`` (extended-real
+    tables) and the elimination plan over both, weighted ones first."""
 
     tag: Tag
     c_fns: tuple[ScopedFn, ...]
     b_fns: tuple[ScopedFn, ...]
     plan: ElimPlan
-    fn_vars: tuple[tuple[FnVar, ...], ...]
-    constraints: tuple[Constraint, ...] = ()
 
     @property
     def rounds(self) -> tuple[ElimRound, ...]:
         return self.plan.rounds
+
+    def at(self, w: Sequence[Fraction]) -> list[ScopedFn]:
+        """The summands with the weights fixed at ``w``, in plan order:
+        each weighted summand scaled by its w_i, then the constant ones."""
+        scaled = [c.map_table(lambda q, wi=wi: fin(wi * q)) for wi, c in zip(w, self.c_fns)]
+        return scaled + list(self.b_fns)
+
+    @cached_property
+    def fn_vars(self) -> tuple[tuple[FnVar, ...], ...]:
+        """One private variable per table entry of every plan slot."""
+        ids = [FnId("c", i) for i in range(len(self.c_fns))]
+        ids += [FnId("b", k) for k in range(len(self.b_fns))]
+        ids += [FnId("e", rnd.var) for rnd in self.plan.rounds]
+        return tuple(
+            tuple(FnVar(self.tag, fid, z) for z in assignments(scope, self.plan.dims))
+            for fid, scope in zip(ids, self.plan.scopes)
+        )
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The block's rows in generation order, repeats dropped."""
+        plan = self.plan
+        rows = [tie_row(self, i, j) for i, c in enumerate(self.c_fns) for j in range(len(c.table))]
+        for k, b in enumerate(self.b_fns):
+            pins = (pin_row(self, k, j) for j in range(len(b.table)))
+            rows.extend(row for row in pins if row is not None)
+        for r, rnd in enumerate(plan.rounds):
+            size = len(self.fn_vars[plan.inputs + r]) * plan.dims[rnd.var]
+            rows.extend(dominance_row(self, r, j) for j in range(size))
+        rows.append(summary_row(self))
+        return tuple(dict.fromkeys(rows))
 
 
 def tie_row(block: TagBlock, i: int, j: int) -> Constraint:
@@ -99,7 +132,7 @@ def min_lp(
     order: tuple[int, ...],
     plan: ElimPlan | None = None,
 ) -> TagBlock:
-    """Build the constraint block for one tag.
+    """The block for one tag.
 
     ``c_fns`` carry rational tables and enter scaled by their weight;
     ``b_fns`` carry extended-real tables and enter additively, with a
@@ -108,22 +141,42 @@ def min_lp(
     """
     if plan is None:
         plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
-    ids = [FnId("c", i) for i in range(len(c_fns))] + [FnId("b", k) for k in range(len(b_fns))]
-    ids += [FnId("e", rnd.var) for rnd in plan.rounds]
-    fn_vars = tuple(
-        tuple(FnVar(tag, fid, z) for z in assignments(scope, plan.dims))
-        for fid, scope in zip(ids, plan.scopes)
-    )
-    block = TagBlock(tag, tuple(c_fns), tuple(b_fns), plan, fn_vars)
-    rows = [tie_row(block, i, j) for i, c in enumerate(c_fns) for j in range(len(c.table))]
-    for k, b in enumerate(b_fns):
-        pins = (pin_row(block, k, j) for j in range(len(b.table)))
-        rows.extend(row for row in pins if row is not None)
-    for r, rnd in enumerate(plan.rounds):
-        size = len(fn_vars[plan.inputs + r]) * plan.dims[rnd.var]
-        rows.extend(dominance_row(block, r, j) for j in range(size))
-    rows.append(summary_row(block))
-    return replace(block, constraints=tuple(dict.fromkeys(rows)))
+    return TagBlock(tag, tuple(c_fns), tuple(b_fns), plan)
+
+
+def indicator_fns(
+    ts: Sequence[PartialState], t: PartialState, dims: Sequence[int]
+) -> list[ScopedFn]:
+    """One exclusion function per earlier branch state, instantiated by ``t``.
+
+    The function for t' is negative infinity exactly on assignments
+    consistent with t' and zero elsewhere; after instantiation its scope is
+    domain(t') minus domain(t).  A t' subsumed by t yields the constant
+    negative infinity (the whole branch is shadowed), a t' conflicting with
+    t on some shared variable yields the constant zero.
+    """
+    out = []
+    for tp in ts:
+        full = ScopedFn.tabulate(
+            tp.domain,
+            dims,
+            lambda x, tp=tp: NEG_INF if x == tp else fin(0),
+        )
+        out.append(instantiate(full, t))
+    return out
+
+
+def difference_fns(mdp: FactoredMdp, t: PartialState, a: int) -> tuple[ScopedFn, ...]:
+    """The basis differences h_i - gamma * g_i^a instantiated by ``t``:
+    the weighted summands of a branch's positive block."""
+    out = []
+    for i, h in enumerate(mdp.basis):
+        g = mdp.g(i, a)
+        combined = ScopedFn.tabulate(
+            set(h.scope) | set(g.scope), mdp.dims, lambda x, h=h, g=g: h(x) - mdp.discount * g(x)
+        )
+        out.append(instantiate(combined, t))
+    return tuple(out)
 
 
 def branch_lp(
@@ -134,7 +187,9 @@ def branch_lp(
     order: tuple[int, ...],
 ) -> tuple[TagBlock, TagBlock]:
     """The mirrored pair of blocks for one branch, given the branch states
-    claimed earlier in the list."""
+    claimed earlier in the list.  At weights w the positive block's
+    summands sum to nu_w - Q_w^a on the branch's states and the negative
+    block's to Q_w^a - nu_w; elsewhere some indicator is minus infinity."""
     if not 0 <= a < len(mdp.actions):
         raise InvalidInputError(f"action index {a} out of range")
     diffs = difference_fns(mdp, t, a)
@@ -142,24 +197,34 @@ def branch_lp(
     shadows = tuple(indicator_fns(ts, t, mdp.dims))
     pos_b = tuple(r.map_table(lambda v: -v if v.is_finite else v) for r in rewards) + shadows
     plan = ElimPlan.build(diffs + pos_b, order, mdp.dims)
-    pos = min_lp(mdp.dims, Tag(t, a, True), diffs, pos_b, order, plan)
     neg_c = tuple(d.map_table(lambda q: -q) for d in diffs)
-    neg = min_lp(mdp.dims, Tag(t, a, False), neg_c, rewards + shadows, order, plan)
-    return pos, neg
+    pos = TagBlock(Tag(t, a, True), diffs, pos_b, plan)
+    return pos, TagBlock(Tag(t, a, False), neg_c, rewards + shadows, plan)
 
 
 def weight_lp_blocks(
     mdp: FactoredMdp, pol: DecisionList, order: tuple[int, ...] | None = None
 ) -> tuple[TagBlock, ...]:
-    if order is None:
-        order = identity_order(len(mdp.dims))
+    """The pair of blocks of every branch, in list order.
+
+    The model's cache keeps the blocks of the most recent (policy, order)
+    only: the error of each new greedy policy is measured just before the
+    weights are fitted to it, and both ask for the same blocks.
+    """
+    order = identity_order(len(mdp.dims)) if order is None else tuple(order)
+    key = (pol, order)
+    hit = mdp._cache.get("blocks")
+    if hit is not None and hit[0] == key:
+        return hit[1]
     blocks: list[TagBlock] = []
     earlier: list[PartialState] = []
     for branch in pol.branches:
         pos, neg = branch_lp(mdp, branch.t, branch.action, tuple(earlier), order)
         blocks.extend((pos, neg))
         earlier.append(branch.t)
-    return tuple(blocks)
+    result = tuple(blocks)
+    mdp._cache["blocks"] = (key, result)
+    return result
 
 
 def weight_lp(

@@ -366,6 +366,11 @@ def _as_rational(value: object, where: str) -> Fraction:
     raise InvalidInputError(f"{where}: expected a rational, got {value!r}")
 
 
+def _is_index(value: object) -> bool:
+    """A JSON integer; ``bool`` subclasses ``int`` but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _scoped_fn_to_json(f: ScopedFn, as_distribution: bool) -> dict:
     if as_distribution:
         table = [[format_rational(p) for p in row] for row in f.table]
@@ -380,7 +385,7 @@ def _scoped_fn_from_json(
     if not isinstance(obj, dict) or "scope" not in obj or "table" not in obj:
         raise InvalidInputError(f"{where}: expected an object with scope and table")
     scope = obj["scope"]
-    if not isinstance(scope, list) or not all(isinstance(v, int) for v in scope):
+    if not isinstance(scope, list) or not all(_is_index(v) for v in scope):
         raise InvalidInputError(f"{where}: scope must be a list of variable indices")
     for v in scope:
         if not (0 <= v < len(dims)):
@@ -458,7 +463,7 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
         if len(set(dom)) != len(dom):
             raise InvalidInputError(f"model file: variable {i} repeats a value name")
     n = need("n")
-    if n != len(domains):
+    if not _is_index(n) or n != len(domains):
         raise InvalidInputError(f"model file: n={n} but {len(domains)} domains given")
     dims = tuple(len(dom) for dom in domains)
 
@@ -469,8 +474,8 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
     transitions: list[tuple[ScopedFn, ...]] = []
     rewards: list[tuple[ScopedFn, ...]] = []
     for idx, entry in enumerate(actions_raw):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise InvalidInputError(f"model file: action {idx} needs a name")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise InvalidInputError(f"model file: action {idx} needs a name string")
         name = entry["name"]
         where = f"action {name!r}"
         names.append(name)
@@ -511,7 +516,7 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
     effects: list[tuple[int, ...]] = []
     for name in names:
         eff = effects_raw.get(name, [])
-        if not isinstance(eff, list) or not all(isinstance(v, int) for v in eff):
+        if not isinstance(eff, list) or not all(_is_index(v) for v in eff):
             raise InvalidInputError(f"model file: effects of {name!r} must list variables")
         effects.append(tuple(sorted(eff)))
 

@@ -59,11 +59,7 @@ class _Cut:
 
 
 def _price(block: TagBlock, w: Sequence[Fraction], order, dims) -> tuple[ExtReal, PartialState]:
-    fns = [
-        c.map_table(lambda q, wi=wi: fin(wi * q))
-        for wi, c in zip(w, block.c_fns)
-    ] + list(block.b_fns)
-    return max_sum_decode(fns, order, dims, block.plan)
+    return max_sum_decode(block.at(w), order, dims, block.plan)
 
 
 def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:

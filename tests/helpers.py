@@ -1,9 +1,10 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and enumeration references for the
+test suite."""
 
 import random
 from fractions import Fraction
 
-from fmdp.factored import ScopedFn, assignments
+from fmdp.factored import ScopedFn, assignments, consistent
 from fmdp.lp import Lp, make_constraint
 from fmdp.values import NEG_INF, fin
 
@@ -70,3 +71,14 @@ def random_token_lp(rng: random.Random, max_vars: int = 4, max_rows: int = 6) ->
         rhs = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         cons.append(make_constraint(kind, coefs, rhs))
     return Lp(tuple(cons), "x0")
+
+
+def explicit_branch_sup(mdp, w, t, a, ts):
+    """Largest |Q_w^a - nu_w| over the full states consistent with ``t``
+    and with none of ``ts``, by enumeration; ``None`` when there are none."""
+    deviations = [
+        abs(mdp.q_value(w, a, x) - mdp.nu_w(w, x))
+        for x in all_states(mdp.dims)
+        if consistent(x, t) and not any(consistent(x, tp) for tp in ts)
+    ]
+    return max(deviations) if deviations else None

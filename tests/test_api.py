@@ -1,14 +1,18 @@
 """Driver loop: termination flags, iteration accounting, and the bound."""
 
 import dataclasses
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fmdp.lpbuild
 from fmdp.api import ApiConfig, ApiResult, api, posterior_bound
 from fmdp.errors import InvalidInputError, OracleLimitError
 from fmdp.model import elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err
+from fmdp.policy import greedy_decision_list
 from fmdp.weights import update_weights
 
 
@@ -63,6 +67,45 @@ def test_master_pivots_per_iteration_are_pinned(n, pivots):
     steps: list[dict] = []
     api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
     assert [step["pivots"] for step in steps] == pivots
+
+
+@pytest.mark.parametrize("n, builds", [(3, 27), (4, 35)])
+def test_each_policy_builds_its_blocks_once(n, builds, monkeypatch):
+    # The error of each new greedy policy and the next weight fit price the
+    # same blocks, so a branch's summands are tabulated once per run even
+    # though both steps read them.
+    calls = []
+    original = fmdp.lpbuild.difference_fns
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fmdp.lpbuild, "difference_fns", counting)
+    mdp = make_ring(n)
+    steps: list[dict] = []
+    api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
+    weights = [tuple(Fraction(0) for _ in mdp.basis)] + [step["w"] for step in steps]
+    policies = {greedy_decision_list(mdp, w) for w in weights}
+    assert len(calls) == sum(len(pol) for pol in policies) == builds
+
+
+def test_perfbench_tracer_sees_every_layer():
+    # The benchmark's tracer patches solver names from outside; a refactor
+    # that moves one of them must fail here, not only under --trace 1.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with module.Tracer() as tracer:
+        api(make_ring(3))
+    seen = {span[0] for span in tracer.spans}
+    for name in (
+        "weights.update", "policy.greedy", "error.bellman", "lpbuild.blocks",
+        "lpbuild.assemble", "lp.stdform", "simplex.master", "certify.full",
+        "elim.pricing", "elim.maxsum",
+    ):
+        assert name in seen, name
 
 
 def test_trace_is_optional_and_inert():

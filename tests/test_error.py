@@ -1,18 +1,29 @@
-"""Branch errors and the factored Bellman error against explicit enumeration."""
+"""Branch errors and the factored Bellman error against explicit enumeration.
+
+A branch's error is the larger priced maximum of its ``branch_lp`` pair;
+``explicit_branch_sup`` enumerates the branch's states instead.
+"""
 
 import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmdp.elim import identity_order
+from helpers import explicit_branch_sup
+
+from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
-from fmdp.error import branch_error, factored_bellman_err, indicator_fns, value_diff_fns
-from fmdp.factored import EMPTY_STATE, PartialState, assignments, consistent
-from fmdp.model import make_ring
+from fmdp.error import factored_bellman_err
+from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, consistent
+from fmdp.lpbuild import branch_lp, indicator_fns
+from fmdp.model import FactoredMdp, elimination_order, make_ring
+from fmdp.oracle import explicit_bellman_err
 from fmdp.policy import Branch, DecisionList, greedy_decision_list, select_action
 from fmdp.values import NEG_INF, ext_sum, fin
+from fmdp.weights import update_weights
 
 W, B = 0, 1
 F = Fraction
@@ -26,14 +37,10 @@ def random_weights(rng, m):
     return tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m))
 
 
-def explicit_branch_sup(mdp, w, t, a, ts):
-    """Reference: enumerate the branch's state set, or None when empty."""
-    deviations = [
-        abs(mdp.q_value(w, a, x) - mdp.nu_w(w, x))
-        for x in full_states(mdp)
-        if consistent(x, t) and not any(consistent(x, tp) for tp in ts)
-    ]
-    return max(deviations) if deviations else None
+def priced_branch(mdp, w, t, a, ts, order):
+    """The branch error read off the ``branch_lp`` pair priced at ``w``."""
+    pair = branch_lp(mdp, t, a, tuple(ts), order)
+    return max(max_sum(block.at(w), order, mdp.dims, block.plan) for block in pair)
 
 
 def test_indicator_fns_shapes():
@@ -55,26 +62,29 @@ def test_indicator_fns_shapes():
     assert partial[0].table == (fin(0), NEG_INF)
 
 
-def test_value_diff_fns_sum_to_q_minus_nu():
+def test_block_summands_sum_to_q_minus_nu():
     rng = random.Random(3)
     mdp = make_ring(2)
+    order = identity_order(2)
+    ts = (PartialState.of({1: B}),)
     for _ in range(5):
         w = random_weights(rng, 3)
         for a in range(3):
             for t in ([], [(0, W)], [(0, B), (1, W)]):
                 tp = PartialState.of(dict(t))
-                parts = value_diff_fns(mdp, w, tp, a)
+                pos, neg = branch_lp(mdp, tp, a, ts, order)
                 for x in full_states(mdp):
-                    if not consistent(x, tp):
+                    if not consistent(x, tp) or consistent(x, ts[0]):
                         continue
-                    total = sum((f(x) for f in parts), F(0))
-                    assert total == mdp.q_value(w, a, x) - mdp.nu_w(w, x)
+                    gap = mdp.q_value(w, a, x) - mdp.nu_w(w, x)
+                    assert ext_sum(f(x) for f in neg.at(w)) == fin(gap)
+                    assert ext_sum(f(x) for f in pos.at(w)) == fin(-gap)
 
 
 def test_branch_error_zero_weights_default():
     mdp = make_ring(2)
     order = identity_order(2)
-    err = branch_error(mdp, (F(0),) * 3, EMPTY_STATE, 0, [], order)
+    err = priced_branch(mdp, (F(0),) * 3, EMPTY_STATE, 0, [], order)
     assert err == fin(2)  # both machines working, reward 2, nothing offsets it
 
 
@@ -82,7 +92,7 @@ def test_branch_error_fully_shadowed():
     mdp = make_ring(2)
     order = identity_order(2)
     ts = [PartialState.of({0: W}), PartialState.of({0: B})]
-    err = branch_error(mdp, (F(1), F(1), F(1)), EMPTY_STATE, 0, ts, order)
+    err = priced_branch(mdp, (F(1), F(1), F(1)), EMPTY_STATE, 0, ts, order)
     assert err == NEG_INF
 
 
@@ -101,7 +111,7 @@ def test_branch_error_matches_enumeration():
         a = rng.randrange(3)
         t = rng.choice(t_choices)
         ts = rng.sample(t_choices, rng.randint(0, 3))
-        got = branch_error(mdp, w, t, a, ts, order)
+        got = priced_branch(mdp, w, t, a, ts, order)
         want = explicit_branch_sup(mdp, w, t, a, ts)
         assert got == (NEG_INF if want is None else fin(want))
 
@@ -113,10 +123,11 @@ def test_branch_error_prefix_monotonicity():
     for _ in range(10):
         w = random_weights(rng, 3)
         ts = []
-        previous = branch_error(mdp, w, EMPTY_STATE, 1, ts, order)
+        previous = priced_branch(mdp, w, EMPTY_STATE, 1, ts, order)
         for tp in (PartialState.of({0: W}), PartialState.of({1: B})):
             ts.append(tp)
-            nxt = branch_error(mdp, w, EMPTY_STATE, 1, ts, order)
+            nxt = priced_branch(mdp, w, EMPTY_STATE, 1, ts, order)
+            assert nxt == fin(explicit_branch_sup(mdp, w, EMPTY_STATE, 1, ts))
             assert not previous < nxt
             previous = nxt
 
@@ -173,3 +184,65 @@ def test_exactly_representable_value_gives_zero_error():
     w = (F(1), F(1))
     pol = greedy_decision_list(mdp, w)
     assert factored_bellman_err(mdp, w, pol, identity_order(2)) == 0
+
+
+_SMALL = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _scopes(n, most, least=0):
+    scope = st.lists(st.integers(0, n - 1), min_size=least, max_size=most, unique=True)
+    return scope.map(lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def _models(draw):
+    """Valid models with domains of up to 3 values, transition scopes of up
+    to 3 variables, and non-default actions that share the default's reward
+    prefix and declare the variables they change."""
+    n = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(n))
+
+    def table(most):
+        return ScopedFn.tabulate(draw(_scopes(n, most)), dims, lambda _: draw(_SMALL))
+
+    def distribution(i):
+        mass = [draw(st.integers(0, 3)) for _ in range(dims[i])]
+        if sum(mass) == 0:
+            mass[draw(st.integers(0, dims[i] - 1))] = 1
+        return tuple(F(p, sum(mass)) for p in mass)
+
+    def transition(i):
+        return ScopedFn.tabulate(draw(_scopes(n, 3)), dims, lambda _: distribution(i))
+
+    default_t = tuple(transition(i) for i in range(n))
+    prefix = tuple(table(2) for _ in range(draw(st.integers(1, 2))))
+    transitions, rewards, effects = [default_t], [prefix], [()]
+    for _ in range(draw(st.integers(1, 2))):
+        eff = draw(_scopes(n, n, 1))
+        transitions.append(tuple(transition(i) if i in eff else default_t[i] for i in range(n)))
+        rewards.append(prefix + (table(2),))
+        effects.append(eff)
+    mdp = FactoredMdp(
+        domains=tuple(tuple(f"v{k}" for k in range(d)) for d in dims),
+        actions=tuple(f"a{k}" for k in range(len(transitions))),
+        default=0,
+        transitions=tuple(transitions),
+        rewards=tuple(rewards),
+        effects=tuple(effects),
+        discount=draw(st.sampled_from([F(0), F(1, 2), F(9, 10)])),
+        basis=tuple(table(2) for _ in range(draw(st.integers(1, 3)))),
+    )
+    assert mdp.validate() == []
+    return mdp
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_models(), st.data())
+def test_property_factored_error_matches_enumeration(mdp, data):
+    w = tuple(data.draw(_SMALL) for _ in mdp.basis)
+    pol = greedy_decision_list(mdp, w)
+    for kind in ("identity", "min-degree"):
+        order = elimination_order(mdp, kind)
+        assert factored_bellman_err(mdp, w, pol, order) == explicit_bellman_err(mdp, w, pol)
+        w_new, phi = update_weights(mdp, pol, order)
+        assert factored_bellman_err(mdp, w_new, pol, order) == phi

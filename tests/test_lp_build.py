@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_states, random_rational_fn
+from helpers import all_states, explicit_branch_sup, random_rational_fn
 
 from fmdp.certify import check_optimality
-from fmdp.elim import identity_order
+from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
-from fmdp.error import branch_error
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Unbounded, Weight, make_constraint, to_standard_form
 from fmdp.lpbuild import branch_lp, min_lp, weight_lp, weight_lp_blocks
@@ -153,9 +152,10 @@ def test_branch_pair_recovers_branch_error():
             std = to_standard_form(_pin_weights(block.constraints, w))
             cert = solve_lp(std)
             assert isinstance(cert, Optimal)
-            halves.append(fin(cert.primal[std.col_of[PHI]]))
-        expected = branch_error(mdp, w, t, a, ts, order)
-        assert max(halves) == expected
+            half = fin(cert.primal[std.col_of[PHI]])
+            assert half == max_sum(block.at(w), order, mdp.dims, block.plan)
+            halves.append(half)
+        assert max(halves) == fin(explicit_branch_sup(mdp, w, t, a, ts))
 
 
 def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates():

@@ -428,6 +428,32 @@ def test_load_rejects_effects_of_undefined_actions():
         mdp_from_json_dict(data)
 
 
+def _name_as_list(data):
+    data["actions"][1]["name"] = ["restart_0"]
+
+
+def _boolean_scope(data):
+    data["basis"][1]["scope"] = [False]
+
+
+def _boolean_effect(data):
+    data["effects"]["restart_0"] = [False]
+
+
+def _boolean_n(data):
+    data["n"] = True
+
+
+@pytest.mark.parametrize("corrupt", [_name_as_list, _boolean_scope, _boolean_effect, _boolean_n])
+def test_load_rejects_non_string_names_and_boolean_indices(corrupt):
+    # Each corruption reads as the valid ring-1 value under == (False == 0,
+    # True == 1), so only the type check can reject it.
+    data = mdp_to_json_dict(make_ring(1))
+    corrupt(data)
+    with pytest.raises(InvalidInputError):
+        mdp_from_json_dict(data)
+
+
 def test_load_reports_validation_names(tmp_path):
     data = mdp_to_json_dict(make_ring(1))
     data["actions"][0]["transitions"][0]["table"][0] = ["9/10", "9/10"]
