@@ -19,9 +19,11 @@ them.  Each input function gets one variable per point of its scope,
 tied down by equalities (tie rows for weighted summands, pin rows for
 constant ones); each round's replacement gets a function variable whose
 dominance rows bound every one-variable extension of its dependents; a
-summary row says the surviving constants sum to at most phi.  The row
-helpers are the one definition of each row form: ``fmdp.weights`` calls
-them again to locate the rows its lifted dual loads.
+summary row says the surviving constants sum to at most phi.
+``TagBlock.layout`` builds every row once, in that order, together with
+a position index: per plan slot, the position of the row at each table
+entry or round point.  ``fmdp.weights`` lifts its dual onto rows found
+through that index, and ``assemble_lp`` only concatenates the blocks.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .values import NEG_INF, fin
 
 __all__ = ["TagBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
 __all__ += ["indicator_fns", "difference_fns"]
-__all__ += ["tie_row", "pin_row", "dominance_row", "summary_row"]
 
 
 @dataclass(frozen=True)
@@ -76,52 +77,50 @@ class TagBlock:
             for fid, scope in zip(ids, self.plan.scopes)
         )
 
+    @cached_property
+    def layout(self) -> tuple[tuple[Constraint, ...], tuple[tuple[int | None, ...], ...]]:
+        """The block's rows (ties, pins, each round's dominance rows, the
+        summary row), each built once, and per plan slot the position of
+        the row at each table entry, or at each point for a round's slot.
+        A minus-infinity pin entry has no row and indexes ``None``; a round
+        nothing depends on has one row, ``-e <= 0``, for all of its points.
+        """
+        plan, fn_vars = self.plan, self.fn_vars
+        one, minus = Fraction(1), Fraction(-1)
+        rows: list[Constraint] = []
+        index: list[tuple[int | None, ...]] = []
+
+        def emit(kind: str, coefs: list, rhs: Fraction | int = 0) -> int:
+            rows.append(make_constraint(kind, coefs, rhs))
+            return len(rows) - 1
+
+        for i, c in enumerate(self.c_fns):
+            ties = (emit("eq", [(v, minus), (Weight(i), q)]) for v, q in zip(fn_vars[i], c.table))
+            index.append(tuple(ties))
+        for b, b_vars in zip(self.b_fns, fn_vars[len(self.c_fns) :]):
+            pins = (
+                emit("eq", [(v, one)], q.unwrap()) if q.is_finite else None
+                for v, q in zip(b_vars, b.table)
+            )
+            index.append(tuple(pins))
+        for rnd, e_vars in zip(plan.rounds, fn_vars[plan.inputs :]):
+            card = plan.dims[rnd.var]
+            if not rnd.dependents:
+                index.append((emit("le", [(e_vars[0], minus)]),) * card)
+                continue
+            deps = [(fn_vars[s], g) for s, g in zip(rnd.dependents, rnd.gather)]
+            dominance = (
+                emit("le", [(e_vars[j // card], minus)] + [(vs[g[j]], one) for vs, g in deps])
+                for j in range(len(e_vars) * card)
+            )
+            index.append(tuple(dominance))
+        emit("le", [(fn_vars[s][0], one) for s in plan.final] + [(PHI, minus)])
+        return tuple(rows), tuple(index)
+
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        """The block's rows in generation order, repeats dropped."""
-        plan = self.plan
-        rows = [tie_row(self, i, j) for i, c in enumerate(self.c_fns) for j in range(len(c.table))]
-        for k, b in enumerate(self.b_fns):
-            pins = (pin_row(self, k, j) for j in range(len(b.table)))
-            rows.extend(row for row in pins if row is not None)
-        for r, rnd in enumerate(plan.rounds):
-            size = len(self.fn_vars[plan.inputs + r]) * plan.dims[rnd.var]
-            rows.extend(dominance_row(self, r, j) for j in range(size))
-        rows.append(summary_row(self))
-        return tuple(dict.fromkeys(rows))
-
-
-def tie_row(block: TagBlock, i: int, j: int) -> Constraint:
-    """Entry ``j`` of weighted summand ``i`` equals w_i times its value."""
-    value = block.c_fns[i].table[j]
-    return make_constraint("eq", [(block.fn_vars[i][j], Fraction(-1)), (Weight(i), value)], 0)
-
-
-def pin_row(block: TagBlock, k: int, j: int) -> Constraint | None:
-    """Entry ``j`` of constant summand ``k`` equals its value; ``None``
-    when that value is minus infinity, which leaves the entry unpinned."""
-    value = block.b_fns[k].table[j]
-    if not value.is_finite:
-        return None
-    var = block.fn_vars[len(block.c_fns) + k][j]
-    return make_constraint("eq", [(var, Fraction(1))], value.unwrap())
-
-
-def dominance_row(block: TagBlock, r: int, j: int) -> Constraint:
-    """Round ``r``'s replacement dominates its dependents' sum at point ``j``."""
-    plan = block.plan
-    rnd = plan.rounds[r]
-    coefs = [(block.fn_vars[plan.inputs + r][j // plan.dims[rnd.var]], Fraction(-1))]
-    for s, g in zip(rnd.dependents, rnd.gather):
-        coefs.append((block.fn_vars[s][g[j]], Fraction(1)))
-    return make_constraint("le", coefs, 0)
-
-
-def summary_row(block: TagBlock) -> Constraint:
-    """The constants left after the last round sum to at most phi."""
-    coefs = [(block.fn_vars[s][0], Fraction(1)) for s in block.plan.final]
-    coefs.append((PHI, Fraction(-1)))
-    return make_constraint("le", coefs, 0)
+        """The block's rows; the last is the summary row."""
+        return self.layout[0]
 
 
 def min_lp(
@@ -130,17 +129,14 @@ def min_lp(
     c_fns: tuple[ScopedFn, ...],
     b_fns: tuple[ScopedFn, ...],
     order: tuple[int, ...],
-    plan: ElimPlan | None = None,
 ) -> TagBlock:
     """The block for one tag.
 
     ``c_fns`` carry rational tables and enter scaled by their weight;
     ``b_fns`` carry extended-real tables and enter additively, with a
-    minus-infinity entry simply leaving its variable unpinned.  ``plan``,
-    when given, must have been built for summands shaped like these.
+    minus-infinity entry simply leaving its variable unpinned.
     """
-    if plan is None:
-        plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
+    plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
     return TagBlock(tag, tuple(c_fns), tuple(b_fns), plan)
 
 
@@ -207,9 +203,10 @@ def weight_lp_blocks(
 ) -> tuple[TagBlock, ...]:
     """The pair of blocks of every branch, in list order.
 
-    The model's cache keeps the blocks of the most recent (policy, order)
-    only: the error of each new greedy policy is measured just before the
-    weights are fitted to it, and both ask for the same blocks.
+    A branch repeating an earlier (state, action) handles no state and adds
+    no blocks.  The model's cache keeps only the latest (policy, order): the
+    error of each new greedy policy is measured just before the weights are
+    fitted to it, and both ask for the same blocks.
     """
     order = identity_order(len(mdp.dims)) if order is None else tuple(order)
     key = (pol, order)
@@ -219,6 +216,8 @@ def weight_lp_blocks(
     blocks: list[TagBlock] = []
     earlier: list[PartialState] = []
     for branch in pol.branches:
+        if Tag(branch.t, branch.action, True) in (block.tag for block in blocks):
+            continue
         pos, neg = branch_lp(mdp, branch.t, branch.action, tuple(earlier), order)
         blocks.extend((pos, neg))
         earlier.append(branch.t)
@@ -235,11 +234,6 @@ def weight_lp(
 
 
 def assemble_lp(blocks: tuple[TagBlock, ...]) -> Lp:
-    cons: list[Constraint] = []
-    seen: set[Constraint] = set()
-    for block in blocks:
-        for con in block.constraints:
-            if con not in seen:
-                seen.add(con)
-                cons.append(con)
-    return Lp(tuple(cons), PHI)
+    """The blocks' rows, block after block; private variables carry their
+    block's tag, so no row appears in two blocks."""
+    return Lp(tuple(con for block in blocks for con in block.constraints), PHI)

@@ -18,7 +18,7 @@ short hash of the branch identity; readers treat every token as opaque.
 A certificate file names its kind on the first directive line, then holds
 labeled sections: `primal`, `point`, and `ray` entries are keyed by
 variable token, `dual` and `farkas` entries by standard row index.
-Omitted entries are zero.
+Omitted entries are zero; a section names each place at most once.
 """
 
 from __future__ import annotations
@@ -216,15 +216,20 @@ def _column_vector(path, std: StdLp, entries, label: str) -> tuple[Fraction, ...
     tokens = variable_tokens(std.columns)
     col_of = {tokens[v]: j for j, v in enumerate(std.columns)}
     out = [Fraction(0)] * std.num_cols
+    seen: set[int] = set()
     for lineno, key, val in entries:
         if key not in col_of:
             raise InvalidInputError(f"{path}:{lineno}: unknown variable {key!r} in {label}")
+        if col_of[key] in seen:
+            raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
+        seen.add(col_of[key])
         out[col_of[key]] = parse_rational(val)
     return tuple(out)
 
 
 def _row_vector(path, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
     out = [Fraction(0)] * std.num_rows
+    seen: set[int] = set()
     for lineno, key, val in entries:
         try:
             idx = int(key)
@@ -232,6 +237,9 @@ def _row_vector(path, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
             raise InvalidInputError(f"{path}:{lineno}: bad row index {key!r}") from exc
         if not 0 <= idx < std.num_rows:
             raise InvalidInputError(f"{path}:{lineno}: row {idx} outside 0..{std.num_rows - 1}")
+        if idx in seen:
+            raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
+        seen.add(idx)
         out[idx] = parse_rational(val)
     return tuple(out)
 

@@ -17,18 +17,20 @@ The finished point is lifted to a full primal solution by sweeping the
 plan over exact rationals (entries pinned nowhere start at a stand-in
 pushed far enough down that every summary row still holds).  The master
 duals are propagated backwards through the plan's rounds along each
-cut's argmax path into a full dual vector, landing on rows located with
-``fmdp.lpbuild``'s row helpers.  The pair must then survive
-``check_optimality`` on the complete standard form; anything less raises
-``LpInternalError``.
+cut's argmax path into a full dual vector, landing on rows found by
+position: the block's offset in the full program plus the entry's place
+in the block's position index (``TagBlock.layout``).  The pair must then
+survive ``check_optimality`` on the complete standard form; anything less
+raises ``LpInternalError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .certify import check_optimality
 from .elim import identity_order, max_sum_decode
@@ -36,7 +38,6 @@ from .errors import LpInternalError
 from .factored import PartialState
 from .lp import PHI, Lp, Optimal, Weight, make_constraint, to_standard_form
 from .lpbuild import TagBlock, assemble_lp, weight_lp_blocks
-from .lpbuild import dominance_row, pin_row, summary_row, tie_row
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
@@ -70,7 +71,7 @@ def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:
     return _Cut(block_index, x, alpha, total.unwrap())
 
 
-def _master_lp(m: int, box: Fraction, cuts: Sequence[_Cut]) -> Lp:
+def _master_lp(m: int, box: Fraction, cuts: Iterable[_Cut]) -> Lp:
     cons = []
     for i in range(m):
         cons.append(make_constraint("le", {Weight(i): Fraction(1)}, box))
@@ -103,17 +104,11 @@ def update_weights(
     started = time.perf_counter()
     blocks = weight_lp_blocks(mdp, pol, order)
 
-    cuts: list[_Cut] = []
-    keys: set[tuple] = set()
+    cuts: dict[tuple, _Cut] = {}
 
-    def consider(idx: int, witness: PartialState) -> bool:
+    def consider(idx: int, witness: PartialState) -> None:
         cut = _cut_at(idx, blocks[idx], witness)
-        key = (cut.alpha, cut.beta)
-        if key in keys:
-            return False
-        keys.add(key)
-        cuts.append(cut)
-        return True
+        cuts.setdefault((cut.alpha, cut.beta), cut)
 
     zero = tuple(Fraction(0) for _ in range(m))
     for idx, block in enumerate(blocks):
@@ -131,7 +126,7 @@ def update_weights(
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise LpInternalError("cut generation failed to converge")
-        master_std = to_standard_form(_master_lp(m, box, cuts))
+        master_std = to_standard_form(_master_lp(m, box, cuts.values()))
         stats: dict = {}
         cert = solve_lp(master_std, stats)
         pivots += stats["pivots"]
@@ -144,14 +139,16 @@ def update_weights(
             cert.primal[master_std.col_of[Weight(i)]] if Weight(i) in master_std.col_of else Fraction(0)
             for i in range(m)
         )
-        progressed = False
+        # Two blocks may yield one new cut; a cut the master holds is never violated.
+        known, violated = len(cuts), False
         for idx, block in enumerate(blocks):
             value, witness = _price(block, w, order, dims)
             if value > fin(phi):
-                if not consider(idx, witness):
-                    raise LpInternalError("violated block repeated an existing cut")
-                progressed = True
-        if progressed:
+                consider(idx, witness)
+                violated = True
+        if violated:
+            if len(cuts) == known:
+                raise LpInternalError("violated blocks repeated existing cuts")
             continue
         box_binding = any(cert.dual[r] > 0 for r in range(2 * m))
         if box_binding:
@@ -166,7 +163,7 @@ def update_weights(
     full_lp = assemble_lp(blocks)
     std = to_standard_form(full_lp)
     primal = _complete_primal(std, blocks, phi, w)
-    dual = _lift_dual(full_lp, std, blocks, cuts, cut_duals)
+    dual = _lift_dual(std, blocks, cuts.values(), cut_duals)
     lp_seconds = time.perf_counter() - started
     if not check_optimality(std, primal, dual):
         raise LpInternalError("assembled certificate failed verification")
@@ -234,16 +231,15 @@ def _complete_primal(
 
 
 def _lift_dual(
-    full_lp: Lp,
     std,
     blocks: Sequence[TagBlock],
-    cuts: Sequence[_Cut],
+    cuts: Iterable[_Cut],
     cut_duals: Sequence[Fraction],
 ) -> tuple[Fraction, ...]:
     """Push each cut's dual weight back along its witness: through the
     summary row, down every round's dominance row at the witness, and onto
     the tie and pin rows of the input entries it reaches."""
-    row_of = dict(zip(full_lp.constraints, std.constraint_rows))
+    offsets = list(itertools.accumulate((len(b.constraints) for b in blocks), initial=0))
     dual = [Fraction(0)] * std.num_rows
 
     for cut, lam in zip(cuts, cut_duals):
@@ -251,8 +247,10 @@ def _lift_dual(
             continue
         block = blocks[cut.block_index]
         plan = block.plan
+        rows, index = block.layout
+        base = offsets[cut.block_index]
         x = [v for _, v in cut.witness.items]
-        dual[row_of[summary_row(block)][0]] += lam
+        dual[std.constraint_rows[base + len(rows) - 1][0]] += lam
         demand: dict[int, Fraction] = {s: lam for s in plan.final}
         for r in reversed(range(len(plan.rounds))):
             flow = demand.pop(plan.inputs + r, Fraction(0))
@@ -260,18 +258,15 @@ def _lift_dual(
                 continue
             rnd = plan.rounds[r]
             j = plan.entry(rnd.scope_e, x) * plan.dims[rnd.var] + x[rnd.var]
-            dual[row_of[dominance_row(block, r, j)][0]] += flow
+            dual[std.constraint_rows[base + index[plan.inputs + r][j]][0]] += flow
             for s in rnd.dependents:
                 demand[s] = demand.get(s, Fraction(0)) + flow
         for s, flow in demand.items():
             if flow == 0:
                 continue
-            j = plan.entry(plan.scopes[s], x)
-            if s < len(block.c_fns):
-                dual[row_of[tie_row(block, s, j)][0]] += flow
-                continue
-            con = pin_row(block, s - len(block.c_fns), j)
-            if con is None:
+            k = index[s][plan.entry(plan.scopes[s], x)]
+            if k is None:
                 raise LpInternalError("dual flow reached an unpinned entry")
-            dual[row_of[con][1]] += flow
+            # The half with coefficient -1 on the entry: a tie's first, a pin's second.
+            dual[std.constraint_rows[base + k][int(s >= len(block.c_fns))]] += flow
     return tuple(dual)

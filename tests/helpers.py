@@ -4,8 +4,11 @@ test suite."""
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from fmdp.factored import ScopedFn, assignments, consistent
 from fmdp.lp import Lp, make_constraint
+from fmdp.model import FactoredMdp
 from fmdp.values import NEG_INF, fin
 
 
@@ -82,3 +85,53 @@ def explicit_branch_sup(mdp, w, t, a, ts):
         if consistent(x, t) and not any(consistent(x, tp) for tp in ts)
     ]
     return max(deviations) if deviations else None
+
+
+SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _scopes(n, most, least=0):
+    scope = st.lists(st.integers(0, n - 1), min_size=least, max_size=most, unique=True)
+    return scope.map(lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def models(draw):
+    """Valid models with domains of up to 3 values, transition scopes of up
+    to 3 variables, and non-default actions that share the default's reward
+    prefix and declare the variables they change."""
+    n = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(n))
+
+    def table(most):
+        return ScopedFn.tabulate(draw(_scopes(n, most)), dims, lambda _: draw(SMALL))
+
+    def distribution(i):
+        mass = [draw(st.integers(0, 3)) for _ in range(dims[i])]
+        if sum(mass) == 0:
+            mass[draw(st.integers(0, dims[i] - 1))] = 1
+        return tuple(Fraction(p, sum(mass)) for p in mass)
+
+    def transition(i):
+        return ScopedFn.tabulate(draw(_scopes(n, 3)), dims, lambda _: distribution(i))
+
+    default_t = tuple(transition(i) for i in range(n))
+    prefix = tuple(table(2) for _ in range(draw(st.integers(1, 2))))
+    transitions, rewards, effects = [default_t], [prefix], [()]
+    for _ in range(draw(st.integers(1, 2))):
+        eff = draw(_scopes(n, n, 1))
+        transitions.append(tuple(transition(i) if i in eff else default_t[i] for i in range(n)))
+        rewards.append(prefix + (table(2),))
+        effects.append(eff)
+    mdp = FactoredMdp(
+        domains=tuple(tuple(f"v{k}" for k in range(d)) for d in dims),
+        actions=tuple(f"a{k}" for k in range(len(transitions))),
+        default=0,
+        transitions=tuple(transitions),
+        rewards=tuple(rewards),
+        effects=tuple(effects),
+        discount=draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(9, 10)])),
+        basis=tuple(table(2) for _ in range(draw(st.integers(1, 3)))),
+    )
+    assert mdp.validate() == []
+    return mdp

@@ -56,17 +56,33 @@ def test_bit_for_bit_determinism():
     assert api(make_ring(3), cfg) == api(make_ring(3), cfg)
 
 
+# Per update_weights call: cuts, cut rounds, the full program's standard
+# form (rows, columns) and its constraint count.
+_LP_SHAPES = {
+    3: ([10, 14, 14], [5, 1, 1], [(106, 57), (1210, 693), (1210, 693)], [68, 680, 680]),
+    4: ([18, 14, 18], [9, 1, 1], [(146, 78), (2514, 1438), (2514, 1438)], [96, 1424, 1424]),
+}
+
+
 @pytest.mark.parametrize(
     "n, pivots", [(3, [104, 24, 24]), (4, [260, 27, 30])]
 )
 def test_master_pivots_per_iteration_are_pinned(n, pivots):
     # Counts of the master simplex over each update_weights call with the
     # min-degree order (ring-3 totals 152, as in perfbench/test_bench.py).
-    # A change to the pivot rule or to the cut sequence moves them.
+    # A change to the pivot rule or to the cut sequence moves them, and a
+    # change to the block rows moves the program's shape.
     mdp = make_ring(n)
     steps: list[dict] = []
     api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
     assert [step["pivots"] for step in steps] == pivots
+    shape = (
+        [step["cuts"] for step in steps],
+        [step["rounds"] for step in steps],
+        [(step["lp_rows"], step["lp_cols"]) for step in steps],
+        [len(step["lp"].constraints) for step in steps],
+    )
+    assert shape == _LP_SHAPES[n]
 
 
 @pytest.mark.parametrize("n, builds", [(3, 27), (4, 35)])

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import explicit_branch_sup
+from helpers import SMALL, explicit_branch_sup, models
 
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
 from fmdp.error import factored_bellman_err
-from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, consistent
+from fmdp.factored import EMPTY_STATE, PartialState, assignments, consistent
 from fmdp.lpbuild import branch_lp, indicator_fns
-from fmdp.model import FactoredMdp, elimination_order, make_ring
+from fmdp.model import elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err
 from fmdp.policy import Branch, DecisionList, greedy_decision_list, select_action
 from fmdp.values import NEG_INF, ext_sum, fin
@@ -186,60 +186,10 @@ def test_exactly_representable_value_gives_zero_error():
     assert factored_bellman_err(mdp, w, pol, identity_order(2)) == 0
 
 
-_SMALL = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
-
-
-def _scopes(n, most, least=0):
-    scope = st.lists(st.integers(0, n - 1), min_size=least, max_size=most, unique=True)
-    return scope.map(lambda s: tuple(sorted(s)))
-
-
-@st.composite
-def _models(draw):
-    """Valid models with domains of up to 3 values, transition scopes of up
-    to 3 variables, and non-default actions that share the default's reward
-    prefix and declare the variables they change."""
-    n = draw(st.integers(1, 3))
-    dims = tuple(draw(st.integers(1, 3)) for _ in range(n))
-
-    def table(most):
-        return ScopedFn.tabulate(draw(_scopes(n, most)), dims, lambda _: draw(_SMALL))
-
-    def distribution(i):
-        mass = [draw(st.integers(0, 3)) for _ in range(dims[i])]
-        if sum(mass) == 0:
-            mass[draw(st.integers(0, dims[i] - 1))] = 1
-        return tuple(F(p, sum(mass)) for p in mass)
-
-    def transition(i):
-        return ScopedFn.tabulate(draw(_scopes(n, 3)), dims, lambda _: distribution(i))
-
-    default_t = tuple(transition(i) for i in range(n))
-    prefix = tuple(table(2) for _ in range(draw(st.integers(1, 2))))
-    transitions, rewards, effects = [default_t], [prefix], [()]
-    for _ in range(draw(st.integers(1, 2))):
-        eff = draw(_scopes(n, n, 1))
-        transitions.append(tuple(transition(i) if i in eff else default_t[i] for i in range(n)))
-        rewards.append(prefix + (table(2),))
-        effects.append(eff)
-    mdp = FactoredMdp(
-        domains=tuple(tuple(f"v{k}" for k in range(d)) for d in dims),
-        actions=tuple(f"a{k}" for k in range(len(transitions))),
-        default=0,
-        transitions=tuple(transitions),
-        rewards=tuple(rewards),
-        effects=tuple(effects),
-        discount=draw(st.sampled_from([F(0), F(1, 2), F(9, 10)])),
-        basis=tuple(table(2) for _ in range(draw(st.integers(1, 3)))),
-    )
-    assert mdp.validate() == []
-    return mdp
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(_models(), st.data())
+@given(models(), st.data())
 def test_property_factored_error_matches_enumeration(mdp, data):
-    w = tuple(data.draw(_SMALL) for _ in mdp.basis)
+    w = tuple(data.draw(SMALL) for _ in mdp.basis)
     pol = greedy_decision_list(mdp, w)
     for kind in ("identity", "min-degree"):
         order = elimination_order(mdp, kind)

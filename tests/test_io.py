@@ -161,6 +161,10 @@ def test_certificate_reader_rejects_malformed_input(tmp_path):
         load("optimal\nprimal\nx 3\ndual\n7 1\n")
     with pytest.raises(InvalidInputError, match="repeated section"):
         load("optimal\nprimal\nprimal\ndual\n")
+    with pytest.raises(InvalidInputError, match="repeated entry 'x' in primal"):
+        load("optimal\nprimal\nx 7\nx 2\ndual\n")
+    with pytest.raises(InvalidInputError, match="repeated entry '00' in dual"):
+        load("optimal\nprimal\nx 1\ndual\n0 1\n00 2\n")
     with pytest.raises(InvalidInputError, match="needs primal and dual"):
         load("optimal\nprimal\nx 1\n")
     with pytest.raises(InvalidInputError, match="needs point and ray"):

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import all_states, explicit_branch_sup, random_rational_fn
+from helpers import SMALL, all_states, explicit_branch_sup, models, random_rational_fn
 
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order, max_sum
@@ -14,7 +16,7 @@ from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Unbounded, Weight, make_constraint, to_standard_form
 from fmdp.lpbuild import branch_lp, min_lp, weight_lp, weight_lp_blocks
-from fmdp.model import make_ring
+from fmdp.model import elimination_order, make_ring
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
 from fmdp.values import NEG_INF, ext_sum, fin
@@ -158,17 +160,37 @@ def test_branch_pair_recovers_branch_error():
         assert max(halves) == fin(explicit_branch_sup(mdp, w, t, a, ts))
 
 
-def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates():
-    mdp = make_ring(2)
-    pol = greedy_decision_list(mdp, (Fraction(1), Fraction(2), Fraction(1, 3)))
-    blocks = weight_lp_blocks(mdp, pol)
-    assert len(blocks) == 2 * len(pol.branches)
-    tags = [b.tag for b in blocks]
-    assert len(set(tags)) == len(tags)
-    lp = weight_lp(mdp, pol)
-    assert len(set(lp.constraints)) == len(lp.constraints)
-    total = sum(len(b.constraints) for b in blocks)
-    assert len(lp.constraints) == total
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(models(), st.lists(SMALL, min_size=3, max_size=3))
+@example(make_ring(2), [Fraction(1), Fraction(2), Fraction(1, 3)])
+def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
+    # Every row is built once, so the full program is the plain union of
+    # the blocks, and the position index is what the dual lift trusts.
+    pol = greedy_decision_list(mdp, tuple(ws[: len(mdp.basis)]))
+    for kind in ("identity", "min-degree"):
+        order = elimination_order(mdp, kind)
+        blocks = weight_lp_blocks(mdp, pol, order)
+        assert len(blocks) == 2 * len(pol.branches)
+        tags = [b.tag for b in blocks]
+        assert len(set(tags)) == len(tags)
+        lp = weight_lp(mdp, pol, order)
+        assert len(set(lp.constraints)) == len(lp.constraints)
+        assert len(lp.constraints) == sum(len(b.constraints) for b in blocks)
+        for block in blocks:
+            plan = block.plan
+            rows, index = block.layout
+            # Slot s's positions, one per table entry, or per round point
+            # (entry j // dims[var] of the replacement) for a round's slot.
+            cards = [1] * plan.inputs + [plan.dims[rnd.var] for rnd in plan.rounds]
+            unpinned = [[False] * len(c.table) for c in block.c_fns]
+            unpinned += [[not v.is_finite for v in b.table] for b in block.b_fns]
+            for s, (fn_vars, positions) in enumerate(zip(block.fn_vars, index)):
+                owners = [v for v in fn_vars for _ in range(cards[s])]
+                assert len(positions) == len(owners)
+                want = unpinned[s] if s < plan.inputs else [False] * len(owners)
+                assert [k is None for k in positions] == want
+                for var, k in zip(owners, positions):
+                    assert k is None or var in dict(rows[k].coefs)
 
 
 def test_ring_one_constant_basis_hand_optimum():

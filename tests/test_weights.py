@@ -9,9 +9,10 @@ from fmdp.elim import identity_order
 from fmdp.error import factored_bellman_err
 from fmdp.factored import ScopedFn
 from fmdp.lp import PHI, Optimal, to_standard_form
-from fmdp.model import make_ring
+from fmdp.lpbuild import weight_lp
+from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_weight_lp, policy_value
-from fmdp.policy import greedy_decision_list
+from fmdp.policy import DecisionList, greedy_decision_list
 from fmdp.simplex import solve_lp
 from fmdp.weights import update_weights
 
@@ -91,3 +92,42 @@ def test_update_is_deterministic():
     first = update_weights(mdp, pol)
     second = update_weights(mdp, pol)
     assert first == second
+
+
+def test_repeated_branch_changes_nothing():
+    # A second copy of a branch handles no state, and its blocks would share
+    # the first copy's tag and so its private variables: it adds nothing.
+    mdp = make_ring(3)
+    order = elimination_order(mdp, "min-degree")
+    w = (Fraction(-1), Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2))
+    pol = greedy_decision_list(mdp, w)
+    branches = list(pol.branches)
+    branches.insert(6, branches[1])
+    repeated = DecisionList(tuple(branches))
+    assert weight_lp(mdp, repeated, order) == weight_lp(mdp, pol, order)
+    assert update_weights(mdp, repeated, order) == update_weights(mdp, pol, order)
+    for v in (w, update_weights(mdp, pol, order)[0]):
+        assert factored_bellman_err(mdp, v, repeated, order) == factored_bellman_err(mdp, v, pol, order)
+
+
+def test_blocks_may_share_a_cut_within_a_round():
+    # The three a1 branches differ only in variable 2, which no summand
+    # reads, so in one round their negative blocks yield the same new cut:
+    # a duplicate within the round, not a cut the master already held.
+    one, zero = Fraction(1), Fraction(0)
+    to_zero = ScopedFn((2,), (3,), ((one, zero),) * 3)
+    keep = (ScopedFn.constant((one,)), ScopedFn.constant((zero, zero, one)))
+    mdp = FactoredMdp(
+        domains=(("v0", "v1"), ("v0",), ("v0", "v1", "v2")),
+        actions=("a0", "a1"),
+        default=0,
+        transitions=((to_zero, *keep), (ScopedFn.constant((one, zero)), *keep)),
+        rewards=((ScopedFn.constant(zero),), (ScopedFn.constant(zero), ScopedFn.constant(one))),
+        effects=((), (0,)),
+        discount=zero,
+        basis=(ScopedFn((0,), (2,), (zero, one)),),
+    )
+    assert mdp.validate() == []
+    pol = greedy_decision_list(mdp, (zero,))
+    assert [branch.action for branch in pol.branches] == [1, 1, 1, 0]
+    assert update_weights(mdp, pol, identity_order(3)) == ((zero,), one)
