@@ -100,7 +100,7 @@ def api(
         w_eq = w_new == w
         err_le = err <= config.epsilon
         timeout = t + 1 >= config.t_max
-        if step is not None and trace is not None:
+        if step is not None:
             step["t"] = t
             step["phi"] = phi
             step["err"] = err

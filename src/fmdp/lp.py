@@ -4,7 +4,8 @@ Constraints are sparse rational rows over three kinds of variables: the
 objective scalar phi, one weight per basis function, and private function
 variables introduced by the factored construction.  Private variables carry
 a tag naming the branch and sign half they belong to, so unions of
-constraint sets from different branches never share them.
+constraint sets from different branches never share them.  A row names
+each variable at most once; ``make_constraint`` checks this, never merges.
 
 ``to_standard_form`` flattens a constraint list to `minimize c^T x subject
 to A x <= b` with free x, the only shape the simplex and the certificate
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from .factored import PartialState
@@ -33,6 +35,7 @@ __all__ = [
     "make_constraint",
     "Lp",
     "StdLp",
+    "column_order",
     "to_standard_form",
     "Optimal",
     "Infeasible",
@@ -102,8 +105,8 @@ def _var_key(v: LpVar):
 class Constraint:
     """A single row: sum of coef * var `kind` rhs, kind "le" or "eq".
 
-    Coefficients are stored zero-free and canonically ordered, so two
-    constraints are structurally equal exactly when they say the same thing.
+    Coefficients are stored zero-free, one per variable, canonically ordered,
+    so two constraints are structurally equal exactly when they say the same.
     """
 
     kind: str
@@ -116,15 +119,16 @@ def make_constraint(
     coefs: Mapping[LpVar, Fraction] | Iterable[tuple[LpVar, Fraction]],
     rhs: Fraction | int,
 ) -> Constraint:
+    """The row without its zero terms; ``ValueError`` on an unknown kind or
+    on a variable named twice, whatever its coefficients."""
     if kind not in ("le", "eq"):
         raise ValueError(f"constraint kind {kind!r}")
     items = coefs.items() if isinstance(coefs, Mapping) else coefs
-    acc: dict[LpVar, Fraction] = {}
-    for v, q in items:
-        acc[v] = acc.get(v, Fraction(0)) + q
-    cleaned = [(v, q) for v, q in acc.items() if q != 0]
-    cleaned.sort(key=lambda p: _var_key(p[0]))
-    return Constraint(kind, tuple(cleaned), Fraction(rhs))
+    keyed = sorted(((_var_key(v), v, q) for v, q in items), key=itemgetter(0))
+    for (key, v, _), (next_key, _, _) in zip(keyed, keyed[1:]):
+        if key == next_key:
+            raise ValueError(f"repeated variable {v!r}")
+    return Constraint(kind, tuple((v, q) for _, v, q in keyed if q != 0), Fraction(rhs))
 
 
 @dataclass(frozen=True)
@@ -160,19 +164,20 @@ class StdLp:
         return len(self.columns)
 
 
-def to_standard_form(lp: Lp) -> StdLp:
-    """Flatten to inequality form with a deterministic column order.
-
-    The objective variable takes column 0; the rest follow in order of
-    first appearance across the constraint list.
-    """
-    columns: list[LpVar] = [lp.objective]
+def column_order(lp: Lp) -> dict[LpVar, int]:
+    """The column of every variable: the objective takes column 0 and the
+    rest follow in order of first appearance across the constraint list."""
     col_of: dict[LpVar, int] = {lp.objective: 0}
     for con in lp.constraints:
         for v, _ in con.coefs:
             if v not in col_of:
-                col_of[v] = len(columns)
-                columns.append(v)
+                col_of[v] = len(col_of)
+    return col_of
+
+
+def to_standard_form(lp: Lp) -> StdLp:
+    """Flatten to inequality form, columns in ``column_order``."""
+    col_of = column_order(lp)
     rows: list[tuple[tuple[int, Fraction], ...]] = []
     rhs: list[Fraction] = []
     constraint_rows: list[tuple[int, ...]] = []
@@ -187,7 +192,7 @@ def to_standard_form(lp: Lp) -> StdLp:
             rhs.append(-con.rhs)
         constraint_rows.append(tuple(produced))
     return StdLp(
-        columns=tuple(columns),
+        columns=tuple(col_of),
         rows=tuple(rows),
         rhs=tuple(rhs),
         objective=((0, Fraction(1)),),

@@ -2,9 +2,9 @@
 
 A program file holds one directive line `min <var>` followed by one line
 per constraint: the kind (`le` or `eq`), whitespace-separated `var:coef`
-terms, and the right-hand side.  Coefficients and sides are exact
-rationals.  Lines starting with `#` are comments; the writer uses them to
-record the conventions a consumer needs:
+terms, and the right-hand side; a row names each variable at most once.
+Coefficients and sides are exact rationals.  Lines starting with `#` are
+comments; the writer uses them to record the conventions a consumer needs:
 
   * rows are `sum coef*var  <=|==  rhs` over free variables,
   * the dual of `min c^T x, A x <= b` is `max -b^T y, A^T y = -c, y >= 0`,
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
 
 from .errors import InvalidInputError, LpInternalError
 from .lp import (
@@ -42,6 +42,7 @@ from .lp import (
     Tag,
     Unbounded,
     Weight,
+    column_order,
     make_constraint,
 )
 from .values import format_rational, parse_rational
@@ -70,33 +71,34 @@ def tag_digest(tag: Tag, length: int = 8) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:length]
 
 
-def _token(v: LpVar, tag_len: int) -> str:
+def _token(v: LpVar, digests: dict[Tag, str]) -> str:
     if isinstance(v, Phi):
         return "phi"
     if isinstance(v, Weight):
         return f"w{v.i}"
     if isinstance(v, FnVar):
         z = "-".join(f"{var}.{val}" for var, val in v.z.items)
-        return f"f{tag_digest(v.tag, tag_len)}_{v.fn.kind}{v.fn.idx}_{z}"
+        return f"f{digests[v.tag]}_{v.fn.kind}{v.fn.idx}_{z}"
     token = str(v)
     if not token or ":" in token or any(ch.isspace() for ch in token):
         raise InvalidInputError(f"variable token {token!r} is not writable")
     return token
 
 
-def variable_tokens(variables: Sequence[LpVar]) -> dict[LpVar, str]:
+def variable_tokens(variables: Collection[LpVar]) -> dict[LpVar, str]:
     """Map each variable to a unique token, widening the tag hash if two
     distinct tags ever collide at the default width."""
     tags = {v.tag for v in variables if isinstance(v, FnVar)}
     for tag_len in (8, 16, 64):
-        if len({tag_digest(t, tag_len) for t in tags}) == len(tags):
+        digests = {t: tag_digest(t, tag_len) for t in tags}
+        if len(set(digests.values())) == len(tags):
             break
     else:
         raise LpInternalError("tag digests collide at full width")
     out: dict[LpVar, str] = {}
     seen: dict[str, LpVar] = {}
     for v in variables:
-        tok = _token(v, tag_len)
+        tok = _token(v, digests)
         if tok in seen and seen[tok] != v:
             raise LpInternalError(f"distinct variables share the token {tok}")
         out[v] = tok
@@ -104,19 +106,8 @@ def variable_tokens(variables: Sequence[LpVar]) -> dict[LpVar, str]:
     return out
 
 
-def _lp_variables(lp: Lp) -> list[LpVar]:
-    ordered: list[LpVar] = [lp.objective]
-    known = {lp.objective}
-    for con in lp.constraints:
-        for v, _ in con.coefs:
-            if v not in known:
-                known.add(v)
-                ordered.append(v)
-    return ordered
-
-
 def write_lp(path: str | Path, lp: Lp) -> None:
-    tokens = variable_tokens(_lp_variables(lp))
+    tokens = variable_tokens(column_order(lp))
     lines = list(_LP_HEADER)
     lines.append(f"min {tokens[lp.objective]}")
     for con in lp.constraints:
@@ -164,7 +155,10 @@ def read_lp(path: str | Path) -> Lp:
             if not sep or not name:
                 raise InvalidInputError(f"{path}:{lineno}: malformed term {term!r}")
             coefs.append((name, parse_rational(coef)))
-        cons.append(make_constraint(kind, coefs, rhs))
+        try:
+            cons.append(make_constraint(kind, coefs, rhs))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
     return Lp(tuple(cons), objective)
 
 
@@ -212,10 +206,13 @@ def _split_sections(path: str | Path, lines: list[tuple[int, str]]) -> dict[str,
     return sections
 
 
-def _column_vector(path, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
+def _token_columns(std: StdLp) -> dict[str, int]:
     tokens = variable_tokens(std.columns)
-    col_of = {tokens[v]: j for j, v in enumerate(std.columns)}
-    out = [Fraction(0)] * std.num_cols
+    return {tokens[v]: j for j, v in enumerate(std.columns)}
+
+
+def _column_vector(path, col_of: dict[str, int], entries, label: str) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * len(col_of)
     seen: set[int] = set()
     for lineno, key, val in entries:
         if key not in col_of:
@@ -257,7 +254,7 @@ def read_certificate(path: str | Path, std: StdLp) -> Certificate:
         if set(sections) != {"primal", "dual"}:
             raise InvalidInputError(f"{path}: optimal needs primal and dual sections")
         return Optimal(
-            _column_vector(path, std, sections["primal"], "primal"),
+            _column_vector(path, _token_columns(std), sections["primal"], "primal"),
             _row_vector(path, std, sections["dual"], "dual"),
         )
     if kind == "infeasible":
@@ -267,8 +264,9 @@ def read_certificate(path: str | Path, std: StdLp) -> Certificate:
     if kind == "unbounded":
         if set(sections) != {"point", "ray"}:
             raise InvalidInputError(f"{path}: unbounded needs point and ray sections")
+        col_of = _token_columns(std)
         return Unbounded(
-            _column_vector(path, std, sections["point"], "point"),
-            _column_vector(path, std, sections["ray"], "ray"),
+            _column_vector(path, col_of, sections["point"], "point"),
+            _column_vector(path, col_of, sections["ray"], "ray"),
         )
     raise InvalidInputError(f"{path}:{kind_line}: unknown certificate kind {kind!r}")

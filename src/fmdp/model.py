@@ -124,17 +124,19 @@ class FactoredMdp:
                         f"scope {f.scope} does not fit the model dimensions"
                     )
                     continue
+                where = f"transitions_closed: action {a}, variable {i}:"
                 for row in f.table:
-                    if len(row) != dims[i]:
+                    if not isinstance(row, tuple) or any(
+                        not isinstance(p, (Fraction, int)) for p in row
+                    ):
+                        out.append(f"{where} entry {row!r} is not a tuple of rationals")
+                    elif len(row) != dims[i]:
                         out.append(
-                            f"transitions_closed: action {a}, variable {i}: "
-                            f"distribution over {len(row)} values, domain has {dims[i]}"
+                            f"{where} distribution over {len(row)} values, domain has {dims[i]}"
                         )
                     elif any(p < 0 for p in row) or sum(row) != 1:
-                        out.append(
-                            f"transitions_closed: action {a}, variable {i}: "
-                            f"row {tuple(format_rational(p) for p in row)} is not a distribution"
-                        )
+                        rendered = tuple(format_rational(p) for p in row)
+                        out.append(f"{where} row {rendered} is not a distribution")
         for a, rs in enumerate(self.rewards):
             for j, f in enumerate(rs):
                 if not scope_ok(f):

@@ -13,9 +13,12 @@ be hiding the true optimum.
 Convergence alone is not trusted.  Each block's elimination plan
 (``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
 source of its schedule, and both halves of the certificate interpret it.
-The finished point is lifted to a full primal solution by sweeping the
-plan over exact rationals (entries pinned nowhere start at a stand-in
-pushed far enough down that every summary row still holds).  The master
+The finished point is lifted to a full primal solution by one sweep of
+each plan over exact rationals.  Unpinned (minus infinity) entries take
+the stand-in -reach, with reach = |phi| + 1 + each summand's largest
+finite magnitude at w: an assignment meeting a stand-in totals at most
+-|phi| - 1, any other totals its priced value, which the last pricing
+round found <= phi, so every summary row holds.  The master
 duals are propagated backwards through the plan's rounds along each
 cut's argmax path into a full dual vector, landing on rows found by
 position: the block's offset in the full program plus the entry's place
@@ -30,13 +33,13 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .certify import check_optimality
 from .elim import identity_order, max_sum_decode
 from .errors import LpInternalError
 from .factored import PartialState
-from .lp import PHI, Lp, Optimal, Weight, make_constraint, to_standard_form
+from .lp import PHI, Optimal, StdLp, Weight, to_standard_form
 from .lpbuild import TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
@@ -71,17 +74,17 @@ def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:
     return _Cut(block_index, x, alpha, total.unwrap())
 
 
-def _master_lp(m: int, box: Fraction, cuts: Iterable[_Cut]) -> Lp:
-    cons = []
-    for i in range(m):
-        cons.append(make_constraint("le", {Weight(i): Fraction(1)}, box))
-        cons.append(make_constraint("le", {Weight(i): Fraction(-1)}, box))
-    for cut in cuts:
-        coefs: dict = {PHI: Fraction(-1)}
-        for i, a in enumerate(cut.alpha):
-            coefs[Weight(i)] = coefs.get(Weight(i), Fraction(0)) + a
-        cons.append(make_constraint("le", coefs, -cut.beta))
-    return Lp(tuple(cons), PHI)
+def _master_std(m: int, box: Fraction, cuts: Collection[_Cut]) -> StdLp:
+    """The master over columns (phi, w_0..w_{m-1}): box rows `+-w_i <= box`,
+    then `-phi + alpha.w <= -beta` per cut."""
+    one, minus = Fraction(1), Fraction(-1)
+    rows = [((i + 1, q),) for i in range(m) for q in (one, minus)]
+    rows += [((0, minus), *((i + 1, a) for i, a in enumerate(c.alpha) if a != 0)) for c in cuts]
+    rhs = (box,) * (2 * m) + tuple(-c.beta for c in cuts)
+    columns = (PHI, *(Weight(i) for i in range(m)))
+    col_of = {v: j for j, v in enumerate(columns)}
+    singles = tuple((k,) for k in range(len(rows)))
+    return StdLp(columns, tuple(rows), rhs, ((0, one),), singles, col_of)
 
 
 def update_weights(
@@ -126,7 +129,7 @@ def update_weights(
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise LpInternalError("cut generation failed to converge")
-        master_std = to_standard_form(_master_lp(m, box, cuts.values()))
+        master_std = _master_std(m, box, cuts.values())
         stats: dict = {}
         cert = solve_lp(master_std, stats)
         pivots += stats["pivots"]
@@ -134,11 +137,7 @@ def update_weights(
             raise LpInternalError(f"master program came back {type(cert).__name__}")
         if not check_optimality(master_std, cert.primal, cert.dual):
             raise LpInternalError("master certificate failed verification")
-        phi = cert.primal[master_std.col_of[PHI]]
-        w = tuple(
-            cert.primal[master_std.col_of[Weight(i)]] if Weight(i) in master_std.col_of else Fraction(0)
-            for i in range(m)
-        )
+        phi, w = cert.primal[0], cert.primal[1:]
         # Two blocks may yield one new cut; a cut the master holds is never violated.
         known, violated = len(cuts), False
         for idx, block in enumerate(blocks):
@@ -186,11 +185,10 @@ def _block_tables(
     block: TagBlock, w: Sequence[Fraction], phi: Fraction
 ) -> list[tuple[Fraction, ...]]:
     """Exact values for every private variable of one block, one table
-    per plan slot.
+    per plan slot, from a single sweep.
 
-    Entries that the program leaves unpinned start at a stand-in far below
-    everything finite; if the summary row still ends up above phi the
-    stand-in doubles until it does not.
+    Entries that the program leaves unpinned take a stand-in far below
+    everything finite (see the module notes for why one sweep suffices).
     """
     reach = abs(phi) + 1
     for wi, c in zip(w, block.c_fns):
@@ -199,14 +197,11 @@ def _block_tables(
         reach += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
     stand_in = -reach
     weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, block.c_fns)]
-    while True:
-        pinned = [
-            tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in block.b_fns
-        ]
-        tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
-        if sum((tables[s][0] for s in block.plan.final), Fraction(0)) <= phi:
-            return tables
-        stand_in *= 2
+    pinned = [tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in block.b_fns]
+    tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
+    if sum((tables[s][0] for s in block.plan.final), Fraction(0)) > phi:
+        raise LpInternalError("completed block exceeds phi")
+    return tables
 
 
 def _complete_primal(
@@ -216,7 +211,7 @@ def _complete_primal(
     w: Sequence[Fraction],
 ) -> tuple[Fraction, ...]:
     primal = [Fraction(0)] * std.num_cols
-    primal[std.col_of[PHI]] = phi
+    primal[0] = phi
     for i, wi in enumerate(w):
         col = std.col_of.get(Weight(i))
         if col is not None:
@@ -224,9 +219,7 @@ def _complete_primal(
     for block in blocks:
         for fn_vars, table in zip(block.fn_vars, _block_tables(block, w, phi)):
             for var, value in zip(fn_vars, table):
-                col = std.col_of.get(var)
-                if col is not None:
-                    primal[col] = value
+                primal[std.col_of[var]] = value
     return tuple(primal)
 
 

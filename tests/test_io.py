@@ -138,6 +138,8 @@ def test_lp_reader_rejects_malformed_input(tmp_path):
         load("min x\nle x=1 3\n")
     with pytest.raises(InvalidInputError):
         load("min x\nle x:1 threeish\n")
+    with pytest.raises(InvalidInputError, match=r"bad\.lp:2: repeated variable 'x'"):
+        load("min x\nle x:1 x:2 3\n")
     with pytest.raises(InvalidInputError, match="cannot read"):
         read_lp(tmp_path / "absent.lp")
 

@@ -18,14 +18,25 @@ from fmdp.lp import (
 )
 
 
-def test_make_constraint_merges_and_drops_zeros():
+def test_make_constraint_rejects_repeats_and_drops_zeros():
     c = make_constraint(
         "le",
-        [(Weight(1), Fraction(2)), (Weight(0), Fraction(0)), (Weight(1), Fraction(-2)), (PHI, Fraction(3))],
+        [(Weight(1), Fraction(2)), (Weight(0), Fraction(0)), (PHI, Fraction(3))],
         7,
     )
-    assert c.coefs == ((PHI, Fraction(3)),)
+    assert c.coefs == ((PHI, Fraction(3)), (Weight(1), Fraction(2)))
     assert c.rhs == Fraction(7)
+    assert make_constraint("eq", [("x", Fraction(0))], 1).coefs == ()
+    fv = FnVar(Tag(PartialState.of({0: 1}), 0, True), FnId("e", 2), PartialState.of({}))
+    repeats = [
+        [(Weight(1), Fraction(2)), (PHI, Fraction(3)), (Weight(1), Fraction(-2))],
+        [(Weight(1), Fraction(2)), (Weight(1), Fraction(1))],
+        [("x", Fraction(0)), ("y", Fraction(1)), ("x", Fraction(1))],
+        [(fv, Fraction(1)), (PHI, Fraction(-1)), (fv, Fraction(1))],
+    ]
+    for terms in repeats:
+        with pytest.raises(ValueError, match="repeated variable"):
+            make_constraint("le", terms, 0)
 
 
 def test_make_constraint_orders_variables_canonically():

@@ -251,6 +251,13 @@ def test_validate_transitions_closed():
     )
 
 
+def test_validate_reports_a_scalar_transition_entry():
+    mdp = make_ring(2)
+    scalar_rows = ScopedFn((0,), (2,), (F(1), F(0)))
+    found = corrupt_transition(mdp, 0, 0, scalar_rows).validate()
+    assert any(v.startswith("transitions_closed: action 0, variable 0") for v in found)
+
+
 def test_validate_transitions_scope_dims():
     mdp = make_ring(2)
     bad_scope = ScopedFn((0, 2), (2, 2), ((F(1), F(0)),) * 4)

@@ -7,14 +7,14 @@ from fractions import Fraction
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order
 from fmdp.error import factored_bellman_err
-from fmdp.factored import ScopedFn
-from fmdp.lp import PHI, Optimal, to_standard_form
+from fmdp.factored import EMPTY_STATE, ScopedFn
+from fmdp.lp import PHI, Lp, Optimal, Weight, make_constraint, to_standard_form
 from fmdp.lpbuild import weight_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_weight_lp, policy_value
 from fmdp.policy import DecisionList, greedy_decision_list
 from fmdp.simplex import solve_lp
-from fmdp.weights import update_weights
+from fmdp.weights import _Cut, _master_std, update_weights
 
 
 def _default_pol(mdp):
@@ -131,3 +131,34 @@ def test_blocks_may_share_a_cut_within_a_round():
     pol = greedy_decision_list(mdp, (zero,))
     assert [branch.action for branch in pol.branches] == [1, 1, 1, 0]
     assert update_weights(mdp, pol, identity_order(3)) == ((zero,), one)
+
+
+def _named_master(m, box, cuts):
+    cons = []
+    for i in range(m):
+        cons.append(make_constraint("le", {Weight(i): Fraction(1)}, box))
+        cons.append(make_constraint("le", {Weight(i): Fraction(-1)}, box))
+    for cut in cuts:
+        coefs = {PHI: Fraction(-1), **{Weight(i): a for i, a in enumerate(cut.alpha)}}
+        cons.append(make_constraint("le", coefs, -cut.beta))
+    return to_standard_form(Lp(tuple(cons), PHI))
+
+
+def test_master_is_the_standard_form_of_its_named_program():
+    rng = random.Random(6)
+
+    def rational(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+
+    for m in range(5):
+        for _ in range(20):
+            cuts = [
+                _Cut(0, EMPTY_STATE, tuple(rational(-2, 2) for _ in range(m)), rational(-5, 5))
+                for _ in range(rng.randint(0, 4))
+            ]
+            flat = _Cut(0, EMPTY_STATE, (Fraction(0),) * m, rational(-5, 5))
+            cuts.insert(rng.randint(0, len(cuts)), flat)
+            box = Fraction(rng.randint(1, 4096))
+            direct, named = _master_std(m, box, cuts), _named_master(m, box, cuts)
+            assert direct == named
+            assert direct.col_of == named.col_of
