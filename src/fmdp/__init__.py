@@ -13,7 +13,8 @@ The usual entry points are re-exported here: build or load a model
 from fmdp.api import ApiConfig, ApiResult, Bound, api, posterior_bound
 from fmdp.errors import FmdpError, InvalidInputError, LpInternalError, OracleLimitError
 from fmdp.factored import PartialState, ScopedFn
-from fmdp.model import FactoredMdp, elimination_order, load_mdp, make_ring, save_mdp
+from fmdp.mdpio import load_mdp, save_mdp
+from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.policy import (
     decision_list_from_text,
     decision_list_to_text,

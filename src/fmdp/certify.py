@@ -5,18 +5,30 @@ standard-form program and reports a plain boolean.  Nothing here trusts
 the solver: a certificate that fails any condition is rejected no matter
 where it came from.
 
-Two arithmetic backends are available.  The default reduces through
-``Fraction``.  With ``normalized=False`` every value is carried as an
-unreduced numerator/denominator pair with positive denominator and
-comparisons cross-multiply, so no gcd is ever taken; useful as an
-independent path when the reduced arithmetic itself is under suspicion.
+There are two backends, and they share no arithmetic: only the length
+checks and the sign test of a dual or Farkas vector run before they
+split.  The default decides every test over Python ints.  A row that a
+test reads is scaled to integers by ``L_i``, the lcm of its denominators
+and its right-hand side's; the objective likewise.  The primal vector is
+put over one common denominator, and so is the dual of each scaled row,
+``y_i / L_i``.  Every inequality and equality then compares integers,
+with no gcd and no ``Fraction`` per term.  With ``normalized=False``
+every value is carried instead as an unreduced numerator/denominator
+pair with positive denominator and comparisons cross-multiply; it is the
+independent path for when the integer scaling itself is under suspicion.
+
+Both backends touch only nonzero certificate entries: a term ``a_ij x_j``
+with ``x_j = 0`` is left out of its row sum, and a row with ``y_i = 0``
+is left out of ``A^T y`` and ``b^T y``.  Adding a zero product is exact,
+so no verdict depends on it.  Every row is still compared, so a row that
+touches no nonzero entry is tested as ``0 <= b_i``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import lcm
+from typing import Sequence
 
 from .errors import InvalidInputError
 from .lp import StdLp
@@ -24,75 +36,198 @@ from .lp import StdLp
 __all__ = ["check_optimality", "check_infeasible", "check_unbounded"]
 
 
-@dataclass(frozen=True)
-class _Arith:
-    conv: Callable
-    zero: object
-    add: Callable
-    mul: Callable
-    le: Callable
-    lt: Callable
-    eq: Callable
+def _require_len(name: str, vec: Sequence, want: int) -> None:
+    if len(vec) != want:
+        raise InvalidInputError(f"{name} has length {len(vec)}, expected {want}")
+
+
+def _has_negative(vec: Sequence[Fraction]) -> bool:
+    return any(q.numerator < 0 for q in vec)
+
+
+# -- integer backend -----------------------------------------------------------
+
+
+def _row_scale(sparse, b: Fraction) -> int:
+    """``L_i``, the lcm of the denominators of a row and its right-hand side."""
+    return lcm(b.denominator, *{q.denominator for _, q in sparse})
+
+
+def _scaled_objective(std: StdLp) -> tuple[dict[int, int], int]:
+    """The objective times the lcm ``L_c`` of its denominators, as an
+    integer per column, and ``L_c``."""
+    scale = lcm(*{q.denominator for _, q in std.objective})
+    c: dict[int, int] = {}
+    for j, q in std.objective:
+        c[j] = c.get(j, 0) + q.numerator * (scale // q.denominator)
+    return c, scale
+
+
+def _over_one_denominator(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``n_k`` and one ``d > 0`` with ``vec[k] = n_k / d``."""
+    d = lcm(*{q.denominator for q in vec if q.numerator})
+    return [q.numerator * (d // q.denominator) for q in vec], d
+
+
+def _rows_hold(std: StdLp, x: list[int], rhs_scale: int) -> bool:
+    """``A x <= b * rhs_scale`` for every row, where ``x`` holds integers;
+    a row is scaled to integers only where it meets a nonzero ``x_j``."""
+    for sparse, b in zip(std.rows, std.rhs):
+        touched = [(q, x[j]) for j, q in sparse if x[j]]
+        if not touched:
+            if b.numerator * rhs_scale < 0:
+                return False
+            continue
+        scale = _row_scale(sparse, b)
+        lhs = sum(q.numerator * (scale // q.denominator) * xj for q, xj in touched)
+        if lhs > b.numerator * (scale // b.denominator) * rhs_scale:
+            return False
+    return True
+
+
+def _scaled_dual(std: StdLp, y: Sequence[Fraction]) -> tuple[list, int]:
+    """The rows with ``y_i != 0`` scaled to integers by ``L_i``, each with
+    its scaled right-hand side and the integer ``z_i`` of ``y_i / L_i = z_i / d``,
+    plus ``d > 0``."""
+    live = []
+    for sparse, b, yi in zip(std.rows, std.rhs, y):
+        if yi.numerator:
+            live.append((sparse, b, yi, _row_scale(sparse, b)))
+    d = lcm(*{yi.denominator * scale for _, _, yi, scale in live})
+    out = []
+    for sparse, b, yi, scale in live:
+        row = [(j, q.numerator * (scale // q.denominator)) for j, q in sparse]
+        z = yi.numerator * (d // (yi.denominator * scale))
+        out.append((row, b.numerator * (scale // b.denominator), z))
+    return out, d
+
+
+def _transpose_times(num_cols: int, scaled: list) -> list[int]:
+    out = [0] * num_cols
+    for row, _, z in scaled:
+        for j, a in row:
+            out[j] += a * z
+    return out
+
+
+def _rhs_pairing(scaled: list) -> int:
+    return sum(b * z for _, b, z in scaled)
+
+
+def _optimal_int(std: StdLp, primal, dual) -> bool:
+    x, dx = _over_one_denominator(primal)
+    if not _rows_hold(std, x, dx):
+        return False
+    scaled, dz = _scaled_dual(std, dual)
+    c, dc = _scaled_objective(std)
+    # A^T y + c = 0, where A^T y = (scaled A)^T z / dz and c_j = c[j] / dc.
+    residual = _transpose_times(std.num_cols, scaled)
+    for j, cj in c.items():
+        residual[j] = residual[j] * dc + cj * dz
+    if any(residual):
+        return False
+    # c^T x + b^T y = 0, times dc * dx * dz.
+    primal_obj = sum(cj * x[j] for j, cj in c.items())
+    return primal_obj * dz + _rhs_pairing(scaled) * dc * dx == 0
+
+
+def _infeasible_int(std: StdLp, farkas) -> bool:
+    scaled, _ = _scaled_dual(std, farkas)
+    if any(_transpose_times(std.num_cols, scaled)):
+        return False
+    return _rhs_pairing(scaled) < 0
+
+
+def _unbounded_int(std: StdLp, point, ray) -> bool:
+    x, dx = _over_one_denominator(point)
+    r, _ = _over_one_denominator(ray)
+    if not (_rows_hold(std, x, dx) and _rows_hold(std, r, 0)):
+        return False
+    c, _ = _scaled_objective(std)
+    return sum(cj * r[j] for j, cj in c.items()) < 0
+
+
+# -- raw-pair backend ----------------------------------------------------------
+
+_ZERO = (0, 1)
+
+
+def _pairs(vec: Sequence[Fraction]) -> list[tuple[int, int]]:
+    return [(q.numerator, q.denominator) for q in vec]
+
+
+def _raw_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _raw_mul(q: Fraction, a: tuple[int, int]) -> tuple[int, int]:
+    return (q.numerator * a[0], q.denominator * a[1])
 
 
 def _raw_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] <= b[0] * a[1]
 
 
-_FRACTIONS = _Arith(
-    conv=lambda q: q,
-    zero=Fraction(0),
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
-    le=lambda a, b: a <= b,
-    lt=lambda a, b: a < b,
-    eq=lambda a, b: a == b,
-)
-
-_RAW_PAIRS = _Arith(
-    conv=lambda q: (q.numerator, q.denominator),
-    zero=(0, 1),
-    add=lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]),
-    mul=lambda a, b: (a[0] * b[0], a[1] * b[1]),
-    le=_raw_le,
-    lt=lambda a, b: a[0] * b[1] < b[0] * a[1],
-    eq=lambda a, b: a[0] * b[1] == b[0] * a[1],
-)
-
-
-def _arith(normalized: bool) -> _Arith:
-    return _FRACTIONS if normalized else _RAW_PAIRS
-
-
-def _require_len(name: str, vec: Sequence, want: int) -> None:
-    if len(vec) != want:
-        raise InvalidInputError(f"{name} has length {len(vec)}, expected {want}")
-
-
-def _row_values(std: StdLp, x: Sequence, ar: _Arith) -> list:
-    out = []
-    for sparse in std.rows:
-        acc = ar.zero
-        for j, q in sparse:
-            acc = ar.add(acc, ar.mul(ar.conv(q), x[j]))
-        out.append(acc)
-    return out
-
-
-def _objective_value(std: StdLp, x: Sequence, ar: _Arith):
-    acc = ar.zero
-    for j, q in std.objective:
-        acc = ar.add(acc, ar.mul(ar.conv(q), x[j]))
+def _raw_dot(coefs, vec: list[tuple[int, int]]) -> tuple[int, int]:
+    """``sum q * vec[j]`` over the ``(j, q)`` of ``coefs`` with ``vec[j] != 0``."""
+    acc = _ZERO
+    for j, q in coefs:
+        vj = vec[j]
+        if vj[0]:
+            acc = _raw_add(acc, _raw_mul(q, vj))
     return acc
 
 
-def _transpose_times(std: StdLp, y: Sequence, ar: _Arith) -> list:
-    out = [ar.zero] * std.num_cols
-    for i, sparse in enumerate(std.rows):
-        yi = y[i]
-        for j, q in sparse:
-            out[j] = ar.add(out[j], ar.mul(ar.conv(q), yi))
+def _raw_rows_hold(std: StdLp, x: list[tuple[int, int]], with_rhs: bool) -> bool:
+    """``A x <= b`` row by row, or ``A x <= 0`` without ``with_rhs``."""
+    for sparse, b in zip(std.rows, std.rhs):
+        bound = (b.numerator, b.denominator) if with_rhs else _ZERO
+        if not _raw_le(_raw_dot(sparse, x), bound):
+            return False
+    return True
+
+
+def _raw_transpose_times(std: StdLp, y: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out = [_ZERO] * std.num_cols
+    for sparse, yi in zip(std.rows, y):
+        if yi[0]:
+            for j, q in sparse:
+                out[j] = _raw_add(out[j], _raw_mul(q, yi))
     return out
+
+
+def _raw_rhs_pairing(std: StdLp, y: list[tuple[int, int]]) -> tuple[int, int]:
+    return _raw_dot(enumerate(std.rhs), y)
+
+
+def _optimal_raw(std: StdLp, primal, dual) -> bool:
+    x, y = _pairs(primal), _pairs(dual)
+    if not _raw_rows_hold(std, x, True):
+        return False
+    residual = _raw_transpose_times(std, y)
+    for j, q in std.objective:
+        residual[j] = _raw_add(residual[j], (q.numerator, q.denominator))
+    if any(entry[0] for entry in residual):
+        return False
+    total = _raw_add(_raw_dot(std.objective, x), _raw_rhs_pairing(std, y))
+    return total[0] == 0
+
+
+def _infeasible_raw(std: StdLp, farkas) -> bool:
+    y = _pairs(farkas)
+    if any(entry[0] for entry in _raw_transpose_times(std, y)):
+        return False
+    return _raw_rhs_pairing(std, y)[0] < 0
+
+
+def _unbounded_raw(std: StdLp, point, ray) -> bool:
+    x, r = _pairs(point), _pairs(ray)
+    if not (_raw_rows_hold(std, x, True) and _raw_rows_hold(std, r, False)):
+        return False
+    return _raw_dot(std.objective, r)[0] < 0
+
+
+# -- public checks -------------------------------------------------------------
 
 
 def check_optimality(
@@ -110,27 +245,11 @@ def check_optimality(
     """
     _require_len("primal", primal, std.num_cols)
     _require_len("dual", dual, std.num_rows)
-    ar = _arith(normalized)
-    x = [ar.conv(q) for q in primal]
-    y = [ar.conv(q) for q in dual]
-    b = [ar.conv(q) for q in std.rhs]
-    for lhs, rhs in zip(_row_values(std, x, ar), b):
-        if not ar.le(lhs, rhs):
-            return False
-    for yi in y:
-        if not ar.le(ar.zero, yi):
-            return False
-    c = [ar.zero] * std.num_cols
-    for j, q in std.objective:
-        c[j] = ar.add(c[j], ar.conv(q))
-    for lhs, cj in zip(_transpose_times(std, y, ar), c):
-        if not ar.eq(ar.add(lhs, cj), ar.zero):
-            return False
-    primal_obj = _objective_value(std, x, ar)
-    dual_obj = ar.zero
-    for bi, yi in zip(b, y):
-        dual_obj = ar.add(dual_obj, ar.mul(bi, yi))
-    return ar.eq(ar.add(primal_obj, dual_obj), ar.zero)
+    if _has_negative(dual):
+        return False
+    if normalized:
+        return _optimal_int(std, primal, dual)
+    return _optimal_raw(std, primal, dual)
 
 
 def check_infeasible(
@@ -141,18 +260,11 @@ def check_infeasible(
 ) -> bool:
     """Verify a Farkas vector: y >= 0, A^T y = 0, and b^T y < 0."""
     _require_len("farkas", farkas, std.num_rows)
-    ar = _arith(normalized)
-    y = [ar.conv(q) for q in farkas]
-    for yi in y:
-        if not ar.le(ar.zero, yi):
-            return False
-    for entry in _transpose_times(std, y, ar):
-        if not ar.eq(entry, ar.zero):
-            return False
-    pairing = ar.zero
-    for bi, yi in zip(std.rhs, y):
-        pairing = ar.add(pairing, ar.mul(ar.conv(bi), yi))
-    return ar.lt(pairing, ar.zero)
+    if _has_negative(farkas):
+        return False
+    if normalized:
+        return _infeasible_int(std, farkas)
+    return _infeasible_raw(std, farkas)
 
 
 def check_unbounded(
@@ -166,13 +278,6 @@ def check_unbounded(
     A r <= 0 and c^T r < 0."""
     _require_len("point", point, std.num_cols)
     _require_len("ray", ray, std.num_cols)
-    ar = _arith(normalized)
-    x = [ar.conv(q) for q in point]
-    r = [ar.conv(q) for q in ray]
-    for lhs, rhs in zip(_row_values(std, x, ar), std.rhs):
-        if not ar.le(lhs, ar.conv(rhs)):
-            return False
-    for entry in _row_values(std, r, ar):
-        if not ar.le(entry, ar.zero):
-            return False
-    return ar.lt(_objective_value(std, r, ar), ar.zero)
+    if normalized:
+        return _unbounded_int(std, point, ray)
+    return _unbounded_raw(std, point, ray)

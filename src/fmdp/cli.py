@@ -3,7 +3,8 @@
 Four subcommands: ``solve`` runs the iteration driver on a model file and
 prints a run report, ``oracle-check`` replays the factored computations
 against the brute-force oracle, ``certify`` validates an LP certificate
-pair from disk, and ``bench`` times the built-in ring family.
+pair from disk under both checker backends, and ``bench`` times the
+built-in ring family.
 
 Exit codes are part of the interface: 0 for any normal termination
 (timeouts included), 1 for bad input of any kind, 2 for an internal LP
@@ -29,7 +30,8 @@ from .error import factored_bellman_err
 from .errors import FmdpError, InvalidInputError, LpInternalError, OracleLimitError
 from .lp import Infeasible, Optimal, Unbounded, to_standard_form
 from .lpio import read_certificate, read_lp, write_certificate, write_lp
-from .model import FactoredMdp, elimination_order, load_mdp, make_ring
+from .mdpio import load_mdp
+from .model import FactoredMdp, elimination_order, make_ring
 from .oracle import (
     DEFAULT_STATE_LIMIT,
     enumerate_states,
@@ -329,15 +331,14 @@ def _cmd_certify(args) -> int:
     std = to_standard_form(lp)
     cert = read_certificate(args.cert, std)
     if isinstance(cert, Optimal):
-        kind = "optimal"
-        ok = check_optimality(std, cert.primal, cert.dual)
+        kind, check, vectors = "optimal", check_optimality, (cert.primal, cert.dual)
     elif isinstance(cert, Infeasible):
-        kind = "infeasible"
-        ok = check_infeasible(std, cert.farkas)
+        kind, check, vectors = "infeasible", check_infeasible, (cert.farkas,)
     else:
         assert isinstance(cert, Unbounded)
-        kind = "unbounded"
-        ok = check_unbounded(std, cert.point, cert.ray)
+        kind, check, vectors = "unbounded", check_unbounded, (cert.point, cert.ray)
+    # Valid only when both arithmetic backends accept it.
+    ok = all(check(std, *vectors, normalized=normalized) for normalized in (True, False))
     verdict = "valid" if ok else "INVALID"
     _emit(
         [

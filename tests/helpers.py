@@ -76,6 +76,54 @@ def random_token_lp(rng: random.Random, max_vars: int = 4, max_rows: int = 6) ->
     return Lp(tuple(cons), "x0")
 
 
+def _row_values(std, x):
+    return [sum((q * x[j] for j, q in sparse), Fraction(0)) for sparse in std.rows]
+
+
+def _transpose_times(std, y):
+    out = [Fraction(0)] * std.num_cols
+    for sparse, yi in zip(std.rows, y):
+        for j, q in sparse:
+            out[j] += q * yi
+    return out
+
+
+def _objective_value(std, x):
+    return sum((q * x[j] for j, q in std.objective), Fraction(0))
+
+
+def reference_optimality(std, primal, dual) -> bool:
+    """``fmdp.certify.check_optimality`` in plain ``Fraction`` arithmetic,
+    every entry included, zero or not."""
+    if any(lhs > b for lhs, b in zip(_row_values(std, primal), std.rhs)):
+        return False
+    if any(yi < 0 for yi in dual):
+        return False
+    residual = _transpose_times(std, dual)
+    for j, q in std.objective:
+        residual[j] += q
+    if any(residual):
+        return False
+    dual_obj = sum((b * yi for b, yi in zip(std.rhs, dual)), Fraction(0))
+    return _objective_value(std, primal) + dual_obj == 0
+
+
+def reference_infeasible(std, farkas) -> bool:
+    """``fmdp.certify.check_infeasible`` in plain ``Fraction`` arithmetic."""
+    if any(yi < 0 for yi in farkas) or any(_transpose_times(std, farkas)):
+        return False
+    return sum((b * yi for b, yi in zip(std.rhs, farkas)), Fraction(0)) < 0
+
+
+def reference_unbounded(std, point, ray) -> bool:
+    """``fmdp.certify.check_unbounded`` in plain ``Fraction`` arithmetic."""
+    if any(lhs > b for lhs, b in zip(_row_values(std, point), std.rhs)):
+        return False
+    if any(lhs > 0 for lhs in _row_values(std, ray)):
+        return False
+    return _objective_value(std, ray) < 0
+
+
 def explicit_branch_sup(mdp, w, t, a, ts):
     """Largest |Q_w^a - nu_w| over the full states consistent with ``t``
     and with none of ``ts``, by enumeration; ``None`` when there are none."""

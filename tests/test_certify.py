@@ -1,16 +1,28 @@
-"""Checker rejection behavior and the unreduced arithmetic path."""
+"""Checker rejection behavior, agreement of the two backends with a plain
+``Fraction`` reference, and the entries that zero-skipping must still see."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_token_lp
+from helpers import (
+    SMALL,
+    random_token_lp,
+    reference_infeasible,
+    reference_optimality,
+    reference_unbounded,
+)
 
+from fmdp import ApiConfig, api, elimination_order, make_ring
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.errors import InvalidInputError
 from fmdp.lp import Infeasible, Lp, Optimal, Unbounded, make_constraint, to_standard_form
 from fmdp.simplex import solve_lp
+
+BACKENDS = (True, False)
 
 
 def _optimal_fixture():
@@ -110,3 +122,79 @@ def test_unreduced_pairs_agree_with_fractions():
             assert check_unbounded(std, cert.point, cert.ray, normalized=False)
         compared += 1
     assert compared == 60
+
+
+def _split(cert):
+    """The checker, its reference and the vectors of a certificate."""
+    if isinstance(cert, Optimal):
+        return check_optimality, reference_optimality, [cert.primal, cert.dual]
+    if isinstance(cert, Infeasible):
+        return check_infeasible, reference_infeasible, [cert.farkas]
+    return check_unbounded, reference_unbounded, [cert.point, cert.ray]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_backends_agree_with_the_reference(seed, data):
+    # An entry moved from zero or to zero is what zero-skipping could miss.
+    std = to_standard_form(random_token_lp(random.Random(seed)))
+    check, reference, vectors = _split(solve_lp(std))
+    mode = data.draw(st.sampled_from(["none", "shift", "raise a zero", "zero out"]))
+    if mode == "none":
+        assert reference(std, *vectors)
+    else:
+        k = data.draw(st.integers(0, len(vectors) - 1), label="vector")
+        vec = list(vectors[k])
+        picks = {
+            "shift": list(range(len(vec))),
+            "raise a zero": [i for i, q in enumerate(vec) if q == 0],
+            "zero out": [i for i, q in enumerate(vec) if q != 0],
+        }[mode]
+        if picks:
+            i = data.draw(st.sampled_from(picks), label="index")
+            vec[i] = 0 if mode == "zero out" else vec[i] + data.draw(SMALL.filter(bool))
+            vectors[k] = tuple(Fraction(q) for q in vec)
+    verdict = reference(std, *vectors)
+    for normalized in BACKENDS:
+        assert check(std, *vectors, normalized=normalized) == verdict
+
+
+@pytest.mark.parametrize("normalized", BACKENDS)
+def test_a_row_with_only_zero_terms_is_still_compared(normalized):
+    # min phi over x <= -1 and phi >= 0, columns (phi, x).  Row 0 meets only
+    # x, and its dual is zero: at x = 0 it reads 0 <= -1.
+    std = to_standard_form(
+        Lp(
+            (
+                make_constraint("le", {"x": Fraction(1)}, -1),
+                make_constraint("le", {"phi": Fraction(-1)}, 0),
+            ),
+            "phi",
+        )
+    )
+    dual = (Fraction(0), Fraction(1))
+    zero, fixed = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(-1))
+    assert check_optimality(std, fixed, dual, normalized=normalized)
+    assert not check_optimality(std, zero, dual, normalized=normalized)
+    unbounded = to_standard_form(Lp((make_constraint("le", {"x": Fraction(1)}, -1),), "phi"))
+    ray = (Fraction(-1), Fraction(0))
+    assert check_unbounded(unbounded, fixed, ray, normalized=normalized)
+    assert not check_unbounded(unbounded, zero, ray, normalized=normalized)
+
+
+@pytest.fixture(scope="module")
+def ring3_final():
+    mdp = make_ring(3)
+    steps: list[dict] = []
+    api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
+    return steps[-1]["std"], steps[-1]["certificate"]
+
+
+@pytest.mark.parametrize("normalized", BACKENDS)
+def test_ring3_certificate_and_its_zero_entries(ring3_final, normalized):
+    std, cert = ring3_final
+    assert check_optimality(std, cert.primal, cert.dual, normalized=normalized)
+    i = cert.dual.index(0)
+    assert not check_optimality(std, cert.primal, _perturb(cert.dual, i, 1), normalized=normalized)
+    j = cert.primal.index(0)
+    assert not check_optimality(std, _perturb(cert.primal, j), cert.dual, normalized=normalized)

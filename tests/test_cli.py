@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from fmdp import cli
+from fmdp.certify import check_optimality
 from fmdp.cli import main
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState
-from fmdp.model import load_mdp, make_ring, save_mdp
+from fmdp.mdpio import load_mdp, save_mdp
+from fmdp.model import make_ring
 from fmdp.policy import decision_list_from_text, select_action
 
 
@@ -118,6 +121,27 @@ def test_certify_rejects_a_tampered_certificate(tmp_path, capsys):
     code = main(["certify", str(lp), str(cert)])
     assert code == 4
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_certify_needs_both_backends(tmp_path, capsys, monkeypatch):
+    model = _ring_file(tmp_path)
+    lp = tmp_path / "final.lp"
+    cert = tmp_path / "final.cert"
+    main(["solve", "--model", model, "--dump-lp", str(lp), "--dump-cert", str(cert)])
+    capsys.readouterr()
+    assert main(["certify", str(lp), str(cert)]) == 0
+    valid = capsys.readouterr().out
+    assert valid.startswith("certificate: kind=optimal rows=") and valid.endswith(" valid\n")
+    seen = []
+
+    def raw_pairs_reject(std, primal, dual, *, normalized=True):
+        seen.append(normalized)
+        return normalized and check_optimality(std, primal, dual)
+
+    monkeypatch.setattr(cli, "check_optimality", raw_pairs_reject)
+    assert main(["certify", str(lp), str(cert)]) == 4
+    assert seen == [True, False]
+    assert capsys.readouterr().out == valid.replace(" valid\n", " INVALID\n")
 
 
 def test_certify_bad_files_are_input_errors(tmp_path, capsys):

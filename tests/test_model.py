@@ -9,15 +9,8 @@ import pytest
 
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments
-from fmdp.model import (
-    FactoredMdp,
-    elimination_order,
-    load_mdp,
-    make_ring,
-    mdp_from_json_dict,
-    mdp_to_json_dict,
-    save_mdp,
-)
+from fmdp.mdpio import load_mdp, mdp_from_json_dict, mdp_to_json_dict, save_mdp
+from fmdp.model import FactoredMdp, elimination_order, make_ring
 
 W, B = 0, 1
 F = Fraction
@@ -372,6 +365,42 @@ def test_validate_h_scope_dims():
     assert violations_contain(
         dataclasses.replace(mdp, basis=basis), "h_scope_dims"
     )
+
+
+def test_validate_reports_an_int_effects_entry():
+    mdp = make_ring(2)
+    bad = dataclasses.replace(mdp, effects=((), 1, (1,)))
+    assert bad.validate() == ["effects: action 1: 1 is not a tuple of variable indices"]
+
+
+def test_validate_reports_a_scalar_reward_family():
+    mdp = make_ring(2)
+    bad = dataclasses.replace(mdp, rewards=(mdp.rewards[0], F(5), mdp.rewards[2]))
+    assert bad.validate() == [
+        "reward_scope_dims: action 1: Fraction(5, 1) is not a tuple of rewards"
+    ]
+
+
+def test_validate_reports_a_none_basis_function():
+    mdp = make_ring(2)
+    bad = dataclasses.replace(mdp, basis=(None,) + mdp.basis[1:])
+    assert bad.validate() == ["h_scope_dims: basis 0: None is not a scoped function"]
+
+
+def test_validate_reports_a_scalar_transition_family():
+    mdp = make_ring(2)
+    bad = dataclasses.replace(mdp, transitions=(mdp.transitions[0], 3, mdp.transitions[2]))
+    assert bad.validate() == [
+        "transitions_scope_dims: action 1: 3 is not a tuple of transition functions"
+    ]
+
+
+def test_validate_reports_a_none_transition_function():
+    mdp = make_ring(2)
+    found = corrupt_transition(mdp, 1, 0, None).validate()
+    assert found == [
+        "transitions_scope_dims: action 1, variable 0: None is not a scoped function"
+    ]
 
 
 # -- elimination orders ----------------------------------------------------
