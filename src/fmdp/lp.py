@@ -80,9 +80,24 @@ class FnId:
 
 @dataclass(frozen=True, slots=True)
 class FnVar:
+    """One private variable: entry ``z`` of function ``fn`` in block ``tag``.
+
+    The hash is computed once, at construction, since column lookups hash
+    every variable many times.  ``str`` hashes are salted per process, so
+    the stored value is only valid in the process that built it; an
+    ``FnVar`` never crosses a process (files name variables by token).
+    """
+
     tag: Tag
     fn: FnId
     z: PartialState
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.tag, self.fn, self.z)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 LpVar = Union[Phi, Weight, FnVar, str]

@@ -7,7 +7,10 @@ A block holds one tag's scoped summands (built here only, by
 one plan: priced at w (``TagBlock.at``), the positive block sums to
 nu_w - Q_w^a on the branch's states and the negative one to the
 negation, while indicator summands send every state an earlier branch
-claimed to minus infinity.  ``fmdp.weights`` prices blocks for cuts and
+claimed to minus infinity.  Neither kind is tabulated per branch: each
+basis difference is tabulated once per model and only instantiated by
+the branch state, and each indicator is written straight onto its
+leftover scope.  ``fmdp.weights`` prices blocks for cuts and
 ``fmdp.error`` for the Bellman error; ``weight_lp_blocks`` keeps the
 latest policy's blocks in the model's cache, so both share one build.
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Sequence
 
 from .elim import ElimPlan, ElimRound, identity_order
@@ -146,31 +150,46 @@ def indicator_fns(
     """One exclusion function per earlier branch state, instantiated by ``t``.
 
     The function for t' is negative infinity exactly on assignments
-    consistent with t' and zero elsewhere; after instantiation its scope is
-    domain(t') minus domain(t).  A t' subsumed by t yields the constant
-    negative infinity (the whole branch is shadowed), a t' conflicting with
-    t on some shared variable yields the constant zero.
+    consistent with t' and zero elsewhere; instantiated by t, its scope is
+    domain(t') minus domain(t), and it is written there directly: a single
+    minus-infinity entry at t''s leftover values.  A t' subsumed by t yields
+    the constant negative infinity (the whole branch is shadowed), a t'
+    conflicting with t on some shared variable yields a function that is
+    all-zero over its leftover scope.
     """
+    bound = dict(t.items)
+    zero = fin(0)
     out = []
     for tp in ts:
-        full = ScopedFn.tabulate(
-            tp.domain,
-            dims,
-            lambda x, tp=tp: NEG_INF if x == tp else fin(0),
-        )
-        out.append(instantiate(full, t))
+        leftover = [(v, val) for v, val in tp.items if v not in bound]
+        scope = tuple(v for v, _ in leftover)
+        card = tuple(dims[v] for v in scope)
+        table = [zero] * prod(card)
+        if all(bound.get(v, val) == val for v, val in tp.items):  # t' agrees with t
+            idx = 0
+            for c, (_, val) in zip(card, leftover):
+                idx = idx * c + val
+            table[idx] = NEG_INF
+        out.append(ScopedFn(scope, card, tuple(table)))
     return out
 
 
 def difference_fns(mdp: FactoredMdp, t: PartialState, a: int) -> tuple[ScopedFn, ...]:
     """The basis differences h_i - gamma * g_i^a instantiated by ``t``:
-    the weighted summands of a branch's positive block."""
+    the weighted summands of a branch's positive block.  Each difference is
+    tabulated once per model, kept in its cache under ("diff", i, a)."""
     out = []
     for i, h in enumerate(mdp.basis):
-        g = mdp.g(i, a)
-        combined = ScopedFn.tabulate(
-            set(h.scope) | set(g.scope), mdp.dims, lambda x, h=h, g=g: h(x) - mdp.discount * g(x)
-        )
+        key = ("diff", i, a)
+        combined = mdp._cache.get(key)
+        if combined is None:
+            g = mdp.g(i, a)
+            combined = ScopedFn.tabulate(
+                set(h.scope) | set(g.scope),
+                mdp.dims,
+                lambda x, h=h, g=g: h(x) - mdp.discount * g(x),
+            )
+            mdp._cache[key] = combined
         out.append(instantiate(combined, t))
     return tuple(out)
 

@@ -73,9 +73,29 @@ class FactoredMdp:
         """All model invariant violations, each prefixed with its name.
 
         Returns an empty list when the model is well formed.  Never raises;
-        callers that want a hard failure wrap the result themselves.
+        callers that want a hard failure wrap the result themselves.  A
+        mistyped top-level field is reported with the other mistyped ones
+        only, since every later check reads them.
         """
-        out: list[str] = []
+        seq = (tuple, list)
+        doms_ok = isinstance(self.domains, seq) and all(isinstance(d, seq) for d in self.domains)
+        fields = (
+            ("doms_ne", "domains", doms_ok, "a tuple of value-name tuples"),
+            ("actions_ne", "actions", isinstance(self.actions, seq), "a tuple of names"),
+            ("transitions_count", "transitions", isinstance(self.transitions, seq), "a tuple"),
+            ("rewards_count", "rewards", isinstance(self.rewards, seq), "a tuple"),
+            ("effects_count", "effects", isinstance(self.effects, seq), "a tuple"),
+            ("h_scope_dims", "basis", isinstance(self.basis, seq), "a tuple"),
+            ("default_act", "default", isinstance(self.default, int), "an action index"),
+            ("disc_lt_one", "discount", isinstance(self.discount, (Fraction, int)), "a rational"),
+        )
+        out = [
+            f"{name}: {attr} {getattr(self, attr)!r} is not {what}"
+            for name, attr, ok, what in fields
+            if not ok
+        ]
+        if out:
+            return out
         n = self.n
         dims = self.dims
         if n <= 0:

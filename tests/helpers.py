@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fmdp.factored import ScopedFn, assignments, consistent
+from fmdp.factored import ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import Lp, make_constraint
 from fmdp.model import FactoredMdp
 from fmdp.values import NEG_INF, fin
@@ -133,6 +133,29 @@ def explicit_branch_sup(mdp, w, t, a, ts):
         if consistent(x, t) and not any(consistent(x, tp) for tp in ts)
     ]
     return max(deviations) if deviations else None
+
+
+def reference_indicator_fns(ts, t, dims):
+    """The exclusion functions as first written: each tabulated over all of
+    domain(t'), minus infinity exactly at t', then instantiated by ``t``."""
+    out = []
+    for tp in ts:
+        full = ScopedFn.tabulate(tp.domain, dims, lambda x, tp=tp: NEG_INF if x == tp else fin(0))
+        out.append(instantiate(full, t))
+    return out
+
+
+def reference_difference_fns(mdp, t, a):
+    """The basis differences h_i - gamma * g_i^a, freshly tabulated over
+    the joint scope and instantiated by ``t``; nothing is cached."""
+    out = []
+    for i, h in enumerate(mdp.basis):
+        g = mdp.g(i, a)
+        joint = ScopedFn.tabulate(
+            set(h.scope) | set(g.scope), mdp.dims, lambda x: h(x) - mdp.discount * g(x)
+        )
+        out.append(instantiate(joint, t))
+    return tuple(out)
 
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

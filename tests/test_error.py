@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SMALL, explicit_branch_sup, models
+from helpers import SMALL, explicit_branch_sup, models, reference_indicator_fns
 
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
@@ -54,12 +54,34 @@ def test_indicator_fns_shapes():
     # conflict on a shared variable: constant zero
     clash = indicator_fns([PartialState.of({0: W})], PartialState.of({0: B}), dims)
     assert clash[0].scope == () and clash[0].table == (fin(0),)
+    # a conflict keeps the leftover variables in scope, all zero
+    clash = indicator_fns([PartialState.of({0: W, 2: B})], PartialState.of({0: B}), dims)
+    assert clash[0].scope == (2,) and clash[0].table == (fin(0), fin(0))
     # leftover variables stay in scope with exactly one excluded assignment
     partial = indicator_fns(
         [PartialState.of({0: W, 2: B})], PartialState.of({0: W}), dims
     )
     assert partial[0].scope == (2,)
     assert partial[0].table == (fin(0), NEG_INF)
+
+
+@st.composite
+def branch_states(draw):
+    """Model dimensions, a branch state and the states claimed before it."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+
+    def state():
+        variables = draw(st.sets(st.integers(0, len(dims) - 1)))
+        return PartialState.of({v: draw(st.integers(0, dims[v] - 1)) for v in variables})
+
+    return dims, state(), [state() for _ in range(draw(st.integers(0, 4)))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(branch_states())
+def test_indicator_fns_match_tabulate_then_instantiate(case):
+    dims, t, ts = case
+    assert indicator_fns(ts, t, dims) == reference_indicator_fns(ts, t, dims)
 
 
 def test_block_summands_sum_to_q_minus_nu():

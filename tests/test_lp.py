@@ -1,5 +1,6 @@
 """Constraint canonicalization and standard-form flattening."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -98,3 +99,16 @@ def test_constraint_is_hashable_and_usable_in_sets():
         seen.add(make_constraint("le", {PHI: Fraction(-1)}, 0))
     assert len(seen) == 1
     assert isinstance(next(iter(seen)), Constraint)
+
+
+def test_fn_var_hash_is_computed_once_and_structural():
+    def build(z):
+        return FnVar(Tag(PartialState.of({0: 1, 2: 0}), 3, False), FnId("b", 4), z)
+
+    v, u = build(PartialState.of({1: 1})), build(PartialState.of({1: 1}))
+    assert v is not u and v == u and hash(v) == hash(u)
+    assert hash(v) == hash((v.tag, v.fn, v.z))
+    assert "_hash" not in repr(v)
+    moved = dataclasses.replace(v, z=PartialState.of({1: 0}))
+    assert moved != v and hash(moved) == hash((moved.tag, moved.fn, moved.z))
+    assert {v: 1}[u] == 1

@@ -8,14 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SMALL, all_states, explicit_branch_sup, models, random_rational_fn
+from helpers import (
+    SMALL,
+    all_states,
+    explicit_branch_sup,
+    models,
+    random_rational_fn,
+    reference_difference_fns,
+)
 
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Unbounded, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import branch_lp, min_lp, weight_lp, weight_lp_blocks
+from fmdp.api import api
+from fmdp.lpbuild import branch_lp, difference_fns, min_lp, weight_lp, weight_lp_blocks
 from fmdp.model import elimination_order, make_ring
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
@@ -158,6 +166,37 @@ def test_branch_pair_recovers_branch_error():
             assert half == max_sum(block.at(w), order, mdp.dims, block.plan)
             halves.append(half)
         assert max(halves) == fin(explicit_branch_sup(mdp, w, t, a, ts))
+
+
+def _diff_keys(mdp):
+    return {key for key in mdp._cache if key[0] == "diff"}
+
+
+def test_difference_fns_tabulate_once_per_basis_function_and_action():
+    steps: list[dict] = []
+    api(make_ring(3), trace=steps)
+    mdp = make_ring(3)
+    weights = [tuple(Fraction(0) for _ in mdp.basis)] + [step["w"] for step in steps]
+    branches = {(b.t, b.action) for w in weights for b in greedy_decision_list(mdp, w).branches}
+    for t, a in branches:
+        assert difference_fns(mdp, t, a) == reference_difference_fns(mdp, t, a)
+    used = {a for _, a in branches}
+    assert len(used) > 1
+    assert _diff_keys(mdp) == {("diff", i, a) for i in range(len(mdp.basis)) for a in used}
+    assert dataclasses.replace(mdp)._cache == {}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(models(), st.lists(SMALL, min_size=3, max_size=3))
+def test_difference_fns_match_a_fresh_tabulation(mdp, ws):
+    pol = greedy_decision_list(mdp, tuple(ws[: len(mdp.basis)]))
+    for branch in pol.branches:
+        for a in range(len(mdp.actions)):
+            assert difference_fns(mdp, branch.t, a) == reference_difference_fns(mdp, branch.t, a)
+    every = {("diff", i, a) for i in range(len(mdp.basis)) for a in range(len(mdp.actions))}
+    assert _diff_keys(mdp) == every
+    # A replaced model may have other basis functions or discount.
+    assert dataclasses.replace(mdp, discount=Fraction(0))._cache == {}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

@@ -506,3 +506,23 @@ def test_load_rejects_non_json(tmp_path):
         load_mdp(str(path))
     with pytest.raises(InvalidInputError):
         load_mdp(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize(
+    "field, value, want",
+    [
+        ("discount", None, "disc_lt_one: discount None is not a rational"),
+        ("default", None, "default_act: default None is not an action index"),
+        ("basis", 3, "h_scope_dims: basis 3 is not a tuple"),
+        ("rewards", 3, "rewards_count: rewards 3 is not a tuple"),
+        ("domains", 3, "doms_ne: domains 3 is not a tuple of value-name tuples"),
+        (
+            "domains",
+            (("W", "B"), 2),
+            "doms_ne: domains (('W', 'B'), 2) is not a tuple of value-name tuples",
+        ),
+    ],
+    ids=["discount", "default", "basis", "rewards", "domains", "domain-entry"],
+)
+def test_validate_reports_a_mistyped_field(field, value, want):
+    assert dataclasses.replace(make_ring(2), **{field: value}).validate() == [want]
