@@ -373,7 +373,7 @@ def _cmd_bench(args) -> int:
         lines.append(
             f"n={n} t={res.t} w_eq={_yn(res.w_eq)} "
             f"err={format_rational(res.err)} "
-            f"constraints={len(last['lp'].constraints)} "
+            f"constraints={len(last['std'].constraint_rows)} "
             f"variables={last['lp_cols']} "
             f"total={_seconds(total, args.no_timing)} "
             f"lp={_seconds(in_lp, args.no_timing)} "

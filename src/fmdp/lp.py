@@ -12,14 +12,20 @@ to A x <= b` with free x, the only shape the simplex and the certificate
 checkers speak.  Equalities become two adjacent rows.  The dual convention
 is fixed once for the whole package: the dual of `min c^T x, Ax <= b` is
 `max -b^T y, A^T y = -c, y >= 0`.
+
+A builder that numbers its own columns (``fmdp.lpbuild.assemble_lp``)
+emits the standard form directly and names its columns only on first read
+(``Deferred``); ``named_lp`` is the inverse of ``to_standard_form``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .factored import PartialState
 
@@ -35,8 +41,10 @@ __all__ = [
     "make_constraint",
     "Lp",
     "StdLp",
+    "Deferred",
     "column_order",
     "to_standard_form",
+    "named_lp",
     "Optimal",
     "Infeasible",
     "Unbounded",
@@ -150,7 +158,7 @@ def make_constraint(
 class Lp:
     """Ordered constraints plus the variable to minimize."""
 
-    constraints: tuple[Constraint, ...]
+    constraints: Sequence[Constraint]
     objective: LpVar
 
 
@@ -161,14 +169,19 @@ class StdLp:
     ``constraint_rows[k]`` lists the row indices produced by the k-th input
     constraint (one for an inequality, two adjacent for an equality), which
     lets duals built against the input constraints translate to row space.
+    ``columns`` names each column, possibly as a ``Deferred`` tuple;
+    ``col_of`` inverts it on first read.
     """
 
-    columns: tuple[LpVar, ...]
+    columns: Sequence[LpVar]
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     rhs: tuple[Fraction, ...]
     objective: tuple[tuple[int, Fraction], ...]
     constraint_rows: tuple[tuple[int, ...], ...]
-    col_of: dict = field(compare=False, repr=False)
+
+    @cached_property
+    def col_of(self) -> dict[LpVar, int]:
+        return {v: j for j, v in enumerate(self.columns)}
 
     @property
     def num_rows(self) -> int:
@@ -177,6 +190,34 @@ class StdLp:
     @property
     def num_cols(self) -> int:
         return len(self.columns)
+
+
+class Deferred(Sequence):
+    """A tuple made by ``make`` on first read; only its length is known
+    before.  ``make`` is dropped once called, with all it holds."""
+
+    def __init__(self, length: int, make: Callable[[], Iterable]) -> None:
+        self._length, self._make = length, make
+
+    @cached_property
+    def items(self) -> tuple:
+        items, self._make = tuple(self._make()), None
+        return items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k):
+        return self.items[k]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, Deferred)) and self.items == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(self.items)
 
 
 def column_order(lp: Lp) -> dict[LpVar, int]:
@@ -212,8 +253,23 @@ def to_standard_form(lp: Lp) -> StdLp:
         rhs=tuple(rhs),
         objective=((0, Fraction(1)),),
         constraint_rows=tuple(constraint_rows),
-        col_of=col_of,
     )
+
+
+def named_lp(std: StdLp, objective: LpVar) -> Lp:
+    """The program ``std`` is the standard form of, named by its columns
+    (``objective`` is column 0); an equality is read off its first row.
+    Rows are named on first read of the constraints; until then only their
+    count is known."""
+
+    def constraints():
+        cols = std.columns
+        for produced in std.constraint_rows:
+            k = produced[0]
+            kind = "eq" if len(produced) == 2 else "le"
+            yield make_constraint(kind, [(cols[j], q) for j, q in std.rows[k]], std.rhs[k])
+
+    return Lp(Deferred(len(std.constraint_rows), constraints), objective)
 
 
 @dataclass(frozen=True)

@@ -16,37 +16,38 @@ latest policy's blocks in the model's cache, so both share one build.
 
 As rows, a block's projection onto (phi, w) enforces
 `sum_i w_i C_i(x) + sum_j B_j(x) <= phi` for every full assignment x
-without enumerating the assignments.  Rows and their private variables
-are derived on first use, so a block that is only priced never pays for
-them.  Each input function gets one variable per point of its scope,
-tied down by equalities (tie rows for weighted summands, pin rows for
-constant ones); each round's replacement gets a function variable whose
-dominance rows bound every one-variable extension of its dependents; a
-summary row says the surviving constants sum to at most phi.
-``TagBlock.layout`` builds every row once, in that order, together with
-a position index: per plan slot, the position of the row at each table
-entry or round point.  ``fmdp.weights`` lifts its dual onto rows found
-through that index, and ``assemble_lp`` only concatenates the blocks.
+without enumerating the assignments.  Each input function gets one
+variable per point of its scope, tied down by equalities (tie rows for
+weighted summands, pin rows for constant ones); each round's replacement
+gets a function variable whose dominance rows bound every one-variable
+extension of its dependents; a summary row says the surviving constants
+sum to at most phi.  A block that is only priced never builds rows.
+``assemble_lp`` emits every block's rows, in that order, in one pass
+straight into standard form: a private variable is a column number in
+one integer array per plan slot, and each block's ``Placed`` record keeps
+those arrays and the row at each table entry or round point, through
+which ``fmdp.weights`` fills its primal and lifts its dual.  Names (the
+``FnVar`` columns and ``weight_lp``'s named rows) are made only when
+read, to write an LP or certificate file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .elim import ElimPlan, ElimRound, identity_order
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments, instantiate
-from .lp import PHI, Constraint, FnId, FnVar, Lp, Tag, Weight, make_constraint
+from .lp import PHI, Deferred, FnId, FnVar, Lp, LpVar, StdLp, Tag, Weight, named_lp
 from .model import FactoredMdp
 from .policy import DecisionList
 from .values import NEG_INF, fin
 
 __all__ = ["TagBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
-__all__ += ["indicator_fns", "difference_fns"]
+__all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
 
 
 @dataclass(frozen=True)
@@ -69,62 +70,6 @@ class TagBlock:
         each weighted summand scaled by its w_i, then the constant ones."""
         scaled = [c.map_table(lambda q, wi=wi: fin(wi * q)) for wi, c in zip(w, self.c_fns)]
         return scaled + list(self.b_fns)
-
-    @cached_property
-    def fn_vars(self) -> tuple[tuple[FnVar, ...], ...]:
-        """One private variable per table entry of every plan slot."""
-        ids = [FnId("c", i) for i in range(len(self.c_fns))]
-        ids += [FnId("b", k) for k in range(len(self.b_fns))]
-        ids += [FnId("e", rnd.var) for rnd in self.plan.rounds]
-        return tuple(
-            tuple(FnVar(self.tag, fid, z) for z in assignments(scope, self.plan.dims))
-            for fid, scope in zip(ids, self.plan.scopes)
-        )
-
-    @cached_property
-    def layout(self) -> tuple[tuple[Constraint, ...], tuple[tuple[int | None, ...], ...]]:
-        """The block's rows (ties, pins, each round's dominance rows, the
-        summary row), each built once, and per plan slot the position of
-        the row at each table entry, or at each point for a round's slot.
-        A minus-infinity pin entry has no row and indexes ``None``; a round
-        nothing depends on has one row, ``-e <= 0``, for all of its points.
-        """
-        plan, fn_vars = self.plan, self.fn_vars
-        one, minus = Fraction(1), Fraction(-1)
-        rows: list[Constraint] = []
-        index: list[tuple[int | None, ...]] = []
-
-        def emit(kind: str, coefs: list, rhs: Fraction | int = 0) -> int:
-            rows.append(make_constraint(kind, coefs, rhs))
-            return len(rows) - 1
-
-        for i, c in enumerate(self.c_fns):
-            ties = (emit("eq", [(v, minus), (Weight(i), q)]) for v, q in zip(fn_vars[i], c.table))
-            index.append(tuple(ties))
-        for b, b_vars in zip(self.b_fns, fn_vars[len(self.c_fns) :]):
-            pins = (
-                emit("eq", [(v, one)], q.unwrap()) if q.is_finite else None
-                for v, q in zip(b_vars, b.table)
-            )
-            index.append(tuple(pins))
-        for rnd, e_vars in zip(plan.rounds, fn_vars[plan.inputs :]):
-            card = plan.dims[rnd.var]
-            if not rnd.dependents:
-                index.append((emit("le", [(e_vars[0], minus)]),) * card)
-                continue
-            deps = [(fn_vars[s], g) for s, g in zip(rnd.dependents, rnd.gather)]
-            dominance = (
-                emit("le", [(e_vars[j // card], minus)] + [(vs[g[j]], one) for vs, g in deps])
-                for j in range(len(e_vars) * card)
-            )
-            index.append(tuple(dominance))
-        emit("le", [(fn_vars[s][0], one) for s in plan.final] + [(PHI, minus)])
-        return tuple(rows), tuple(index)
-
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """The block's rows; the last is the summary row."""
-        return self.layout[0]
 
 
 def min_lp(
@@ -234,9 +179,11 @@ def weight_lp_blocks(
         return hit[1]
     blocks: list[TagBlock] = []
     earlier: list[PartialState] = []
+    seen: set[tuple[PartialState, int]] = set()
     for branch in pol.branches:
-        if Tag(branch.t, branch.action, True) in (block.tag for block in blocks):
+        if (branch.t, branch.action) in seen:
             continue
+        seen.add((branch.t, branch.action))
         pos, neg = branch_lp(mdp, branch.t, branch.action, tuple(earlier), order)
         blocks.extend((pos, neg))
         earlier.append(branch.t)
@@ -248,11 +195,134 @@ def weight_lp_blocks(
 def weight_lp(
     mdp: FactoredMdp, pol: DecisionList, order: tuple[int, ...] | None = None
 ) -> Lp:
-    """The full program: minimize phi over the union of every branch block."""
-    return assemble_lp(weight_lp_blocks(mdp, pol, order))
+    """The full program, named: minimize phi over the union of every
+    branch block."""
+    return named_lp(assemble_lp(weight_lp_blocks(mdp, pol, order)), PHI)
 
 
-def assemble_lp(blocks: tuple[TagBlock, ...]) -> Lp:
-    """The blocks' rows, block after block; private variables carry their
-    block's tag, so no row appears in two blocks."""
-    return Lp(tuple(con for block in blocks for con in block.constraints), PHI)
+class Placed(NamedTuple):
+    """Where one block sits in the full standard form: per plan slot, the
+    column of each table entry and the row of each entry (``None`` for an
+    unpinned one) or, for a round's slot, of each point; an equality's row
+    is its first half.  ``summary`` is the block's last row."""
+
+    cols: tuple[list[int], ...]
+    rows: tuple[tuple[int | None, ...], ...]
+    summary: int
+
+
+@dataclass(frozen=True)
+class FullLp(StdLp):
+    """The full program's standard form, its columns named on first read,
+    with the column of every weight (``None`` if no row has it) and the
+    place of every block."""
+
+    weight_cols: tuple[int | None, ...] = field(compare=False, repr=False)
+    placed: tuple[Placed, ...] = field(compare=False, repr=False)
+
+
+def _slot_ids(block: TagBlock) -> list[FnId]:
+    ids = [FnId("c", i) for i in range(len(block.c_fns))]
+    ids += [FnId("b", k) for k in range(len(block.b_fns))]
+    return ids + [FnId("e", rnd.var) for rnd in block.plan.rounds]
+
+
+def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
+    """The blocks' rows, block after block, straight in standard form.
+
+    Per block: ties, pins, each round's dominance rows, the summary row.
+    Columns are numbered as ``to_standard_form`` numbers the named program:
+    phi first, then each variable at its first appearance, reading every
+    row in the canonical variable order (a weight before private variables;
+    those by kind b, c, e, then index), so ``to_standard_form(named_lp(...))``
+    rebuilds these very rows.  Private variables carry their block's tag,
+    so no row appears in two blocks.
+    """
+    one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
+    rows: list[tuple[tuple[int, Fraction], ...]] = []
+    rhs: list[Fraction] = []
+    produced: list[tuple[int, ...]] = []
+    weight_cols: list[int | None] = []
+    placed: list[Placed] = []
+    n = 1  # the next free column; phi holds column 0
+
+    def col(s: int, e: int) -> int:
+        nonlocal n
+        if cols[s][e] < 0:
+            cols[s][e], n = n, n + 1
+        return cols[s][e]
+
+    def equality(row, negated, b) -> int:
+        k = len(rows)
+        rows.extend((row, negated))
+        rhs.extend((b, -b if b else zero))
+        produced.append((k, k + 1))
+        return k
+
+    def inequality(terms, j: int, row: list) -> int:
+        """After ``row``, each (slot, entry at each point, coefficient) term at point j."""
+        k = len(rows)
+        row += [(col(s, at[j]), coef) for s, at, coef in terms]
+        rows.append(tuple(sorted(row)))
+        rhs.append(zero)
+        produced.append((k,))
+        return k
+
+    for block in blocks:
+        plan, nc = block.plan, len(block.c_fns)
+        weight_cols += [None] * (nc - len(weight_cols))
+        cols = tuple([-1] * prod(plan.dims[v] for v in scope) for scope in plan.scopes)
+        index: list[tuple[int | None, ...]] = []
+        for i, c in enumerate(block.c_fns):
+            ties = []
+            for e, q in enumerate(c.table):
+                if q and weight_cols[i] is None:
+                    weight_cols[i], n = n, n + 1
+                j, w = col(i, e), weight_cols[i]
+                if q:
+                    ties.append(equality(((w, q), (j, minus)), ((w, -q), (j, one)), zero))
+                else:
+                    ties.append(equality(((j, minus),), ((j, one),), zero))
+            index.append(tuple(ties))
+        for s, b in enumerate(block.b_fns, nc):
+            pins = (
+                equality(((col(s, e), one),), ((col(s, e), minus),), v.unwrap()) if v.is_finite else None
+                for e, v in enumerate(b.table)
+            )
+            index.append(tuple(pins))
+        # Every private variable of the block shares its tag, so the
+        # canonical order of a row's terms is their slots' (kind, index).
+        key = [(fid.kind, fid.idx) for fid in _slot_ids(block)]
+        for r, rnd in enumerate(plan.rounds):
+            slot, card = plan.inputs + r, plan.dims[rnd.var]
+            points = range(len(cols[slot]) * card)
+            terms = [(slot, [j // card for j in points], minus)]
+            terms += [(s, g, one) for s, g in zip(rnd.dependents, rnd.gather)]
+            terms.sort(key=lambda term: key[term[0]])
+            # A round nothing depends on has one row, -e <= 0, for all its points.
+            dominance = tuple(inequality(terms, j, []) for j in (points if rnd.dependents else (0,)))
+            index.append(dominance * (1 if rnd.dependents else card))
+        final = [(s, (0,), one) for s in sorted(plan.final, key=key.__getitem__)]
+        placed.append(Placed(cols, tuple(index), inequality(final, 0, [(0, minus)])))
+
+    def names() -> list[LpVar]:
+        out: list[LpVar] = [PHI] * n
+        for i, w in enumerate(weight_cols):
+            if w is not None:
+                out[w] = Weight(i)
+        for block, at in zip(blocks, placed):
+            slots = zip(_slot_ids(block), block.plan.scopes, at.cols)
+            for fid, scope, slot_cols in slots:
+                for z, j in zip(assignments(scope, block.plan.dims), slot_cols):
+                    out[j] = FnVar(block.tag, fid, z)
+        return out
+
+    return FullLp(
+        Deferred(n, names),
+        tuple(rows),
+        tuple(rhs),
+        ((0, one),),
+        tuple(produced),
+        tuple(weight_cols),
+        tuple(placed),
+    )

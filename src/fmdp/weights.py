@@ -20,16 +20,16 @@ finite magnitude at w: an assignment meeting a stand-in totals at most
 -|phi| - 1, any other totals its priced value, which the last pricing
 round found <= phi, so every summary row holds.  The master
 duals are propagated backwards through the plan's rounds along each
-cut's argmax path into a full dual vector, landing on rows found by
-position: the block's offset in the full program plus the entry's place
-in the block's position index (``TagBlock.layout``).  The pair must then
-survive ``check_optimality`` on the complete standard form; anything less
-raises ``LpInternalError``.
+cut's argmax path into a full dual vector.  Both vectors are written by
+position: ``assemble_lp`` builds the complete standard form directly and
+records, per block and plan slot, the column of every entry and the row
+at every entry or round point (``fmdp.lpbuild.Placed``), so no variable
+is named on the way.  The pair must then survive ``check_optimality`` on
+that standard form; anything less raises ``LpInternalError``.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +39,9 @@ from .certify import check_optimality
 from .elim import identity_order, max_sum_decode
 from .errors import LpInternalError
 from .factored import PartialState
-from .lp import PHI, Optimal, StdLp, Weight, to_standard_form
-from .lpbuild import TagBlock, assemble_lp, weight_lp_blocks
+from .lp import PHI, Optimal, StdLp, Weight, named_lp
+from .lp import to_standard_form  # unused here; perfbench/tracer.py patches this name
+from .lpbuild import FullLp, TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
@@ -82,9 +83,8 @@ def _master_std(m: int, box: Fraction, cuts: Collection[_Cut]) -> StdLp:
     rows += [((0, minus), *((i + 1, a) for i, a in enumerate(c.alpha) if a != 0)) for c in cuts]
     rhs = (box,) * (2 * m) + tuple(-c.beta for c in cuts)
     columns = (PHI, *(Weight(i) for i in range(m)))
-    col_of = {v: j for j, v in enumerate(columns)}
     singles = tuple((k,) for k in range(len(rows)))
-    return StdLp(columns, tuple(rows), rhs, ((0, one),), singles, col_of)
+    return StdLp(columns, tuple(rows), rhs, ((0, one),), singles)
 
 
 def update_weights(
@@ -159,8 +159,7 @@ def update_weights(
         cut_duals = tuple(cert.dual[2 * m + k] for k in range(len(cuts)))
         break
 
-    full_lp = assemble_lp(blocks)
-    std = to_standard_form(full_lp)
+    std = assemble_lp(blocks)
     primal = _complete_primal(std, blocks, phi, w)
     dual = _lift_dual(std, blocks, cuts.values(), cut_duals)
     lp_seconds = time.perf_counter() - started
@@ -177,7 +176,7 @@ def update_weights(
         trace["lp_seconds"] = lp_seconds
         trace["certificate"] = Optimal(primal, dual)
         trace["std"] = std
-        trace["lp"] = full_lp
+        trace["lp"] = named_lp(std, PHI)
     return w, phi
 
 
@@ -205,26 +204,25 @@ def _block_tables(
 
 
 def _complete_primal(
-    std,
+    std: FullLp,
     blocks: Sequence[TagBlock],
     phi: Fraction,
     w: Sequence[Fraction],
 ) -> tuple[Fraction, ...]:
     primal = [Fraction(0)] * std.num_cols
     primal[0] = phi
-    for i, wi in enumerate(w):
-        col = std.col_of.get(Weight(i))
+    for wi, col in zip(w, std.weight_cols):
         if col is not None:
             primal[col] = wi
-    for block in blocks:
-        for fn_vars, table in zip(block.fn_vars, _block_tables(block, w, phi)):
-            for var, value in zip(fn_vars, table):
-                primal[std.col_of[var]] = value
+    for block, at in zip(blocks, std.placed):
+        for cols, table in zip(at.cols, _block_tables(block, w, phi)):
+            for col, value in zip(cols, table):
+                primal[col] = value
     return tuple(primal)
 
 
 def _lift_dual(
-    std,
+    std: FullLp,
     blocks: Sequence[TagBlock],
     cuts: Iterable[_Cut],
     cut_duals: Sequence[Fraction],
@@ -232,7 +230,6 @@ def _lift_dual(
     """Push each cut's dual weight back along its witness: through the
     summary row, down every round's dominance row at the witness, and onto
     the tie and pin rows of the input entries it reaches."""
-    offsets = list(itertools.accumulate((len(b.constraints) for b in blocks), initial=0))
     dual = [Fraction(0)] * std.num_rows
 
     for cut, lam in zip(cuts, cut_duals):
@@ -240,10 +237,9 @@ def _lift_dual(
             continue
         block = blocks[cut.block_index]
         plan = block.plan
-        rows, index = block.layout
-        base = offsets[cut.block_index]
+        at = std.placed[cut.block_index]
         x = [v for _, v in cut.witness.items]
-        dual[std.constraint_rows[base + len(rows) - 1][0]] += lam
+        dual[at.summary] += lam
         demand: dict[int, Fraction] = {s: lam for s in plan.final}
         for r in reversed(range(len(plan.rounds))):
             flow = demand.pop(plan.inputs + r, Fraction(0))
@@ -251,15 +247,15 @@ def _lift_dual(
                 continue
             rnd = plan.rounds[r]
             j = plan.entry(rnd.scope_e, x) * plan.dims[rnd.var] + x[rnd.var]
-            dual[std.constraint_rows[base + index[plan.inputs + r][j]][0]] += flow
+            dual[at.rows[plan.inputs + r][j]] += flow
             for s in rnd.dependents:
                 demand[s] = demand.get(s, Fraction(0)) + flow
         for s, flow in demand.items():
             if flow == 0:
                 continue
-            k = index[s][plan.entry(plan.scopes[s], x)]
+            k = at.rows[s][plan.entry(plan.scopes[s], x)]
             if k is None:
                 raise LpInternalError("dual flow reached an unpinned entry")
             # The half with coefficient -1 on the entry: a tie's first, a pin's second.
-            dual[std.constraint_rows[base + k][int(s >= len(block.c_fns))]] += flow
+            dual[k + int(s >= len(block.c_fns))] += flow
     return tuple(dual)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from fmdp.factored import ScopedFn, assignments, consistent, instantiate
-from fmdp.lp import Lp, make_constraint
+from fmdp.lp import PHI, FnId, FnVar, Lp, Weight, make_constraint
 from fmdp.model import FactoredMdp
 from fmdp.values import NEG_INF, fin
 
@@ -156,6 +156,41 @@ def reference_difference_fns(mdp, t, a):
         )
         out.append(instantiate(joint, t))
     return tuple(out)
+
+
+def reference_fn_vars(block):
+    """One named private variable per table entry of every plan slot."""
+    ids = [FnId("c", i) for i in range(len(block.c_fns))]
+    ids += [FnId("b", k) for k in range(len(block.b_fns))]
+    ids += [FnId("e", rnd.var) for rnd in block.plan.rounds]
+    return [
+        [FnVar(block.tag, fid, z) for z in assignments(scope, block.plan.dims)]
+        for fid, scope in zip(ids, block.plan.scopes)
+    ]
+
+
+def reference_weight_lp(blocks):
+    """The full program as first written, one named row at a time: per
+    block its ties, pins, each round's dominance rows and the summary row."""
+    one, minus = Fraction(1), Fraction(-1)
+    rows = []
+    for block in blocks:
+        plan, fn_vars = block.plan, reference_fn_vars(block)
+        for i, c in enumerate(block.c_fns):
+            rows += [make_constraint("eq", [(v, minus), (Weight(i), q)], 0) for v, q in zip(fn_vars[i], c.table)]
+        for b, b_vars in zip(block.b_fns, fn_vars[len(block.c_fns) :]):
+            rows += [make_constraint("eq", [(v, one)], q.unwrap()) for v, q in zip(b_vars, b.table) if q.is_finite]
+        for rnd, e_vars in zip(plan.rounds, fn_vars[plan.inputs :]):
+            card = plan.dims[rnd.var]
+            if not rnd.dependents:
+                rows.append(make_constraint("le", [(e_vars[0], minus)], 0))
+                continue
+            deps = [(fn_vars[s], g) for s, g in zip(rnd.dependents, rnd.gather)]
+            for j in range(len(e_vars) * card):
+                terms = [(e_vars[j // card], minus)] + [(vs[g[j]], one) for vs, g in deps]
+                rows.append(make_constraint("le", terms, 0))
+        rows.append(make_constraint("le", [(fn_vars[s][0], one) for s in plan.final] + [(PHI, minus)], 0))
+    return Lp(tuple(rows), PHI)
 
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

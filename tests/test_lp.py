@@ -1,20 +1,25 @@
 """Constraint canonicalization and standard-form flattening."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+
+from helpers import random_token_lp
 
 from fmdp.factored import PartialState
 from fmdp.lp import (
     PHI,
     Constraint,
+    Deferred,
     FnId,
     FnVar,
     Lp,
     Tag,
     Weight,
     make_constraint,
+    named_lp,
     to_standard_form,
 )
 
@@ -112,3 +117,28 @@ def test_fn_var_hash_is_computed_once_and_structural():
     moved = dataclasses.replace(v, z=PartialState.of({1: 0}))
     assert moved != v and hash(moved) == hash((moved.tag, moved.fn, moved.z))
     assert {v: 1}[u] == 1
+
+
+def test_standard_form_col_of_follows_its_columns():
+    con = make_constraint("le", {Weight(0): Fraction(1), PHI: Fraction(-1)}, 5)
+    std = to_standard_form(Lp((con,), PHI))
+    assert "col_of" not in vars(std)
+    assert std.col_of == {PHI: 0, Weight(0): 1}
+
+
+def test_deferred_makes_its_items_once_on_first_read():
+    calls = []
+    names = Deferred(2, lambda: calls.append(1) or ["a", "b"])
+    assert len(names) == 2 and calls == []
+    assert names == ("a", "b") and list(names) == ["a", "b"] and names[1] == "b"
+    assert names != ("a",) and names != "ab" and names != ["a", "b"]
+    assert calls == [1]
+
+
+def test_named_lp_inverts_the_standard_form():
+    rng = random.Random(17)
+    for _ in range(300):
+        lp = random_token_lp(rng)
+        std = to_standard_form(lp)
+        named = named_lp(std, lp.objective)
+        assert named == lp and to_standard_form(named) == std

@@ -15,21 +15,28 @@ from helpers import (
     models,
     random_rational_fn,
     reference_difference_fns,
+    reference_fn_vars,
+    reference_weight_lp,
 )
 
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
-from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Unbounded, Weight, make_constraint, to_standard_form
+from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Unbounded, Weight, make_constraint, named_lp, to_standard_form
 from fmdp.api import api
-from fmdp.lpbuild import branch_lp, difference_fns, min_lp, weight_lp, weight_lp_blocks
+from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, min_lp, weight_lp, weight_lp_blocks
 from fmdp.model import elimination_order, make_ring
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
 from fmdp.values import NEG_INF, ext_sum, fin
 
 TAG = Tag(EMPTY_STATE, 0, True)
+
+
+def _rows(block):
+    """One block's rows as named constraints."""
+    return named_lp(assemble_lp((block,)), PHI).constraints
 
 
 def _pin_weights(block_lp_constraints, w):
@@ -56,10 +63,10 @@ def test_constant_pair_generates_four_rows():
         (ScopedFn.constant(fin(Fraction(-1))),),
         (0,),
     )
-    assert len(block.constraints) == 4
-    kinds = [c.kind for c in block.constraints]
+    assert len(_rows(block)) == 4
+    kinds = [c.kind for c in _rows(block)]
     assert kinds == ["eq", "eq", "le", "le"]
-    tie, pin, dominate, gen = block.constraints
+    tie, pin, dominate, gen = _rows(block)
     assert dict(tie.coefs)[Weight(0)] == 1
     assert pin.rhs == Fraction(-1)
     assert len(dominate.coefs) == 1
@@ -93,7 +100,7 @@ def test_projection_matches_enumeration_with_pinned_weights():
         order = list(range(n))
         rng.shuffle(order)
         block = min_lp(dims, TAG, tuple(c_fns), tuple(b_fns), tuple(order))
-        std = to_standard_form(_pin_weights(block.constraints, w))
+        std = to_standard_form(_pin_weights(_rows(block), w))
         cert = solve_lp(std)
         target = _explicit_value(c_fns, b_fns, w, dims)
         if target.is_finite:
@@ -114,12 +121,12 @@ def test_minus_infinity_entries_leave_variables_unpinned():
     block = min_lp((2,), TAG, (), (b,), (0,))
     pins = [
         c
-        for c in block.constraints
+        for c in _rows(block)
         if c.kind == "eq" and len(c.coefs) == 1 and isinstance(c.coefs[0][0], FnVar)
     ]
     assert len(pins) == 1
     assert pins[0].rhs == Fraction(4)
-    std = to_standard_form(Lp(block.constraints, PHI))
+    std = to_standard_form(Lp(tuple(_rows(block)), PHI))
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     assert cert.primal[std.col_of[PHI]] == Fraction(4)
@@ -159,7 +166,7 @@ def test_branch_pair_recovers_branch_error():
         pos, neg = branch_lp(mdp, t, a, ts, order)
         halves = []
         for block in (pos, neg):
-            std = to_standard_form(_pin_weights(block.constraints, w))
+            std = to_standard_form(_pin_weights(_rows(block), w))
             cert = solve_lp(std)
             assert isinstance(cert, Optimal)
             half = fin(cert.primal[std.col_of[PHI]])
@@ -204,7 +211,8 @@ def test_difference_fns_match_a_fresh_tabulation(mdp, ws):
 @example(make_ring(2), [Fraction(1), Fraction(2), Fraction(1, 3)])
 def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
     # Every row is built once, so the full program is the plain union of
-    # the blocks, and the position index is what the dual lift trusts.
+    # the blocks, and the placement index is what the primal fill and the
+    # dual lift trust.
     pol = greedy_decision_list(mdp, tuple(ws[: len(mdp.basis)]))
     for kind in ("identity", "min-degree"):
         order = elimination_order(mdp, kind)
@@ -214,22 +222,56 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
         assert len(set(tags)) == len(tags)
         lp = weight_lp(mdp, pol, order)
         assert len(set(lp.constraints)) == len(lp.constraints)
-        assert len(lp.constraints) == sum(len(b.constraints) for b in blocks)
-        for block in blocks:
+        std = assemble_lp(blocks)
+        assert len(lp.constraints) == len(std.constraint_rows)
+        halves = {ks[0]: len(ks) for ks in std.constraint_rows}
+        first = 0
+        for block, at in zip(blocks, std.placed):
             plan = block.plan
-            rows, index = block.layout
-            # Slot s's positions, one per table entry, or per round point
+            # The block's rows run from the row after the previous block's
+            # summary row to its own, which bounds phi.
+            assert dict(std.rows[at.summary])[0] == -1
+            mine = range(first, at.summary + 1)
+            # Slot s's rows, one per table entry, or per round point
             # (entry j // dims[var] of the replacement) for a round's slot.
             cards = [1] * plan.inputs + [plan.dims[rnd.var] for rnd in plan.rounds]
             unpinned = [[False] * len(c.table) for c in block.c_fns]
             unpinned += [[not v.is_finite for v in b.table] for b in block.b_fns]
-            for s, (fn_vars, positions) in enumerate(zip(block.fn_vars, index)):
-                owners = [v for v in fn_vars for _ in range(cards[s])]
+            slots = zip(reference_fn_vars(block), at.cols, at.rows)
+            for s, (fn_vars, cols, positions) in enumerate(slots):
+                assert [std.columns[col] for col in cols] == fn_vars
+                owners = [col for col in cols for _ in range(cards[s])]
                 assert len(positions) == len(owners)
                 want = unpinned[s] if s < plan.inputs else [False] * len(owners)
                 assert [k is None for k in positions] == want
-                for var, k in zip(owners, positions):
-                    assert k is None or var in dict(rows[k].coefs)
+                # The half the dual lift credits holds -1 on the entry: a
+                # tie's first, a pin's second, a round's only row.
+                half = int(len(block.c_fns) <= s < plan.inputs)
+                for col, k in zip(owners, positions):
+                    if k is not None:
+                        assert k in mine and halves[k] == (2 if s < plan.inputs else 1)
+                        assert dict(std.rows[k + half])[col] == -1
+            first = at.summary + 1
+        assert first == std.num_rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(models(), st.lists(SMALL, min_size=3, max_size=3))
+@example(make_ring(2), [Fraction(1), Fraction(2), Fraction(1, 3)])
+def test_assembled_lp_is_the_standard_form_of_its_named_program(mdp, ws):
+    pol = greedy_decision_list(mdp, tuple(ws[: len(mdp.basis)]))
+    for kind in ("identity", "min-degree"):
+        order = elimination_order(mdp, kind)
+        blocks = weight_lp_blocks(mdp, pol, order)
+        named = reference_weight_lp(blocks)
+        direct, flattened = assemble_lp(blocks), to_standard_form(named)
+        assert direct.rows == flattened.rows
+        assert direct.rhs == flattened.rhs
+        assert direct.constraint_rows == flattened.constraint_rows
+        assert direct.objective == flattened.objective
+        assert tuple(direct.columns) == flattened.columns
+        assert direct.col_of == flattened.col_of
+        assert weight_lp(mdp, pol, order) == named
 
 
 def test_ring_one_constant_basis_hand_optimum():

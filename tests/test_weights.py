@@ -4,12 +4,15 @@ import dataclasses
 import random
 from fractions import Fraction
 
+from helpers import reference_weight_lp
+
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order
 from fmdp.error import factored_bellman_err
 from fmdp.factored import EMPTY_STATE, ScopedFn
-from fmdp.lp import PHI, Lp, Optimal, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import weight_lp
+from fmdp.lp import PHI, FnVar, Lp, Optimal, Weight, make_constraint, to_standard_form
+from fmdp.lpbuild import weight_lp, weight_lp_blocks
+from fmdp.lpio import write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_weight_lp, policy_value
 from fmdp.policy import DecisionList, greedy_decision_list
@@ -108,6 +111,34 @@ def test_repeated_branch_changes_nothing():
     assert update_weights(mdp, repeated, order) == update_weights(mdp, pol, order)
     for v in (w, update_weights(mdp, pol, order)[0]):
         assert factored_bellman_err(mdp, v, repeated, order) == factored_bellman_err(mdp, v, pol, order)
+
+
+def test_a_fit_names_its_variables_only_when_they_are_read(tmp_path, monkeypatch):
+    made = []
+    original = FnVar.__post_init__
+
+    def counting(self):
+        made.append(self)
+        original(self)
+
+    monkeypatch.setattr(FnVar, "__post_init__", counting)
+    mdp = make_ring(3)
+    order = elimination_order(mdp, "min-degree")
+    pol = greedy_decision_list(mdp, (Fraction(-1), Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2)))
+    untraced = update_weights(mdp, pol, order)
+    assert made == []
+    trace: dict = {}
+    assert update_weights(mdp, pol, order, trace=trace) == untraced
+    assert made == [] and len(trace["lp"].constraints) == len(trace["std"].constraint_rows)
+    # Read, the names write the same files as the program built row by row.
+    named = reference_weight_lp(weight_lp_blocks(mdp, pol, order))
+    write_lp(tmp_path / "fit.lp", trace["lp"])
+    write_lp(tmp_path / "named.lp", named)
+    write_certificate(tmp_path / "fit.cert", trace["std"], trace["certificate"])
+    write_certificate(tmp_path / "named.cert", to_standard_form(named), trace["certificate"])
+    assert made
+    for suffix in ("lp", "cert"):
+        assert (tmp_path / f"fit.{suffix}").read_bytes() == (tmp_path / f"named.{suffix}").read_bytes()
 
 
 def test_blocks_may_share_a_cut_within_a_round():
