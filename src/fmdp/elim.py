@@ -10,9 +10,13 @@ tables directly instead of assembling partial states.  The interpreters:
 
 * ``ElimPlan.sweep``, the numeric max-and-argmax pass over any values
   with ``+`` and ``<``;
-* ``max_sum_decode``, which sweeps extended reals (negative infinity marks
-  assignments excluded by indicator functions) and walks the argmax tables
-  back into a maximizing state; ``max_sum`` is its value-only case;
+* ``max_sum_decode``, the one pricing kernel: it sweeps a ``Scaled``
+  family, plain integers over one denominator with negative infinity
+  (assignments excluded by indicator functions) as a stand-in below every
+  finite total, and walks the argmax tables back into a maximizing state;
+  ``max_sum`` is its value-only case.  A family of extended-real
+  ``ScopedFn`` tables is converted once on entry (``Scaled.of``);
+  ``fmdp.lpbuild.IntBlock.at`` builds a block's family at w directly;
 * ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
 * ``fmdp.weights``, which sweeps exact rationals to complete a primal
   solution and walks the rounds backwards to lift a dual one.
@@ -26,15 +30,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments
-from .values import NEG_INF, ExtReal, ext_sum, fin
+from .values import NEG_INF, ExtReal, ext_sum
 
 __all__ = [
     "ElimRound",
     "ElimPlan",
+    "Scaled",
+    "int_tables",
     "max_sum",
     "max_sum_decode",
     "explicit_max",
@@ -167,26 +175,84 @@ class ElimPlan:
         choices = []
         for rnd in self.rounds:
             card = self.dims[rnd.var]
-            deps = [(tables[s], g) for s, g in zip(rnd.dependents, rnd.gather)]
             size = math.prod(self.dims[v] for v in rnd.scope_e)
-            values, args = [], []
-            for start in range(0, size * card, card):
-                best, arg = None, 0
-                for y in range(card):
-                    total = zero
-                    for table, g in deps:
-                        total = total + table[g[start + y]]
-                    if best is None or best < total:
-                        best, arg = total, y
-                values.append(best)
-                args.append(arg)
-            tables.append(tuple(values))
-            choices.append(tuple(args))
+            if not rnd.dependents:
+                tables.append((zero,) * size)
+                choices.append((0,) * size)
+                continue
+            # The dependents' sum at every point, one dependent at a time.
+            deps = zip(rnd.dependents, rnd.gather)
+            s, g = next(deps)
+            totals = list(map(tables[s].__getitem__, g))
+            for s, g in deps:
+                totals = list(map(add, totals, map(tables[s].__getitem__, g)))
+            # ``max`` keeps the first of equal values, ``index`` finds it.
+            groups = [totals[j : j + card] for j in range(0, size * card, card)]
+            values = tuple(map(max, groups))
+            tables.append(values)
+            choices.append(tuple(map(list.index, groups, values)))
         return tables, choices
 
 
+@dataclass(frozen=True, slots=True)
+class Scaled:
+    """A function family as integer tables over one positive denominator.
+
+    Entry ``e`` of input slot ``s`` stands for ``tables[s][e] / den``.
+    ``offset``, over the same denominator, is the sum of the family's
+    finite empty-scope constants, folded out of the sweep: their slots hold
+    ``(0,)``.  Negative infinity is the stand-in ``-(2 * bound + 1)``, where
+    ``bound`` is at least the sum over slots of each table's largest finite
+    magnitude.  Every value a sweep forms is a sum of one entry per input
+    slot below it, so a sum of finite entries is ``>= -bound`` and a sum
+    meeting a stand-in is ``< -bound``: excluded totals stay below every
+    finite one, and the maximum is negative infinity exactly when it is
+    below ``-bound``.
+    """
+
+    tables: tuple[Sequence[int], ...]
+    den: int
+    offset: int
+    bound: int
+
+    @classmethod
+    def of(cls, fs: Sequence[ScopedFn]) -> "Scaled":
+        """The family of extended-real tables ``fs``, converted once."""
+        scaled, offset, bound, den = int_tables(fs)
+        floor = -(2 * bound + 1)
+        tables = tuple([floor if n is None else n for n in ints] for ints in scaled)
+        return cls(tables, den, offset, bound)
+
+
+def int_tables(
+    fs: Sequence[ScopedFn], den: int = 1
+) -> tuple[list[tuple[int | None, ...]], int, int, int]:
+    """The extended-real tables ``fs`` over one denominator: the lcm of
+    ``den`` and every finite entry's denominator, with ``None`` for
+    negative infinity.
+
+    Finite empty-scope constants are folded out: their tables become
+    ``(0,)`` and their sum is the offset.  Returns the tables, the offset,
+    the sum over tables of the largest finite magnitude, and the
+    denominator.
+    """
+    ratios = [
+        [None if v.finite is None else v.finite.as_integer_ratio() for v in f.table] for f in fs
+    ]
+    den = math.lcm(den, *{r[1] for t in ratios for r in t if r is not None})
+    tables, offset, bound = [], 0, 0
+    for f, t in zip(fs, ratios):
+        ints = tuple([None if r is None else r[0] * (den // r[1]) for r in t])
+        if not f.scope and ints[0] is not None:
+            offset += ints[0]
+            ints = (0,)
+        bound += max(map(abs, filter(None, ints)), default=0)
+        tables.append(ints)
+    return tables, offset, bound, den
+
+
 def max_sum(
-    fs: Sequence[ScopedFn],
+    fs: Sequence[ScopedFn] | Scaled,
     order: Sequence[int],
     dims: Sequence[int],
     plan: ElimPlan | None = None,
@@ -194,30 +260,38 @@ def max_sum(
     """Maximum over all full states of the sum of ``fs``.
 
     The result is negative infinity exactly when every full state is
-    excluded.  ``plan`` is as for ``max_sum_decode``.
+    excluded.  ``fs`` and ``plan`` are as for ``max_sum_decode``.
     """
     return max_sum_decode(fs, order, dims, plan)[0]
 
 
 def max_sum_decode(
-    fs: Sequence[ScopedFn],
+    fs: Sequence[ScopedFn] | Scaled,
     order: Sequence[int],
     dims: Sequence[int],
     plan: ElimPlan | None = None,
 ) -> tuple[ExtReal, PartialState]:
     """Like ``max_sum`` but also returns a full state attaining the maximum.
 
-    ``plan``, when given, must have been built for functions shaped like
-    ``fs`` along ``order``; it spares rebuilding the schedule.  Walking the
-    rounds backwards, each eliminated variable takes its recorded winner
-    given the variables eliminated after it.  When the maximum is negative
-    infinity the returned state is still a valid full state (every state is
-    equally excluded, so an arbitrary consistent choice is fine).
+    ``fs`` is a family of extended-real ``ScopedFn`` tables or a ``Scaled``
+    one; a ``Scaled`` family needs ``plan``.  ``plan``, when given, must
+    have been built for functions shaped like ``fs`` along ``order``; it
+    spares rebuilding the schedule.  Walking the rounds backwards, each
+    eliminated variable takes its recorded winner (the lowest value on
+    ties) given the variables eliminated after it.  When the maximum is
+    negative infinity the returned state is still a valid full state
+    (every state is equally excluded, so an arbitrary consistent choice is
+    fine).
     """
     if plan is None:
         plan = ElimPlan.build(fs, order, dims)
-    tables, choices = plan.sweep([f.table for f in fs], fin(0))
-    value = ext_sum(tables[s][0] for s in plan.final)
+    family = fs if isinstance(fs, Scaled) else Scaled.of(fs)
+    tables, choices = plan.sweep(family.tables, 0)
+    total = sum(tables[s][0] for s in plan.final)
+    # Exclusion is read off the swept total, before the offset is added.
+    value = NEG_INF
+    if total >= -family.bound:
+        value = ExtReal(Fraction(total + family.offset, family.den))
     x = [0] * len(plan.dims)
     for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
         x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]

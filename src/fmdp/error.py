@@ -6,10 +6,13 @@ The error of a weight vector w against a policy is the largest deviation
 form: priced at w, a branch's positive block sums to nu_w - Q_w^a and its
 negative block to Q_w^a - nu_w on the states the branch handles, and to
 minus infinity on every state an earlier branch claimed.  So the error is
-the largest variable-elimination maximum over the blocks, each swept along
-its own plan.  Blocks of branches whose state set came up empty contribute
-negative infinity and drop out.  The blocks are the same objects the next
-weight fit for this policy reuses, so each policy's summands are built once.
+the largest variable-elimination maximum over the blocks, each block's
+integer image (``TagBlock.ints``, built for this call) swept along its own
+plan.  Blocks of branches whose state set came up empty contribute
+negative infinity and drop out; a block an earlier branch state subsumes
+has no image and is not swept at all.  The blocks are the same objects the
+next weight fit for this policy reuses, so each policy's summands are
+built once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ def factored_bellman_err(
     """
     best = NEG_INF
     for block in weight_lp_blocks(mdp, pol, order):
-        best = max(best, max_sum(block.at(w), order, mdp.dims, block.plan))
+        image = block.ints()
+        if image is not None:
+            best = max(best, max_sum(image.at(w), order, mdp.dims, block.plan))
     if not best.is_finite:
         raise InvalidInputError("decision list covers no state at all")
     return best.unwrap()

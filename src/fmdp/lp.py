@@ -169,15 +169,15 @@ class StdLp:
     ``constraint_rows[k]`` lists the row indices produced by the k-th input
     constraint (one for an inequality, two adjacent for an equality), which
     lets duals built against the input constraints translate to row space.
-    ``columns`` names each column, possibly as a ``Deferred`` tuple;
-    ``col_of`` inverts it on first read.
+    ``columns`` names each column; it and ``constraint_rows`` may each be a
+    ``Deferred`` tuple.  ``col_of`` inverts ``columns`` on first read.
     """
 
     columns: Sequence[LpVar]
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     rhs: tuple[Fraction, ...]
     objective: tuple[tuple[int, Fraction], ...]
-    constraint_rows: tuple[tuple[int, ...], ...]
+    constraint_rows: Sequence[tuple[int, ...]]
 
     @cached_property
     def col_of(self) -> dict[LpVar, int]:

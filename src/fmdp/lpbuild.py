@@ -4,15 +4,25 @@ as numbers by pricing and as rows by the full program.
 A block holds one tag's scoped summands (built here only, by
 ``difference_fns`` and ``indicator_fns``) and their elimination plan
 (``fmdp.elim.ElimPlan``).  Branch blocks come in mirrored pairs sharing
-one plan: priced at w (``TagBlock.at``), the positive block sums to
-nu_w - Q_w^a on the branch's states and the negative one to the
-negation, while indicator summands send every state an earlier branch
-claimed to minus infinity.  Neither kind is tabulated per branch: each
-basis difference is tabulated once per model and only instantiated by
-the branch state, and each indicator is written straight onto its
-leftover scope.  ``fmdp.weights`` prices blocks for cuts and
-``fmdp.error`` for the Bellman error; ``weight_lp_blocks`` keeps the
-latest policy's blocks in the model's cache, so both share one build.
+one plan: priced at w, the positive block sums to nu_w - Q_w^a on the
+branch's states and the negative one to the negation, while indicator
+summands send every state an earlier branch claimed to minus infinity.
+Neither kind is tabulated per branch: each basis difference is tabulated
+once per model and only instantiated by the branch state, and each
+indicator is written straight onto its leftover scope.  ``fmdp.weights``
+prices blocks for cuts and ``fmdp.error`` for the Bellman error;
+``weight_lp_blocks`` keeps the latest policy's blocks in the model's
+cache, so both share one build.
+
+Pricing reads a block through its integer image (``TagBlock.ints``, built
+once per fit or error call and then dropped): every table over one lcm
+denominator, minus infinity as ``None`` and the empty-scope constants
+folded into one offset; ``IntBlock.at(w)`` scales it to the
+``fmdp.elim.Scaled`` family the elimination kernel sweeps.  A block that
+an earlier branch state subsumes (an empty-scope indicator, minus
+infinity everywhere) has no image: it prices to minus infinity at every
+w, so pricing and the error skip it, while the full program keeps its
+rows.
 
 As rows, a block's projection onto (phi, w) enforces
 `sum_i w_i C_i(x) + sum_j B_j(x) <= phi` for every full assignment x
@@ -35,10 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .elim import ElimPlan, ElimRound, identity_order
+from .elim import ElimPlan, ElimRound, Scaled, identity_order, int_tables
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments, instantiate
 from .lp import PHI, Deferred, FnId, FnVar, Lp, LpVar, StdLp, Tag, Weight, named_lp
@@ -46,7 +57,7 @@ from .model import FactoredMdp
 from .policy import DecisionList
 from .values import NEG_INF, fin
 
-__all__ = ["TagBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
+__all__ = ["TagBlock", "IntBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
 __all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
 
 
@@ -65,11 +76,48 @@ class TagBlock:
     def rounds(self) -> tuple[ElimRound, ...]:
         return self.plan.rounds
 
-    def at(self, w: Sequence[Fraction]) -> list[ScopedFn]:
-        """The summands with the weights fixed at ``w``, in plan order:
-        each weighted summand scaled by its w_i, then the constant ones."""
-        scaled = [c.map_table(lambda q, wi=wi: fin(wi * q)) for wi, c in zip(w, self.c_fns)]
-        return scaled + list(self.b_fns)
+    def ints(self) -> "IntBlock | None":
+        """The integer image pricing sweeps, or ``None`` for a shadowed
+        block (an empty-scope summand is minus infinity)."""
+        if any(not b.scope and b.table[0].finite is None for b in self.b_fns):
+            return None
+        ratios = [[q.as_integer_ratio() for q in f.table] for f in self.c_fns]
+        b, offset, b_max, den = int_tables(self.b_fns, lcm(*{d for t in ratios for _, d in t}))
+        c = tuple(tuple([n * (den // d) for n, d in t]) for t in ratios)
+        c_max = tuple(max(map(abs, t), default=0) for t in c)
+        return IntBlock(c, c_max, tuple(b), b_max, offset, den)
+
+
+@dataclass(frozen=True, slots=True)
+class IntBlock:
+    """A live block's summands over one denominator ``den``: weighted
+    tables ``c`` (with each one's largest magnitude ``c_max``), constant
+    tables ``b`` (``None`` for minus infinity, folded empty-scope slots
+    ``(0,)``), the sum ``b_max`` of the constant tables' largest finite
+    magnitudes and the folded ``offset``."""
+
+    c: tuple[tuple[int, ...], ...]
+    c_max: tuple[int, ...]
+    b: tuple[tuple[int | None, ...], ...]
+    b_max: int
+    offset: int
+    den: int
+
+    def at(self, w: Sequence[Fraction]) -> Scaled:
+        """The summands at ``w``, in plan order, over ``den * lcm(w)``:
+        each weighted table scaled by its w_i, then the constant ones."""
+        ratios = [q.as_integer_ratio() for q in w]
+        scale = lcm(*(d for _, d in ratios))
+        a = [n * (scale // d) for n, d in ratios]
+        bound = sum(map(mul, map(abs, a), self.c_max)) + scale * self.b_max
+        floor = -(2 * bound + 1)
+        tables = [list(map(ai.__mul__, t)) for ai, t in zip(a, self.c)]
+        for t in self.b:
+            if None in t:
+                tables.append([floor if n is None else n * scale for n in t])
+            else:
+                tables.append(t if scale == 1 else list(map(scale.__mul__, t)))
+        return Scaled(tuple(tables), self.den * scale, self.offset * scale, bound)
 
 
 def min_lp(
@@ -236,36 +284,45 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
     row in the canonical variable order (a weight before private variables;
     those by kind b, c, e, then index), so ``to_standard_form(named_lp(...))``
     rebuilds these very rows.  Private variables carry their block's tag,
-    so no row appears in two blocks.
+    so no row appears in two blocks.  Every row holding a column with
+    coefficient 1 (or -1) shares one term object for it, and the rows of
+    each constraint are listed only when read.
     """
     one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
     rows: list[tuple[tuple[int, Fraction], ...]] = []
     rhs: list[Fraction] = []
-    produced: list[tuple[int, ...]] = []
+    halves = bytearray()  # per constraint, its row count: 2 for an equality
     weight_cols: list[int | None] = []
     placed: list[Placed] = []
-    n = 1  # the next free column; phi holds column 0
+    # The terms (column, 1) and (column, -1) of every column; phi is column 0.
+    up: list[tuple[int, Fraction]] = [(0, one)]
+    down: list[tuple[int, Fraction]] = [(0, minus)]
+
+    def fresh() -> int:
+        k = len(up)
+        up.append((k, one))
+        down.append((k, minus))
+        return k
 
     def col(s: int, e: int) -> int:
-        nonlocal n
         if cols[s][e] < 0:
-            cols[s][e], n = n, n + 1
+            cols[s][e] = fresh()
         return cols[s][e]
 
     def equality(row, negated, b) -> int:
         k = len(rows)
         rows.extend((row, negated))
         rhs.extend((b, -b if b else zero))
-        produced.append((k, k + 1))
+        halves.append(2)
         return k
 
     def inequality(terms, j: int, row: list) -> int:
-        """After ``row``, each (slot, entry at each point, coefficient) term at point j."""
+        """After ``row``, each (slot, entry at each point, unit terms) term at point j."""
         k = len(rows)
-        row += [(col(s, at[j]), coef) for s, at, coef in terms]
+        row += [unit[col(s, at[j])] for s, at, unit in terms]
         rows.append(tuple(sorted(row)))
         rhs.append(zero)
-        produced.append((k,))
+        halves.append(1)
         return k
 
     for block in blocks:
@@ -277,16 +334,16 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
             ties = []
             for e, q in enumerate(c.table):
                 if q and weight_cols[i] is None:
-                    weight_cols[i], n = n, n + 1
+                    weight_cols[i] = fresh()
                 j, w = col(i, e), weight_cols[i]
                 if q:
-                    ties.append(equality(((w, q), (j, minus)), ((w, -q), (j, one)), zero))
+                    ties.append(equality(((w, q), down[j]), ((w, -q), up[j]), zero))
                 else:
-                    ties.append(equality(((j, minus),), ((j, one),), zero))
+                    ties.append(equality((down[j],), (up[j],), zero))
             index.append(tuple(ties))
         for s, b in enumerate(block.b_fns, nc):
             pins = (
-                equality(((col(s, e), one),), ((col(s, e), minus),), v.unwrap()) if v.is_finite else None
+                equality((up[col(s, e)],), (down[col(s, e)],), v.unwrap()) if v.is_finite else None
                 for e, v in enumerate(b.table)
             )
             index.append(tuple(pins))
@@ -296,14 +353,15 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
         for r, rnd in enumerate(plan.rounds):
             slot, card = plan.inputs + r, plan.dims[rnd.var]
             points = range(len(cols[slot]) * card)
-            terms = [(slot, [j // card for j in points], minus)]
-            terms += [(s, g, one) for s, g in zip(rnd.dependents, rnd.gather)]
+            terms = [(slot, [j // card for j in points], down)]
+            terms += [(s, g, up) for s, g in zip(rnd.dependents, rnd.gather)]
             terms.sort(key=lambda term: key[term[0]])
             # A round nothing depends on has one row, -e <= 0, for all its points.
             dominance = tuple(inequality(terms, j, []) for j in (points if rnd.dependents else (0,)))
             index.append(dominance * (1 if rnd.dependents else card))
-        final = [(s, (0,), one) for s in sorted(plan.final, key=key.__getitem__)]
-        placed.append(Placed(cols, tuple(index), inequality(final, 0, [(0, minus)])))
+        final = [(s, (0,), up) for s in sorted(plan.final, key=key.__getitem__)]
+        placed.append(Placed(cols, tuple(index), inequality(final, 0, [down[0]])))
+    n = len(up)
 
     def names() -> list[LpVar]:
         out: list[LpVar] = [PHI] * n
@@ -317,12 +375,18 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
                     out[j] = FnVar(block.tag, fid, z)
         return out
 
+    def constraint_rows():
+        k = 0
+        for h in halves:
+            yield tuple(range(k, k + h))
+            k += h
+
     return FullLp(
         Deferred(n, names),
         tuple(rows),
         tuple(rhs),
         ((0, one),),
-        tuple(produced),
+        Deferred(len(halves), constraint_rows),
         tuple(weight_cols),
         tuple(placed),
     )

@@ -135,26 +135,40 @@ def _content_lines(path: str | Path) -> list[tuple[int, str]]:
 
 
 def read_lp(path: str | Path) -> Lp:
-    """Parse a program file back into constraints over opaque token names."""
+    """Parse a program file back into constraints over opaque token names.
+
+    Each distinct number token is parsed once per read.
+    """
     lines = _content_lines(path)
     if not lines or not lines[0][1].startswith("min "):
         raise InvalidInputError(f"{path}: expected a leading 'min <var>' line")
     objective = lines[0][1][4:].strip()
     if not objective or any(ch.isspace() for ch in objective):
         raise InvalidInputError(f"{path}: malformed objective {objective!r}")
+    numbers: dict[str, Fraction] = {}
+
+    def number(token: str) -> Fraction:
+        q = numbers.get(token)
+        if q is None:
+            try:
+                q = numbers[token] = parse_rational(token)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+        return q
+
     cons: list[Constraint] = []
     for lineno, text in lines[1:]:
         fields = text.split()
         kind = fields[0]
         if kind not in ("le", "eq") or len(fields) < 2:
             raise InvalidInputError(f"{path}:{lineno}: malformed row {text!r}")
-        rhs = parse_rational(fields[-1])
+        rhs = number(fields[-1])
         coefs: list[tuple[LpVar, Fraction]] = []
         for term in fields[1:-1]:
             name, sep, coef = term.rpartition(":")
             if not sep or not name:
                 raise InvalidInputError(f"{path}:{lineno}: malformed term {term!r}")
-            coefs.append((name, parse_rational(coef)))
+            coefs.append((name, number(coef)))
         try:
             cons.append(make_constraint(kind, coefs, rhs))
         except ValueError as exc:

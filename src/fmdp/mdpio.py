@@ -3,7 +3,9 @@
 Every number is written as a string and read back as an exact rational
 (``"9/10"``, ``"0.5"``, ``"3"``).  The reader checks the JSON's own types
 as it goes, then hands the built model to ``FactoredMdp.validate``; any
-problem raises ``InvalidInputError``.
+problem raises ``InvalidInputError``.  Value and action names must be
+``fmdp.policy.text_safe`` (no whitespace, no `;`), so that every policy
+of the model can be written as decision-list text and read back.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Mapping, Sequence
 from .errors import InvalidInputError
 from .factored import ScopedFn
 from .model import FactoredMdp
+from .policy import text_safe
 from .values import format_rational, parse_rational
 
 __all__ = ["load_mdp", "save_mdp", "mdp_to_json_dict", "mdp_from_json_dict"]
@@ -126,6 +129,11 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
     for i, dom in enumerate(domains):
         if len(set(dom)) != len(dom):
             raise InvalidInputError(f"model file: variable {i} repeats a value name")
+        for v in dom:
+            if not text_safe(v):
+                raise InvalidInputError(
+                    f"model file: variable {i} value {v!r} holds whitespace or ';'"
+                )
     n = need("n")
     if not _is_index(n) or n != len(domains):
         raise InvalidInputError(f"model file: n={n} but {len(domains)} domains given")
@@ -141,6 +149,8 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise InvalidInputError(f"model file: action {idx} needs a name string")
         name = entry["name"]
+        if not text_safe(name):
+            raise InvalidInputError(f"model file: action {name!r} holds whitespace or ';'")
         where = f"action {name!r}"
         names.append(name)
         trans_raw = entry.get("transitions")

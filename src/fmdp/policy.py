@@ -32,6 +32,7 @@ __all__ = [
     "select_action",
     "decision_list_to_text",
     "decision_list_from_text",
+    "text_safe",
 ]
 
 
@@ -132,19 +133,28 @@ def select_action(pol: DecisionList, x: PartialState) -> int:
 # -- text format ----------------------------------------------------------
 
 
+def text_safe(name: str) -> bool:
+    """Whether a value or action name survives the decision-list text:
+    fields split on `;` and variable pairs on whitespace."""
+    return not any(ch == ";" or ch.isspace() for ch in name)
+
+
 def decision_list_to_text(mdp: FactoredMdp, pol: DecisionList) -> str:
     """One line per branch: `var=value pairs ; action name ; bonus`.
 
-    The fallback's empty partial state shows as an empty first field.
+    The fallback's empty partial state shows as an empty first field.  A
+    name that is not ``text_safe`` could not be read back, so it raises.
     """
     lines = []
     for br in pol.branches:
-        t_part = " ".join(
-            f"{v}={mdp.domains[v][val]}" for v, val in br.t.items
-        )
-        lines.append(
-            f"{t_part} ; {mdp.actions[br.action]} ; {format_rational(br.bonus)}"
-        )
+        names = [mdp.domains[v][val] for v, val in br.t.items] + [mdp.actions[br.action]]
+        bad = [name for name in names if not text_safe(name)]
+        if bad:
+            raise InvalidInputError(
+                f"name {bad[0]!r} cannot be written: it holds whitespace or ';'"
+            )
+        t_part = " ".join(f"{v}={name}" for (v, _), name in zip(br.t.items, names))
+        lines.append(f"{t_part} ; {names[-1]} ; {format_rational(br.bonus)}")
     return "\n".join(lines) + "\n"
 
 
@@ -170,6 +180,10 @@ def decision_list_from_text(mdp: FactoredMdp, text: str) -> DecisionList:
             if not (0 <= var < mdp.n) or val_name not in mdp.domains[var]:
                 raise InvalidInputError(
                     f"decision list line {line_no}: {token!r} does not name a value"
+                )
+            if var in entries:
+                raise InvalidInputError(
+                    f"decision list line {line_no}: variable {var} assigned twice"
                 )
             entries[var] = mdp.domains[var].index(val_name)
         if action_name not in mdp.actions:

@@ -3,12 +3,15 @@
 The full program per branch block is far too wide to hand a dense solver,
 but its projection onto (phi, w) is what actually matters.  So a small
 master program over (phi, w) collects one cut per violated block per
-round: pricing a block at the master optimum is a numeric elimination
+round: pricing a block at the master optimum is an integer elimination
 sweep over the block's own plan, and its argmax yields the affine
-inequality the master was missing.  A box trust region keeps the early
-masters bounded; whenever a box row carries positive dual weight at
-convergence the box grows and pricing resumes, since a binding box could
-be hiding the true optimum.
+inequality the master was missing.  Each block's integer image
+(``fmdp.lpbuild.TagBlock.ints``) is built once per fit and dropped before
+the full program is assembled; a shadowed block has none and is never
+priced, since it prices to minus infinity at every w.  A box trust region
+keeps the early masters bounded; whenever a box row carries positive dual
+weight at convergence the box grows and pricing resumes, since a binding
+box could be hiding the true optimum.
 
 Convergence alone is not trusted.  Each block's elimination plan
 (``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
@@ -16,15 +19,15 @@ source of its schedule, and both halves of the certificate interpret it.
 The finished point is lifted to a full primal solution by one sweep of
 each plan over exact rationals.  Unpinned (minus infinity) entries take
 the stand-in -reach, with reach = |phi| + 1 + each summand's largest
-finite magnitude at w: an assignment meeting a stand-in totals at most
--|phi| - 1, any other totals its priced value, which the last pricing
-round found <= phi, so every summary row holds.  The master
-duals are propagated backwards through the plan's rounds along each
-cut's argmax path into a full dual vector.  Both vectors are written by
-position: ``assemble_lp`` builds the complete standard form directly and
-records, per block and plan slot, the column of every entry and the row
-at every entry or round point (``fmdp.lpbuild.Placed``), so no variable
-is named on the way.  The pair must then survive ``check_optimality`` on
+finite magnitude at w (|w_i| times the largest |c_i| for a weighted one):
+an assignment meeting a stand-in totals at most -|phi| - 1, any other
+totals its priced value, which the last pricing round found <= phi, so
+every summary row holds.  The master duals are propagated backwards
+through the plan's rounds along each cut's argmax path into a full dual
+vector.  Both vectors are written by position: ``assemble_lp`` builds the
+complete standard form directly and records, per block and plan slot, the
+column of every entry and the row at every entry or round point
+(``fmdp.lpbuild.Placed``), so no variable is named on the way.  The pair must then survive ``check_optimality`` on
 that standard form; anything less raises ``LpInternalError``.
 """
 
@@ -41,7 +44,7 @@ from .errors import LpInternalError
 from .factored import PartialState
 from .lp import PHI, Optimal, StdLp, Weight, named_lp
 from .lp import to_standard_form  # unused here; perfbench/tracer.py patches this name
-from .lpbuild import FullLp, TagBlock, assemble_lp, weight_lp_blocks
+from .lpbuild import FullLp, IntBlock, TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
@@ -63,8 +66,10 @@ class _Cut:
     beta: Fraction
 
 
-def _price(block: TagBlock, w: Sequence[Fraction], order, dims) -> tuple[ExtReal, PartialState]:
-    return max_sum_decode(block.at(w), order, dims, block.plan)
+def _price(
+    block: TagBlock, image: IntBlock, w: Sequence[Fraction], order, dims
+) -> tuple[ExtReal, PartialState]:
+    return max_sum_decode(image.at(w), order, dims, block.plan)
 
 
 def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:
@@ -106,6 +111,7 @@ def update_weights(
     m = len(mdp.basis)
     started = time.perf_counter()
     blocks = weight_lp_blocks(mdp, pol, order)
+    live = [(i, b, image) for i, b in enumerate(blocks) if (image := b.ints()) is not None]
 
     cuts: dict[tuple, _Cut] = {}
 
@@ -114,8 +120,8 @@ def update_weights(
         cuts.setdefault((cut.alpha, cut.beta), cut)
 
     zero = tuple(Fraction(0) for _ in range(m))
-    for idx, block in enumerate(blocks):
-        value, witness = _price(block, zero, order, dims)
+    for idx, block, image in live:
+        value, witness = _price(block, image, zero, order, dims)
         if value.is_finite:
             consider(idx, witness)
     if not cuts:
@@ -140,8 +146,8 @@ def update_weights(
         phi, w = cert.primal[0], cert.primal[1:]
         # Two blocks may yield one new cut; a cut the master holds is never violated.
         known, violated = len(cuts), False
-        for idx, block in enumerate(blocks):
-            value, witness = _price(block, w, order, dims)
+        for idx, block, image in live:
+            value, witness = _price(block, image, w, order, dims)
             if value > fin(phi):
                 consider(idx, witness)
                 violated = True
@@ -159,6 +165,7 @@ def update_weights(
         cut_duals = tuple(cert.dual[2 * m + k] for k in range(len(cuts)))
         break
 
+    del live  # the integer images are not needed past pricing
     std = assemble_lp(blocks)
     primal = _complete_primal(std, blocks, phi, w)
     dual = _lift_dual(std, blocks, cuts.values(), cut_duals)
@@ -191,7 +198,7 @@ def _block_tables(
     """
     reach = abs(phi) + 1
     for wi, c in zip(w, block.c_fns):
-        reach += max((abs(wi * q) for q in c.table), default=Fraction(0))
+        reach += abs(wi) * max(map(abs, c.table), default=0)
     for b in block.b_fns:
         reach += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
     stand_in = -reach

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fmdp.factored import ScopedFn, assignments, consistent, instantiate
+from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import PHI, FnId, FnVar, Lp, Weight, make_constraint
 from fmdp.model import FactoredMdp
-from fmdp.values import NEG_INF, fin
+from fmdp.values import NEG_INF, ext_sum, fin
 
 
 def random_ext_table_fns(
@@ -156,6 +156,24 @@ def reference_difference_fns(mdp, t, a):
         )
         out.append(instantiate(joint, t))
     return tuple(out)
+
+
+def reference_at(block, w):
+    """A block's summands at ``w`` as extended-real tables, in plan order:
+    each weighted summand scaled by its w_i, then the constant ones."""
+    scaled = [c.map_table(lambda q, wi=wi: fin(wi * q)) for wi, c in zip(w, block.c_fns)]
+    return scaled + list(block.b_fns)
+
+
+def reference_max_sum_decode(fns, plan):
+    """The extended-real elimination sweep: ``fmdp.elim.max_sum_decode``
+    as first written, before families were scaled to integers."""
+    tables, choices = plan.sweep([f.table for f in fns], fin(0))
+    value = ext_sum(tables[s][0] for s in plan.final)
+    x = [0] * len(plan.dims)
+    for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
+        x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]
+    return value, PartialState(tuple(enumerate(x)))
 
 
 def reference_fn_vars(block):

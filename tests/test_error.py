@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SMALL, explicit_branch_sup, models, reference_indicator_fns
+from helpers import SMALL, explicit_branch_sup, models, reference_at, reference_indicator_fns
 
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
@@ -40,7 +40,7 @@ def random_weights(rng, m):
 def priced_branch(mdp, w, t, a, ts, order):
     """The branch error read off the ``branch_lp`` pair priced at ``w``."""
     pair = branch_lp(mdp, t, a, tuple(ts), order)
-    return max(max_sum(block.at(w), order, mdp.dims, block.plan) for block in pair)
+    return max(max_sum(reference_at(block, w), order, mdp.dims, block.plan) for block in pair)
 
 
 def test_indicator_fns_shapes():
@@ -99,8 +99,8 @@ def test_block_summands_sum_to_q_minus_nu():
                     if not consistent(x, tp) or consistent(x, ts[0]):
                         continue
                     gap = mdp.q_value(w, a, x) - mdp.nu_w(w, x)
-                    assert ext_sum(f(x) for f in neg.at(w)) == fin(gap)
-                    assert ext_sum(f(x) for f in pos.at(w)) == fin(-gap)
+                    assert ext_sum(f(x) for f in reference_at(neg, w)) == fin(gap)
+                    assert ext_sum(f(x) for f in reference_at(pos, w)) == fin(-gap)
 
 
 def test_branch_error_zero_weights_default():

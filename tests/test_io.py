@@ -1,5 +1,6 @@
 """Round trips through the program and certificate text formats."""
 
+import importlib
 import random
 import re
 from fractions import Fraction
@@ -26,6 +27,8 @@ from fmdp.lp import (
 )
 from fmdp.lpio import read_certificate, read_lp, variable_tokens, write_certificate, write_lp
 from fmdp.simplex import solve_lp
+
+lpio_module = importlib.import_module("fmdp.lpio")
 
 
 def _tokenized_rows(std, tokens):
@@ -171,3 +174,25 @@ def test_certificate_reader_rejects_malformed_input(tmp_path):
         load("optimal\nprimal\nx 1\n")
     with pytest.raises(InvalidInputError, match="needs point and ray"):
         load("unbounded\npoint\n")
+
+
+def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeypatch):
+    path = tmp_path / "nums.lp"
+    path.write_text("min x\nle x:1/2 y:3 1/2\neq y:3 x:-1 0\nle x:1/2 3\n")
+    parsed = []
+    original = lpio_module.parse_rational
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(lpio_module, "parse_rational", counting)
+    lp = read_lp(path)
+    assert sorted(parsed) == sorted({"1/2", "3", "-1", "0"})
+    assert [con.rhs for con in lp.constraints] == [Fraction(1, 2), 0, 3]
+    path.write_text("min x\nle x:1 2\n\nle x:1/2 y:three 1\n")
+    with pytest.raises(InvalidInputError, match=r"nums\.lp:4: not a rational: 'three'"):
+        read_lp(path)
+    path.write_text("min x\nle x:1 2/0\n")
+    with pytest.raises(InvalidInputError, match=r"nums\.lp:2: not a rational: '2/0'"):
+        read_lp(path)

@@ -14,6 +14,7 @@ from helpers import (
     explicit_branch_sup,
     models,
     random_rational_fn,
+    reference_at,
     reference_difference_fns,
     reference_fn_vars,
     reference_weight_lp,
@@ -170,7 +171,7 @@ def test_branch_pair_recovers_branch_error():
             cert = solve_lp(std)
             assert isinstance(cert, Optimal)
             half = fin(cert.primal[std.col_of[PHI]])
-            assert half == max_sum(block.at(w), order, mdp.dims, block.plan)
+            assert half == max_sum(reference_at(block, w), order, mdp.dims, block.plan)
             halves.append(half)
         assert max(halves) == fin(explicit_branch_sup(mdp, w, t, a, ts))
 

@@ -526,3 +526,29 @@ def test_load_rejects_non_json(tmp_path):
 )
 def test_validate_reports_a_mistyped_field(field, value, want):
     assert dataclasses.replace(make_ring(2), **{field: value}).validate() == [want]
+
+
+def _value_named(bad):
+    def corrupt(data):
+        data["domains"][0][1] = bad
+
+    return corrupt
+
+
+def _action_named(bad):
+    def corrupt(data):
+        old = data["actions"][1]["name"]
+        data["actions"][1]["name"] = bad
+        data["effects"][bad] = data["effects"].pop(old)
+
+    return corrupt
+
+
+@pytest.mark.parametrize("bad", ["two words", "semi;colon", "new\nline"])
+@pytest.mark.parametrize("where", [_value_named, _action_named], ids=["value", "action"])
+def test_load_rejects_names_a_policy_file_could_not_carry(where, bad):
+    # Such a model would solve, but its policy text could not be read back.
+    data = mdp_to_json_dict(make_ring(1))
+    where(bad)(data)
+    with pytest.raises(InvalidInputError, match="whitespace or ';'"):
+        mdp_from_json_dict(data)

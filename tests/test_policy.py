@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, restrict
@@ -20,6 +22,7 @@ from fmdp.policy import (
     relevant_basis,
     scope_T,
     select_action,
+    text_safe,
 )
 
 W, B = 0, 1
@@ -219,3 +222,56 @@ def test_decision_list_text_errors():
         decision_list_from_text(mdp, "0=W ; dance ; 1\n")
     with pytest.raises(InvalidInputError):
         decision_list_from_text(mdp, "5=W ; restart_0 ; 1\n")
+
+
+def test_decision_list_text_rejects_a_variable_assigned_twice():
+    mdp = make_ring(1)
+    with pytest.raises(InvalidInputError, match="variable 0 assigned twice"):
+        decision_list_from_text(mdp, "0=W 0=B ; noop ; 0\n")
+    with pytest.raises(InvalidInputError, match="assigned twice"):
+        decision_list_from_text(mdp, "0=W 0=W ; noop ; 0\n")
+
+
+@pytest.mark.parametrize("bad", ["two words", "semi;colon", "tab\there", " padded"])
+@pytest.mark.parametrize("where", ["value", "action"])
+def test_decision_list_text_refuses_names_it_could_not_read_back(where, bad):
+    mdp = make_ring(1)
+    if where == "value":
+        mdp = dataclasses.replace(mdp, domains=(("W", bad),))
+        pol = DecisionList((Branch(PartialState.of({0: 1}), 1, F(1)), Branch(EMPTY_STATE, 0, F(0))))
+    else:
+        mdp = dataclasses.replace(mdp, actions=("noop", bad))
+        pol = DecisionList((Branch(PartialState.of({0: 0}), 1, F(1)), Branch(EMPTY_STATE, 0, F(0))))
+    assert not text_safe(bad)
+    with pytest.raises(InvalidInputError, match="cannot be written"):
+        decision_list_to_text(mdp, pol)
+
+
+_NAME = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4).filter(text_safe)
+
+
+@st.composite
+def _named_lists(draw):
+    """A model with arbitrary text-safe names and a decision list over it."""
+    n = draw(st.integers(1, 3))
+    domains = tuple(
+        tuple(draw(st.lists(_NAME, min_size=1, max_size=3, unique=True))) for _ in range(n)
+    )
+    actions = tuple(draw(st.lists(_NAME, min_size=1, max_size=3, unique=True)))
+    mdp = dataclasses.replace(make_ring(1), domains=domains, actions=actions)
+    branch = st.builds(
+        Branch,
+        st.dictionaries(
+            st.integers(0, n - 1), st.integers(0, 2), max_size=n
+        ).map(lambda t: PartialState.of({v: val % len(domains[v]) for v, val in t.items()})),
+        st.integers(0, len(actions) - 1),
+        st.builds(F, st.integers(-50, 50), st.integers(1, 9)),
+    )
+    return mdp, DecisionList(tuple(draw(st.lists(branch, max_size=5))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_named_lists())
+def test_decision_list_text_round_trips(case):
+    mdp, pol = case
+    assert decision_list_from_text(mdp, decision_list_to_text(mdp, pol)) == pol

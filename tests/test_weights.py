@@ -1,23 +1,30 @@
 """Weight fitting: hand optima, oracle agreement, and certified exactness."""
 
 import dataclasses
+import importlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from helpers import reference_weight_lp
 
+from fmdp.api import ApiConfig, api
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order
 from fmdp.error import factored_bellman_err
-from fmdp.factored import EMPTY_STATE, ScopedFn
+from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import weight_lp, weight_lp_blocks
+from fmdp.lpbuild import assemble_lp, weight_lp, weight_lp_blocks
 from fmdp.lpio import write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_weight_lp, policy_value
-from fmdp.policy import DecisionList, greedy_decision_list
+from fmdp.policy import Branch, DecisionList, greedy_decision_list
 from fmdp.simplex import solve_lp
 from fmdp.weights import _Cut, _master_std, update_weights
+
+weights_module = importlib.import_module("fmdp.weights")
+error_module = importlib.import_module("fmdp.error")
 
 
 def _default_pol(mdp):
@@ -193,3 +200,56 @@ def test_master_is_the_standard_form_of_its_named_program():
             direct, named = _master_std(m, box, cuts), _named_master(m, box, cuts)
             assert direct == named
             assert direct.col_of == named.col_of
+
+
+def test_shadowed_blocks_are_never_priced_but_keep_their_rows(monkeypatch):
+    # Branch {0=B, 1=B} extends the earlier {0=B}: it handles no state, so
+    # its pair prices to minus infinity at every w and is never swept,
+    # neither by the fit nor by the error, while the full program keeps
+    # its rows.
+    mdp = make_ring(2)
+    order = identity_order(2)
+    early, late = PartialState.of({0: 1}), PartialState.of({0: 1, 1: 1})
+    pol = DecisionList(
+        (Branch(early, 1, Fraction(2)), Branch(late, 2, Fraction(1)), Branch(EMPTY_STATE, 0, Fraction(0)))
+    )
+    blocks = weight_lp_blocks(mdp, pol, order)
+    shadowed = [block for block in blocks if block.tag.t == late]
+    assert len(shadowed) == 2 and all(block.ints() is None for block in shadowed)
+    assert sum(block.ints() is None for block in blocks) == 2
+    swept = []
+
+    def counting(original):
+        def wrapper(fs, order, dims, plan=None):
+            swept.append(plan)
+            return original(fs, order, dims, plan)
+
+        return wrapper
+
+    monkeypatch.setattr(weights_module, "max_sum_decode", counting(weights_module.max_sum_decode))
+    monkeypatch.setattr(error_module, "max_sum", counting(error_module.max_sum))
+    trace: dict = {}
+    w, phi = update_weights(mdp, pol, order, trace=trace)
+    fitted = len(swept)
+    err = factored_bellman_err(mdp, w, pol, order)
+    assert len(swept) - fitted == len(blocks) - 2
+    assert fitted == (trace["rounds"] + 1) * (len(blocks) - 2)
+    assert all(plan is not shadowed[0].plan for plan in swept)
+    assert err == phi
+    # The shadowed pair's rows are still assembled, block for block.
+    assert len(trace["std"].placed) == len(blocks)
+    assert trace["std"] == assemble_lp(blocks)
+    assert trace["lp"].constraints == reference_weight_lp(blocks).constraints
+
+
+def test_sysadmin3_final_list_shadows_108_of_164_blocks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    spec = importlib.util.spec_from_file_location("perfbench_models", path)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    mdp = models.sysadmin_mdp(3, models.sysadmin_params(None))
+    order = elimination_order(mdp, "min-degree")
+    res = api(mdp, ApiConfig(order=order))
+    blocks = weight_lp_blocks(mdp, res.pol, order)
+    assert len(blocks) == 164
+    assert sum(block.ints() is None for block in blocks) == 108
