@@ -22,27 +22,64 @@ with ``x_j = 0`` is left out of its row sum, and a row with ``y_i = 0``
 is left out of ``A^T y`` and ``b^T y``.  Adding a zero product is exact,
 so no verdict depends on it.  Every row is still compared, so a row that
 touches no nonzero entry is tested as ``0 <= b_i``.
+
+Every vector a check takes may be a ``Fraction`` sequence or an
+``IntVector``, integer numerators over one positive denominator.  The
+integer backend reads an ``IntVector`` as it stands, with no ``Fraction``
+and no lcm; ``fmdp.weights`` hands its full primal over in this form.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Sequence, Union
 
 from .errors import InvalidInputError
 from .lp import StdLp
 
-__all__ = ["check_optimality", "check_infeasible", "check_unbounded"]
+__all__ = ["IntVector", "check_optimality", "check_infeasible", "check_unbounded"]
 
 
-def _require_len(name: str, vec: Sequence, want: int) -> None:
+@dataclass(frozen=True, slots=True)
+class IntVector:
+    """A rational vector as integers over one denominator: entry ``k`` is
+    ``nums[k] / den``.  The checks require ``den > 0``."""
+
+    nums: Sequence[int]
+    den: int
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def fractions(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction``s, one object per distinct value."""
+        made = {n: Fraction(n, self.den) for n in set(self.nums)}
+        return tuple(map(made.__getitem__, self.nums))
+
+
+Vector = Union[Sequence[Fraction], IntVector]
+
+
+def _require_len(name: str, vec: Vector, want: int) -> None:
+    if isinstance(vec, IntVector) and not (isinstance(vec.den, int) and vec.den > 0):
+        raise InvalidInputError(f"{name} has denominator {vec.den!r}, expected a positive integer")
     if len(vec) != want:
         raise InvalidInputError(f"{name} has length {len(vec)}, expected {want}")
 
 
-def _has_negative(vec: Sequence[Fraction]) -> bool:
+def _has_negative(vec: Vector) -> bool:
+    if isinstance(vec, IntVector):
+        return any(n < 0 for n in vec.nums)
     return any(q.numerator < 0 for q in vec)
+
+
+def _nonzero(vec: Vector) -> list[tuple[int, int, int]]:
+    """``(k, numerator, denominator)`` of every nonzero entry."""
+    if isinstance(vec, IntVector):
+        return [(k, n, vec.den) for k, n in enumerate(vec.nums) if n]
+    return [(k, *q.as_integer_ratio()) for k, q in enumerate(vec) if q.numerator]
 
 
 # -- integer backend -----------------------------------------------------------
@@ -63,13 +100,15 @@ def _scaled_objective(std: StdLp) -> tuple[dict[int, int], int]:
     return c, scale
 
 
-def _over_one_denominator(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+def _over_one_denominator(vec: Vector) -> tuple[Sequence[int], int]:
     """Integers ``n_k`` and one ``d > 0`` with ``vec[k] = n_k / d``."""
+    if isinstance(vec, IntVector):
+        return vec.nums, vec.den
     d = lcm(*{q.denominator for q in vec if q.numerator})
     return [q.numerator * (d // q.denominator) for q in vec], d
 
 
-def _rows_hold(std: StdLp, x: list[int], rhs_scale: int) -> bool:
+def _rows_hold(std: StdLp, x: Sequence[int], rhs_scale: int) -> bool:
     """``A x <= b * rhs_scale`` for every row, where ``x`` holds integers;
     a row is scaled to integers only where it meets a nonzero ``x_j``."""
     for sparse, b in zip(std.rows, std.rhs):
@@ -85,20 +124,19 @@ def _rows_hold(std: StdLp, x: list[int], rhs_scale: int) -> bool:
     return True
 
 
-def _scaled_dual(std: StdLp, y: Sequence[Fraction]) -> tuple[list, int]:
+def _scaled_dual(std: StdLp, y: Vector) -> tuple[list, int]:
     """The rows with ``y_i != 0`` scaled to integers by ``L_i``, each with
     its scaled right-hand side and the integer ``z_i`` of ``y_i / L_i = z_i / d``,
     plus ``d > 0``."""
     live = []
-    for sparse, b, yi in zip(std.rows, std.rhs, y):
-        if yi.numerator:
-            live.append((sparse, b, yi, _row_scale(sparse, b)))
-    d = lcm(*{yi.denominator * scale for _, _, yi, scale in live})
+    for i, n, dy in _nonzero(y):
+        sparse, b = std.rows[i], std.rhs[i]
+        live.append((sparse, b, n, dy, _row_scale(sparse, b)))
+    d = lcm(*{dy * scale for _, _, _, dy, scale in live})
     out = []
-    for sparse, b, yi, scale in live:
+    for sparse, b, n, dy, scale in live:
         row = [(j, q.numerator * (scale // q.denominator)) for j, q in sparse]
-        z = yi.numerator * (d // (yi.denominator * scale))
-        out.append((row, b.numerator * (scale // b.denominator), z))
+        out.append((row, b.numerator * (scale // b.denominator), n * (d // (dy * scale))))
     return out, d
 
 
@@ -152,7 +190,9 @@ def _unbounded_int(std: StdLp, point, ray) -> bool:
 _ZERO = (0, 1)
 
 
-def _pairs(vec: Sequence[Fraction]) -> list[tuple[int, int]]:
+def _pairs(vec: Vector) -> list[tuple[int, int]]:
+    if isinstance(vec, IntVector):
+        return [(n, vec.den) for n in vec.nums]
     return [(q.numerator, q.denominator) for q in vec]
 
 
@@ -232,8 +272,8 @@ def _unbounded_raw(std: StdLp, point, ray) -> bool:
 
 def check_optimality(
     std: StdLp,
-    primal: Sequence[Fraction],
-    dual: Sequence[Fraction],
+    primal: Vector,
+    dual: Vector,
     *,
     normalized: bool = True,
 ) -> bool:
@@ -254,7 +294,7 @@ def check_optimality(
 
 def check_infeasible(
     std: StdLp,
-    farkas: Sequence[Fraction],
+    farkas: Vector,
     *,
     normalized: bool = True,
 ) -> bool:
@@ -269,8 +309,8 @@ def check_infeasible(
 
 def check_unbounded(
     std: StdLp,
-    point: Sequence[Fraction],
-    ray: Sequence[Fraction],
+    point: Vector,
+    ray: Vector,
     *,
     normalized: bool = True,
 ) -> bool:

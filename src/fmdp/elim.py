@@ -18,8 +18,9 @@ tables directly instead of assembling partial states.  The interpreters:
   ``ScopedFn`` tables is converted once on entry (``Scaled.of``);
   ``fmdp.lpbuild.IntBlock.at`` builds a block's family at w directly;
 * ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
-* ``fmdp.weights``, which sweeps exact rationals to complete a primal
-  solution and walks the rounds backwards to lift a dual one.
+* ``fmdp.weights``, which sweeps integers over one denominator to
+  complete a primal solution and walks the rounds backwards to lift a
+  dual one.
 
 ``explicit_max`` is the deliberately inefficient reference that enumerates
 every full state; tests hold the two implementations against each other.

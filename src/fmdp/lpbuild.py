@@ -15,8 +15,9 @@ prices blocks for cuts and ``fmdp.error`` for the Bellman error;
 cache, so both share one build.
 
 Pricing reads a block through its integer image (``TagBlock.ints``, built
-once per fit or error call and then dropped): every table over one lcm
-denominator, minus infinity as ``None`` and the empty-scope constants
+once per policy by ``block_images``, handed from the error to the fit of
+that policy, and dropped once the fit has priced): every table over one
+lcm denominator, minus infinity as ``None`` and the empty-scope constants
 folded into one offset; ``IntBlock.at(w)`` scales it to the
 ``fmdp.elim.Scaled`` family the elimination kernel sweeps.  A block that
 an earlier branch state subsumes (an empty-scope indicator, minus
@@ -36,7 +37,7 @@ sum to at most phi.  A block that is only priced never builds rows.
 straight into standard form: a private variable is a column number in
 one integer array per plan slot, and each block's ``Placed`` record keeps
 those arrays and the row at each table entry or round point, through
-which ``fmdp.weights`` fills its primal and lifts its dual.  Names (the
+which ``fmdp.weights`` writes its integer primal and lifts its dual.  Names (the
 ``FnVar`` columns and ``weight_lp``'s named rows) are made only when
 read, to write an LP or certificate file.
 """
@@ -58,7 +59,7 @@ from .policy import DecisionList
 from .values import NEG_INF, fin
 
 __all__ = ["TagBlock", "IntBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
-__all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
+__all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp", "block_images"]
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,11 @@ class IntBlock:
             else:
                 tables.append(t if scale == 1 else list(map(scale.__mul__, t)))
         return Scaled(tuple(tables), self.den * scale, self.offset * scale, bound)
+
+
+def block_images(blocks: Sequence[TagBlock]) -> list[tuple[int, TagBlock, IntBlock]]:
+    """Every block that has an integer image, with its index and the image."""
+    return [(i, b, image) for i, b in enumerate(blocks) if (image := b.ints()) is not None]
 
 
 def min_lp(

@@ -6,7 +6,8 @@ master program over (phi, w) collects one cut per violated block per
 round: pricing a block at the master optimum is an integer elimination
 sweep over the block's own plan, and its argmax yields the affine
 inequality the master was missing.  Each block's integer image
-(``fmdp.lpbuild.TagBlock.ints``) is built once per fit and dropped before
+(``fmdp.lpbuild.TagBlock.ints``) is built once per policy, by this fit or
+by the Bellman error that hands it over (``images``), and dropped before
 the full program is assembled; a shadowed block has none and is never
 priced, since it prices to minus infinity at every w.  A box trust region
 keeps the early masters bounded; whenever a box row carries positive dual
@@ -16,9 +17,12 @@ box could be hiding the true optimum.
 Convergence alone is not trusted.  Each block's elimination plan
 (``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
 source of its schedule, and both halves of the certificate interpret it.
-The finished point is lifted to a full primal solution by one sweep of
-each plan over exact rationals.  Unpinned (minus infinity) entries take
-the stand-in -reach, with reach = |phi| + 1 + each summand's largest
+The finished point is lifted to a full primal solution by one integer
+sweep of each plan, every value over one denominator D fixed up front:
+the lcm of phi's denominator and of lcm(w) times each block's table
+denominator.  Blocks are converted and swept one at a time, so only one
+block's integer tables exist at once.  Unpinned (minus infinity) entries
+take the stand-in -reach, with reach = |phi| + 1 + each summand's largest
 finite magnitude at w (|w_i| times the largest |c_i| for a weighted one):
 an assignment meeting a stand-in totals at most -|phi| - 1, any other
 totals its priced value, which the last pricing round found <= phi, so
@@ -27,8 +31,11 @@ through the plan's rounds along each cut's argmax path into a full dual
 vector.  Both vectors are written by position: ``assemble_lp`` builds the
 complete standard form directly and records, per block and plan slot, the
 column of every entry and the row at every entry or round point
-(``fmdp.lpbuild.Placed``), so no variable is named on the way.  The pair must then survive ``check_optimality`` on
-that standard form; anything less raises ``LpInternalError``.
+(``fmdp.lpbuild.Placed``), so no variable is named on the way.  The pair
+must then survive ``check_optimality`` on that standard form, the primal
+as an ``fmdp.certify.IntVector`` of numerators over D; anything less
+raises ``LpInternalError``.  The primal becomes ``Fraction``s only for a
+traced certificate, one object per distinct value.
 """
 
 from __future__ import annotations
@@ -36,19 +43,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Collection, Iterable, Sequence
 
-from .certify import check_optimality
+from .certify import IntVector, check_optimality
 from .elim import identity_order, max_sum_decode
 from .errors import LpInternalError
 from .factored import PartialState
 from .lp import PHI, Optimal, StdLp, Weight, named_lp
 from .lp import to_standard_form  # unused here; perfbench/tracer.py patches this name
-from .lpbuild import FullLp, IntBlock, TagBlock, assemble_lp, weight_lp_blocks
+from .lpbuild import FullLp, IntBlock, TagBlock, assemble_lp, block_images, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
-from .values import ExtReal, ext_sum, fin
+from .values import NEG_INF, ExtReal, ext_sum, fin
 
 __all__ = ["update_weights"]
 
@@ -98,11 +106,15 @@ def update_weights(
     order: Sequence[int] | None = None,
     *,
     trace: dict | None = None,
+    images: list | None = None,
 ) -> tuple[Weights, Fraction]:
     """Best linear value weights for a fixed decision list.
 
     Returns the minimizing weights together with the optimal bound phi.
     The result is exact and certified; see the module notes for how.
+    ``images`` may carry the integer images ``factored_bellman_err`` left
+    for this policy's blocks; they are taken out of it and used in place
+    of new ones.
     """
     if order is None:
         order = identity_order(len(mdp.dims))
@@ -111,19 +123,23 @@ def update_weights(
     m = len(mdp.basis)
     started = time.perf_counter()
     blocks = weight_lp_blocks(mdp, pol, order)
-    live = [(i, b, image) for i, b in enumerate(blocks) if (image := b.ints()) is not None]
+    live = _taken_images(images, blocks)
 
     cuts: dict[tuple, _Cut] = {}
 
-    def consider(idx: int, witness: PartialState) -> None:
-        cut = _cut_at(idx, blocks[idx], witness)
-        cuts.setdefault((cut.alpha, cut.beta), cut)
+    def cut_above(w: Sequence[Fraction], floor: ExtReal) -> bool:
+        """Keep the cut of every block that prices above ``floor`` at ``w``;
+        whether there was one.  No image outlives the call in a local."""
+        found = False
+        for idx, block, image in live:
+            value, witness = _price(block, image, w, order, dims)
+            if value > floor:
+                cut = _cut_at(idx, block, witness)
+                cuts.setdefault((cut.alpha, cut.beta), cut)
+                found = True
+        return found
 
-    zero = tuple(Fraction(0) for _ in range(m))
-    for idx, block, image in live:
-        value, witness = _price(block, image, zero, order, dims)
-        if value.is_finite:
-            consider(idx, witness)
+    cut_above(tuple(Fraction(0) for _ in range(m)), NEG_INF)
     if not cuts:
         raise LpInternalError("no branch block admits any state")
 
@@ -145,13 +161,8 @@ def update_weights(
             raise LpInternalError("master certificate failed verification")
         phi, w = cert.primal[0], cert.primal[1:]
         # Two blocks may yield one new cut; a cut the master holds is never violated.
-        known, violated = len(cuts), False
-        for idx, block, image in live:
-            value, witness = _price(block, image, w, order, dims)
-            if value > fin(phi):
-                consider(idx, witness)
-                violated = True
-        if violated:
+        known = len(cuts)
+        if cut_above(w, fin(phi)):
             if len(cuts) == known:
                 raise LpInternalError("violated blocks repeated existing cuts")
             continue
@@ -181,33 +192,52 @@ def update_weights(
         trace["lp_rows"] = std.num_rows
         trace["lp_cols"] = std.num_cols
         trace["lp_seconds"] = lp_seconds
-        trace["certificate"] = Optimal(primal, dual)
+        trace["certificate"] = Optimal(primal.fractions(), dual)
         trace["std"] = std
         trace["lp"] = named_lp(std, PHI)
     return w, phi
 
 
-def _block_tables(
-    block: TagBlock, w: Sequence[Fraction], phi: Fraction
-) -> list[tuple[Fraction, ...]]:
-    """Exact values for every private variable of one block, one table
-    per plan slot, from a single sweep.
+def _taken_images(
+    images: list | None, blocks: tuple[TagBlock, ...]
+) -> list[tuple[int, TagBlock, IntBlock]]:
+    """The images ``images`` holds for these very blocks, taken out of it,
+    or else new ones."""
+    if images:
+        held, live = images.pop()
+        if held is blocks:
+            return live
+    return block_images(blocks)
 
-    Entries that the program leaves unpinned take a stand-in far below
-    everything finite (see the module notes for why one sweep suffices).
+
+def _block_tables(
+    block: TagBlock, a: Sequence[int], steps: dict[int, int], pins: dict[int, int], top: int
+) -> list[tuple[int, ...]]:
+    """Every private variable of one block over the primal's denominator
+    D, one table per plan slot, from a single sweep.
+
+    ``a`` holds w over lcm(w); a weighted entry n/d becomes
+    ``a_i * n * steps[d]`` and a constant one ``n * pins[d]``.  Entries
+    that the program leaves unpinned take a stand-in far below everything
+    finite (see the module notes for why one sweep suffices); ``top`` is
+    phi over D.
     """
-    reach = abs(phi) + 1
-    for wi, c in zip(w, block.c_fns):
-        reach += abs(wi) * max(map(abs, c.table), default=0)
+    reach = abs(top) + pins[1]  # |phi| + 1, over D
+    weighted, pinned = [], []
+    for ai, c in zip(a, block.c_fns):
+        table = [ai * n * steps[d] for n, d in (q.as_integer_ratio() for q in c.table)]
+        reach += max(map(abs, table), default=0)
+        weighted.append(table)
     for b in block.b_fns:
-        reach += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
-    stand_in = -reach
-    weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, block.c_fns)]
-    pinned = [tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in block.b_fns]
-    tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
-    if sum((tables[s][0] for s in block.plan.final), Fraction(0)) > phi:
+        ratios = (None if v.finite is None else v.finite.as_integer_ratio() for v in b.table)
+        table = [None if r is None else r[0] * pins[r[1]] for r in ratios]
+        reach += max(map(abs, filter(None, table)), default=0)
+        pinned.append(table)
+    weighted += [[-reach if n is None else n for n in t] if None in t else t for t in pinned]
+    swept, _ = block.plan.sweep(weighted, 0)
+    if sum(swept[s][0] for s in block.plan.final) > top:
         raise LpInternalError("completed block exceeds phi")
-    return tables
+    return swept
 
 
 def _complete_primal(
@@ -215,17 +245,30 @@ def _complete_primal(
     blocks: Sequence[TagBlock],
     phi: Fraction,
     w: Sequence[Fraction],
-) -> tuple[Fraction, ...]:
-    primal = [Fraction(0)] * std.num_cols
-    primal[0] = phi
-    for wi, col in zip(w, std.weight_cols):
+) -> IntVector:
+    """The full primal as numerators over one denominator D, block by block."""
+    dens = {1}
+    for block in blocks:
+        dens.update(q.denominator for c in block.c_fns for q in c.table)
+        dens.update(v.finite.denominator for b in block.b_fns for v in b.table if v.is_finite)
+    ratios = [q.as_integer_ratio() for q in w]
+    lw = lcm(*(d for _, d in ratios))
+    den = lcm(phi.denominator, lw * lcm(*dens))
+    per_w = den // lw
+    a = [n * (lw // d) for n, d in ratios]
+    steps = {d: per_w // d for d in dens}
+    pins = {d: den // d for d in dens}
+    top = phi.numerator * (den // phi.denominator)
+    nums = [0] * std.num_cols
+    nums[0] = top
+    for ai, col in zip(a, std.weight_cols):
         if col is not None:
-            primal[col] = wi
+            nums[col] = ai * per_w
     for block, at in zip(blocks, std.placed):
-        for cols, table in zip(at.cols, _block_tables(block, w, phi)):
+        for cols, table in zip(at.cols, _block_tables(block, a, steps, pins, top)):
             for col, value in zip(cols, table):
-                primal[col] = value
-    return tuple(primal)
+                nums[col] = value
+    return IntVector(nums, den)
 
 
 def _lift_dual(

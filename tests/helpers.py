@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import PHI, FnId, FnVar, Lp, Weight, make_constraint
 from fmdp.model import FactoredMdp
@@ -209,6 +210,38 @@ def reference_weight_lp(blocks):
                 rows.append(make_constraint("le", terms, 0))
         rows.append(make_constraint("le", [(fn_vars[s][0], one) for s in plan.final] + [(PHI, minus)], 0))
     return Lp(tuple(rows), PHI)
+
+
+def reference_block_tables(block, w, phi):
+    """One block's private variables as the completion first swept them,
+    over ``Fraction``s: unpinned entries at the stand-in -reach."""
+    reach = abs(phi) + 1
+    for wi, c in zip(w, block.c_fns):
+        reach += abs(wi) * max(map(abs, c.table), default=0)
+    for b in block.b_fns:
+        reach += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
+    stand_in = -reach
+    weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, block.c_fns)]
+    pinned = [tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in block.b_fns]
+    tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
+    if sum((tables[s][0] for s in block.plan.final), Fraction(0)) > phi:
+        raise LpInternalError("completed block exceeds phi")
+    return tables
+
+
+def reference_complete_primal(std, blocks, phi, w):
+    """``fmdp.weights._complete_primal`` as first written: a ``Fraction``
+    per column, filled block by block."""
+    primal = [Fraction(0)] * std.num_cols
+    primal[0] = phi
+    for wi, col in zip(w, std.weight_cols):
+        if col is not None:
+            primal[col] = wi
+    for block, at in zip(blocks, std.placed):
+        for cols, table in zip(at.cols, reference_block_tables(block, w, phi)):
+            for col, value in zip(cols, table):
+                primal[col] = value
+    return tuple(primal)
 
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

@@ -1,8 +1,11 @@
 """Checker rejection behavior, agreement of the two backends with a plain
-``Fraction`` reference, and the entries that zero-skipping must still see."""
+``Fraction`` reference, and the entries that zero-skipping must still see.
+Every vector is also checked as an ``IntVector`` of numerators over one
+denominator, which must get the verdict of its ``Fraction`` form."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +20,28 @@ from helpers import (
 )
 
 from fmdp import ApiConfig, api, elimination_order, make_ring
-from fmdp.certify import check_infeasible, check_optimality, check_unbounded
+from fmdp.certify import IntVector, check_infeasible, check_optimality, check_unbounded
 from fmdp.errors import InvalidInputError
 from fmdp.lp import Infeasible, Lp, Optimal, Unbounded, make_constraint, to_standard_form
 from fmdp.simplex import solve_lp
 
 BACKENDS = (True, False)
+
+
+def _over_one_den(vec, factor=1):
+    """``vec`` as numerators over its least denominator times ``factor``."""
+    den = lcm(*(q.denominator for q in vec)) * factor
+    return IntVector([q.numerator * (den // q.denominator) for q in vec], den)
+
+
+def _agreed(check, std, *vectors, normalized):
+    """The verdict of ``check``, the same for the ``Fraction`` vectors and
+    for their ``IntVector`` forms."""
+    verdict = check(std, *vectors, normalized=normalized)
+    for factor in (1, 6):
+        forms = [_over_one_den(vec, factor) for vec in vectors]
+        assert check(std, *forms, normalized=normalized) == verdict
+    return verdict
 
 
 def _optimal_fixture():
@@ -155,8 +174,11 @@ def test_backends_agree_with_the_reference(seed, data):
             vec[i] = 0 if mode == "zero out" else vec[i] + data.draw(SMALL.filter(bool))
             vectors[k] = tuple(Fraction(q) for q in vec)
     verdict = reference(std, *vectors)
+    factor = data.draw(st.integers(1, 12), label="denominator factor")
+    forms = [_over_one_den(vec, factor) for vec in vectors]
     for normalized in BACKENDS:
         assert check(std, *vectors, normalized=normalized) == verdict
+        assert check(std, *forms, normalized=normalized) == verdict
 
 
 @pytest.mark.parametrize("normalized", BACKENDS)
@@ -174,12 +196,12 @@ def test_a_row_with_only_zero_terms_is_still_compared(normalized):
     )
     dual = (Fraction(0), Fraction(1))
     zero, fixed = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(-1))
-    assert check_optimality(std, fixed, dual, normalized=normalized)
-    assert not check_optimality(std, zero, dual, normalized=normalized)
+    assert _agreed(check_optimality, std, fixed, dual, normalized=normalized)
+    assert not _agreed(check_optimality, std, zero, dual, normalized=normalized)
     unbounded = to_standard_form(Lp((make_constraint("le", {"x": Fraction(1)}, -1),), "phi"))
     ray = (Fraction(-1), Fraction(0))
-    assert check_unbounded(unbounded, fixed, ray, normalized=normalized)
-    assert not check_unbounded(unbounded, zero, ray, normalized=normalized)
+    assert _agreed(check_unbounded, unbounded, fixed, ray, normalized=normalized)
+    assert not _agreed(check_unbounded, unbounded, zero, ray, normalized=normalized)
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +215,38 @@ def ring3_final():
 @pytest.mark.parametrize("normalized", BACKENDS)
 def test_ring3_certificate_and_its_zero_entries(ring3_final, normalized):
     std, cert = ring3_final
-    assert check_optimality(std, cert.primal, cert.dual, normalized=normalized)
+    assert _agreed(check_optimality, std, cert.primal, cert.dual, normalized=normalized)
     i = cert.dual.index(0)
-    assert not check_optimality(std, cert.primal, _perturb(cert.dual, i, 1), normalized=normalized)
+    perturbed = _perturb(cert.dual, i, 1)
+    assert not _agreed(check_optimality, std, cert.primal, perturbed, normalized=normalized)
     j = cert.primal.index(0)
-    assert not check_optimality(std, _perturb(cert.primal, j), cert.dual, normalized=normalized)
+    perturbed = _perturb(cert.primal, j)
+    assert not _agreed(check_optimality, std, perturbed, cert.dual, normalized=normalized)
+
+
+@pytest.mark.parametrize("normalized", BACKENDS)
+def test_int_vectors_of_wrong_length_or_denominator_raise(normalized):
+    std, cert = _optimal_fixture()
+    primal, dual = _over_one_den(cert.primal), _over_one_den(cert.dual)
+    bad = [
+        (check_optimality, (IntVector(primal.nums[:-1], primal.den), dual)),
+        (check_optimality, (primal, IntVector([*dual.nums, 0], dual.den))),
+        (check_infeasible, (IntVector([1], 1),)),
+        (check_unbounded, (primal, IntVector([0], 1))),
+    ]
+    for den in (0, -1, Fraction(1, 2), None):
+        bad.append((check_optimality, (IntVector(primal.nums, den), dual)))
+        bad.append((check_optimality, (primal, IntVector(dual.nums, den))))
+        bad.append((check_infeasible, (IntVector(dual.nums, den),)))
+        bad.append((check_unbounded, (primal, IntVector(primal.nums, den))))
+    for check, vectors in bad:
+        with pytest.raises(InvalidInputError):
+            check(std, *vectors, normalized=normalized)
+
+
+def test_int_vector_fractions_are_one_object_per_value():
+    vec = IntVector([6, -3, 6, 0, -3, 4], 6)
+    out = vec.fractions()
+    assert out == (1, Fraction(-1, 2), 1, 0, Fraction(-1, 2), Fraction(2, 3))
+    assert out[0] is out[2] and out[1] is out[4]
+    assert len({id(q) for q in out}) == 4

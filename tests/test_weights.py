@@ -1,21 +1,26 @@
 """Weight fitting: hand optima, oracle agreement, and certified exactness."""
 
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import reference_weight_lp
+import pytest
+from helpers import SMALL, models, reference_complete_primal, reference_weight_lp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fmdp.api import ApiConfig, api
 from fmdp.certify import check_optimality
-from fmdp.elim import identity_order
+from fmdp.elim import identity_order, max_sum
 from fmdp.error import factored_bellman_err
+from fmdp.errors import LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import assemble_lp, weight_lp, weight_lp_blocks
+from fmdp.lpbuild import IntBlock, TagBlock, assemble_lp, block_images, weight_lp, weight_lp_blocks
 from fmdp.lpio import write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_weight_lp, policy_value
@@ -242,14 +247,161 @@ def test_shadowed_blocks_are_never_priced_but_keep_their_rows(monkeypatch):
     assert trace["lp"].constraints == reference_weight_lp(blocks).constraints
 
 
-def test_sysadmin3_final_list_shadows_108_of_164_blocks():
+def _sysadmin3():
+    """Perfbench's seed-0 three-machine SysAdmin model."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
     spec = importlib.util.spec_from_file_location("perfbench_models", path)
     models = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(models)
-    mdp = models.sysadmin_mdp(3, models.sysadmin_params(None))
+    return models.sysadmin_mdp(3, models.sysadmin_params(None))
+
+
+def test_sysadmin3_final_list_shadows_108_of_164_blocks():
+    mdp = _sysadmin3()
     order = elimination_order(mdp, "min-degree")
     res = api(mdp, ApiConfig(order=order))
     blocks = weight_lp_blocks(mdp, res.pol, order)
     assert len(blocks) == 164
     assert sum(block.ints() is None for block in blocks) == 108
+
+
+def _live_images() -> int:
+    gc.collect()
+    return sum(isinstance(obj, IntBlock) for obj in gc.get_objects())
+
+
+def _counted_run(mdp):
+    """An untraced min-degree ``api`` run, with its ``TagBlock.ints`` calls,
+    the live images seen as each fit assembles its full program, and the
+    arguments and result of its last primal completion."""
+    calls, at_assembly, completed = [0], [], []
+    ints, assemble = TagBlock.ints, weights_module.assemble_lp
+    complete = weights_module._complete_primal
+
+    def counting_ints(block):
+        calls[0] += 1
+        return ints(block)
+
+    def watched_assemble(blocks):
+        at_assembly.append(_live_images())
+        return assemble(blocks)
+
+    def recorded_complete(*args):
+        completed[:] = [args, complete(*args)]
+        return completed[1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TagBlock, "ints", counting_ints)
+        patch.setattr(weights_module, "assemble_lp", watched_assemble)
+        patch.setattr(weights_module, "_complete_primal", recorded_complete)
+        api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")))
+    return calls[0], at_assembly, completed
+
+
+@pytest.fixture(scope="module")
+def counted_runs():
+    """``_counted_run`` of the seed-0 models by name, each run once."""
+    builders = {f"ring-{n}": lambda n=n: make_ring(n) for n in (3, 4, 5, 6)}
+    builders["sysadmin-3"] = _sysadmin3
+    done: dict = {}
+
+    def run(name):
+        if name not in done:
+            done[name] = _counted_run(builders[name]())
+        return done[name]
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "names, calls", [(("sysadmin-3",), 494), (("ring-6", "ring-5", "ring-4"), 434)]
+)
+def test_each_policy_builds_its_integer_images_once(counted_runs, names, calls):
+    # The error of each new policy hands its images to the fit of that
+    # policy (822 and 736 calls when both built their own); no image is
+    # alive while a fit assembles its full program, nor once api returns.
+    assert sum(counted_runs(name)[0] for name in names) == calls
+    for name in names:
+        assert set(counted_runs(name)[1]) == {0}
+    assert _live_images() == 0
+
+
+def test_images_for_other_blocks_are_not_used():
+    mdp = make_ring(3)
+    order = elimination_order(mdp, "min-degree")
+    other = (Fraction(-1), Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2))
+    first, second = (greedy_decision_list(mdp, w) for w in ((Fraction(0),) * 4, other))
+    images: list = []
+    factored_bellman_err(mdp, (Fraction(1),) * 4, first, order, images=images)
+    assert len(images) == 1 and images[0][0] is weight_lp_blocks(mdp, first, order)
+    fitted = update_weights(mdp, second, order, images=images)
+    assert images == []
+    assert fitted == update_weights(mdp, second, order)
+
+
+@pytest.mark.parametrize("name", ["ring-3", "ring-4", "ring-5", "sysadmin-3"])
+def test_integer_completion_matches_the_fraction_reference(counted_runs, name):
+    (std, blocks, phi, w), primal = counted_runs(name)[2]
+    assert primal.fractions() == reference_complete_primal(std, blocks, phi, w)
+    with pytest.raises(LpInternalError, match="exceeds phi"):
+        weights_module._complete_primal(std, blocks, phi - Fraction(1, primal.den), w)
+
+
+def _partial_states(dims, least=0):
+    n = len(dims)
+    scope = st.lists(st.integers(0, n - 1), min_size=least, max_size=n, unique=True)
+    return scope.flatmap(
+        lambda vs: st.tuples(*(st.integers(0, dims[v] - 1) for v in vs)).map(
+            lambda vals: PartialState.of(dict(zip(vs, vals)))
+        )
+    )
+
+
+@st.composite
+def _shadowing_fits(draw):
+    """A model, a decision list whose blocks include a shadowed pair and
+    unpinned entries, weights, and phi at the blocks' largest price."""
+    mdp = draw(models())
+    acts = st.integers(0, len(mdp.actions) - 1)
+    first = draw(_partial_states(mdp.dims, least=1))
+    branches = [Branch(first, draw(acts), Fraction(0))]
+    for t in draw(st.lists(_partial_states(mdp.dims), max_size=2)):
+        branches.append(Branch(t, draw(acts), Fraction(0)))
+    # A later state extending an earlier one handles no state: a shadowed pair.
+    earlier = draw(st.sampled_from(branches))
+    extra = draw(_partial_states(mdp.dims))
+    t = PartialState.of({**dict(extra.items), **dict(earlier.t.items)})
+    action = draw(acts) if t != earlier.t else (earlier.action + 1) % len(mdp.actions)
+    later = draw(st.integers(branches.index(earlier) + 1, len(branches)))
+    branches.insert(later, Branch(t, action, Fraction(0)))
+    branches.append(Branch(EMPTY_STATE, 0, Fraction(0)))
+    pol = DecisionList(tuple(branches))
+    order = identity_order(len(mdp.dims))
+    blocks = weight_lp_blocks(mdp, pol, order)
+    assume(any(block.ints() is None for block in blocks))
+    w = tuple(draw(SMALL) for _ in mdp.basis)
+    prices = (max_sum(image.at(w), order, mdp.dims, b.plan) for _, b, image in block_images(blocks))
+    return blocks, w, max(prices).unwrap()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_shadowing_fits(), st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5)]))
+def test_integer_completion_matches_the_reference_with_shadows(fit, slack):
+    blocks, w, phi = fit
+    std = assemble_lp(blocks)
+    assert any(None in rows for at in std.placed for rows in at.rows)  # unpinned entries
+    primal = weights_module._complete_primal(std, blocks, phi + slack, w)
+    assert primal.fractions() == reference_complete_primal(std, blocks, phi + slack, w)
+    lowered = phi - Fraction(1, primal.den)
+    with pytest.raises(LpInternalError, match="exceeds phi"):
+        weights_module._complete_primal(std, blocks, lowered, w)
+    with pytest.raises(LpInternalError, match="exceeds phi"):
+        reference_complete_primal(std, blocks, lowered, w)
+
+
+def test_a_traced_certificate_makes_one_fraction_per_value():
+    mdp = make_ring(4)
+    trace: dict = {}
+    update_weights(mdp, _default_pol(mdp), elimination_order(mdp, "min-degree"), trace=trace)
+    primal = trace["certificate"].primal
+    assert len({id(q) for q in primal}) == len(set(primal)) < len(primal)
