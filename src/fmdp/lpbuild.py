@@ -14,16 +14,19 @@ prices blocks for cuts and ``fmdp.error`` for the Bellman error;
 ``weight_lp_blocks`` keeps the latest policy's blocks in the model's
 cache, so both share one build.
 
+Only live branches get blocks.  A branch whose state extends an earlier
+live branch's state handles no state: its blocks would price to minus
+infinity at every w, so it gets none, and it is no earlier state to the
+branches after it, whose indicator for the live state it extends already
+excludes every state it would.  An empty list thus has no blocks, and is
+rejected.
+
 Pricing reads a block through its integer image (``TagBlock.ints``, built
-once per policy by ``block_images``, handed from the error to the fit of
-that policy, and dropped once the fit has priced): every table over one
-lcm denominator, minus infinity as ``None`` and the empty-scope constants
-folded into one offset; ``IntBlock.at(w)`` scales it to the
-``fmdp.elim.Scaled`` family the elimination kernel sweeps.  A block that
-an earlier branch state subsumes (an empty-scope indicator, minus
-infinity everywhere) has no image: it prices to minus infinity at every
-w, so pricing and the error skip it, while the full program keeps its
-rows.
+once per policy, handed from the error to the fit of that policy, and
+dropped once the fit has priced): every table over one lcm denominator,
+minus infinity as ``None`` and the finite empty-scope constants folded
+into one offset; ``IntBlock.at(w)`` scales it to the ``fmdp.elim.Scaled``
+family the elimination kernel sweeps.
 
 As rows, a block's projection onto (phi, w) enforces
 `sum_i w_i C_i(x) + sum_j B_j(x) <= phi` for every full assignment x
@@ -59,7 +62,7 @@ from .policy import DecisionList
 from .values import NEG_INF, fin
 
 __all__ = ["TagBlock", "IntBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
-__all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp", "block_images"]
+__all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,8 @@ class TagBlock:
     def rounds(self) -> tuple[ElimRound, ...]:
         return self.plan.rounds
 
-    def ints(self) -> "IntBlock | None":
-        """The integer image pricing sweeps, or ``None`` for a shadowed
-        block (an empty-scope summand is minus infinity)."""
-        if any(not b.scope and b.table[0].finite is None for b in self.b_fns):
-            return None
+    def ints(self) -> "IntBlock":
+        """The integer image pricing sweeps."""
         ratios = [[q.as_integer_ratio() for q in f.table] for f in self.c_fns]
         b, offset, b_max, den = int_tables(self.b_fns, lcm(*{d for t in ratios for _, d in t}))
         c = tuple(tuple([n * (den // d) for n, d in t]) for t in ratios)
@@ -91,7 +91,7 @@ class TagBlock:
 
 @dataclass(frozen=True, slots=True)
 class IntBlock:
-    """A live block's summands over one denominator ``den``: weighted
+    """A block's summands over one denominator ``den``: weighted
     tables ``c`` (with each one's largest magnitude ``c_max``), constant
     tables ``b`` (``None`` for minus infinity, folded empty-scope slots
     ``(0,)``), the sum ``b_max`` of the constant tables' largest finite
@@ -121,11 +121,6 @@ class IntBlock:
         return Scaled(tuple(tables), self.den * scale, self.offset * scale, bound)
 
 
-def block_images(blocks: Sequence[TagBlock]) -> list[tuple[int, TagBlock, IntBlock]]:
-    """Every block that has an integer image, with its index and the image."""
-    return [(i, b, image) for i, b in enumerate(blocks) if (image := b.ints()) is not None]
-
-
 def min_lp(
     dims: tuple[int, ...],
     tag: Tag,
@@ -152,9 +147,10 @@ def indicator_fns(
     consistent with t' and zero elsewhere; instantiated by t, its scope is
     domain(t') minus domain(t), and it is written there directly: a single
     minus-infinity entry at t''s leftover values.  A t' subsumed by t yields
-    the constant negative infinity (the whole branch is shadowed), a t'
-    conflicting with t on some shared variable yields a function that is
-    all-zero over its leftover scope.
+    the constant negative infinity (the whole branch is shadowed, so
+    ``weight_lp_blocks`` builds no such branch), a t' conflicting with t
+    on some shared variable yields a function that is all-zero over its
+    leftover scope.
     """
     bound = dict(t.items)
     zero = fin(0)
@@ -219,13 +215,17 @@ def branch_lp(
 def weight_lp_blocks(
     mdp: FactoredMdp, pol: DecisionList, order: tuple[int, ...] | None = None
 ) -> tuple[TagBlock, ...]:
-    """The pair of blocks of every branch, in list order.
+    """The pair of blocks of every live branch, in list order.
 
-    A branch repeating an earlier (state, action) handles no state and adds
-    no blocks.  The model's cache keeps only the latest (policy, order): the
-    error of each new greedy policy is measured just before the weights are
-    fitted to it, and both ask for the same blocks.
+    A branch whose state extends an earlier live branch's state (an exact
+    repeat among them) handles no state and adds no blocks; a list with no branch
+    covers no state and is invalid.  The model's cache keeps only the
+    latest (policy, order): the error of each new greedy policy is measured
+    just before the weights are fitted to it, and both ask for the same
+    blocks.
     """
+    if not pol.branches:
+        raise InvalidInputError("decision list covers no state at all")
     order = identity_order(len(mdp.dims)) if order is None else tuple(order)
     key = (pol, order)
     hit = mdp._cache.get("blocks")
@@ -233,13 +233,11 @@ def weight_lp_blocks(
         return hit[1]
     blocks: list[TagBlock] = []
     earlier: list[PartialState] = []
-    seen: set[tuple[PartialState, int]] = set()
     for branch in pol.branches:
-        if (branch.t, branch.action) in seen:
+        pairs = set(branch.t.items)
+        if any(pairs.issuperset(tp.items) for tp in earlier):
             continue
-        seen.add((branch.t, branch.action))
-        pos, neg = branch_lp(mdp, branch.t, branch.action, tuple(earlier), order)
-        blocks.extend((pos, neg))
+        blocks += branch_lp(mdp, branch.t, branch.action, tuple(earlier), order)
         earlier.append(branch.t)
     result = tuple(blocks)
     mdp._cache["blocks"] = (key, result)

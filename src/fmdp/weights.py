@@ -8,8 +8,8 @@ sweep over the block's own plan, and its argmax yields the affine
 inequality the master was missing.  Each block's integer image
 (``fmdp.lpbuild.TagBlock.ints``) is built once per policy, by this fit or
 by the Bellman error that hands it over (``images``), and dropped before
-the full program is assembled; a shadowed block has none and is never
-priced, since it prices to minus infinity at every w.  A box trust region
+the full program is assembled.  Only live branches have blocks, so every
+block is priced and every block's rows are checked.  A box trust region
 keeps the early masters bounded; whenever a box row carries positive dual
 weight at convergence the box grows and pricing resumes, since a binding
 box could be hiding the true optimum.
@@ -21,21 +21,23 @@ The finished point is lifted to a full primal solution by one integer
 sweep of each plan, every value over one denominator D fixed up front:
 the lcm of phi's denominator and of lcm(w) times each block's table
 denominator.  Blocks are converted and swept one at a time, so only one
-block's integer tables exist at once.  Unpinned (minus infinity) entries
-take the stand-in -reach, with reach = |phi| + 1 + each summand's largest
-finite magnitude at w (|w_i| times the largest |c_i| for a weighted one):
-an assignment meeting a stand-in totals at most -|phi| - 1, any other
-totals its priced value, which the last pricing round found <= phi, so
-every summary row holds.  The master duals are propagated backwards
-through the plan's rounds along each cut's argmax path into a full dual
-vector.  Both vectors are written by position: ``assemble_lp`` builds the
-complete standard form directly and records, per block and plan slot, the
-column of every entry and the row at every entry or round point
-(``fmdp.lpbuild.Placed``), so no variable is named on the way.  The pair
-must then survive ``check_optimality`` on that standard form, the primal
-as an ``fmdp.certify.IntVector`` of numerators over D; anything less
-raises ``LpInternalError``.  The primal becomes ``Fraction``s only for a
-traced certificate, one object per distinct value.
+block's integer tables exist at once; the filled vector is then divided
+by the gcd of D and its numerators, down to the least common
+denominator.  Unpinned (minus infinity) entries take the stand-in -reach,
+with reach = |phi| + 1 + each summand's largest finite magnitude at w
+(|w_i| times the largest |c_i| for a weighted one): an assignment meeting
+a stand-in totals at most -|phi| - 1, any other totals its priced value,
+which the last pricing round found <= phi, so every summary row holds.
+The master duals are propagated backwards through the plan's rounds
+along each cut's argmax path into a full dual vector.  Both vectors are
+written by position: ``assemble_lp`` builds the complete standard form
+directly and records, per block and plan slot, the column of every entry
+and the row at every entry or round point (``fmdp.lpbuild.Placed``), so
+no variable is named on the way.  The pair must then survive
+``check_optimality`` on that standard form, the primal as an
+``fmdp.certify.IntVector``; anything less raises ``LpInternalError``.
+The primal becomes ``Fraction``s only for a traced certificate, one
+object per distinct value.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Collection, Iterable, Sequence
 
 from .certify import IntVector, check_optimality
@@ -52,7 +54,7 @@ from .errors import LpInternalError
 from .factored import PartialState
 from .lp import PHI, Optimal, StdLp, Weight, named_lp
 from .lp import to_standard_form  # unused here; perfbench/tracer.py patches this name
-from .lpbuild import FullLp, IntBlock, TagBlock, assemble_lp, block_images, weight_lp_blocks
+from .lpbuild import FullLp, IntBlock, TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
@@ -131,7 +133,7 @@ def update_weights(
         """Keep the cut of every block that prices above ``floor`` at ``w``;
         whether there was one.  No image outlives the call in a local."""
         found = False
-        for idx, block, image in live:
+        for idx, (block, image) in enumerate(zip(blocks, live)):
             value, witness = _price(block, image, w, order, dims)
             if value > floor:
                 cut = _cut_at(idx, block, witness)
@@ -139,9 +141,8 @@ def update_weights(
                 found = True
         return found
 
+    # The first branch's blocks exclude no state, so they always cut here.
     cut_above(tuple(Fraction(0) for _ in range(m)), NEG_INF)
-    if not cuts:
-        raise LpInternalError("no branch block admits any state")
 
     box = _INITIAL_BOX
     growths = 0
@@ -198,16 +199,14 @@ def update_weights(
     return w, phi
 
 
-def _taken_images(
-    images: list | None, blocks: tuple[TagBlock, ...]
-) -> list[tuple[int, TagBlock, IntBlock]]:
+def _taken_images(images: list | None, blocks: tuple[TagBlock, ...]) -> list[IntBlock]:
     """The images ``images`` holds for these very blocks, taken out of it,
     or else new ones."""
     if images:
         held, live = images.pop()
         if held is blocks:
             return live
-    return block_images(blocks)
+    return [block.ints() for block in blocks]
 
 
 def _block_tables(
@@ -246,7 +245,8 @@ def _complete_primal(
     phi: Fraction,
     w: Sequence[Fraction],
 ) -> IntVector:
-    """The full primal as numerators over one denominator D, block by block."""
+    """The full primal as numerators over one denominator, filled block by
+    block over D and then reduced to the least common denominator."""
     dens = {1}
     for block in blocks:
         dens.update(q.denominator for c in block.c_fns for q in c.table)
@@ -268,7 +268,8 @@ def _complete_primal(
         for cols, table in zip(at.cols, _block_tables(block, a, steps, pins, top)):
             for col, value in zip(cols, table):
                 nums[col] = value
-    return IntVector(nums, den)
+    g = gcd(den, *nums)  # D is rarely the least denominator
+    return IntVector([n // g for n in nums], den // g)
 
 
 def _lift_dual(

@@ -1,14 +1,17 @@
 """Shared random-instance generators and enumeration references for the
 test suite."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import PHI, FnId, FnVar, Lp, Weight, make_constraint
+from fmdp.lpbuild import branch_lp
 from fmdp.model import FactoredMdp
 from fmdp.values import NEG_INF, ext_sum, fin
 
@@ -188,6 +191,20 @@ def reference_fn_vars(block):
     ]
 
 
+def reference_weight_lp_blocks(mdp, pol, order):
+    """The weight LP's blocks as first built: a pair for every branch but
+    an exact (state, action) repeat, shadowed branches included, and every
+    built branch's state an earlier state to the branches after it."""
+    blocks, earlier, seen = [], [], set()
+    for branch in pol.branches:
+        if (branch.t, branch.action) in seen:
+            continue
+        seen.add((branch.t, branch.action))
+        blocks += branch_lp(mdp, branch.t, branch.action, tuple(earlier), order)
+        earlier.append(branch.t)
+    return tuple(blocks)
+
+
 def reference_weight_lp(blocks):
     """The full program as first written, one named row at a time: per
     block its ties, pins, each round's dominance rows and the summary row."""
@@ -242,6 +259,15 @@ def reference_complete_primal(std, blocks, phi, w):
             for col, value in zip(cols, table):
                 primal[col] = value
     return tuple(primal)
+
+
+def sysadmin3():
+    """Perfbench's seed-0 three-machine SysAdmin model."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    spec = importlib.util.spec_from_file_location("perfbench_models", path)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    return models.sysadmin_mdp(3, models.sysadmin_params(None))
 
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

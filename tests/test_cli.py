@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import sysadmin3
 
 from fmdp import cli
 from fmdp.certify import check_optimality
@@ -107,6 +108,19 @@ def test_solve_dumps_feed_certify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "kind=optimal" in out and out.rstrip().endswith("valid")
+
+
+def test_sysadmin3_dumps_feed_certify(tmp_path, capsys):
+    # Its final list has shadowed branches, which the dumped program leaves
+    # out: both backends must accept that program and its certificate.
+    model, lp, cert = (tmp_path / name for name in ("sysadmin3.json", "final.lp", "final.cert"))
+    save_mdp(sysadmin3(), str(model))
+    args = ["solve", "--model", str(model), "--order", "min-degree"]
+    assert main(args + ["--dump-lp", str(lp), "--dump-cert", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(lp), str(cert)]) == 0
+    out = capsys.readouterr().out
+    assert out == "certificate: kind=optimal rows=6276 cols=3240 valid\n"
 
 
 def test_certify_rejects_a_tampered_certificate(tmp_path, capsys):

@@ -267,7 +267,9 @@ def test_empty_scope_minus_infinity_marks_a_shadowed_block():
     c_fns = (ScopedFn((0,), (2,), (Fraction(1), Fraction(2))),)
     dead = ScopedFn.constant(NEG_INF)
     block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (dead,), (0,))
-    assert block.ints() is None
+    image = block.ints()
+    assert image.b == ((None,),) and image.offset == 0
+    assert max_sum(image.at((Fraction(1),)), (0,), dims, block.plan) == NEG_INF
     assert max_sum(reference_at(block, (Fraction(1),)), (0,), dims) == NEG_INF
     live = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (ScopedFn.constant(fin(3)),), (0,))
     image = live.ints()

@@ -218,7 +218,13 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
     for kind in ("identity", "min-degree"):
         order = elimination_order(mdp, kind)
         blocks = weight_lp_blocks(mdp, pol, order)
-        assert len(blocks) == 2 * len(pol.branches)
+        # Only a branch whose state extends no earlier branch's has blocks.
+        live = [
+            b for k, b in enumerate(pol.branches)
+            if not any(all(b.t.get(v) == val for v, val in e.t.items) for e in pol.branches[:k])
+        ]
+        assert len(blocks) == 2 * len(live)
+        assert [block.tag.t for block in blocks[::2]] == [b.t for b in live]
         tags = [b.tag for b in blocks]
         assert len(set(tags)) == len(tags)
         lp = weight_lp(mdp, pol, order)

@@ -3,13 +3,19 @@
 import dataclasses
 import gc
 import importlib
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
+from math import lcm
 
 import pytest
-from helpers import SMALL, models, reference_complete_primal, reference_weight_lp
+from helpers import (
+    SMALL,
+    models,
+    reference_complete_primal,
+    reference_weight_lp,
+    reference_weight_lp_blocks,
+    sysadmin3,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +23,13 @@ from fmdp.api import ApiConfig, api
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order, max_sum
 from fmdp.error import factored_bellman_err
-from fmdp.errors import LpInternalError
+from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import IntBlock, TagBlock, assemble_lp, block_images, weight_lp, weight_lp_blocks
+from fmdp.lpbuild import IntBlock, TagBlock, assemble_lp, weight_lp, weight_lp_blocks
 from fmdp.lpio import write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
-from fmdp.oracle import explicit_weight_lp, policy_value
+from fmdp.oracle import explicit_bellman_err, explicit_weight_lp, policy_value
 from fmdp.policy import Branch, DecisionList, greedy_decision_list
 from fmdp.simplex import solve_lp
 from fmdp.weights import _Cut, _master_std, update_weights
@@ -207,11 +213,10 @@ def test_master_is_the_standard_form_of_its_named_program():
             assert direct.col_of == named.col_of
 
 
-def test_shadowed_blocks_are_never_priced_but_keep_their_rows(monkeypatch):
+def test_shadowed_branches_build_no_blocks(monkeypatch):
     # Branch {0=B, 1=B} extends the earlier {0=B}: it handles no state, so
-    # its pair prices to minus infinity at every w and is never swept,
-    # neither by the fit nor by the error, while the full program keeps
-    # its rows.
+    # it gets no blocks, and every block that is built is priced by the fit
+    # and by the error and assembled into the full program.
     mdp = make_ring(2)
     order = identity_order(2)
     early, late = PartialState.of({0: 1}), PartialState.of({0: 1, 1: 1})
@@ -219,9 +224,7 @@ def test_shadowed_blocks_are_never_priced_but_keep_their_rows(monkeypatch):
         (Branch(early, 1, Fraction(2)), Branch(late, 2, Fraction(1)), Branch(EMPTY_STATE, 0, Fraction(0)))
     )
     blocks = weight_lp_blocks(mdp, pol, order)
-    shadowed = [block for block in blocks if block.tag.t == late]
-    assert len(shadowed) == 2 and all(block.ints() is None for block in shadowed)
-    assert sum(block.ints() is None for block in blocks) == 2
+    assert [block.tag.t for block in blocks] == [early, early, EMPTY_STATE, EMPTY_STATE]
     swept = []
 
     def counting(original):
@@ -237,32 +240,23 @@ def test_shadowed_blocks_are_never_priced_but_keep_their_rows(monkeypatch):
     w, phi = update_weights(mdp, pol, order, trace=trace)
     fitted = len(swept)
     err = factored_bellman_err(mdp, w, pol, order)
-    assert len(swept) - fitted == len(blocks) - 2
-    assert fitted == (trace["rounds"] + 1) * (len(blocks) - 2)
-    assert all(plan is not shadowed[0].plan for plan in swept)
+    assert len(swept) - fitted == len(blocks)
+    assert fitted == (trace["rounds"] + 1) * len(blocks)
     assert err == phi
-    # The shadowed pair's rows are still assembled, block for block.
     assert len(trace["std"].placed) == len(blocks)
     assert trace["std"] == assemble_lp(blocks)
     assert trace["lp"].constraints == reference_weight_lp(blocks).constraints
 
 
-def _sysadmin3():
-    """Perfbench's seed-0 three-machine SysAdmin model."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
-    spec = importlib.util.spec_from_file_location("perfbench_models", path)
-    models = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(models)
-    return models.sysadmin_mdp(3, models.sysadmin_params(None))
-
-
-def test_sysadmin3_final_list_shadows_108_of_164_blocks():
-    mdp = _sysadmin3()
+def test_sysadmin3_final_list_of_82_branches_gives_56_blocks():
+    # 54 of the 82 branches extend an earlier branch's state; building
+    # their pairs too gave 164 blocks.
+    mdp = sysadmin3()
     order = elimination_order(mdp, "min-degree")
     res = api(mdp, ApiConfig(order=order))
-    blocks = weight_lp_blocks(mdp, res.pol, order)
-    assert len(blocks) == 164
-    assert sum(block.ints() is None for block in blocks) == 108
+    assert len(res.pol.branches) == 82
+    assert len(weight_lp_blocks(mdp, res.pol, order)) == 56
+    assert len(reference_weight_lp_blocks(mdp, res.pol, order)) == 164
 
 
 def _live_images() -> int:
@@ -302,7 +296,7 @@ def _counted_run(mdp):
 def counted_runs():
     """``_counted_run`` of the seed-0 models by name, each run once."""
     builders = {f"ring-{n}": lambda n=n: make_ring(n) for n in (3, 4, 5, 6)}
-    builders["sysadmin-3"] = _sysadmin3
+    builders["sysadmin-3"] = sysadmin3
     done: dict = {}
 
     def run(name):
@@ -314,12 +308,14 @@ def counted_runs():
 
 
 @pytest.mark.parametrize(
-    "names, calls", [(("sysadmin-3",), 494), (("ring-6", "ring-5", "ring-4"), 434)]
+    "names, calls", [(("sysadmin-3",), 170), (("ring-6", "ring-5", "ring-4"), 434)]
 )
 def test_each_policy_builds_its_integer_images_once(counted_runs, names, calls):
     # The error of each new policy hands its images to the fit of that
-    # policy (822 and 736 calls when both built their own); no image is
-    # alive while a fit assembles its full program, nor once api returns.
+    # policy, one per block of a live branch (494 on sysadmin-3 while
+    # shadowed branches had blocks, 736 on the rings when both built their
+    # own); no image is alive while a fit assembles its full program, nor
+    # once api returns.
     assert sum(counted_runs(name)[0] for name in names) == calls
     for name in names:
         assert set(counted_runs(name)[1]) == {0}
@@ -358,29 +354,35 @@ def _partial_states(dims, least=0):
 
 
 @st.composite
-def _shadowing_fits(draw):
-    """A model, a decision list whose blocks include a shadowed pair and
-    unpinned entries, weights, and phi at the blocks' largest price."""
+def _shadowing_lists(draw):
+    """A model and a decision list, ending in the default branch, with a
+    branch whose state extends an earlier branch's."""
     mdp = draw(models())
     acts = st.integers(0, len(mdp.actions) - 1)
     first = draw(_partial_states(mdp.dims, least=1))
     branches = [Branch(first, draw(acts), Fraction(0))]
     for t in draw(st.lists(_partial_states(mdp.dims), max_size=2)):
         branches.append(Branch(t, draw(acts), Fraction(0)))
-    # A later state extending an earlier one handles no state: a shadowed pair.
     earlier = draw(st.sampled_from(branches))
     extra = draw(_partial_states(mdp.dims))
     t = PartialState.of({**dict(extra.items), **dict(earlier.t.items)})
-    action = draw(acts) if t != earlier.t else (earlier.action + 1) % len(mdp.actions)
     later = draw(st.integers(branches.index(earlier) + 1, len(branches)))
-    branches.insert(later, Branch(t, action, Fraction(0)))
+    branches.insert(later, Branch(t, draw(acts), Fraction(0)))
     branches.append(Branch(EMPTY_STATE, 0, Fraction(0)))
     pol = DecisionList(tuple(branches))
     order = identity_order(len(mdp.dims))
+    assert len(weight_lp_blocks(mdp, pol, order)) < 2 * len(pol.branches)
+    return mdp, pol, order
+
+
+@st.composite
+def _shadowing_fits(draw):
+    """The blocks of a ``_shadowing_lists`` list, which include unpinned
+    entries, weights, and phi at the blocks' largest price."""
+    mdp, pol, order = draw(_shadowing_lists())
     blocks = weight_lp_blocks(mdp, pol, order)
-    assume(any(block.ints() is None for block in blocks))
     w = tuple(draw(SMALL) for _ in mdp.basis)
-    prices = (max_sum(image.at(w), order, mdp.dims, b.plan) for _, b, image in block_images(blocks))
+    prices = (max_sum(b.ints().at(w), order, mdp.dims, b.plan) for b in blocks)
     return blocks, w, max(prices).unwrap()
 
 
@@ -397,6 +399,33 @@ def test_integer_completion_matches_the_reference_with_shadows(fit, slack):
         weights_module._complete_primal(std, blocks, lowered, w)
     with pytest.raises(LpInternalError, match="exceeds phi"):
         reference_complete_primal(std, blocks, lowered, w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_shadowing_lists(), st.lists(SMALL, min_size=3, max_size=3))
+def test_pruned_blocks_keep_the_optimum_of_the_program_with_shadowed_blocks(drawn, ws):
+    mdp, pol, order = drawn
+    unpruned = to_standard_form(reference_weight_lp(reference_weight_lp_blocks(mdp, pol, order)))
+    # The dense simplex takes seconds on some programs of about 200 rows.
+    assume(unpruned.num_rows <= 150)
+    w, phi = update_weights(mdp, pol, order)
+    cert = solve_lp(unpruned)
+    assert isinstance(cert, Optimal)
+    assert cert.primal[unpruned.col_of[PHI]] == phi
+    for v in (w, tuple(ws[: len(mdp.basis)])):
+        assert factored_bellman_err(mdp, v, pol, order) == explicit_bellman_err(mdp, v, pol)
+
+
+def test_a_list_covering_no_state_is_invalid_input():
+    mdp = make_ring(2)
+    with pytest.raises(InvalidInputError, match="covers no state"):
+        update_weights(mdp, DecisionList(()))
+
+
+@pytest.mark.parametrize("name", ["ring-3", "ring-4", "ring-5", "sysadmin-3"])
+def test_the_completed_primal_is_over_its_least_denominator(counted_runs, name):
+    primal = counted_runs(name)[2][1]
+    assert primal.den == lcm(*(q.denominator for q in primal.fractions()))
 
 
 def test_a_traced_certificate_makes_one_fraction_per_value():
