@@ -90,14 +90,12 @@ def api(
     pol = greedy_decision_list(mdp, w)
     t = 0
     phis: list[Fraction] = []
-    # Each error hands its policy's integer images to the fit of that policy.
-    images: list = []
     while True:
         step: dict | None = {} if trace is not None else None
         started = time.perf_counter()
-        w_new, phi = update_weights(mdp, pol, order, trace=step, images=images)
+        w_new, phi = update_weights(mdp, pol, order, trace=step)
         pol_new = greedy_decision_list(mdp, w_new)
-        err = factored_bellman_err(mdp, w_new, pol_new, order, images=images)
+        err = factored_bellman_err(mdp, w_new, pol_new, order)
         phis.append(phi)
         w_eq = w_new == w
         err_le = err <= config.epsilon

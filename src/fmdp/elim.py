@@ -16,7 +16,7 @@ tables directly instead of assembling partial states.  The interpreters:
   finite total, and walks the argmax tables back into a maximizing state;
   ``max_sum`` is its value-only case.  A family of extended-real
   ``ScopedFn`` tables is converted once on entry (``Scaled.of``);
-  ``fmdp.lpbuild.IntBlock.at`` builds a block's family at w directly;
+  ``fmdp.lpbuild.TagBlock.at`` scales a block's integer tables to w;
 * ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
 * ``fmdp.weights``, which sweeps integers over one denominator to
   complete a primal solution and walks the rounds backwards to lift a
@@ -200,10 +200,8 @@ class Scaled:
     """A function family as integer tables over one positive denominator.
 
     Entry ``e`` of input slot ``s`` stands for ``tables[s][e] / den``.
-    ``offset``, over the same denominator, is the sum of the family's
-    finite empty-scope constants, folded out of the sweep: their slots hold
-    ``(0,)``.  Negative infinity is the stand-in ``-(2 * bound + 1)``, where
-    ``bound`` is at least the sum over slots of each table's largest finite
+    Negative infinity is the stand-in ``-(2 * bound + 1)``, where ``bound``
+    is at least the sum over slots of each table's largest finite
     magnitude.  Every value a sweep forms is a sum of one entry per input
     slot below it, so a sum of finite entries is ``>= -bound`` and a sum
     meeting a stand-in is ``< -bound``: excluded totals stay below every
@@ -213,43 +211,30 @@ class Scaled:
 
     tables: tuple[Sequence[int], ...]
     den: int
-    offset: int
     bound: int
 
     @classmethod
     def of(cls, fs: Sequence[ScopedFn]) -> "Scaled":
         """The family of extended-real tables ``fs``, converted once."""
-        scaled, offset, bound, den = int_tables(fs)
+        scaled, den = int_tables([[v.finite for v in f.table] for f in fs])
+        bound = sum(max(map(abs, filter(None, ints)), default=0) for ints in scaled)
         floor = -(2 * bound + 1)
         tables = tuple([floor if n is None else n for n in ints] for ints in scaled)
-        return cls(tables, den, offset, bound)
+        return cls(tables, den, bound)
 
 
 def int_tables(
-    fs: Sequence[ScopedFn], den: int = 1
-) -> tuple[list[tuple[int | None, ...]], int, int, int]:
-    """The extended-real tables ``fs`` over one denominator: the lcm of
-    ``den`` and every finite entry's denominator, with ``None`` for
-    negative infinity.
-
-    Finite empty-scope constants are folded out: their tables become
-    ``(0,)`` and their sum is the offset.  Returns the tables, the offset,
-    the sum over tables of the largest finite magnitude, and the
-    denominator.
-    """
-    ratios = [
-        [None if v.finite is None else v.finite.as_integer_ratio() for v in f.table] for f in fs
-    ]
-    den = math.lcm(den, *{r[1] for t in ratios for r in t if r is not None})
-    tables, offset, bound = [], 0, 0
-    for f, t in zip(fs, ratios):
-        ints = tuple([None if r is None else r[0] * (den // r[1]) for r in t])
-        if not f.scope and ints[0] is not None:
-            offset += ints[0]
-            ints = (0,)
-        bound += max(map(abs, filter(None, ints)), default=0)
-        tables.append(ints)
-    return tables, offset, bound, den
+    tables: Iterable[Sequence[Fraction | None]],
+) -> tuple[tuple[tuple[int | None, ...], ...], int]:
+    """Rational tables over one denominator, the lcm of every entry's,
+    with ``None`` (negative infinity) kept: the integer tables and that
+    denominator."""
+    tables = list(tables)
+    den = math.lcm(*{q.denominator for t in tables for q in t if q is not None})
+    ints = []
+    for t in tables:
+        ints.append(tuple([None if q is None else q.numerator * (den // q.denominator) for q in t]))
+    return tuple(ints), den
 
 
 def max_sum(
@@ -289,10 +274,7 @@ def max_sum_decode(
     family = fs if isinstance(fs, Scaled) else Scaled.of(fs)
     tables, choices = plan.sweep(family.tables, 0)
     total = sum(tables[s][0] for s in plan.final)
-    # Exclusion is read off the swept total, before the offset is added.
-    value = NEG_INF
-    if total >= -family.bound:
-        value = ExtReal(Fraction(total + family.offset, family.den))
+    value = ExtReal(Fraction(total, family.den)) if total >= -family.bound else NEG_INF
     x = [0] * len(plan.dims)
     for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
         x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]

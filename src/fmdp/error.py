@@ -7,12 +7,12 @@ form: priced at w, a branch's positive block sums to nu_w - Q_w^a and its
 negative block to Q_w^a - nu_w on the states the branch handles, and to
 minus infinity on every state an earlier branch claimed.  So the error is
 the largest variable-elimination maximum over the blocks, each block's
-integer image (``TagBlock.ints``) swept along its own plan.  Only live
-branches have blocks; one whose states all fall to earlier branches
-contributes negative infinity and drops out, and the first branch's never
-does.  The blocks are the same objects the next weight fit for this
-policy reuses, and so may be the images: handed over through ``images``,
-they are built once per policy, not once per call.
+integer tables scaled to w (``TagBlock.at``) and swept along its own
+plan.  Only live branches have blocks; one whose states all fall to
+earlier branches contributes negative infinity and drops out, and the
+first branch's never does.  The blocks are the same objects the next
+weight fit for this policy reuses, so they are built once per policy,
+not once per call.
 """
 
 from __future__ import annotations
@@ -29,23 +29,11 @@ __all__ = ["factored_bellman_err"]
 
 
 def factored_bellman_err(
-    mdp: FactoredMdp,
-    w: Sequence[Fraction],
-    pol: DecisionList,
-    order: Sequence[int],
-    *,
-    images: list | None = None,
+    mdp: FactoredMdp, w: Sequence[Fraction], pol: DecisionList, order: Sequence[int]
 ) -> Fraction:
     """The policy's Bellman error, maximized block by block.
 
-    A list with no branch covers no state and is invalid input.  When
-    ``images`` is a list, it is left holding the one pair ``(blocks,
-    images)`` this call swept, for ``update_weights`` on the same policy to
-    take.
+    A list with no branch covers no state and is invalid input.
     """
     blocks = weight_lp_blocks(mdp, pol, order)
-    live = [block.ints() for block in blocks]
-    best = max(max_sum(image.at(w), order, mdp.dims, b.plan) for b, image in zip(blocks, live))
-    if images is not None:
-        images[:] = [(blocks, live)]
-    return best.unwrap()
+    return max(max_sum(b.at(w), order, mdp.dims, b.plan) for b in blocks).unwrap()

@@ -1,18 +1,23 @@
 """The weight LP's blocks: the one summand family of each branch, read
 as numbers by pricing and as rows by the full program.
 
-A block holds one tag's scoped summands (built here only, by
+A block holds one tag's summands (built here only, from
 ``difference_fns`` and ``indicator_fns``) and their elimination plan
-(``fmdp.elim.ElimPlan``).  Branch blocks come in mirrored pairs sharing
-one plan: priced at w, the positive block sums to nu_w - Q_w^a on the
-branch's states and the negative one to the negation, while indicator
-summands send every state an earlier branch claimed to minus infinity.
-Neither kind is tabulated per branch: each basis difference is tabulated
-once per model and only instantiated by the branch state, and each
-indicator is written straight onto its leftover scope.  ``fmdp.weights``
-prices blocks for cuts and ``fmdp.error`` for the Bellman error;
-``weight_lp_blocks`` keeps the latest policy's blocks in the model's
-cache, so both share one build.
+(``fmdp.elim.ElimPlan``), each summand converted once, as it is built,
+to an integer table over the block's one denominator, with minus
+infinity as ``None``.  Branch blocks come in mirrored pairs sharing one
+plan and one denominator, the negative block's tables the negated ints
+of the positive one's: priced at w, the positive block sums to
+nu_w - Q_w^a on the branch's states and the negative one to the
+negation, while indicator summands send every state an earlier branch
+claimed to minus infinity.  Neither kind is tabulated per branch: each
+basis difference is tabulated once per model and only instantiated by
+the branch state, and each indicator is written straight onto its
+leftover scope.  ``fmdp.weights`` prices blocks for cuts and
+``fmdp.error`` for the Bellman error, both through ``TagBlock.at(w)``,
+which scales the tables to the ``fmdp.elim.Scaled`` family the
+elimination kernel sweeps; ``weight_lp_blocks`` keeps the latest
+policy's blocks in the model's cache, so both share one build.
 
 Only live branches get blocks.  A branch whose state extends an earlier
 live branch's state handles no state: its blocks would price to minus
@@ -20,13 +25,6 @@ infinity at every w, so it gets none, and it is no earlier state to the
 branches after it, whose indicator for the live state it extends already
 excludes every state it would.  An empty list thus has no blocks, and is
 rejected.
-
-Pricing reads a block through its integer image (``TagBlock.ints``, built
-once per policy, handed from the error to the fit of that policy, and
-dropped once the fit has priced): every table over one lcm denominator,
-minus infinity as ``None`` and the finite empty-scope constants folded
-into one offset; ``IntBlock.at(w)`` scales it to the ``fmdp.elim.Scaled``
-family the elimination kernel sweeps.
 
 As rows, a block's projection onto (phi, w) enforces
 `sum_i w_i C_i(x) + sum_j B_j(x) <= phi` for every full assignment x
@@ -40,9 +38,9 @@ sum to at most phi.  A block that is only priced never builds rows.
 straight into standard form: a private variable is a column number in
 one integer array per plan slot, and each block's ``Placed`` record keeps
 those arrays and the row at each table entry or round point, through
-which ``fmdp.weights`` writes its integer primal and lifts its dual.  Names (the
-``FnVar`` columns and ``weight_lp``'s named rows) are made only when
-read, to write an LP or certificate file.
+which ``fmdp.weights`` writes its integer primal and lifts its dual.
+Names (the ``FnVar`` columns and ``weight_lp``'s named rows) are made
+only when read, to write an LP or certificate file.
 """
 
 from __future__ import annotations
@@ -61,48 +59,37 @@ from .model import FactoredMdp
 from .policy import DecisionList
 from .values import NEG_INF, fin
 
-__all__ = ["TagBlock", "IntBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
+__all__ = ["TagBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
 __all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagBlock:
-    """Everything one tag contributes: its weighted summands ``c_fns``
-    (rational tables), its constant summands ``b_fns`` (extended-real
-    tables) and the elimination plan over both, weighted ones first."""
+    """Everything one tag contributes, as integer tables over one
+    denominator ``den``: its weighted summands ``c``, its constant summands
+    ``b`` (``None`` for minus infinity) and the elimination plan over both,
+    weighted ones first.  ``c_max`` holds each weighted table's largest
+    magnitude and ``b_max`` the sum of the constant tables' largest finite
+    magnitudes."""
 
     tag: Tag
-    c_fns: tuple[ScopedFn, ...]
-    b_fns: tuple[ScopedFn, ...]
+    c: tuple[tuple[int, ...], ...]
+    b: tuple[tuple[int | None, ...], ...]
+    den: int
     plan: ElimPlan
+    c_max: tuple[int, ...]
+    b_max: int
+
+    @classmethod
+    def of(cls, tag: Tag, c: tuple, b: tuple, den: int, plan: ElimPlan) -> "TagBlock":
+        """The block of these tables, with their largest magnitudes."""
+        c_max = tuple(max(map(abs, t), default=0) for t in c)
+        b_max = sum(max(map(abs, filter(None, t)), default=0) for t in b)
+        return cls(tag, c, b, den, plan, c_max, b_max)
 
     @property
     def rounds(self) -> tuple[ElimRound, ...]:
         return self.plan.rounds
-
-    def ints(self) -> "IntBlock":
-        """The integer image pricing sweeps."""
-        ratios = [[q.as_integer_ratio() for q in f.table] for f in self.c_fns]
-        b, offset, b_max, den = int_tables(self.b_fns, lcm(*{d for t in ratios for _, d in t}))
-        c = tuple(tuple([n * (den // d) for n, d in t]) for t in ratios)
-        c_max = tuple(max(map(abs, t), default=0) for t in c)
-        return IntBlock(c, c_max, tuple(b), b_max, offset, den)
-
-
-@dataclass(frozen=True, slots=True)
-class IntBlock:
-    """A block's summands over one denominator ``den``: weighted
-    tables ``c`` (with each one's largest magnitude ``c_max``), constant
-    tables ``b`` (``None`` for minus infinity, folded empty-scope slots
-    ``(0,)``), the sum ``b_max`` of the constant tables' largest finite
-    magnitudes and the folded ``offset``."""
-
-    c: tuple[tuple[int, ...], ...]
-    c_max: tuple[int, ...]
-    b: tuple[tuple[int | None, ...], ...]
-    b_max: int
-    offset: int
-    den: int
 
     def at(self, w: Sequence[Fraction]) -> Scaled:
         """The summands at ``w``, in plan order, over ``den * lcm(w)``:
@@ -118,7 +105,7 @@ class IntBlock:
                 tables.append([floor if n is None else n * scale for n in t])
             else:
                 tables.append(t if scale == 1 else list(map(scale.__mul__, t)))
-        return Scaled(tuple(tables), self.den * scale, self.offset * scale, bound)
+        return Scaled(tuple(tables), self.den * scale, bound)
 
 
 def min_lp(
@@ -132,10 +119,21 @@ def min_lp(
 
     ``c_fns`` carry rational tables and enter scaled by their weight;
     ``b_fns`` carry extended-real tables and enter additively, with a
-    minus-infinity entry simply leaving its variable unpinned.
+    minus-infinity entry simply leaving its variable unpinned.  Both are
+    converted once, to integer tables over their least common denominator.
     """
     plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
-    return TagBlock(tag, tuple(c_fns), tuple(b_fns), plan)
+    tables, den = int_tables([*(f.table for f in c_fns), *_finite(b_fns)])
+    return TagBlock.of(tag, tables[: len(c_fns)], tables[len(c_fns) :], den, plan)
+
+
+def _finite(fns: Sequence[ScopedFn]) -> list[list[Fraction | None]]:
+    """Extended-real tables as rationals, ``None`` for minus infinity."""
+    return [[v.finite for v in f.table] for f in fns]
+
+
+def _negated(tables: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple([-n for n in t]) for t in tables)
 
 
 def indicator_fns(
@@ -203,13 +201,14 @@ def branch_lp(
     if not 0 <= a < len(mdp.actions):
         raise InvalidInputError(f"action index {a} out of range")
     diffs = difference_fns(mdp, t, a)
-    rewards = tuple(instantiate(r, t).map_table(fin) for r in mdp.rewards[a])
-    shadows = tuple(indicator_fns(ts, t, mdp.dims))
-    pos_b = tuple(r.map_table(lambda v: -v if v.is_finite else v) for r in rewards) + shadows
-    plan = ElimPlan.build(diffs + pos_b, order, mdp.dims)
-    neg_c = tuple(d.map_table(lambda q: -q) for d in diffs)
-    pos = TagBlock(Tag(t, a, True), diffs, pos_b, plan)
-    return pos, TagBlock(Tag(t, a, False), neg_c, rewards + shadows, plan)
+    rewards = tuple(instantiate(r, t) for r in mdp.rewards[a])
+    shadows = indicator_fns(ts, t, mdp.dims)
+    plan = ElimPlan.build((*diffs, *rewards, *shadows), order, mdp.dims)
+    tables, den = int_tables([*(f.table for f in diffs + rewards), *_finite(shadows)])
+    nc, nr = len(diffs), len(rewards)
+    c, r, s = tables[:nc], tables[nc : nc + nr], tables[nc + nr :]
+    pos = TagBlock.of(Tag(t, a, True), c, _negated(r) + s, den, plan)
+    return pos, TagBlock.of(Tag(t, a, False), _negated(c), r + s, den, plan)
 
 
 def weight_lp_blocks(
@@ -274,8 +273,8 @@ class FullLp(StdLp):
 
 
 def _slot_ids(block: TagBlock) -> list[FnId]:
-    ids = [FnId("c", i) for i in range(len(block.c_fns))]
-    ids += [FnId("b", k) for k in range(len(block.b_fns))]
+    ids = [FnId("c", i) for i in range(len(block.c))]
+    ids += [FnId("b", k) for k in range(len(block.b))]
     return ids + [FnId("e", rnd.var) for rnd in block.plan.rounds]
 
 
@@ -289,8 +288,10 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
     those by kind b, c, e, then index), so ``to_standard_form(named_lp(...))``
     rebuilds these very rows.  Private variables carry their block's tag,
     so no row appears in two blocks.  Every row holding a column with
-    coefficient 1 (or -1) shares one term object for it, and the rows of
-    each constraint are listed only when read.
+    coefficient 1 (or -1) shares one term object for it, every tie
+    coefficient and pin right-hand side n/den is one ``Fraction`` per
+    distinct (n, den), and the rows of each constraint are listed only when
+    read.
     """
     one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
     rows: list[tuple[tuple[int, Fraction], ...]] = []
@@ -301,6 +302,14 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
     # The terms (column, 1) and (column, -1) of every column; phi is column 0.
     up: list[tuple[int, Fraction]] = [(0, one)]
     down: list[tuple[int, Fraction]] = [(0, minus)]
+    # Per denominator, the Fraction n/den of every numerator n met so far.
+    by_den: dict[int, dict[int, Fraction]] = {}
+
+    def frac(n: int) -> Fraction:
+        q = fracs.get(n)
+        if q is None:
+            q = fracs[n] = Fraction(n, den)
+        return q
 
     def fresh() -> int:
         k = len(up)
@@ -313,10 +322,11 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
             cols[s][e] = fresh()
         return cols[s][e]
 
-    def equality(row, negated, b) -> int:
+    def equality(row, negated, n: int) -> int:
+        """The rows ``row <= n/den`` and ``negated <= -n/den``."""
         k = len(rows)
         rows.extend((row, negated))
-        rhs.extend((b, -b if b else zero))
+        rhs.extend((frac(n), frac(-n)))
         halves.append(2)
         return k
 
@@ -330,25 +340,26 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
         return k
 
     for block in blocks:
-        plan, nc = block.plan, len(block.c_fns)
+        plan, nc, den = block.plan, len(block.c), block.den
+        fracs = by_den.setdefault(den, {})
         weight_cols += [None] * (nc - len(weight_cols))
         cols = tuple([-1] * prod(plan.dims[v] for v in scope) for scope in plan.scopes)
         index: list[tuple[int | None, ...]] = []
-        for i, c in enumerate(block.c_fns):
+        for i, c in enumerate(block.c):
             ties = []
-            for e, q in enumerate(c.table):
-                if q and weight_cols[i] is None:
+            for e, n in enumerate(c):
+                if n and weight_cols[i] is None:
                     weight_cols[i] = fresh()
                 j, w = col(i, e), weight_cols[i]
-                if q:
-                    ties.append(equality(((w, q), down[j]), ((w, -q), up[j]), zero))
+                if n:
+                    ties.append(equality(((w, frac(n)), down[j]), ((w, frac(-n)), up[j]), 0))
                 else:
-                    ties.append(equality((down[j],), (up[j],), zero))
+                    ties.append(equality((down[j],), (up[j],), 0))
             index.append(tuple(ties))
-        for s, b in enumerate(block.b_fns, nc):
+        for s, b in enumerate(block.b, nc):
             pins = (
-                equality((up[col(s, e)],), (down[col(s, e)],), v.unwrap()) if v.is_finite else None
-                for e, v in enumerate(b.table)
+                None if n is None else equality((up[col(s, e)],), (down[col(s, e)],), n)
+                for e, n in enumerate(b)
             )
             index.append(tuple(pins))
         # Every private variable of the block shares its tag, so the

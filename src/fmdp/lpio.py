@@ -134,6 +134,15 @@ def _content_lines(path: str | Path) -> list[tuple[int, str]]:
     return out
 
 
+def _rational_at(path: str | Path, lineno: int, text: str) -> Fraction:
+    """``parse_rational`` of a number read at line ``lineno`` of ``path``;
+    a bad one is named with its place."""
+    try:
+        return parse_rational(text)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+
+
 def read_lp(path: str | Path) -> Lp:
     """Parse a program file back into constraints over opaque token names.
 
@@ -150,10 +159,7 @@ def read_lp(path: str | Path) -> Lp:
     def number(token: str) -> Fraction:
         q = numbers.get(token)
         if q is None:
-            try:
-                q = numbers[token] = parse_rational(token)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+            q = numbers[token] = _rational_at(path, lineno, token)
         return q
 
     cons: list[Constraint] = []
@@ -234,7 +240,7 @@ def _column_vector(path, col_of: dict[str, int], entries, label: str) -> tuple[F
         if col_of[key] in seen:
             raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
         seen.add(col_of[key])
-        out[col_of[key]] = parse_rational(val)
+        out[col_of[key]] = _rational_at(path, lineno, val)
     return tuple(out)
 
 
@@ -251,7 +257,7 @@ def _row_vector(path, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
         if idx in seen:
             raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
         seen.add(idx)
-        out[idx] = parse_rational(val)
+        out[idx] = _rational_at(path, lineno, val)
     return tuple(out)
 
 

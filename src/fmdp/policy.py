@@ -190,11 +190,9 @@ def decision_list_from_text(mdp: FactoredMdp, text: str) -> DecisionList:
             raise InvalidInputError(
                 f"decision list line {line_no}: unknown action {action_name!r}"
             )
-        branches.append(
-            Branch(
-                PartialState.of(entries),
-                mdp.actions.index(action_name),
-                parse_rational(bonus_part),
-            )
-        )
+        try:
+            bonus = parse_rational(bonus_part)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"decision list line {line_no}: {exc}") from exc
+        branches.append(Branch(PartialState.of(entries), mdp.actions.index(action_name), bonus))
     return DecisionList(tuple(branches))

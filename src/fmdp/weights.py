@@ -5,29 +5,29 @@ but its projection onto (phi, w) is what actually matters.  So a small
 master program over (phi, w) collects one cut per violated block per
 round: pricing a block at the master optimum is an integer elimination
 sweep over the block's own plan, and its argmax yields the affine
-inequality the master was missing.  Each block's integer image
-(``fmdp.lpbuild.TagBlock.ints``) is built once per policy, by this fit or
-by the Bellman error that hands it over (``images``), and dropped before
-the full program is assembled.  Only live branches have blocks, so every
-block is priced and every block's rows are checked.  A box trust region
-keeps the early masters bounded; whenever a box row carries positive dual
-weight at convergence the box grows and pricing resumes, since a binding
-box could be hiding the true optimum.
+inequality the master was missing.  Blocks hold their summands as
+integer tables over one denominator (``fmdp.lpbuild.TagBlock``), so
+pricing, cuts, rows and the completion all read the same ints.  Only
+live branches have blocks, so every block is priced and every block's
+rows are checked.  A box trust region keeps the early masters bounded;
+whenever a box row carries positive dual weight at convergence the box
+grows and pricing resumes, since a binding box could be hiding the true
+optimum.
 
 Convergence alone is not trusted.  Each block's elimination plan
 (``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
 source of its schedule, and both halves of the certificate interpret it.
 The finished point is lifted to a full primal solution by one integer
 sweep of each plan, every value over one denominator D fixed up front:
-the lcm of phi's denominator and of lcm(w) times each block's table
-denominator.  Blocks are converted and swept one at a time, so only one
-block's integer tables exist at once; the filled vector is then divided
-by the gcd of D and its numerators, down to the least common
-denominator.  Unpinned (minus infinity) entries take the stand-in -reach,
-with reach = |phi| + 1 + each summand's largest finite magnitude at w
-(|w_i| times the largest |c_i| for a weighted one): an assignment meeting
-a stand-in totals at most -|phi| - 1, any other totals its priced value,
-which the last pricing round found <= phi, so every summary row holds.
+the lcm of phi's denominator and of lcm(w) times the lcm of the blocks'
+denominators.  Blocks are scaled to D and swept one at a time; the
+filled vector is then divided by the gcd of D and its numerators, down
+to the least common denominator.  Unpinned (minus infinity) entries take
+the stand-in -reach, with reach = |phi| + 1 + each summand's largest
+finite magnitude at w (|w_i| times the largest |c_i| for a weighted
+one): an assignment meeting a stand-in totals at most -|phi| - 1, any
+other totals its priced value, which the last pricing round found
+<= phi, so every summary row holds.
 The master duals are propagated backwards through the plan's rounds
 along each cut's argmax path into a full dual vector.  Both vectors are
 written by position: ``assemble_lp`` builds the complete standard form
@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .certify import IntVector, check_optimality
@@ -54,11 +55,11 @@ from .errors import LpInternalError
 from .factored import PartialState
 from .lp import PHI, Optimal, StdLp, Weight, named_lp
 from .lp import to_standard_form  # unused here; perfbench/tracer.py patches this name
-from .lpbuild import FullLp, IntBlock, TagBlock, assemble_lp, weight_lp_blocks
+from .lpbuild import FullLp, TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
-from .values import NEG_INF, ExtReal, ext_sum, fin
+from .values import NEG_INF, ExtReal, fin
 
 __all__ = ["update_weights"]
 
@@ -76,18 +77,16 @@ class _Cut:
     beta: Fraction
 
 
-def _price(
-    block: TagBlock, image: IntBlock, w: Sequence[Fraction], order, dims
-) -> tuple[ExtReal, PartialState]:
-    return max_sum_decode(image.at(w), order, dims, block.plan)
-
-
 def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:
-    alpha = tuple(c(x) for c in block.c_fns)
-    total = ext_sum(b(x) for b in block.b_fns)
-    if not total.is_finite:
+    """The cut of ``block`` at the full state ``x``: its weighted summands'
+    values there and the sum of its constant ones."""
+    plan, values = block.plan, [v for _, v in x.items]
+    at = [t[plan.entry(scope, values)] for t, scope in zip(block.c + block.b, plan.scopes)]
+    nc = len(block.c)
+    if None in at[nc:]:
         raise LpInternalError("cut witness passed through an excluded state")
-    return _Cut(block_index, x, alpha, total.unwrap())
+    alpha = tuple(Fraction(n, block.den) for n in at[:nc])
+    return _Cut(block_index, x, alpha, Fraction(sum(at[nc:]), block.den))
 
 
 def _master_std(m: int, box: Fraction, cuts: Collection[_Cut]) -> StdLp:
@@ -108,15 +107,11 @@ def update_weights(
     order: Sequence[int] | None = None,
     *,
     trace: dict | None = None,
-    images: list | None = None,
 ) -> tuple[Weights, Fraction]:
     """Best linear value weights for a fixed decision list.
 
     Returns the minimizing weights together with the optimal bound phi.
     The result is exact and certified; see the module notes for how.
-    ``images`` may carry the integer images ``factored_bellman_err`` left
-    for this policy's blocks; they are taken out of it and used in place
-    of new ones.
     """
     if order is None:
         order = identity_order(len(mdp.dims))
@@ -125,16 +120,15 @@ def update_weights(
     m = len(mdp.basis)
     started = time.perf_counter()
     blocks = weight_lp_blocks(mdp, pol, order)
-    live = _taken_images(images, blocks)
 
     cuts: dict[tuple, _Cut] = {}
 
     def cut_above(w: Sequence[Fraction], floor: ExtReal) -> bool:
         """Keep the cut of every block that prices above ``floor`` at ``w``;
-        whether there was one.  No image outlives the call in a local."""
+        whether there was one."""
         found = False
-        for idx, (block, image) in enumerate(zip(blocks, live)):
-            value, witness = _price(block, image, w, order, dims)
+        for idx, block in enumerate(blocks):
+            value, witness = max_sum_decode(block.at(w), order, dims, block.plan)
             if value > floor:
                 cut = _cut_at(idx, block, witness)
                 cuts.setdefault((cut.alpha, cut.beta), cut)
@@ -177,7 +171,6 @@ def update_weights(
         cut_duals = tuple(cert.dual[2 * m + k] for k in range(len(cuts)))
         break
 
-    del live  # the integer images are not needed past pricing
     std = assemble_lp(blocks)
     primal = _complete_primal(std, blocks, phi, w)
     dual = _lift_dual(std, blocks, cuts.values(), cut_duals)
@@ -199,41 +192,25 @@ def update_weights(
     return w, phi
 
 
-def _taken_images(images: list | None, blocks: tuple[TagBlock, ...]) -> list[IntBlock]:
-    """The images ``images`` holds for these very blocks, taken out of it,
-    or else new ones."""
-    if images:
-        held, live = images.pop()
-        if held is blocks:
-            return live
-    return [block.ints() for block in blocks]
-
-
 def _block_tables(
-    block: TagBlock, a: Sequence[int], steps: dict[int, int], pins: dict[int, int], top: int
+    block: TagBlock, a: Sequence[int], per_w: int, den: int, top: int
 ) -> list[tuple[int, ...]]:
     """Every private variable of one block over the primal's denominator
-    D, one table per plan slot, from a single sweep.
+    ``den``, one table per plan slot, from a single sweep.
 
-    ``a`` holds w over lcm(w); a weighted entry n/d becomes
-    ``a_i * n * steps[d]`` and a constant one ``n * pins[d]``.  Entries
-    that the program leaves unpinned take a stand-in far below everything
+    ``a`` holds w over lcm(w) and ``per_w`` is ``den / lcm(w)``: a
+    weighted entry n (over ``block.den``) becomes ``a_i * n * per_w /
+    block.den`` and a constant one ``n * den / block.den``.  Entries that
+    the program leaves unpinned take a stand-in far below everything
     finite (see the module notes for why one sweep suffices); ``top`` is
-    phi over D.
+    phi over ``den``.
     """
-    reach = abs(top) + pins[1]  # |phi| + 1, over D
-    weighted, pinned = [], []
-    for ai, c in zip(a, block.c_fns):
-        table = [ai * n * steps[d] for n, d in (q.as_integer_ratio() for q in c.table)]
-        reach += max(map(abs, table), default=0)
-        weighted.append(table)
-    for b in block.b_fns:
-        ratios = (None if v.finite is None else v.finite.as_integer_ratio() for v in b.table)
-        table = [None if r is None else r[0] * pins[r[1]] for r in ratios]
-        reach += max(map(abs, filter(None, table)), default=0)
-        pinned.append(table)
-    weighted += [[-reach if n is None else n for n in t] if None in t else t for t in pinned]
-    swept, _ = block.plan.sweep(weighted, 0)
+    step, pin = per_w // block.den, den // block.den
+    # |phi| + 1 and every summand's largest finite magnitude at w, over den
+    reach = abs(top) + den + step * sum(map(mul, map(abs, a), block.c_max)) + pin * block.b_max
+    tables = [list(map((ai * step).__mul__, t)) for ai, t in zip(a, block.c)]
+    tables += [[-reach if n is None else n * pin for n in t] for t in block.b]
+    swept, _ = block.plan.sweep(tables, 0)
     if sum(swept[s][0] for s in block.plan.final) > top:
         raise LpInternalError("completed block exceeds phi")
     return swept
@@ -247,17 +224,11 @@ def _complete_primal(
 ) -> IntVector:
     """The full primal as numerators over one denominator, filled block by
     block over D and then reduced to the least common denominator."""
-    dens = {1}
-    for block in blocks:
-        dens.update(q.denominator for c in block.c_fns for q in c.table)
-        dens.update(v.finite.denominator for b in block.b_fns for v in b.table if v.is_finite)
     ratios = [q.as_integer_ratio() for q in w]
     lw = lcm(*(d for _, d in ratios))
-    den = lcm(phi.denominator, lw * lcm(*dens))
+    den = lcm(phi.denominator, lw * lcm(*{block.den for block in blocks}))
     per_w = den // lw
     a = [n * (lw // d) for n, d in ratios]
-    steps = {d: per_w // d for d in dens}
-    pins = {d: den // d for d in dens}
     top = phi.numerator * (den // phi.denominator)
     nums = [0] * std.num_cols
     nums[0] = top
@@ -265,7 +236,7 @@ def _complete_primal(
         if col is not None:
             nums[col] = ai * per_w
     for block, at in zip(blocks, std.placed):
-        for cols, table in zip(at.cols, _block_tables(block, a, steps, pins, top)):
+        for cols, table in zip(at.cols, _block_tables(block, a, per_w, den, top)):
             for col, value in zip(cols, table):
                 nums[col] = value
     g = gcd(den, *nums)  # D is rarely the least denominator
@@ -308,5 +279,5 @@ def _lift_dual(
             if k is None:
                 raise LpInternalError("dual flow reached an unpinned entry")
             # The half with coefficient -1 on the entry: a tie's first, a pin's second.
-            dual[k + int(s >= len(block.c_fns))] += flow
+            dual[k + int(s >= len(block.c))] += flow
     return tuple(dual)

@@ -162,11 +162,30 @@ def reference_difference_fns(mdp, t, a):
     return tuple(out)
 
 
+def block_fns(block):
+    """A block's integer tables read back as scoped functions on their plan
+    slots' scopes: the weighted summands with ``Fraction`` tables and the
+    constant ones with extended-real tables."""
+    plan = block.plan
+
+    def fn(s, table, value):
+        scope = plan.scopes[s]
+        return ScopedFn(scope, tuple(plan.dims[v] for v in scope), tuple(map(value, table)))
+
+    c_fns = tuple(fn(i, t, lambda n: Fraction(n, block.den)) for i, t in enumerate(block.c))
+    b_fns = tuple(
+        fn(s, t, lambda n: NEG_INF if n is None else fin(Fraction(n, block.den)))
+        for s, t in enumerate(block.b, len(block.c))
+    )
+    return c_fns, b_fns
+
+
 def reference_at(block, w):
     """A block's summands at ``w`` as extended-real tables, in plan order:
     each weighted summand scaled by its w_i, then the constant ones."""
-    scaled = [c.map_table(lambda q, wi=wi: fin(wi * q)) for wi, c in zip(w, block.c_fns)]
-    return scaled + list(block.b_fns)
+    c_fns, b_fns = block_fns(block)
+    scaled = [c.map_table(lambda q, wi=wi: fin(wi * q)) for wi, c in zip(w, c_fns)]
+    return scaled + list(b_fns)
 
 
 def reference_max_sum_decode(fns, plan):
@@ -182,8 +201,8 @@ def reference_max_sum_decode(fns, plan):
 
 def reference_fn_vars(block):
     """One named private variable per table entry of every plan slot."""
-    ids = [FnId("c", i) for i in range(len(block.c_fns))]
-    ids += [FnId("b", k) for k in range(len(block.b_fns))]
+    ids = [FnId("c", i) for i in range(len(block.c))]
+    ids += [FnId("b", k) for k in range(len(block.b))]
     ids += [FnId("e", rnd.var) for rnd in block.plan.rounds]
     return [
         [FnVar(block.tag, fid, z) for z in assignments(scope, block.plan.dims)]
@@ -212,9 +231,10 @@ def reference_weight_lp(blocks):
     rows = []
     for block in blocks:
         plan, fn_vars = block.plan, reference_fn_vars(block)
-        for i, c in enumerate(block.c_fns):
+        c_fns, b_fns = block_fns(block)
+        for i, c in enumerate(c_fns):
             rows += [make_constraint("eq", [(v, minus), (Weight(i), q)], 0) for v, q in zip(fn_vars[i], c.table)]
-        for b, b_vars in zip(block.b_fns, fn_vars[len(block.c_fns) :]):
+        for b, b_vars in zip(b_fns, fn_vars[len(c_fns) :]):
             rows += [make_constraint("eq", [(v, one)], q.unwrap()) for v, q in zip(b_vars, b.table) if q.is_finite]
         for rnd, e_vars in zip(plan.rounds, fn_vars[plan.inputs :]):
             card = plan.dims[rnd.var]
@@ -232,14 +252,15 @@ def reference_weight_lp(blocks):
 def reference_block_tables(block, w, phi):
     """One block's private variables as the completion first swept them,
     over ``Fraction``s: unpinned entries at the stand-in -reach."""
+    c_fns, b_fns = block_fns(block)
     reach = abs(phi) + 1
-    for wi, c in zip(w, block.c_fns):
+    for wi, c in zip(w, c_fns):
         reach += abs(wi) * max(map(abs, c.table), default=0)
-    for b in block.b_fns:
+    for b in b_fns:
         reach += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
     stand_in = -reach
-    weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, block.c_fns)]
-    pinned = [tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in block.b_fns]
+    weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, c_fns)]
+    pinned = [tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in b_fns]
     tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
     if sum((tables[s][0] for s in block.plan.final), Fraction(0)) > phi:
         raise LpInternalError("completed block exceeds phi")
@@ -271,6 +292,42 @@ def sysadmin3():
 
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+_BIG_PRIMES = (1, 3, 10007, 65537, 2**31 - 1, 2**61 - 1)
+BIG_DENOMINATOR_SMALL = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_BIG_PRIMES))
+BIG_DENOMINATOR_LARGE = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.sampled_from(_BIG_PRIMES)
+)
+
+
+@st.composite
+def summands(draw):
+    """The inputs of one ``fmdp.lpbuild.min_lp`` block over 1-3 variables
+    of 1-3 values: dims, weighted summands with rational tables, constant
+    summands with extended-real tables (minus infinity among them), and an
+    elimination order."""
+    n = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    scopes = _scopes(n, n)
+    entry = st.one_of(
+        BIG_DENOMINATOR_SMALL.map(fin),
+        BIG_DENOMINATOR_LARGE.map(fin),
+        st.just(NEG_INF),
+        st.just(fin(0)),
+    )
+
+    def fn(values):
+        scope = draw(scopes)
+        card = tuple(dims[v] for v in scope)
+        size = 1
+        for c in card:
+            size *= c
+        return ScopedFn(scope, card, tuple(draw(values) for _ in range(size)))
+
+    c_fns = tuple(fn(BIG_DENOMINATOR_SMALL) for _ in range(draw(st.integers(0, 3))))
+    b_fns = tuple(fn(entry) for _ in range(draw(st.integers(0, 4))))
+    order = tuple(draw(st.permutations(range(n))))
+    return dims, c_fns, b_fns, order
 
 
 def _scopes(n, most, least=0):

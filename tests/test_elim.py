@@ -22,7 +22,14 @@ from fmdp.lp import Tag
 from fmdp.lpbuild import min_lp
 from fmdp.values import NEG_INF, ext_sum, fin
 
-from helpers import random_ext_table_fns, reference_at, reference_max_sum_decode
+from helpers import (
+    BIG_DENOMINATOR_LARGE,
+    BIG_DENOMINATOR_SMALL,
+    random_ext_table_fns,
+    reference_at,
+    reference_max_sum_decode,
+    summands,
+)
 
 
 def _swept(fns, order, dims):
@@ -175,35 +182,11 @@ def test_min_degree_order_is_permutation_and_agrees():
 
 # -- the integer kernel against the extended-real reference sweep -----------
 
-_BIG_PRIMES = (1, 3, 10007, 65537, 2**31 - 1, 2**61 - 1)
-
-
 @st.composite
 def _priced_blocks(draw):
-    """A block of weighted and constant summands over 1-3 variables of
-    1-3 values, with weights at which to price it."""
-    n = draw(st.integers(1, 3))
-    dims = tuple(draw(st.integers(1, 3)) for _ in range(n))
-    scopes = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
-    scopes = scopes.map(lambda s: tuple(sorted(s)))
-    small = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_BIG_PRIMES))
-    large = st.builds(Fraction, st.integers(-(10**30), 10**30), st.sampled_from(_BIG_PRIMES))
-    entry = st.one_of(
-        small.map(fin), large.map(fin), st.just(NEG_INF), st.just(fin(0))
-    )
-
-    def fn(values):
-        scope = draw(scopes)
-        card = tuple(dims[v] for v in scope)
-        size = 1
-        for c in card:
-            size *= c
-        return ScopedFn(scope, card, tuple(draw(values) for _ in range(size)))
-
-    c_fns = tuple(fn(small) for _ in range(draw(st.integers(0, 3))))
-    b_fns = tuple(fn(entry) for _ in range(draw(st.integers(0, 4))))
-    order = tuple(draw(st.permutations(range(n))))
-    weight = st.one_of(st.just(Fraction(0)), small, large)
+    """A ``summands`` block, with weights at which to price it."""
+    dims, c_fns, b_fns, order = draw(summands())
+    weight = st.one_of(st.just(Fraction(0)), BIG_DENOMINATOR_SMALL, BIG_DENOMINATOR_LARGE)
     w = tuple(draw(weight) for _ in c_fns)
     return min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, b_fns, order), order, w
 
@@ -224,11 +207,7 @@ def test_integer_kernel_matches_the_extended_real_sweep(case):
     # A ScopedFn family is converted once on entry.
     _assert_matches_reference(max_sum_decode(fns, order, dims, block.plan), want)
     _assert_matches_reference(max_sum_decode(fns, order, dims), want)
-    image = block.ints()
-    if image is None:
-        assert want[0] == NEG_INF
-    else:
-        _assert_matches_reference(max_sum_decode(image.at(w), order, dims, block.plan), want)
+    _assert_matches_reference(max_sum_decode(block.at(w), order, dims, block.plan), want)
 
 
 @pytest.mark.parametrize(
@@ -238,8 +217,16 @@ def test_integer_kernel_matches_the_extended_real_sweep(case):
         ((2,), (), (ScopedFn((0,), (2,), (NEG_INF, NEG_INF)),), ()),
         # a 1-value variable: a one-entry table with a scope is no constant
         ((1, 2), (), (ScopedFn((0,), (1,), (NEG_INF,)), ScopedFn((1,), (2,), (fin(1), fin(2)))), ()),
-        # a large folded offset must not lift an excluded total
+        # a large empty-scope constant must not lift an excluded total
         ((2,), (), (ScopedFn((), (), (fin(10**40),)), ScopedFn((0,), (2,), (NEG_INF, NEG_INF))), ()),
+        # an empty-scope constant next to minus infinity: the constant still
+        # adds to the one state left
+        (
+            (2,),
+            (ScopedFn((0,), (2,), (Fraction(1), Fraction(-2))),),
+            (ScopedFn.constant(fin(Fraction(-7, 3))), ScopedFn((0,), (2,), (NEG_INF, fin(0)))),
+            (Fraction(5),),
+        ),
         # w = 0 and a weight with a large prime denominator
         (
             (2, 2),
@@ -248,7 +235,13 @@ def test_integer_kernel_matches_the_extended_real_sweep(case):
             (Fraction(0), Fraction(1, 2**61 - 1)),
         ),
     ],
-    ids=["all-excluded", "one-value-domain", "large-offset", "zero-and-coprime-weights"],
+    ids=[
+        "all-excluded",
+        "one-value-domain",
+        "large-offset",
+        "constant-beside-minus-infinity",
+        "zero-and-coprime-weights",
+    ],
 )
 def test_integer_kernel_edge_cases(dims, c_fns, b_fns, w):
     order = identity_order(len(dims))
@@ -256,9 +249,7 @@ def test_integer_kernel_edge_cases(dims, c_fns, b_fns, w):
     fns = reference_at(block, w)
     want = reference_max_sum_decode(fns, block.plan)
     assert want[0] == explicit_max(fns, dims)
-    image = block.ints()
-    assert image is not None  # no empty-scope summand is minus infinity
-    _assert_matches_reference(max_sum_decode(image.at(w), order, dims, block.plan), want)
+    _assert_matches_reference(max_sum_decode(block.at(w), order, dims, block.plan), want)
     _assert_matches_reference(max_sum_decode(fns, order, dims), want)
 
 
@@ -267,11 +258,10 @@ def test_empty_scope_minus_infinity_marks_a_shadowed_block():
     c_fns = (ScopedFn((0,), (2,), (Fraction(1), Fraction(2))),)
     dead = ScopedFn.constant(NEG_INF)
     block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (dead,), (0,))
-    image = block.ints()
-    assert image.b == ((None,),) and image.offset == 0
-    assert max_sum(image.at((Fraction(1),)), (0,), dims, block.plan) == NEG_INF
+    assert block.b == ((None,),)
+    assert max_sum(block.at((Fraction(1),)), (0,), dims, block.plan) == NEG_INF
     assert max_sum(reference_at(block, (Fraction(1),)), (0,), dims) == NEG_INF
     live = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (ScopedFn.constant(fin(3)),), (0,))
-    image = live.ints()
-    assert image.offset == 3 * image.den and image.b == ((0,),)
-    assert max_sum(image.at((Fraction(1, 2),)), (0,), dims, live.plan) == fin(4)
+    # The constant is a one-entry table like any other and counts in the bound.
+    assert live.b == ((3 * live.den,),) and live.b_max == 3 * live.den
+    assert max_sum(live.at((Fraction(1, 2),)), (0,), dims, live.plan) == fin(4)

@@ -174,6 +174,12 @@ def test_certificate_reader_rejects_malformed_input(tmp_path):
         load("optimal\nprimal\nx 1\n")
     with pytest.raises(InvalidInputError, match="needs point and ray"):
         load("unbounded\npoint\n")
+    # A bad number names its file and line, in either kind of section.
+    path = tmp_path / "bad.cert"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}:3: not a rational: '1/0'$"):
+        load("optimal\nprimal\nx 1/0\ndual\n")
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}:5: not a rational: 'one'$"):
+        load("optimal\nprimal\nx 1\ndual\n0 one\n")
 
 
 def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeypatch):

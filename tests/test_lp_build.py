@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     SMALL,
     all_states,
+    block_fns,
     explicit_branch_sup,
     models,
     random_rational_fn,
@@ -18,6 +20,7 @@ from helpers import (
     reference_difference_fns,
     reference_fn_vars,
     reference_weight_lp,
+    summands,
 )
 
 from fmdp.certify import check_optimality
@@ -133,6 +136,33 @@ def test_minus_infinity_entries_leave_variables_unpinned():
     assert cert.primal[std.col_of[PHI]] == Fraction(4)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(summands())
+def test_a_block_reads_back_as_the_functions_it_was_built_from(drawn):
+    dims, c_fns, b_fns, order = drawn
+    block = min_lp(dims, TAG, c_fns, b_fns, order)
+    assert block_fns(block) == (c_fns, b_fns)
+    finite = [q for f in c_fns for q in f.table] + [v.finite for f in b_fns for v in f.table if v.is_finite]
+    assert block.den == lcm(*(q.denominator for q in finite))
+
+
+def _assert_integer_tables(block):
+    assert type(block.den) is int and type(block.b_max) is int
+    assert all(type(n) is int for n in block.c_max)
+    assert all(type(n) is int for t in block.c for n in t)
+    assert all(n is None or type(n) is int for t in block.b for n in t)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(models(), st.lists(SMALL, min_size=3, max_size=3), summands())
+def test_built_blocks_hold_no_fraction_or_extended_real(mdp, ws, drawn):
+    pol = greedy_decision_list(mdp, tuple(ws[: len(mdp.basis)]))
+    for block in weight_lp_blocks(mdp, pol, elimination_order(mdp, "min-degree")):
+        _assert_integer_tables(block)
+    dims, c_fns, b_fns, order = drawn
+    _assert_integer_tables(min_lp(dims, TAG, c_fns, b_fns, order))
+
+
 def test_min_lp_rejects_bad_inputs():
     with pytest.raises(InvalidInputError, match="permutation"):
         min_lp((2, 2), TAG, (), (), (0,))
@@ -148,10 +178,11 @@ def test_branch_blocks_mirror_each_other():
     pos, neg = branch_lp(mdp, t, 1, (), identity_order(2))
     assert pos.tag == Tag(t, 1, True)
     assert neg.tag == Tag(t, 1, False)
-    for cp, cn in zip(pos.c_fns, neg.c_fns):
+    (pos_c, pos_b), (neg_c, neg_b) = block_fns(pos), block_fns(neg)
+    for cp, cn in zip(pos_c, neg_c):
         assert cp.scope == cn.scope
         assert [-q for q in cp.table] == list(cn.table)
-    for bp, bn in zip(pos.b_fns[: len(mdp.rewards[1])], neg.b_fns):
+    for bp, bn in zip(pos_b[: len(mdp.rewards[1])], neg_b):
         assert [v.unwrap() for v in bp.table] == [-v.unwrap() for v in bn.table]
 
 
@@ -242,8 +273,9 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
             # Slot s's rows, one per table entry, or per round point
             # (entry j // dims[var] of the replacement) for a round's slot.
             cards = [1] * plan.inputs + [plan.dims[rnd.var] for rnd in plan.rounds]
-            unpinned = [[False] * len(c.table) for c in block.c_fns]
-            unpinned += [[not v.is_finite for v in b.table] for b in block.b_fns]
+            c_fns, b_fns = block_fns(block)
+            unpinned = [[False] * len(c.table) for c in c_fns]
+            unpinned += [[not v.is_finite for v in b.table] for b in b_fns]
             slots = zip(reference_fn_vars(block), at.cols, at.rows)
             for s, (fn_vars, cols, positions) in enumerate(slots):
                 assert [std.columns[col] for col in cols] == fn_vars
@@ -253,7 +285,7 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
                 assert [k is None for k in positions] == want
                 # The half the dual lift credits holds -1 on the entry: a
                 # tie's first, a pin's second, a round's only row.
-                half = int(len(block.c_fns) <= s < plan.inputs)
+                half = int(len(c_fns) <= s < plan.inputs)
                 for col, k in zip(owners, positions):
                     if k is not None:
                         assert k in mine and halves[k] == (2 if s < plan.inputs else 1)

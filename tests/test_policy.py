@@ -222,6 +222,8 @@ def test_decision_list_text_errors():
         decision_list_from_text(mdp, "0=W ; dance ; 1\n")
     with pytest.raises(InvalidInputError):
         decision_list_from_text(mdp, "5=W ; restart_0 ; 1\n")
+    with pytest.raises(InvalidInputError, match=r"^decision list line 2: not a rational: '1/0'$"):
+        decision_list_from_text(mdp, "0=W ; restart_0 ; 1\n ; noop ; 1/0\n")
 
 
 def test_decision_list_text_rejects_a_variable_assigned_twice():

@@ -1,7 +1,6 @@
 """Weight fitting: hand optima, oracle agreement, and certified exactness."""
 
 import dataclasses
-import gc
 import importlib
 import random
 from fractions import Fraction
@@ -10,10 +9,12 @@ from math import lcm
 import pytest
 from helpers import (
     SMALL,
+    all_states,
     models,
     reference_complete_primal,
     reference_weight_lp,
     reference_weight_lp_blocks,
+    summands,
     sysadmin3,
 )
 from hypothesis import assume, given, settings
@@ -25,17 +26,20 @@ from fmdp.elim import identity_order, max_sum
 from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
-from fmdp.lp import PHI, FnVar, Lp, Optimal, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import IntBlock, TagBlock, assemble_lp, weight_lp, weight_lp_blocks
+from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Weight, make_constraint, to_standard_form
+from fmdp.lpbuild import assemble_lp, min_lp, weight_lp, weight_lp_blocks
 from fmdp.lpio import write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp, policy_value
 from fmdp.policy import Branch, DecisionList, greedy_decision_list
 from fmdp.simplex import solve_lp
-from fmdp.weights import _Cut, _master_std, update_weights
+from fmdp.values import ext_sum
+from fmdp.weights import _Cut, _cut_at, _master_std, update_weights
 
 weights_module = importlib.import_module("fmdp.weights")
 error_module = importlib.import_module("fmdp.error")
+lpbuild_module = importlib.import_module("fmdp.lpbuild")
+api_module = importlib.import_module("fmdp.api")
 
 
 def _default_pol(mdp):
@@ -182,6 +186,20 @@ def test_blocks_may_share_a_cut_within_a_round():
     assert update_weights(mdp, pol, identity_order(3)) == ((zero,), one)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(summands())
+def test_a_cut_holds_the_block_values_at_its_witness(drawn):
+    dims, c_fns, b_fns, order = drawn
+    block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, b_fns, order)
+    for x in all_states(dims):
+        total = ext_sum(b(x) for b in b_fns)
+        if total.is_finite:
+            assert _cut_at(7, block, x) == _Cut(7, x, tuple(c(x) for c in c_fns), total.unwrap())
+        else:
+            with pytest.raises(LpInternalError, match="excluded state"):
+                _cut_at(7, block, x)
+
+
 def _named_master(m, box, cuts):
     cons = []
     for i in range(m):
@@ -259,37 +277,32 @@ def test_sysadmin3_final_list_of_82_branches_gives_56_blocks():
     assert len(reference_weight_lp_blocks(mdp, res.pol, order)) == 164
 
 
-def _live_images() -> int:
-    gc.collect()
-    return sum(isinstance(obj, IntBlock) for obj in gc.get_objects())
-
-
 def _counted_run(mdp):
-    """An untraced min-degree ``api`` run, with its ``TagBlock.ints`` calls,
-    the live images seen as each fit assembles its full program, and the
-    arguments and result of its last primal completion."""
-    calls, at_assembly, completed = [0], [], []
-    ints, assemble = TagBlock.ints, weights_module.assemble_lp
+    """An untraced min-degree ``api`` run, with its ``branch_lp`` calls, the
+    policies it derived, in order, and the arguments and result of its last
+    primal completion."""
+    calls, policies, completed = [0], [], []
+    branch_lp, greedy = lpbuild_module.branch_lp, api_module.greedy_decision_list
     complete = weights_module._complete_primal
 
-    def counting_ints(block):
+    def counting_branch_lp(*args):
         calls[0] += 1
-        return ints(block)
+        return branch_lp(*args)
 
-    def watched_assemble(blocks):
-        at_assembly.append(_live_images())
-        return assemble(blocks)
+    def recorded_greedy(*args):
+        policies.append(greedy(*args))
+        return policies[-1]
 
     def recorded_complete(*args):
         completed[:] = [args, complete(*args)]
         return completed[1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TagBlock, "ints", counting_ints)
-        patch.setattr(weights_module, "assemble_lp", watched_assemble)
+        patch.setattr(lpbuild_module, "branch_lp", counting_branch_lp)
+        patch.setattr(api_module, "greedy_decision_list", recorded_greedy)
         patch.setattr(weights_module, "_complete_primal", recorded_complete)
         api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")))
-    return calls[0], at_assembly, completed
+    return calls[0], policies, completed
 
 
 @pytest.fixture(scope="module")
@@ -307,32 +320,27 @@ def counted_runs():
     return run
 
 
+def _live_branches(pol) -> int:
+    """The branches whose state extends no earlier branch's state."""
+    return sum(
+        not any(set(b.t.items).issuperset(e.t.items) for e in pol.branches[:k])
+        for k, b in enumerate(pol.branches)
+    )
+
+
 @pytest.mark.parametrize(
-    "names, calls", [(("sysadmin-3",), 170), (("ring-6", "ring-5", "ring-4"), 434)]
+    "names, calls", [(("sysadmin-3",), 57), (("ring-6", "ring-5", "ring-4"), 154)]
 )
-def test_each_policy_builds_its_integer_images_once(counted_runs, names, calls):
-    # The error of each new policy hands its images to the fit of that
-    # policy, one per block of a live branch (494 on sysadmin-3 while
-    # shadowed branches had blocks, 736 on the rings when both built their
-    # own); no image is alive while a fit assembles its full program, nor
-    # once api returns.
-    assert sum(counted_runs(name)[0] for name in names) == calls
+def test_each_policy_builds_its_blocks_once(counted_runs, names, calls):
+    # Every policy the run derives gets one pair of blocks per live branch,
+    # built once and shared by the error of that policy and the fit to it;
+    # a converged run's last policy repeats the one before, so it builds none.
+    built = 0
     for name in names:
-        assert set(counted_runs(name)[1]) == {0}
-    assert _live_images() == 0
-
-
-def test_images_for_other_blocks_are_not_used():
-    mdp = make_ring(3)
-    order = elimination_order(mdp, "min-degree")
-    other = (Fraction(-1), Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2))
-    first, second = (greedy_decision_list(mdp, w) for w in ((Fraction(0),) * 4, other))
-    images: list = []
-    factored_bellman_err(mdp, (Fraction(1),) * 4, first, order, images=images)
-    assert len(images) == 1 and images[0][0] is weight_lp_blocks(mdp, first, order)
-    fitted = update_weights(mdp, second, order, images=images)
-    assert images == []
-    assert fitted == update_weights(mdp, second, order)
+        count, policies, _ = counted_runs(name)
+        assert count == sum(map(_live_branches, dict.fromkeys(policies)))
+        built += count
+    assert built == calls
 
 
 @pytest.mark.parametrize("name", ["ring-3", "ring-4", "ring-5", "sysadmin-3"])
@@ -382,7 +390,7 @@ def _shadowing_fits(draw):
     mdp, pol, order = draw(_shadowing_lists())
     blocks = weight_lp_blocks(mdp, pol, order)
     w = tuple(draw(SMALL) for _ in mdp.basis)
-    prices = (max_sum(b.ints().at(w), order, mdp.dims, b.plan) for b in blocks)
+    prices = (max_sum(b.at(w), order, mdp.dims, b.plan) for b in blocks)
     return blocks, w, max(prices).unwrap()
 
 
