@@ -282,13 +282,36 @@ def reference_complete_primal(std, blocks, phi, w):
     return tuple(primal)
 
 
-def sysadmin3():
-    """Perfbench's seed-0 three-machine SysAdmin model."""
+def _perfbench_models():
+    """The benchmark's model generators, ``perfbench/models.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
     spec = importlib.util.spec_from_file_location("perfbench_models", path)
     models = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(models)
+    return models
+
+
+def sysadmin3():
+    """Perfbench's seed-0 three-machine SysAdmin model."""
+    models = _perfbench_models()
     return models.sysadmin_mdp(3, models.sysadmin_params(None))
+
+
+def perfbench_instances(seed):
+    """Ring-3 to ring-6 and sysadmin-3 at a perfbench seed, by name.
+
+    Ring-4 to ring-6 and sysadmin-3 draw their probabilities as
+    ``perfbench/workloads.instance_builders`` does; ring-3, which the
+    benchmark does not run, takes the seed's first ring draw, as ring-4
+    does.  Seed 0 gives the package's reference models.
+    """
+    models = _perfbench_models()
+    rng = None if seed == 0 else random.Random(seed)
+    rings = {n: models.ring_params(rng) for n in (4, 5, 6)}
+    rings[3] = rings[4]
+    out = {f"ring-{n}": models.ring_mdp(n, rings[n]) for n in (3, 4, 5, 6)}
+    out["sysadmin-3"] = models.sysadmin_mdp(3, models.sysadmin_params(rng))
+    return out
 
 
 SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
