@@ -103,8 +103,14 @@ class FactoredMdp:
         for i, dom in enumerate(self.domains):
             if not dom:
                 out.append(f"doms_ne: variable {i} has an empty domain")
+            for value in dom:
+                if not isinstance(value, str):
+                    out.append(f"doms_ne: variable {i}: value {value!r} is not a name")
         if not self.actions:
             out.append("actions_ne: no actions")
+        for a, name in enumerate(self.actions):
+            if not isinstance(name, str):
+                out.append(f"actions_ne: action {a}: {name!r} is not a name")
         if not (0 <= self.default < len(self.actions)):
             out.append(f"default_act: default index {self.default} out of range")
 
@@ -124,6 +130,13 @@ class FactoredMdp:
             return all(0 <= v < n for v in f.scope) and all(
                 c == dims[v] for v, c in zip(f.scope, f.card)
             )
+
+        def untyped(where: str, f: ScopedFn) -> list[str]:
+            return [
+                f"{where} entry {v!r} is not a rational"
+                for v in f.table
+                if not isinstance(v, (Fraction, int))
+            ]
 
         # Cleared when an entry lacks the type the closure checks below read.
         typed = True
@@ -182,6 +195,8 @@ class FactoredMdp:
                     typed = False
                 elif not scope_ok(f):
                     out.append(f"reward_scope_dims: action {a}, reward {j}: bad scope")
+                else:
+                    out += untyped(f"reward_scope_dims: action {a}, reward {j}:", f)
         for a, eff in enumerate(self.effects):
             if not isinstance(eff, (tuple, list)) or not all(isinstance(v, int) for v in eff):
                 out.append(f"effects: action {a}: {eff!r} is not a tuple of variable indices")
@@ -191,6 +206,8 @@ class FactoredMdp:
                 out.append(f"h_scope_dims: basis {i}: {f!r} is not a scoped function")
             elif not scope_ok(f):
                 out.append(f"h_scope_dims: basis {i}: bad scope")
+            else:
+                out += untyped(f"h_scope_dims: basis {i}:", f)
         if not self.discount < 1:
             out.append(f"disc_lt_one: discount {format_rational(self.discount)} not < 1")
         if self.discount < 0:

@@ -387,6 +387,39 @@ def test_validate_reports_a_none_basis_function():
     assert bad.validate() == ["h_scope_dims: basis 0: None is not a scoped function"]
 
 
+def test_validate_reports_a_non_rational_reward_entry():
+    mdp = make_ring(2)
+    r = mdp.rewards[0][0]
+    bad = ScopedFn(r.scope, r.card, (None,) + r.table[1:])
+    rewards = tuple((bad,) + rs[1:] for rs in mdp.rewards)
+    assert dataclasses.replace(mdp, rewards=rewards).validate() == [
+        f"reward_scope_dims: action {a}, reward 0: entry None is not a rational"
+        for a in range(len(mdp.actions))
+    ]
+
+
+@pytest.mark.parametrize("value", ["x", 0.5])
+def test_validate_reports_a_non_rational_basis_entry(value):
+    mdp = make_ring(2)
+    h = mdp.basis[1]
+    basis = (mdp.basis[0], ScopedFn(h.scope, h.card, (value,) + h.table[1:]), mdp.basis[2])
+    assert dataclasses.replace(mdp, basis=basis).validate() == [
+        f"h_scope_dims: basis 1: entry {value!r} is not a rational"
+    ]
+
+
+def test_validate_reports_a_domain_value_that_is_not_a_name():
+    mdp = make_ring(2)
+    bad = dataclasses.replace(mdp, domains=(("W", 3),) + mdp.domains[1:])
+    assert bad.validate() == ["doms_ne: variable 0: value 3 is not a name"]
+
+
+def test_validate_reports_an_action_that_is_not_a_name():
+    mdp = make_ring(2)
+    bad = dataclasses.replace(mdp, actions=(mdp.actions[0], 7) + mdp.actions[2:])
+    assert bad.validate() == ["actions_ne: action 1: 7 is not a name"]
+
+
 def test_validate_reports_a_scalar_transition_family():
     mdp = make_ring(2)
     bad = dataclasses.replace(mdp, transitions=(mdp.transitions[0], 3, mdp.transitions[2]))
