@@ -35,10 +35,12 @@ gets a function variable whose dominance rows bound every one-variable
 extension of its dependents; a summary row says the surviving constants
 sum to at most phi.  A block that is only priced never builds rows.
 ``assemble_lp`` emits every block's rows, in that order, in one pass
-straight into standard form: a private variable is a column number in
-one integer array per plan slot, and each block's ``Placed`` record keeps
-those arrays and the row at each table entry or round point, through
-which ``fmdp.weights`` writes its integer primal and lifts its dual.
+straight into standard form.  Each plan slot of a block is one run of
+columns, an entry per table entry, and one run of rows, so a block's
+``Placed`` record holds only where each run starts; ``Placed.credited``
+maps a (slot, entry or round point) to the row a dual lift credits.
+``fmdp.weights`` writes its integer primal a slot at a time and lifts its
+dual through that map.
 Names (the ``FnVar`` columns and ``weight_lp``'s named rows) are made
 only when read, to write an LP or certificate file.
 """
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -252,14 +255,29 @@ def weight_lp(
 
 
 class Placed(NamedTuple):
-    """Where one block sits in the full standard form: per plan slot, the
-    column of each table entry and the row of each entry (``None`` for an
-    unpinned one) or, for a round's slot, of each point; an equality's row
-    is its first half.  ``summary`` is the block's last row."""
+    """Where one block sits in the full standard form.  Plan slot ``s`` has
+    one run of columns from ``cols[s]``, one per table entry in table order,
+    and one run of rows from ``rows[s]``: two tie rows per entry of a
+    weighted slot, two pin rows per finite entry of a constant slot, one
+    dominance row per point of a round (one in all for a round nothing
+    depends on).  ``summary`` is the block's last row."""
 
-    cols: tuple[list[int], ...]
-    rows: tuple[tuple[int | None, ...], ...]
+    cols: tuple[int, ...]
+    rows: tuple[int, ...]
     summary: int
+
+    def credited(self, block: TagBlock, s: int, j: int) -> int | None:
+        """The row with -1 on slot ``s``'s entry ``j`` (for a round's slot,
+        on its entry at point ``j``), the one a dual lift credits: a tie's
+        first half, a pin's second, a dominance row; ``None`` for an
+        unpinned entry."""
+        nc, plan = len(block.c), block.plan
+        if s < nc:
+            return self.rows[s] + 2 * j
+        if s < plan.inputs:
+            b = block.b[s - nc]
+            return None if b[j] is None else self.rows[s] + 2 * (j - b[:j].count(None)) + 1
+        return self.rows[s] + (j if plan.rounds[s - plan.inputs].dependents else 0)
 
 
 @dataclass(frozen=True)
@@ -282,16 +300,16 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
     """The blocks' rows, block after block, straight in standard form.
 
     Per block: ties, pins, each round's dominance rows, the summary row.
-    Columns are numbered as ``to_standard_form`` numbers the named program:
-    phi first, then each variable at its first appearance, reading every
-    row in the canonical variable order (a weight before private variables;
-    those by kind b, c, e, then index), so ``to_standard_form(named_lp(...))``
-    rebuilds these very rows.  Private variables carry their block's tag,
+    Phi is column 0.  A block first takes a column for each weight no
+    earlier row has, then one run of columns per plan slot, slots in
+    order, so every row lists its columns in ascending order: a weight
+    before the block's runs, a round's dependents before its own slot, and
+    a row's slots ascending.  Private variables carry their block's tag,
     so no row appears in two blocks.  Every row holding a column with
     coefficient 1 (or -1) shares one term object for it, every tie
     coefficient and pin right-hand side n/den is one ``Fraction`` per
-    distinct (n, den), and the rows of each constraint are listed only when
-    read.
+    distinct (n, den), and the rows of each constraint are listed only
+    when read.
     """
     one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
     rows: list[tuple[tuple[int, Fraction], ...]] = []
@@ -311,71 +329,62 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
             q = fracs[n] = Fraction(n, den)
         return q
 
-    def fresh() -> int:
+    def fresh(count: int) -> int:
+        """The first of ``count`` new columns."""
         k = len(up)
-        up.append((k, one))
-        down.append((k, minus))
+        ids = list(range(k, k + count))  # one int per column, in both terms
+        up.extend(zip(ids, repeat(one)))
+        down.extend(zip(ids, repeat(minus)))
         return k
 
-    def col(s: int, e: int) -> int:
-        if cols[s][e] < 0:
-            cols[s][e] = fresh()
-        return cols[s][e]
-
-    def equality(row, negated, n: int) -> int:
+    def equality(row, negated, n: int) -> None:
         """The rows ``row <= n/den`` and ``negated <= -n/den``."""
-        k = len(rows)
         rows.extend((row, negated))
         rhs.extend((frac(n), frac(-n)))
         halves.append(2)
-        return k
-
-    def inequality(terms, j: int, row: list) -> int:
-        """After ``row``, each (slot, entry at each point, unit terms) term at point j."""
-        k = len(rows)
-        row += [unit[col(s, at[j])] for s, at, unit in terms]
-        rows.append(tuple(sorted(row)))
-        rhs.append(zero)
-        halves.append(1)
-        return k
 
     for block in blocks:
         plan, nc, den = block.plan, len(block.c), block.den
         fracs = by_den.setdefault(den, {})
         weight_cols += [None] * (nc - len(weight_cols))
-        cols = tuple([-1] * prod(plan.dims[v] for v in scope) for scope in plan.scopes)
-        index: list[tuple[int | None, ...]] = []
         for i, c in enumerate(block.c):
-            ties = []
-            for e, n in enumerate(c):
-                if n and weight_cols[i] is None:
-                    weight_cols[i] = fresh()
-                j, w = col(i, e), weight_cols[i]
+            if weight_cols[i] is None and any(c):
+                weight_cols[i] = fresh(1)
+        sizes = [prod(plan.dims[v] for v in scope) for scope in plan.scopes]
+        cols = tuple(accumulate(sizes[:-1], initial=fresh(sum(sizes))))
+        first: list[int] = []
+        for k, w, c in zip(cols, weight_cols, block.c):
+            first.append(len(rows))
+            for j, n in enumerate(c, k):
                 if n:
-                    ties.append(equality(((w, frac(n)), down[j]), ((w, frac(-n)), up[j]), 0))
+                    equality(((w, frac(n)), down[j]), ((w, frac(-n)), up[j]), 0)
                 else:
-                    ties.append(equality((down[j],), (up[j],), 0))
-            index.append(tuple(ties))
-        for s, b in enumerate(block.b, nc):
-            pins = (
-                None if n is None else equality((up[col(s, e)],), (down[col(s, e)],), n)
-                for e, n in enumerate(b)
-            )
-            index.append(tuple(pins))
-        # Every private variable of the block shares its tag, so the
-        # canonical order of a row's terms is their slots' (kind, index).
-        key = [(fid.kind, fid.idx) for fid in _slot_ids(block)]
-        for r, rnd in enumerate(plan.rounds):
-            slot, card = plan.inputs + r, plan.dims[rnd.var]
-            points = range(len(cols[slot]) * card)
-            terms = [(slot, [j // card for j in points], down)]
-            terms += [(s, g, up) for s, g in zip(rnd.dependents, rnd.gather)]
-            terms.sort(key=lambda term: key[term[0]])
-            # A round nothing depends on has one row, -e <= 0, for all its points.
-            dominance = tuple(inequality(terms, j, []) for j in (points if rnd.dependents else (0,)))
-            index.append(dominance * (1 if rnd.dependents else card))
-        final = [(s, (0,), up) for s in sorted(plan.final, key=key.__getitem__)]
-        placed.append(Placed(cols, tuple(index), inequality(final, 0, [down[0]])))
+                    equality((down[j],), (up[j],), 0)
+        for k, b in zip(cols[nc:], block.b):
+            first.append(len(rows))
+            for j, n in enumerate(b, k):
+                if n is not None:
+                    equality((up[j],), (down[j],), n)
+        for slot, rnd in enumerate(plan.rounds, plan.inputs):
+            e = cols[slot]
+            first.append(len(rows))
+            if rnd.dependents:
+                # Point j's row: each dependent's entry there, then -1 on
+                # the replacement's entry j // card.
+                terms = [
+                    list(map(up[cols[s] : cols[s] + sizes[s]].__getitem__, g))
+                    for s, g in zip(rnd.dependents, rnd.gather)
+                ]
+                card = plan.dims[rnd.var]
+                terms.append([t for t in down[e : e + sizes[slot]] for _ in range(card)])
+                rows.extend(zip(*terms))
+            else:
+                rows.append((down[e],))  # -e <= 0, for all the round's points
+        placed.append(Placed(cols, tuple(first), len(rows)))
+        rows.append((down[0], *(up[cols[s]] for s in plan.final)))
+        inequalities = len(rows) - len(rhs)
+        rhs.extend(repeat(zero, inequalities))
+        halves.extend(repeat(1, inequalities))
     n = len(up)
 
     def names() -> list[LpVar]:
@@ -384,9 +393,8 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
             if w is not None:
                 out[w] = Weight(i)
         for block, at in zip(blocks, placed):
-            slots = zip(_slot_ids(block), block.plan.scopes, at.cols)
-            for fid, scope, slot_cols in slots:
-                for z, j in zip(assignments(scope, block.plan.dims), slot_cols):
+            for fid, scope, k in zip(_slot_ids(block), block.plan.scopes, at.cols):
+                for j, z in enumerate(assignments(scope, block.plan.dims), k):
                     out[j] = FnVar(block.tag, fid, z)
         return out
 

@@ -17,25 +17,29 @@ optimum.
 Convergence alone is not trusted.  Each block's elimination plan
 (``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
 source of its schedule, and both halves of the certificate interpret it.
-The finished point is lifted to a full primal solution by one integer
-sweep of each plan, every value over one denominator D fixed up front:
-the lcm of phi's denominator and of lcm(w) times the lcm of the blocks'
-denominators.  Blocks are scaled to D and swept one at a time; the
-filled vector is then divided by the gcd of D and its numerators, down
-to the least common denominator.  Unpinned (minus infinity) entries take
-the stand-in -reach, with reach = |phi| + 1 + each summand's largest
-finite magnitude at w (|w_i| times the largest |c_i| for a weighted
-one): an assignment meeting a stand-in totals at most -|phi| - 1, any
-other totals its priced value, which the last pricing round found
-<= phi, so every summary row holds.
+The finished point is lifted to a full primal solution by sweeping each
+block once more at w, as pricing sweeps it (``TagBlock.at``), every
+value then scaled to one denominator D fixed up front: the lcm of phi's
+denominator and of lcm(w) times the lcm of the blocks' denominators.
+The filled vector is divided by the gcd of D and its numerators, down to
+the least common denominator.  Unpinned (minus infinity) entries keep
+pricing's stand-in -(2 * bound + 1), and that is enough for every
+summary row, which reads the sweep's largest total.  If that total
+meets no stand-in it is the block's price, which the last pricing round
+found <= phi; if it meets one it is below -bound, so negative.  And
+phi >= 0: the first live branch has no indicator, so its mirrored
+blocks sum to nu_w - Q_w^a and to the negation on the same non-empty set
+of states, and one of the two maxima is >= 0.
 The master duals are propagated backwards through the plan's rounds
 along each cut's argmax path into a full dual vector.  Both vectors are
 written by position: ``assemble_lp`` builds the complete standard form
-directly and records, per block and plan slot, the column of every entry
-and the row at every entry or round point (``fmdp.lpbuild.Placed``), so
-no variable is named on the way.  The pair must then survive
-``check_optimality`` on that standard form, the primal as an
-``fmdp.certify.IntVector``; anything less raises ``LpInternalError``.
+directly, giving each plan slot of a block one run of columns and one
+run of rows (``fmdp.lpbuild.Placed``), so the completion writes each
+swept table as one slice, the lift asks ``Placed.credited`` for the row
+of each entry or round point it reaches, and no variable is named on the
+way.  The pair must then survive ``check_optimality`` on that standard
+form, the primal as an ``fmdp.certify.IntVector``; anything less raises
+``LpInternalError``.
 The primal becomes ``Fraction``s only for a traced certificate, one
 object per distinct value.
 """
@@ -46,7 +50,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .certify import IntVector, check_optimality
@@ -192,53 +195,32 @@ def update_weights(
     return w, phi
 
 
-def _block_tables(
-    block: TagBlock, a: Sequence[int], per_w: int, den: int, top: int
-) -> list[tuple[int, ...]]:
-    """Every private variable of one block over the primal's denominator
-    ``den``, one table per plan slot, from a single sweep.
-
-    ``a`` holds w over lcm(w) and ``per_w`` is ``den / lcm(w)``: a
-    weighted entry n (over ``block.den``) becomes ``a_i * n * per_w /
-    block.den`` and a constant one ``n * den / block.den``.  Entries that
-    the program leaves unpinned take a stand-in far below everything
-    finite (see the module notes for why one sweep suffices); ``top`` is
-    phi over ``den``.
-    """
-    step, pin = per_w // block.den, den // block.den
-    # |phi| + 1 and every summand's largest finite magnitude at w, over den
-    reach = abs(top) + den + step * sum(map(mul, map(abs, a), block.c_max)) + pin * block.b_max
-    tables = [list(map((ai * step).__mul__, t)) for ai, t in zip(a, block.c)]
-    tables += [[-reach if n is None else n * pin for n in t] for t in block.b]
-    swept, _ = block.plan.sweep(tables, 0)
-    if sum(swept[s][0] for s in block.plan.final) > top:
-        raise LpInternalError("completed block exceeds phi")
-    return swept
-
-
 def _complete_primal(
     std: FullLp,
     blocks: Sequence[TagBlock],
     phi: Fraction,
     w: Sequence[Fraction],
 ) -> IntVector:
-    """The full primal as numerators over one denominator, filled block by
-    block over D and then reduced to the least common denominator."""
-    ratios = [q.as_integer_ratio() for q in w]
-    lw = lcm(*(d for _, d in ratios))
+    """The full primal as numerators over one denominator D: each block's
+    summands at ``w`` swept once, as pricing sweeps them, and each slot's
+    table written to its run of columns scaled to D; then all of it reduced
+    to the least common denominator."""
+    lw = lcm(*(q.denominator for q in w))
     den = lcm(phi.denominator, lw * lcm(*{block.den for block in blocks}))
-    per_w = den // lw
-    a = [n * (lw // d) for n, d in ratios]
     top = phi.numerator * (den // phi.denominator)
     nums = [0] * std.num_cols
     nums[0] = top
-    for ai, col in zip(a, std.weight_cols):
+    for q, col in zip(w, std.weight_cols):
         if col is not None:
-            nums[col] = ai * per_w
+            nums[col] = q.numerator * (den // q.denominator)
     for block, at in zip(blocks, std.placed):
-        for cols, table in zip(at.cols, _block_tables(block, a, per_w, den, top)):
-            for col, value in zip(cols, table):
-                nums[col] = value
+        scaled = block.at(w)
+        tables, _ = block.plan.sweep(scaled.tables, 0)
+        factor = den // scaled.den
+        if factor * sum(tables[s][0] for s in block.plan.final) > top:
+            raise LpInternalError("completed block exceeds phi")
+        for k, table in zip(at.cols, tables):
+            nums[k : k + len(table)] = [n * factor for n in table]
     g = gcd(den, *nums)  # D is rarely the least denominator
     return IntVector([n // g for n in nums], den // g)
 
@@ -269,15 +251,14 @@ def _lift_dual(
                 continue
             rnd = plan.rounds[r]
             j = plan.entry(rnd.scope_e, x) * plan.dims[rnd.var] + x[rnd.var]
-            dual[at.rows[plan.inputs + r][j]] += flow
+            dual[at.credited(block, plan.inputs + r, j)] += flow
             for s in rnd.dependents:
                 demand[s] = demand.get(s, Fraction(0)) + flow
         for s, flow in demand.items():
             if flow == 0:
                 continue
-            k = at.rows[s][plan.entry(plan.scopes[s], x)]
+            k = at.credited(block, s, plan.entry(plan.scopes[s], x))
             if k is None:
                 raise LpInternalError("dual flow reached an unpinned entry")
-            # The half with coefficient -1 on the entry: a tie's first, a pin's second.
-            dual[k + int(s >= len(block.c))] += flow
+            dual[k] += flow
     return tuple(dual)

@@ -4,6 +4,7 @@ test suite."""
 import importlib.util
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -250,15 +251,17 @@ def reference_weight_lp(blocks):
 
 
 def reference_block_tables(block, w, phi):
-    """One block's private variables as the completion first swept them,
-    over ``Fraction``s: unpinned entries at the stand-in -reach."""
+    """One block's private variables as the completion sweeps them, over
+    ``Fraction``s: unpinned entries at pricing's stand-in, twice the sum of
+    the summands' largest finite magnitudes at ``w`` plus one unit of
+    ``block.den * lcm(w)``, negated."""
     c_fns, b_fns = block_fns(block)
-    reach = abs(phi) + 1
+    bound = Fraction(0)
     for wi, c in zip(w, c_fns):
-        reach += abs(wi) * max(map(abs, c.table), default=0)
+        bound += abs(wi) * max(map(abs, c.table), default=0)
     for b in b_fns:
-        reach += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
-    stand_in = -reach
+        bound += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
+    stand_in = -(2 * bound + Fraction(1, block.den * lcm(*(q.denominator for q in w))))
     weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, c_fns)]
     pinned = [tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in b_fns]
     tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
@@ -268,17 +271,16 @@ def reference_block_tables(block, w, phi):
 
 
 def reference_complete_primal(std, blocks, phi, w):
-    """``fmdp.weights._complete_primal`` as first written: a ``Fraction``
-    per column, filled block by block."""
+    """``fmdp.weights._complete_primal`` over ``Fraction``s: a ``Fraction``
+    per column, each slot's table written to its run of columns."""
     primal = [Fraction(0)] * std.num_cols
     primal[0] = phi
     for wi, col in zip(w, std.weight_cols):
         if col is not None:
             primal[col] = wi
     for block, at in zip(blocks, std.placed):
-        for cols, table in zip(at.cols, reference_block_tables(block, w, phi)):
-            for col, value in zip(cols, table):
-                primal[col] = value
+        for k, table in zip(at.cols, reference_block_tables(block, w, phi)):
+            primal[k : k + len(table)] = table
     return tuple(primal)
 
 

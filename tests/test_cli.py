@@ -59,13 +59,13 @@ GOLDEN_SHA256 = {
     3: {
         "report": "1a5c73c568d84f13f52401d234e6754c0af9c5b140d08a28d44b54de06c99630",
         "lp": "f956bba2b1b1732227d064dccef0fd9eaf51372f2e95c846caf2cb638bde86ca",
-        "cert": "2a70aa78212e2beefacaf76fb5aa37df1c4e893d9b61effa5d873b19a104af39",
+        "cert": "475939e58a6e1b3228d5918711864cd8bd865fe2edef17ba3781ada229480782",
         "policy": "d6268ba78bf30eb1281b6f751dc8fe3ab98007aed6ba6a802ac3e467cd54c394",
     },
     4: {
         "report": "c516590edfc000ccd406c4d80af29a37078ebf48155cfd5b3ba508c2cd912cbc",
         "lp": "665afbb7d062551c80bc8514d4c2eaa14f2e88e77e35110b429f50005ada1b06",
-        "cert": "b0a5c2e5c343f9cf6323c06d1be78e701e3469a512cb4dff193a3034266be026",
+        "cert": "3bbbab084f4af86be5ce2af1a7e7ca0e58ce7484c9a3dda583899b3643f31d14",
         "policy": "cd8b98263ebf40ec70d7c8a62096437ebdd6f5e59c52cc0e469f064e772a3d1b",
     },
 }

@@ -270,17 +270,18 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
             # summary row to its own, which bounds phi.
             assert dict(std.rows[at.summary])[0] == -1
             mine = range(first, at.summary + 1)
-            # Slot s's rows, one per table entry, or per round point
-            # (entry j // dims[var] of the replacement) for a round's slot.
+            # Slot s's run of columns, one per table entry, and its credited
+            # rows, one per entry, or per round point (entry j // dims[var]
+            # of the replacement) for a round's slot.
             cards = [1] * plan.inputs + [plan.dims[rnd.var] for rnd in plan.rounds]
             c_fns, b_fns = block_fns(block)
             unpinned = [[False] * len(c.table) for c in c_fns]
             unpinned += [[not v.is_finite for v in b.table] for b in b_fns]
-            slots = zip(reference_fn_vars(block), at.cols, at.rows)
-            for s, (fn_vars, cols, positions) in enumerate(slots):
+            for s, fn_vars in enumerate(reference_fn_vars(block)):
+                cols = range(at.cols[s], at.cols[s] + len(fn_vars))
                 assert [std.columns[col] for col in cols] == fn_vars
                 owners = [col for col in cols for _ in range(cards[s])]
-                assert len(positions) == len(owners)
+                positions = [at.credited(block, s, j) for j in range(len(owners))]
                 want = unpinned[s] if s < plan.inputs else [False] * len(owners)
                 assert [k is None for k in positions] == want
                 # The half the dual lift credits holds -1 on the entry: a
@@ -288,8 +289,8 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
                 half = int(len(c_fns) <= s < plan.inputs)
                 for col, k in zip(owners, positions):
                     if k is not None:
-                        assert k in mine and halves[k] == (2 if s < plan.inputs else 1)
-                        assert dict(std.rows[k + half])[col] == -1
+                        assert k in mine and halves[k - half] == (2 if s < plan.inputs else 1)
+                        assert dict(std.rows[k])[col] == -1
             first = at.summary + 1
         assert first == std.num_rows
 
@@ -304,12 +305,17 @@ def test_assembled_lp_is_the_standard_form_of_its_named_program(mdp, ws):
         blocks = weight_lp_blocks(mdp, pol, order)
         named = reference_weight_lp(blocks)
         direct, flattened = assemble_lp(blocks), to_standard_form(named)
-        assert direct.rows == flattened.rows
+        # The two number their columns differently: renamed to the column
+        # of the same name, every row is the same row.
+        rename = [flattened.col_of[v] for v in direct.columns]
+        assert rename[0] == 0 and sorted(rename) == list(range(flattened.num_cols))
+        assert all(row == tuple(sorted(row)) for row in direct.rows)
+        renamed = tuple(tuple(sorted((rename[j], q) for j, q in row)) for row in direct.rows)
+        assert renamed == flattened.rows
         assert direct.rhs == flattened.rhs
         assert direct.constraint_rows == flattened.constraint_rows
         assert direct.objective == flattened.objective
-        assert tuple(direct.columns) == flattened.columns
-        assert direct.col_of == flattened.col_of
+        assert len(direct.col_of) == direct.num_cols
         assert weight_lp(mdp, pol, order) == named
 
 

@@ -28,12 +28,12 @@ from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Weight, make_constraint, to_standard_form
 from fmdp.lpbuild import assemble_lp, min_lp, weight_lp, weight_lp_blocks
-from fmdp.lpio import write_certificate, write_lp
+from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp, policy_value
 from fmdp.policy import Branch, DecisionList, greedy_decision_list
 from fmdp.simplex import solve_lp
-from fmdp.values import ext_sum
+from fmdp.values import NEG_INF, ext_sum
 from fmdp.weights import _Cut, _cut_at, _master_std, update_weights
 
 weights_module = importlib.import_module("fmdp.weights")
@@ -156,11 +156,20 @@ def test_a_fit_names_its_variables_only_when_they_are_read(tmp_path, monkeypatch
     named = reference_weight_lp(weight_lp_blocks(mdp, pol, order))
     write_lp(tmp_path / "fit.lp", trace["lp"])
     write_lp(tmp_path / "named.lp", named)
-    write_certificate(tmp_path / "fit.cert", trace["std"], trace["certificate"])
-    write_certificate(tmp_path / "named.cert", to_standard_form(named), trace["certificate"])
     assert made
-    for suffix in ("lp", "cert"):
-        assert (tmp_path / f"fit.{suffix}").read_bytes() == (tmp_path / f"named.{suffix}").read_bytes()
+    assert (tmp_path / "fit.lp").read_bytes() == (tmp_path / "named.lp").read_bytes()
+    # The named program numbers its columns by first appearance; the same
+    # certificate moved to those columns reads back to the same vectors.
+    cert, flattened = trace["certificate"], to_standard_form(named)
+    moved = [Fraction(0)] * flattened.num_cols
+    for v, q in zip(trace["std"].columns, cert.primal):
+        moved[flattened.col_of[v]] = q
+    write_certificate(tmp_path / "fit.cert", trace["std"], cert)
+    write_certificate(tmp_path / "named.cert", flattened, Optimal(tuple(moved), cert.dual))
+    read = to_standard_form(read_lp(tmp_path / "fit.lp"))
+    back = read_certificate(tmp_path / "fit.cert", read)
+    assert back == read_certificate(tmp_path / "named.cert", read)
+    assert check_optimality(read, back.primal, back.dual)
 
 
 def test_blocks_may_share_a_cut_within_a_round():
@@ -399,7 +408,7 @@ def _shadowing_fits(draw):
 def test_integer_completion_matches_the_reference_with_shadows(fit, slack):
     blocks, w, phi = fit
     std = assemble_lp(blocks)
-    assert any(None in rows for at in std.placed for rows in at.rows)  # unpinned entries
+    assert any(None in b for block in blocks for b in block.b)  # unpinned entries
     primal = weights_module._complete_primal(std, blocks, phi + slack, w)
     assert primal.fractions() == reference_complete_primal(std, blocks, phi + slack, w)
     lowered = phi - Fraction(1, primal.den)
@@ -442,3 +451,33 @@ def test_a_traced_certificate_makes_one_fraction_per_value():
     update_weights(mdp, _default_pol(mdp), elimination_order(mdp, "min-degree"), trace=trace)
     primal = trace["certificate"].primal
     assert len({id(q) for q in primal}) == len(set(primal)) < len(primal)
+
+
+def test_blocks_whose_states_earlier_branches_claim_complete_below_phi():
+    # {1=W} extends neither {0=W} nor {0=B}, so it has blocks, but those two
+    # together claim all its states, as they do the fallback's.  Those four
+    # blocks price to minus infinity at every w; completed, their totals
+    # meet pricing's stand-in, so they are negative, and phi >= 0.
+    mdp = make_ring(2)
+    order = (0, 1)
+    pol = DecisionList(
+        (
+            Branch(PartialState.of({0: 0}), 1, Fraction(0)),
+            Branch(PartialState.of({0: 1}), 2, Fraction(0)),
+            Branch(PartialState.of({1: 0}), 1, Fraction(0)),
+            Branch(EMPTY_STATE, 0, Fraction(0)),
+        )
+    )
+    trace: dict = {}
+    w, phi = update_weights(mdp, pol, order, trace=trace)
+    assert (w, phi) == ((Fraction(855, 64), Fraction(25, 16), Fraction(25, 16)), Fraction(27, 128))
+    blocks, std, cert = weight_lp_blocks(mdp, pol, order), trace["std"], trace["certificate"]
+    assert len(blocks) == 8
+    excluded = [k for k, b in enumerate(blocks) if max_sum(b.at(w), order, mdp.dims, b.plan) == NEG_INF]
+    assert excluded == [4, 5, 6, 7]
+    for normalized in (True, False):
+        assert check_optimality(std, cert.primal, cert.dual, normalized=normalized)
+    for k in excluded:
+        at = std.placed[k]
+        assert sum(cert.primal[at.cols[s]] for s in blocks[k].plan.final) < 0 <= phi
+    assert factored_bellman_err(mdp, w, pol, order) == explicit_bellman_err(mdp, w, pol)
