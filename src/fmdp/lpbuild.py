@@ -62,7 +62,7 @@ from .model import FactoredMdp
 from .policy import DecisionList
 from .values import NEG_INF, fin
 
-__all__ = ["TagBlock", "min_lp", "branch_lp", "weight_lp_blocks", "weight_lp"]
+__all__ = ["TagBlock", "branch_lp", "weight_lp_blocks", "weight_lp"]
 __all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
 
 
@@ -109,25 +109,6 @@ class TagBlock:
             else:
                 tables.append(t if scale == 1 else list(map(scale.__mul__, t)))
         return Scaled(tuple(tables), self.den * scale, bound)
-
-
-def min_lp(
-    dims: tuple[int, ...],
-    tag: Tag,
-    c_fns: tuple[ScopedFn, ...],
-    b_fns: tuple[ScopedFn, ...],
-    order: tuple[int, ...],
-) -> TagBlock:
-    """The block for one tag.
-
-    ``c_fns`` carry rational tables and enter scaled by their weight;
-    ``b_fns`` carry extended-real tables and enter additively, with a
-    minus-infinity entry simply leaving its variable unpinned.  Both are
-    converted once, to integer tables over their least common denominator.
-    """
-    plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
-    tables, den = int_tables([*(f.table for f in c_fns), *_finite(b_fns)])
-    return TagBlock.of(tag, tables[: len(c_fns)], tables[len(c_fns) :], den, plan)
 
 
 def _finite(fns: Sequence[ScopedFn]) -> list[list[Fraction | None]]:

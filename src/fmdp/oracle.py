@@ -3,19 +3,31 @@
 Everything here works on explicitly enumerated states, which is exactly
 what the rest of the package exists to avoid.  That makes these routines
 the measuring stick: slow, simple, and with no shared machinery beyond
-the model accessors.  ``enumerate_states`` refuses state spaces past an
-explicit limit, because the costs downstream range from quadratic
-(backed-up values) to cubic (exact linear solves) in the state count.
+the model's transition, reward and basis tables.  Every successor of a
+state is expanded, and every linear solve is dense, so the costs range
+from quadratic (backed-up values) to cubic (exact linear solves) in the
+state count; ``enumerate_states`` refuses state spaces past an explicit
+limit.
+
+The arithmetic is over integers.  A state's successors carry integer
+probability numerators over one denominator, the product of each
+transition row's lcm, and the basis tables are scaled to integers over
+their lcm.  Value solves write (I - gamma P) v = r as integer rows and
+eliminate them fraction-free (Bareiss, Math. Comp. 22, 1968): every
+update is divided exactly by the previous pivot, so values come out as
+integer numerators over one determinant.  ``Fraction``s appear only in
+the answers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import FmdpError, OracleLimitError
-from .factored import PartialState, restrict
+from .factored import PartialState, ScopedFn, assignments
 from .lp import PHI, Lp, Weight, make_constraint
 from .model import FactoredMdp, Weights
 from .policy import DecisionList, select_action
@@ -31,6 +43,8 @@ __all__ = [
 
 DEFAULT_STATE_LIMIT = 4096
 
+Digits = Sequence[int]
+
 
 def enumerate_states(mdp: FactoredMdp, limit: int = DEFAULT_STATE_LIMIT) -> list[PartialState]:
     """All full states in table order, refusing oversized spaces."""
@@ -39,34 +53,59 @@ def enumerate_states(mdp: FactoredMdp, limit: int = DEFAULT_STATE_LIMIT) -> list
         raise OracleLimitError(
             f"state space has {count} states, above the limit of {limit}"
         )
-    states: list[PartialState] = [PartialState(())]
-    for var, dim in enumerate(mdp.dims):
-        states = [
-            s.override(PartialState(((var, val),))) for s in states for val in range(dim)
-        ]
-    return states
+    return assignments(range(mdp.n), mdp.dims)
 
 
-def _successors(mdp: FactoredMdp, a: int, x: PartialState) -> list[tuple[PartialState, Fraction]]:
-    out: list[tuple[PartialState, Fraction]] = [(PartialState(()), Fraction(1))]
-    for var in range(mdp.n):
-        fn = mdp.transitions[a][var]
-        dist = fn(restrict(x, fn.scope))
-        step: list[tuple[PartialState, Fraction]] = []
-        for partial, p in out:
-            for val, q in enumerate(dist):
-                if q != 0:
-                    step.append((partial.override(PartialState(((var, val),))), p * q))
-        out = step
-    return out
+def _digits(mdp: FactoredMdp, x: PartialState) -> Digits:
+    return [x.value(v) for v in range(mdp.n)]
+
+
+def _index(f: ScopedFn, digits: Digits) -> int:
+    """Table index of ``f`` at the full state with these value digits."""
+    idx = 0
+    for v, c in zip(f.scope, f.card):
+        idx = idx * c + digits[v]
+    return idx
+
+
+def _over_one_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rational rows as integer rows over their least common denominator."""
+    den = lcm(*[q.denominator for row in rows for q in row])
+    return [[q.numerator * (den // q.denominator) for q in row] for row in rows], den
+
+
+def _successors(
+    mdp: FactoredMdp, a: int, digits: Digits
+) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """Every successor of a full state under ``a``, as value digits with an
+    integer probability numerator, and the numerators' one denominator."""
+    out: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    den = 1
+    for fn in mdp.transitions[a]:
+        (row,), d = _over_one_den([fn.table[_index(fn, digits)]])
+        steps = [(val, p) for val, p in enumerate(row) if p]
+        out = [(s + (val,), n * p) for s, n in out for val, p in steps]
+        den *= d
+    return out, den
+
+
+def _expected_basis(mdp: FactoredMdp, a: int, digits: Digits) -> tuple[list[int], int]:
+    """E[h_i(next)] under ``a`` for every basis function h_i, as integer
+    numerators over one denominator."""
+    succ, den = _successors(mdp, a, digits)
+    tables, scale = _over_one_den([h.table for h in mdp.basis])
+    sums = [
+        sum(n * t[_index(h, s)] for s, n in succ) for h, t in zip(mdp.basis, tables)
+    ]
+    return sums, den * scale
 
 
 def explicit_q(mdp: FactoredMdp, w: Weights, a: int, x: PartialState) -> Fraction:
     """One-step backup of the linear value estimate, by full expansion."""
-    total = mdp.reward(a, x)
-    for nxt, p in _successors(mdp, a, x):
-        total += mdp.discount * p * mdp.nu_w(w, nxt)
-    return total
+    r = mdp.reward(a, x)
+    sums, den = _expected_basis(mdp, a, _digits(mdp, x))
+    (ws,), scale = _over_one_den([w])
+    return r + mdp.discount * Fraction(sum(map(mul, ws, sums)), den * scale)
 
 
 def explicit_bellman_err(
@@ -90,12 +129,12 @@ def explicit_weight_lp(
     cons = []
     for x in enumerate_states(mdp, limit):
         a = select_action(pol, x)
-        coef: list[Fraction] = []
-        for i, h in enumerate(mdp.basis):
-            expected = Fraction(0)
-            for nxt, p in _successors(mdp, a, x):
-                expected += p * h(restrict(nxt, h.scope))
-            coef.append(h(restrict(x, h.scope)) - mdp.discount * expected)
+        digits = _digits(mdp, x)
+        sums, den = _expected_basis(mdp, a, digits)
+        coef = [
+            h.table[_index(h, digits)] - mdp.discount * Fraction(s, den)
+            for h, s in zip(mdp.basis, sums)
+        ]
         r = mdp.reward(a, x)
         above = {Weight(i): c for i, c in enumerate(coef)}
         above[PHI] = Fraction(-1)
@@ -106,38 +145,61 @@ def explicit_weight_lp(
     return Lp(tuple(cons), PHI)
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+def _solve_exact(aug: list[list[int]]) -> tuple[list[int], int]:
+    """Solve the integer system with augmented rows ``aug`` in place by
+    fraction-free Gauss-Jordan elimination.
+
+    Each step divides every update exactly by the previous pivot, and drops
+    the column it clears, which no later step reads.  What is left of each
+    row is its unknown times the last pivot, so the solution is returned as
+    integer numerators over one positive denominator.
+    """
+    n = len(aug)
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][0] != 0), None)
         if pivot is None:
             raise FmdpError("singular linear system in value solve")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [q * inv for q in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+        top = aug[col]
+        p, rest = top[0], top[1:]
+        for r, row in enumerate(aug):
+            f = row[0]
+            if r == col:
+                aug[r] = rest
+            elif f:
+                aug[r] = [(p * u - f * v) // prev for u, v in zip(row[1:], rest)]
+            else:
+                aug[r] = [p * u // prev for u in row[1:]]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [sign * row[0] for row in aug], sign * prev
+
+
+def _strides(mdp: FactoredMdp) -> list[int]:
+    """Place value of each variable's digit in the enumeration order."""
+    return [prod(mdp.dims[v + 1 :]) for v in range(mdp.n)]
 
 
 def _action_values(
     mdp: FactoredMdp, states: list[PartialState], act_of: Sequence[int]
-) -> dict[PartialState, Fraction]:
-    index = {x: k for k, x in enumerate(states)}
+) -> tuple[list[int], int]:
+    """Values of acting by ``act_of``, as numerators over one denominator,
+    from (I - gamma P) v = r written as one integer row per state."""
+    gn, gd = mdp.discount.numerator, mdp.discount.denominator
+    strides = _strides(mdp)
     n = len(states)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for k, x in enumerate(states):
-        a = act_of[k]
-        matrix[k][k] += 1
-        for nxt, p in _successors(mdp, a, x):
-            matrix[k][index[nxt]] -= mdp.discount * p
-        rhs[k] = mdp.reward(a, x)
-    values = _solve_exact(matrix, rhs)
-    return dict(zip(states, values))
+    aug = []
+    for k, (x, a) in enumerate(zip(states, act_of)):
+        succ, den = _successors(mdp, a, _digits(mdp, x))
+        r = mdp.reward(a, x)
+        row = [0] * (n + 1)
+        row[k] = gd * den * r.denominator
+        for s, p in succ:
+            row[sum(map(mul, s, strides))] -= gn * p * r.denominator
+        row[n] = r.numerator * gd * den
+        aug.append(row)
+    return _solve_exact(aug)
 
 
 def policy_value(
@@ -145,7 +207,8 @@ def policy_value(
 ) -> dict[PartialState, Fraction]:
     """Exact expected discounted return of a decision list, per state."""
     states = enumerate_states(mdp, limit)
-    return _action_values(mdp, states, [select_action(pol, x) for x in states])
+    nums, det = _action_values(mdp, states, [select_action(pol, x) for x in states])
+    return {x: Fraction(v, det) for x, v in zip(states, nums)}
 
 
 def optimal_value(
@@ -155,31 +218,32 @@ def optimal_value(
 
     Greedy improvement breaks ties toward the lowest action index, and each
     sweep is checked to never lower any state's value, which exact
-    arithmetic guarantees.
+    arithmetic guarantees.  Values are compared as cross-multiplied
+    integers: v = nums / det, and each backup is q_num / q_den.
     """
+    gn, gd = mdp.discount.numerator, mdp.discount.denominator
+    strides = _strides(mdp)
     states = enumerate_states(mdp, limit)
     act_of = [mdp.default] * len(states)
-    values = _action_values(mdp, states, act_of)
+    nums, det = _action_values(mdp, states, act_of)
     while True:
         improved = list(act_of)
         for k, x in enumerate(states):
-            best_a = act_of[k]
-            best_q = None
+            digits = _digits(mdp, x)
+            best_a, best = act_of[k], None
             for a in range(len(mdp.actions)):
-                q = mdp.reward(a, x)
-                for nxt, p in _successors(mdp, a, x):
-                    q += mdp.discount * p * values[nxt]
-                if best_q is None or q > best_q:
-                    best_q = q
-                    best_a = a
-            current = values[x]
-            if best_q > current:
+                succ, den = _successors(mdp, a, digits)
+                r = mdp.reward(a, x)
+                future = sum(p * nums[sum(map(mul, s, strides))] for s, p in succ)
+                q_den = r.denominator * gd * den * det
+                q_num = r.numerator * gd * den * det + r.denominator * gn * future
+                if best is None or q_num * best[1] > best[0] * q_den:
+                    best, best_a = (q_num, q_den), a
+            if best[0] * det > nums[k] * best[1]:
                 improved[k] = best_a
         if improved == act_of:
-            return values
-        next_values = _action_values(mdp, states, improved)
-        for x in states:
-            if next_values[x] < values[x]:
-                raise FmdpError("policy iteration regressed a state value")
-        act_of = improved
-        values = next_values
+            return {x: Fraction(v, det) for x, v in zip(states, nums)}
+        next_nums, next_det = _action_values(mdp, states, improved)
+        if any(u * det < v * next_det for u, v in zip(next_nums, nums)):
+            raise FmdpError("policy iteration regressed a state value")
+        act_of, nums, det = improved, next_nums, next_det

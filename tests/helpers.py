@@ -9,10 +9,11 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from fmdp.elim import ElimPlan, int_tables
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import PHI, FnId, FnVar, Lp, Weight, make_constraint
-from fmdp.lpbuild import branch_lp
+from fmdp.lpbuild import TagBlock, branch_lp
 from fmdp.model import FactoredMdp
 from fmdp.values import NEG_INF, ext_sum, fin
 
@@ -127,6 +128,20 @@ def reference_unbounded(std, point, ray) -> bool:
     if any(lhs > 0 for lhs in _row_values(std, ray)):
         return False
     return _objective_value(std, ray) < 0
+
+
+def min_lp(dims, tag, c_fns, b_fns, order) -> TagBlock:
+    """The block for one tag from arbitrary summands.
+
+    ``c_fns`` carry rational tables and enter scaled by their weight;
+    ``b_fns`` carry extended-real tables and enter additively, with a
+    minus-infinity entry simply leaving its variable unpinned.  Both are
+    converted once, to integer tables over their least common denominator.
+    """
+    plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
+    finite = [[v.finite for v in f.table] for f in b_fns]
+    tables, den = int_tables([*(f.table for f in c_fns), *finite])
+    return TagBlock.of(tag, tables[: len(c_fns)], tables[len(c_fns) :], den, plan)
 
 
 def explicit_branch_sup(mdp, w, t, a, ts):
@@ -293,10 +308,10 @@ def _perfbench_models():
     return models
 
 
-def sysadmin3():
-    """Perfbench's seed-0 three-machine SysAdmin model."""
+def sysadmin(n):
+    """Perfbench's seed-0 SysAdmin model on ``n`` machines."""
     models = _perfbench_models()
-    return models.sysadmin_mdp(3, models.sysadmin_params(None))
+    return models.sysadmin_mdp(n, models.sysadmin_params(None))
 
 
 def perfbench_instances(seed):
@@ -327,7 +342,7 @@ BIG_DENOMINATOR_LARGE = st.builds(
 
 @st.composite
 def summands(draw):
-    """The inputs of one ``fmdp.lpbuild.min_lp`` block over 1-3 variables
+    """The inputs of one ``min_lp`` block over 1-3 variables
     of 1-3 values: dims, weighted summands with rational tables, constant
     summands with extended-real tables (minus infinity among them), and an
     elimination order."""

@@ -2,17 +2,22 @@
 
 import dataclasses
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import perfbench_instances, sysadmin
 
 import fmdp.lpbuild
 from fmdp.api import ApiConfig, ApiResult, api, posterior_bound
+from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, OracleLimitError
+from fmdp.lp import PHI, Optimal, to_standard_form
 from fmdp.model import elimination_order, make_ring
-from fmdp.oracle import explicit_bellman_err
+from fmdp.oracle import explicit_bellman_err, explicit_weight_lp
 from fmdp.policy import greedy_decision_list
+from fmdp.simplex import solve_lp
 from fmdp.weights import update_weights
 
 
@@ -54,6 +59,39 @@ def test_reported_error_matches_oracle():
 def test_bit_for_bit_determinism():
     cfg = ApiConfig(epsilon=Fraction(0), t_max=30)
     assert api(make_ring(3), cfg) == api(make_ring(3), cfg)
+
+
+def _explicit_phi(mdp, pol):
+    std = to_standard_form(explicit_weight_lp(mdp, pol))
+    cert = solve_lp(std)
+    assert isinstance(cert, Optimal)
+    return cert.primal[std.col_of[PHI]]
+
+
+@pytest.mark.parametrize(
+    "name, every_fit",
+    [("ring-4", True), ("ring-5", True), ("sysadmin-3", True), ("ring-6", False), ("sysadmin-4", False)],
+)
+def test_fits_and_errors_match_the_oracle_on_benchmark_models(name, every_fit):
+    """The construction against the oracle, not only the certificate: on
+    the benchmark's seed-0 models, each checked fit's phi is the optimum of
+    the explicit weight LP of the list it fitted, and the factored Bellman
+    error is the brute-force one, at the fit's weights and at drawn ones.
+    The larger models are checked at their last fit only."""
+    mdp = sysadmin(4) if name == "sysadmin-4" else perfbench_instances(0)[name]
+    order = elimination_order(mdp, "min-degree")
+    steps = []
+    api(mdp, ApiConfig(order=order), trace=steps)
+    starts = [tuple(Fraction(0) for _ in mdp.basis)] + [step["w"] for step in steps[:-1]]
+    fits = list(zip(starts, steps))
+    rng = random.Random(0)
+    for start, step in fits if every_fit else fits[-1:]:
+        pol = greedy_decision_list(mdp, start)
+        assert step["phi"] == _explicit_phi(mdp, pol)
+        assert step["err"] == explicit_bellman_err(mdp, step["w"], greedy_decision_list(mdp, step["w"]))
+        for _ in range(2):
+            w = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in mdp.basis)
+            assert factored_bellman_err(mdp, w, pol, order) == explicit_bellman_err(mdp, w, pol)
 
 
 # Per update_weights call: cuts, cut rounds, the full program's standard

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import sysadmin3
+from helpers import sysadmin
 
 from fmdp import cli
 from fmdp.certify import check_optimality
@@ -114,7 +114,7 @@ def test_sysadmin3_dumps_feed_certify(tmp_path, capsys):
     # Its final list has shadowed branches, which the dumped program leaves
     # out: both backends must accept that program and its certificate.
     model, lp, cert = (tmp_path / name for name in ("sysadmin3.json", "final.lp", "final.cert"))
-    save_mdp(sysadmin3(), str(model))
+    save_mdp(sysadmin(3), str(model))
     args = ["solve", "--model", str(model), "--order", "min-degree"]
     assert main(args + ["--dump-lp", str(lp), "--dump-cert", str(cert)]) == 0
     capsys.readouterr()

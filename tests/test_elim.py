@@ -19,12 +19,12 @@ from fmdp.elim import (
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
 from fmdp.lp import Tag
-from fmdp.lpbuild import min_lp
 from fmdp.values import NEG_INF, ext_sum, fin
 
 from helpers import (
     BIG_DENOMINATOR_LARGE,
     BIG_DENOMINATOR_SMALL,
+    min_lp,
     random_ext_table_fns,
     reference_at,
     reference_max_sum_decode,

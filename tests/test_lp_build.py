@@ -14,6 +14,7 @@ from helpers import (
     all_states,
     block_fns,
     explicit_branch_sup,
+    min_lp,
     models,
     random_rational_fn,
     reference_at,
@@ -29,7 +30,7 @@ from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Unbounded, Weight, make_constraint, named_lp, to_standard_form
 from fmdp.api import api
-from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, min_lp, weight_lp, weight_lp_blocks
+from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, weight_lp, weight_lp_blocks
 from fmdp.model import elimination_order, make_ring
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp

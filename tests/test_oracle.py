@@ -1,13 +1,17 @@
-"""Reference brute-force answers on hand-checkable rings."""
+"""Reference brute-force answers on hand-checkable rings, and the oracle
+against its definitions on drawn models."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from helpers import models
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmdp.errors import OracleLimitError
 from fmdp.factored import PartialState, restrict
-from fmdp.lp import PHI, Optimal, to_standard_form
+from fmdp.lp import PHI, Lp, Optimal, Weight, make_constraint, to_standard_form
 from fmdp.model import make_ring
 from fmdp.oracle import (
     enumerate_states,
@@ -122,3 +126,43 @@ def test_explicit_weight_lp_row_count_and_solution():
         for x in enumerate_states(mdp)
     }
     assert recovered == values
+
+
+def _expected(mdp, a, x, value):
+    """sum_y P(y | x, a) * value(y), over every state y."""
+    return sum(
+        (mdp.transition_prob(a, x, y) * value(y) for y in enumerate_states(mdp)),
+        Fraction(0),
+    )
+
+
+def _backup(mdp, a, x, value):
+    return mdp.reward(a, x) + mdp.discount * _expected(mdp, a, x, value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(mdp=models(), data=st.data())
+def test_oracle_meets_its_definitions_on_drawn_models(mdp, data):
+    weights = st.tuples(*(st.fractions(-9, 9, max_denominator=7) for _ in mdp.basis))
+    w = data.draw(weights)
+    states = enumerate_states(mdp)
+    for a in range(len(mdp.actions)):
+        for x in states:
+            assert explicit_q(mdp, w, a, x) == _backup(mdp, a, x, lambda y: mdp.nu_w(w, y))
+
+    pol = greedy_decision_list(mdp, data.draw(weights))
+    held = policy_value(mdp, pol)
+    star = optimal_value(mdp)
+    rows = []
+    for x in states:
+        a = select_action(pol, x)
+        assert held[x] == _backup(mdp, a, x, held.__getitem__)
+        assert star[x] == max(_backup(mdp, b, x, star.__getitem__) for b in range(len(mdp.actions)))
+        coef = {
+            Weight(i): h(x) - mdp.discount * _expected(mdp, a, x, h)
+            for i, h in enumerate(mdp.basis)
+        }
+        r = mdp.reward(a, x)
+        rows.append(make_constraint("le", {**coef, PHI: Fraction(-1)}, r))
+        rows.append(make_constraint("le", {**{k: -c for k, c in coef.items()}, PHI: Fraction(-1)}, -r))
+    assert explicit_weight_lp(mdp, pol) == Lp(tuple(rows), PHI)

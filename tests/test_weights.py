@@ -10,12 +10,13 @@ import pytest
 from helpers import (
     SMALL,
     all_states,
+    min_lp,
     models,
     reference_complete_primal,
     reference_weight_lp,
     reference_weight_lp_blocks,
     summands,
-    sysadmin3,
+    sysadmin,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
 from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import assemble_lp, min_lp, weight_lp, weight_lp_blocks
+from fmdp.lpbuild import assemble_lp, weight_lp, weight_lp_blocks
 from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp, policy_value
@@ -278,7 +279,7 @@ def test_shadowed_branches_build_no_blocks(monkeypatch):
 def test_sysadmin3_final_list_of_82_branches_gives_56_blocks():
     # 54 of the 82 branches extend an earlier branch's state; building
     # their pairs too gave 164 blocks.
-    mdp = sysadmin3()
+    mdp = sysadmin(3)
     order = elimination_order(mdp, "min-degree")
     res = api(mdp, ApiConfig(order=order))
     assert len(res.pol.branches) == 82
@@ -318,7 +319,7 @@ def _counted_run(mdp):
 def counted_runs():
     """``_counted_run`` of the seed-0 models by name, each run once."""
     builders = {f"ring-{n}": lambda n=n: make_ring(n) for n in (3, 4, 5, 6)}
-    builders["sysadmin-3"] = sysadmin3
+    builders["sysadmin-3"] = lambda: sysadmin(3)
     done: dict = {}
 
     def run(name):
