@@ -5,12 +5,14 @@ import math
 import random
 from fractions import Fraction
 
-from helpers import random_token_lp
+from helpers import perfbench_instances, random_token_lp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.lp import Infeasible, Lp, Optimal, Unbounded, make_constraint, to_standard_form
+from fmdp.oracle import explicit_weight_lp
+from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
 
 
@@ -139,6 +141,17 @@ def _certificate_coordinates(cert):
     return cert.point + cert.ray
 
 
+def _digest(batch):
+    digest = hashlib.sha256()
+    for lp in batch:
+        stats: dict = {}
+        cert = solve_lp(to_standard_form(lp), stats)
+        assert all(type(q) is Fraction for q in _certificate_coordinates(cert))
+        digest.update(repr(cert).encode())
+        digest.update(repr(stats).encode())
+    return digest.hexdigest()
+
+
 # SHA-256 over the repr of every certificate and stats dict in the batch
 # below.  Any change to the pivot path (entering or leaving choice, drive-out
 # order, certificate extraction) moves it even when the result still certifies.
@@ -149,14 +162,49 @@ def test_golden_solver_digest():
     rng = random.Random(20261018)
     batch = [random_token_lp(rng) for _ in range(200)]
     batch += [random_token_lp(rng, max_vars=8, max_rows=30) for _ in range(50)]
-    digest = hashlib.sha256()
-    for lp in batch:
-        stats: dict = {}
-        cert = solve_lp(to_standard_form(lp), stats)
-        assert all(type(q) is Fraction for q in _certificate_coordinates(cert))
-        digest.update(repr(cert).encode())
-        digest.update(repr(stats).encode())
-    assert digest.hexdigest() == _GOLDEN_SOLVER_DIGEST
+    assert _digest(batch) == _GOLDEN_SOLVER_DIGEST
+
+
+def _feasible_token_lp(rng, max_vars, max_rows):
+    """A ``random_token_lp``-like program whose rows all hold at a drawn
+    point, with no slack on equalities and on a third of the inequalities,
+    so it is optimal or unbounded and often degenerate."""
+    names = [f"x{j}" for j in range(rng.randint(1, max_vars))]
+    x = {name: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for name in names}
+    cons = []
+    for _ in range(rng.randint(1, max_rows)):
+        coefs = {
+            name: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for name in names
+            if rng.random() < 0.6
+        }
+        kind = "eq" if rng.random() < 0.1 else "le"
+        slack = 0 if kind == "eq" or rng.random() < 1 / 3 else Fraction(rng.randint(1, 3), 2)
+        rhs = sum((q * x[name] for name, q in coefs.items()), Fraction(slack))
+        cons.append(make_constraint(kind, coefs, rhs))
+    return Lp(tuple(cons), "x0")
+
+
+# The same digest over tall programs, where most tableau entries are zero:
+# drawn programs of up to 120 rows (nearly all infeasible, so a feasible
+# draw stands beside each), and the three 64-row explicit weight LPs that
+# `fmdp oracle-check` solves on the seed-0 ring-5 model (greedy lists of
+# its first three weight vectors, drawn from its check seed 0xFD).
+_GOLDEN_TALL_SOLVER_DIGEST = "06079e5493711603db556974a29af0d25e080455e4ec97fa640900472e6de4c2"
+
+
+def test_golden_solver_digest_on_tall_programs():
+    rng = random.Random(20261019)
+    batch = []
+    for _ in range(15):
+        batch.append(random_token_lp(rng, max_vars=6, max_rows=120))
+        batch.append(_feasible_token_lp(rng, max_vars=6, max_rows=120))
+    mdp = perfbench_instances(0)["ring-5"]
+    rng = random.Random(0xFD)
+    for _ in range(3):
+        w = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in mdp.basis)
+        batch.append(explicit_weight_lp(mdp, greedy_decision_list(mdp, w)))
+    assert _digest(batch) == _GOLDEN_TALL_SOLVER_DIGEST
 
 
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
