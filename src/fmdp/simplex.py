@@ -9,7 +9,7 @@ eligible column enters, ties on the ratio test go to the lowest basic
 index.  That guarantees termination without cycling.
 
 Only the u columns, the slacks and the right-hand side are stored, n + m + 1
-entries per row instead of 2n + 2m + 1.  The other columns follow from
+columns instead of 2n + 2m + 1.  The other columns follow from
 them at every step, because every pivot applies the same row operations
 to all columns and they start out related:
 
@@ -22,16 +22,30 @@ to all columns and they start out related:
 
 Artificials never re-enter, so no artificial entry is ever needed.
 
-Each row is a list of Python ints with one positive denominator.  Input
-rows are scaled by the lcm of their denominators.  A pivot with pivot
-entry P turns row k into (P * row_k - f * row_r) / (den_k * P), reduced by
-a single gcd over the row; the objective rows are updated the same way.
-The ratio test cross-multiplies, since a row's denominator cancels in
-rhs / entry.  The real tableau these rows represent is, entry for entry,
-the one a dense ``Fraction`` tableau would hold, so every sign test and
-ratio comparison decides the same way: the Bland pivot sequence, the
-certificates and the recorded stats are those of the plain rational
-simplex.  ``Fraction`` appears only when the certificate is read out.
+Each row is stored sparsely: a dict from stored column (u columns 0..n-1,
+slacks n..n+m-1, the right-hand side n+m) to a nonzero Python int, over
+one positive denominator.  Rows stay short however many there are.  A
+tableau row is a row of B^-1 times the starting tableau, so its slack
+part is that row of B^-1 up to the row signs sigma.  u_j and v_j are
+never basic together (v_j = -u_j), so the basis B holds at most n
+structural columns, and every other basic column is a signed unit
+vector; block-inverting B leaves at most n + 1 nonzeros in each row of
+B^-1.  With the n u entries and the right-hand side, a row holds at most
+about 2n + 2 nonzeros, against n + m + 1 entries in a dense row; the
+weight LPs have a handful of columns and tens to hundreds of rows.  The
+objective rows are stored the same way.
+
+Input rows are scaled by the lcm of their denominators.  A pivot with
+pivot entry P turns row k into (P * row_k - f * row_r) / (den_k * P),
+walking only the two rows' nonzeros, after dividing P and f by their
+gcd; the result is reduced by one gcd over its nonzeros, so every row is
+in lowest terms.  The ratio test cross-multiplies, since a row's
+denominator cancels in rhs / entry.  The rational tableau these rows
+represent is, entry for entry, the dense ``Fraction`` one, so every sign
+test and ratio comparison decides the same way: the Bland pivot
+sequence, the certificates and the recorded stats are those of the plain
+rational simplex.  ``Fraction`` appears only when the certificate is
+read out.
 
 Certificates come from three places: Farkas vectors from the phase-one
 objective row when the artificial optimum stays positive, dual optima from
@@ -54,14 +68,24 @@ _ONE = Fraction(1)
 
 
 def _eliminate(
-    row: list[int], den: int, f: int, pivot_row: list[int], p: int
-) -> tuple[list[int], int]:
-    """``row / den - (f / den) * (pivot_row / p)`` as a reduced integer row."""
-    new = [p * a - f * b for a, b in zip(row, pivot_row)]
-    den *= p
-    g = gcd(den, *new)
+    row: dict[int, int], den: int, f: int, pivot_row: dict[int, int], p: int
+) -> tuple[dict[int, int], int]:
+    """``row / den - (f / den) * (pivot_row / p)`` as a reduced sparse row."""
+    g = gcd(p, f)
     if g > 1:
-        new = [q // g for q in new]
+        p //= g
+        f //= g
+    new = {k: p * a for k, a in row.items()} if p != 1 else dict(row)
+    for k, b in pivot_row.items():
+        a = new.get(k, 0) - f * b
+        if a:
+            new[k] = a
+        else:
+            del new[k]
+    den *= p
+    g = gcd(den, *new.values())
+    if g > 1:
+        new = {k: q // g for k, q in new.items()}
         den //= g
     return new, den
 
@@ -76,9 +100,10 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     n = std.num_cols
     m = std.num_rows
     v0, s0, a0 = n, 2 * n, 2 * n + m
+    rhs_key = n + m
 
     def column(e: int) -> tuple[int, int]:
-        """Stored index and sign of tableau column ``e`` (never artificial)."""
+        """Stored key and sign of tableau column ``e`` (never artificial)."""
         if e < v0:
             return e, 1
         if e < s0:
@@ -87,17 +112,16 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
 
     # rows[:m] are the constraint rows; while a phase runs, its objective
     # row is rows[m], so every pivot updates it with the rest.
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     dens: list[int] = []
     basis: list[int] = []
     for i, (sparse, b) in enumerate(zip(std.rows, std.rhs)):
         den = lcm(b.denominator, *(q.denominator for _, q in sparse))
         sg = 1 if b >= 0 else -1
-        row = [0] * (n + m + 1)
-        for j, q in sparse:
-            row[j] = sg * q.numerator * (den // q.denominator)
+        row = {j: sg * q.numerator * (den // q.denominator) for j, q in sparse if q}
         row[n + i] = sg * den
-        row[-1] = sg * b.numerator * (den // b.denominator)
+        if b:
+            row[rhs_key] = sg * b.numerator * (den // b.denominator)
         rows.append(row)
         dens.append(den)
         basis.append(a0 + i)
@@ -109,31 +133,26 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
         pr = rows[r]
         p = sg * pr[k]
         if p < 0:
-            pr = [-q for q in pr]
+            pr = {j: -q for j, q in pr.items()}
             p = -p
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = sg * row[k]
-            if f:
-                rows[i], dens[i] = _eliminate(row, dens[i], f, pr, p)
-        g = gcd(p, *pr)
-        rows[r] = [q // g for q in pr] if g > 1 else pr
+            if i != r and k in row:
+                rows[i], dens[i] = _eliminate(row, dens[i], sg * row[k], pr, p)
+        g = gcd(p, *pr.values())
+        rows[r] = {j: q // g for j, q in pr.items()} if g > 1 else pr
         dens[r] = p // g
         basis[r] = e
 
     def entering() -> int | None:
         z = rows[m]
         for j in range(n):
-            if z[j] < 0:
+            if z.get(j, 0) < 0:
                 return j
         for j in range(n):
-            if z[j] > 0:
+            if z.get(j, 0) > 0:
                 return v0 + j
-        for i in range(m):
-            if z[n + i] < 0:
-                return s0 + i
-        return None
+        slack = min((k for k, q in z.items() if n <= k < rhs_key and q < 0), default=None)
+        return None if slack is None else slack - n + s0
 
     def run(phase: str) -> int | None:
         """Iterate to optimality; return the entering column on unboundedness."""
@@ -144,9 +163,10 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
             k, sg = column(enter)
             leave = None
             for r in range(m):
-                t = sg * rows[r][k]
+                row = rows[r]
+                t = sg * row.get(k, 0)
                 if t > 0:
-                    num = rows[r][-1]
+                    num = row.get(rhs_key, 0)
                     if leave is None:
                         leave, best_num, best_t = r, num, t
                         continue
@@ -160,7 +180,7 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
 
     # Phase one: minimize the artificial sum from the all-artificial basis.
     # Its reduced costs on stored columns are minus the column sums.
-    z1, d1 = [0] * (n + m + 1), 1
+    z1, d1 = {}, 1
     for row, den in zip(rows, dens):
         z1, d1 = _eliminate(z1, d1, d1, row, den)
     rows.append(z1)
@@ -172,8 +192,8 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
 
     # Every right-hand side is nonnegative here, so the artificial sum is
     # positive exactly when some basic artificial is.
-    if any(basis[r] >= a0 and rows[r][-1] > 0 for r in range(m)):
-        farkas = tuple(Fraction(z1[n + i], d1) for i in range(m))
+    if any(basis[r] >= a0 and rows[r].get(rhs_key, 0) > 0 for r in range(m)):
+        farkas = tuple(Fraction(z1.get(n + i, 0), d1) for i in range(m))
         _record(stats, counts, m, 2 * n + 2 * m)
         return Infeasible(farkas)
 
@@ -187,11 +207,12 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     for r in range(m):
         if basis[r] >= a0:
             row = rows[r]
-            enter = next((j for j in range(n) if row[j] != 0), None)
+            enter = next((j for j in range(n) if j in row), None)
             if enter is None:
-                enter = next((s0 + i for i in range(m) if row[n + i] != 0), None)
-            if enter is None:
-                raise LpInternalError("dependent row lost its slack column")
+                slack = min((k for k in row if n <= k < rhs_key), default=None)
+                if slack is None:
+                    raise LpInternalError("dependent row lost its slack column")
+                enter = slack - n + s0
             pivot(r, enter)
             counts["driveout"] += 1
 
@@ -200,7 +221,7 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     for j, q in std.objective:
         cost[j] += q
     dz = lcm(*(q.denominator for q in cost))
-    z2 = [q.numerator * (dz // q.denominator) for q in cost] + [0] * (m + 1)
+    z2 = {j: q.numerator * (dz // q.denominator) for j, q in enumerate(cost) if q}
     for r in range(m):
         e = basis[r]
         cb = cost[e] if e < v0 else -cost[e - v0] if e < s0 else _ZERO
@@ -224,15 +245,15 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
                     out[e - v0] = -value
         return out
 
-    point = tuple(coordinates(lambda row: row[-1]))
+    point = tuple(coordinates(lambda row: row.get(rhs_key, 0)))
     if blocked is not None:
         k, sg = column(blocked)
-        ray = coordinates(lambda row: -sg * row[k])
+        ray = coordinates(lambda row: -sg * row.get(k, 0))
         if blocked < s0:
             ray[k] = _ONE if blocked < v0 else -_ONE
         return Unbounded(point, tuple(ray))
 
-    dual = tuple(Fraction(z2[n + i], dz) for i in range(m))
+    dual = tuple(Fraction(z2.get(n + i, 0), dz) for i in range(m))
     return Optimal(point, dual)
 
 
