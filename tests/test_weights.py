@@ -424,9 +424,9 @@ def test_integer_completion_matches_the_reference_with_shadows(fit, slack):
 def test_pruned_blocks_keep_the_optimum_of_the_program_with_shadowed_blocks(drawn, ws):
     mdp, pol, order = drawn
     unpruned = to_standard_form(reference_weight_lp(reference_weight_lp_blocks(mdp, pol, order)))
-    # Derandomized, the draws include programs of 178-216 rows, which the
-    # sparse simplex solves in well under a second each; a few programs
-    # above 300 rows would take seconds each, so those are left out.
+    # Derandomized, the draws include programs of 150-240 rows, which the
+    # sparse simplex solves in under a second each; one of 326 rows takes
+    # about 6 s, so programs above 300 rows are left out.
     assume(unpruned.num_rows <= 300)
     w, phi = update_weights(mdp, pol, order)
     cert = solve_lp(unpruned)
