@@ -1,5 +1,6 @@
 """Round trips through the program and certificate text formats."""
 
+import hashlib
 import importlib
 import random
 import re
@@ -7,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_token_lp
+from helpers import perfbench_instances, random_token_lp
 
+from fmdp.api import ApiConfig, api
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.errors import InvalidInputError
 from fmdp.factored import PartialState
@@ -26,6 +28,7 @@ from fmdp.lp import (
     to_standard_form,
 )
 from fmdp.lpio import read_certificate, read_lp, variable_tokens, write_certificate, write_lp
+from fmdp.model import elimination_order
 from fmdp.simplex import solve_lp
 
 lpio_module = importlib.import_module("fmdp.lpio")
@@ -202,3 +205,24 @@ def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeyp
     path.write_text("min x\nle x:1 2/0\n")
     with pytest.raises(InvalidInputError, match=r"nums\.lp:2: not a rational: '2/0'"):
         read_lp(path)
+
+
+# SHA-256 over the repr of to_standard_form(read_lp(lp)) and of
+# read_certificate(cert, std) for each final program and certificate below.
+GOLDEN_READER = "6b5dc172d5d4d6723baeda742fa084e431bd1506c2d1328836a09f1697b47ade"
+
+
+def test_reader_output_on_the_benchmark_dumps_matches_its_golden_digest(tmp_path):
+    instances = perfbench_instances(0)
+    digest = hashlib.sha256()
+    for name in ("ring-3", "ring-4", "sysadmin-3"):
+        mdp = instances[name]
+        steps = []
+        api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
+        lp_path, cert_path = tmp_path / f"{name}.lp", tmp_path / f"{name}.cert"
+        write_lp(lp_path, steps[-1]["lp"])
+        write_certificate(cert_path, steps[-1]["std"], steps[-1]["certificate"])
+        std = to_standard_form(read_lp(lp_path))
+        digest.update(repr(std).encode())
+        digest.update(repr(read_certificate(cert_path, std)).encode())
+    assert digest.hexdigest() == GOLDEN_READER
