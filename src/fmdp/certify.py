@@ -200,22 +200,20 @@ def _raw_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
 
 
-def _raw_mul(q: Fraction, a: tuple[int, int]) -> tuple[int, int]:
-    return (q.numerator * a[0], q.denominator * a[1])
-
-
 def _raw_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] <= b[0] * a[1]
 
 
 def _raw_dot(coefs, vec: list[tuple[int, int]]) -> tuple[int, int]:
-    """``sum q * vec[j]`` over the ``(j, q)`` of ``coefs`` with ``vec[j] != 0``."""
-    acc = _ZERO
+    """``sum q * vec[j]`` over the ``(j, q)`` of ``coefs`` with ``vec[j] != 0``,
+    adding each product as ``_raw_add`` does."""
+    n, d = _ZERO
     for j, q in coefs:
-        vj = vec[j]
-        if vj[0]:
-            acc = _raw_add(acc, _raw_mul(q, vj))
-    return acc
+        a, b = vec[j]
+        if a:
+            tn, td = q.numerator * a, q.denominator * b
+            n, d = n * td + tn * d, d * td
+    return n, d
 
 
 def _raw_rows_hold(std: StdLp, x: list[tuple[int, int]], with_rhs: bool) -> bool:
@@ -229,10 +227,12 @@ def _raw_rows_hold(std: StdLp, x: list[tuple[int, int]], with_rhs: bool) -> bool
 
 def _raw_transpose_times(std: StdLp, y: list[tuple[int, int]]) -> list[tuple[int, int]]:
     out = [_ZERO] * std.num_cols
-    for sparse, yi in zip(std.rows, y):
-        if yi[0]:
+    for sparse, (a, b) in zip(std.rows, y):
+        if a:
             for j, q in sparse:
-                out[j] = _raw_add(out[j], _raw_mul(q, yi))
+                n, d = out[j]
+                tn, td = q.numerator * a, q.denominator * b
+                out[j] = (n * td + tn * d, d * td)
     return out
 
 

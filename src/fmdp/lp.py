@@ -9,7 +9,10 @@ each variable at most once; ``make_constraint`` checks this, never merges.
 
 ``to_standard_form`` flattens a constraint list to `minimize c^T x subject
 to A x <= b` with free x, the only shape the simplex and the certificate
-checkers speak.  Equalities become two adjacent rows.  The dual convention
+checkers speak.  Equalities become two adjacent rows; the negated row
+shares one ``Fraction`` per distinct coefficient object, so a program
+whose rows share coefficients (as ``read_lp`` gives) makes one negation
+per distinct number.  The dual convention
 is fixed once for the whole package: the dual of `min c^T x, Ax <= b` is
 `max -b^T y, A^T y = -c, y >= 0`.
 
@@ -112,6 +115,8 @@ LpVar = Union[Phi, Weight, FnVar, str]
 
 
 def _var_key(v: LpVar):
+    if type(v) is str:
+        return (3, v)
     if isinstance(v, Phi):
         return (0, 0)
     if isinstance(v, Weight):
@@ -146,12 +151,16 @@ def make_constraint(
     on a variable named twice, whatever its coefficients."""
     if kind not in ("le", "eq"):
         raise ValueError(f"constraint kind {kind!r}")
-    items = coefs.items() if isinstance(coefs, Mapping) else coefs
-    keyed = sorted(((_var_key(v), v, q) for v, q in items), key=itemgetter(0))
+    # Lists and tuples, as the file reader passes, skip the ABC check.
+    if not isinstance(coefs, (list, tuple)) and isinstance(coefs, Mapping):
+        coefs = coefs.items()
+    keyed = sorted(((_var_key(v), v, q) for v, q in coefs), key=itemgetter(0))
     for (key, v, _), (next_key, _, _) in zip(keyed, keyed[1:]):
         if key == next_key:
             raise ValueError(f"repeated variable {v!r}")
-    return Constraint(kind, tuple((v, q) for _, v, q in keyed if q != 0), Fraction(rhs))
+    if type(rhs) is not Fraction:
+        rhs = Fraction(rhs)
+    return Constraint(kind, tuple((v, q) for _, v, q in keyed if q != 0), rhs)
 
 
 @dataclass(frozen=True)
@@ -237,6 +246,17 @@ def to_standard_form(lp: Lp) -> StdLp:
     rows: list[tuple[tuple[int, Fraction], ...]] = []
     rhs: list[Fraction] = []
     constraint_rows: list[tuple[int, ...]] = []
+    # The negation of each coefficient object, made once.  ``rows`` and
+    # ``rhs`` keep every negated object alive for the call, so its id names
+    # it; keying by value would hash each Fraction, a modular inverse each.
+    negated: dict[int, Fraction] = {}
+
+    def neg(q: Fraction) -> Fraction:
+        m = negated.get(id(q))
+        if m is None:
+            m = negated[id(q)] = -q
+        return m
+
     for con in lp.constraints:
         sparse = tuple(sorted(((col_of[v], q) for v, q in con.coefs)))
         produced = [len(rows)]
@@ -244,8 +264,8 @@ def to_standard_form(lp: Lp) -> StdLp:
         rhs.append(con.rhs)
         if con.kind == "eq":
             produced.append(len(rows))
-            rows.append(tuple((j, -q) for j, q in sparse))
-            rhs.append(-con.rhs)
+            rows.append(tuple((j, neg(q)) for j, q in sparse))
+            rhs.append(neg(con.rhs))
         constraint_rows.append(tuple(produced))
     return StdLp(
         columns=tuple(col_of),

@@ -11,14 +11,21 @@ comments; the writer uses them to record the conventions a consumer needs:
   * an `eq` row expands to two adjacent standard rows, positive first, so
     certificate row indices count the expanded form in file order.
 
-Variable tokens never contain whitespace or colons.  Internal variables
-render as `phi`, `w<i>`, and `f<tag>_<fn>_<z>` where the tag part is a
-short hash of the branch identity; readers treat every token as opaque.
+Variable tokens never contain whitespace or colons; the program reader
+rejects a term or objective whose token has a colon, so every column it
+names can be written back.  Internal variables render as `phi`, `w<i>`,
+and `f<tag>_<fn>_<z>` where the tag part is a short hash of the branch
+identity; readers treat every token as opaque.
 
 A certificate file names its kind on the first directive line, then holds
 labeled sections: `primal`, `point`, and `ray` entries are keyed by
 variable token, `dual` and `farkas` entries by standard row index.
 Omitted entries are zero; a section names each place at most once.
+
+Both readers parse each distinct number token once per file, and every
+occurrence of a token shares that one ``Fraction``; omitted entries share
+one zero.  A program's variable tokens are the ``str`` pieces its lines
+split into.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ def _token(v: LpVar, digests: dict[Tag, str]) -> str:
         z = "-".join(f"{var}.{val}" for var, val in v.z.items)
         return f"f{digests[v.tag]}_{v.fn.kind}{v.fn.idx}_{z}"
     token = str(v)
-    if not token or ":" in token or any(ch.isspace() for ch in token):
+    if ":" in token or token.split() != [token]:
         raise InvalidInputError(f"variable token {token!r} is not writable")
     return token
 
@@ -134,47 +141,54 @@ def _content_lines(path: str | Path) -> list[tuple[int, str]]:
     return out
 
 
-def _rational_at(path: str | Path, lineno: int, text: str) -> Fraction:
-    """``parse_rational`` of a number read at line ``lineno`` of ``path``;
-    a bad one is named with its place."""
-    try:
-        return parse_rational(text)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+class _Numbers(dict):
+    """The number tokens of one file, each parsed by ``parse_rational`` on
+    its first lookup, so every occurrence of a token shares one
+    ``Fraction``.  Readers set ``lineno`` to the line they read; a bad
+    token is named with it."""
+
+    def __init__(self, path: str | Path) -> None:
+        super().__init__()
+        self.path, self.lineno = path, 0
+
+    def __missing__(self, token: str) -> Fraction:
+        try:
+            q = self[token] = parse_rational(token)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{self.path}:{self.lineno}: {exc}") from exc
+        return q
 
 
 def read_lp(path: str | Path) -> Lp:
     """Parse a program file back into constraints over opaque token names.
 
-    Each distinct number token is parsed once per read.
+    Each distinct number token is parsed once per read, and every
+    occurrence of it shares that one ``Fraction``.  A variable token is the
+    text before a term's only colon, kept as the ``str`` the line was split
+    into.
     """
     lines = _content_lines(path)
     if not lines or not lines[0][1].startswith("min "):
         raise InvalidInputError(f"{path}: expected a leading 'min <var>' line")
-    objective = lines[0][1][4:].strip()
-    if not objective or any(ch.isspace() for ch in objective):
-        raise InvalidInputError(f"{path}: malformed objective {objective!r}")
-    numbers: dict[str, Fraction] = {}
-
-    def number(token: str) -> Fraction:
-        q = numbers.get(token)
-        if q is None:
-            q = numbers[token] = _rational_at(path, lineno, token)
-        return q
-
+    obj_line, obj_text = lines[0]
+    objective = obj_text[4:].strip()
+    if ":" in objective or objective.split() != [objective]:
+        raise InvalidInputError(f"{path}:{obj_line}: malformed objective {objective!r}")
+    numbers = _Numbers(path)
     cons: list[Constraint] = []
     for lineno, text in lines[1:]:
         fields = text.split()
         kind = fields[0]
         if kind not in ("le", "eq") or len(fields) < 2:
             raise InvalidInputError(f"{path}:{lineno}: malformed row {text!r}")
-        rhs = number(fields[-1])
+        numbers.lineno = lineno
+        rhs = numbers[fields[-1]]
         coefs: list[tuple[LpVar, Fraction]] = []
         for term in fields[1:-1]:
-            name, sep, coef = term.rpartition(":")
-            if not sep or not name:
+            name, _, coef = term.rpartition(":")
+            if not name or ":" in name:
                 raise InvalidInputError(f"{path}:{lineno}: malformed term {term!r}")
-            coefs.append((name, number(coef)))
+            coefs.append((name, numbers[coef]))
         try:
             cons.append(make_constraint(kind, coefs, rhs))
         except ValueError as exc:
@@ -231,7 +245,7 @@ def _token_columns(std: StdLp) -> dict[str, int]:
     return {tokens[v]: j for j, v in enumerate(std.columns)}
 
 
-def _column_vector(path, col_of: dict[str, int], entries, label: str) -> tuple[Fraction, ...]:
+def _column_vector(path, numbers: _Numbers, col_of: dict[str, int], entries, label: str) -> tuple[Fraction, ...]:
     out = [Fraction(0)] * len(col_of)
     seen: set[int] = set()
     for lineno, key, val in entries:
@@ -240,11 +254,12 @@ def _column_vector(path, col_of: dict[str, int], entries, label: str) -> tuple[F
         if col_of[key] in seen:
             raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
         seen.add(col_of[key])
-        out[col_of[key]] = _rational_at(path, lineno, val)
+        numbers.lineno = lineno
+        out[col_of[key]] = numbers[val]
     return tuple(out)
 
 
-def _row_vector(path, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
+def _row_vector(path, numbers: _Numbers, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
     out = [Fraction(0)] * std.num_rows
     seen: set[int] = set()
     for lineno, key, val in entries:
@@ -257,12 +272,17 @@ def _row_vector(path, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
         if idx in seen:
             raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
         seen.add(idx)
-        out[idx] = _rational_at(path, lineno, val)
+        numbers.lineno = lineno
+        out[idx] = numbers[val]
     return tuple(out)
 
 
 def read_certificate(path: str | Path, std: StdLp) -> Certificate:
-    """Parse a certificate file against the standard form it claims to certify."""
+    """Parse a certificate file against the standard form it claims to certify.
+
+    Each distinct number token is parsed once per read, and every entry
+    that repeats it shares that one ``Fraction``.
+    """
     lines = _content_lines(path)
     if not lines:
         raise InvalidInputError(f"{path}: empty certificate")
@@ -270,23 +290,24 @@ def read_certificate(path: str | Path, std: StdLp) -> Certificate:
     if len(kind.split()) != 1:
         raise InvalidInputError(f"{path}:{kind_line}: expected a bare certificate kind")
     sections = _split_sections(path, lines[1:])
+    numbers = _Numbers(path)
     if kind == "optimal":
         if set(sections) != {"primal", "dual"}:
             raise InvalidInputError(f"{path}: optimal needs primal and dual sections")
         return Optimal(
-            _column_vector(path, _token_columns(std), sections["primal"], "primal"),
-            _row_vector(path, std, sections["dual"], "dual"),
+            _column_vector(path, numbers, _token_columns(std), sections["primal"], "primal"),
+            _row_vector(path, numbers, std, sections["dual"], "dual"),
         )
     if kind == "infeasible":
         if set(sections) != {"farkas"}:
             raise InvalidInputError(f"{path}: infeasible needs a farkas section")
-        return Infeasible(_row_vector(path, std, sections["farkas"], "farkas"))
+        return Infeasible(_row_vector(path, numbers, std, sections["farkas"], "farkas"))
     if kind == "unbounded":
         if set(sections) != {"point", "ray"}:
             raise InvalidInputError(f"{path}: unbounded needs point and ray sections")
         col_of = _token_columns(std)
         return Unbounded(
-            _column_vector(path, col_of, sections["point"], "point"),
-            _column_vector(path, col_of, sections["ray"], "ray"),
+            _column_vector(path, numbers, col_of, sections["point"], "point"),
+            _column_vector(path, numbers, col_of, sections["ray"], "ray"),
         )
     raise InvalidInputError(f"{path}:{kind_line}: unknown certificate kind {kind!r}")

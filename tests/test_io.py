@@ -7,8 +7,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import perfbench_instances, random_token_lp
+from helpers import BIG_DENOMINATOR_LARGE, SMALL, perfbench_instances, random_token_lp
 
 from fmdp.api import ApiConfig, api
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
@@ -24,6 +26,7 @@ from fmdp.lp import (
     Tag,
     Unbounded,
     Weight,
+    column_order,
     make_constraint,
     to_standard_form,
 )
@@ -146,6 +149,11 @@ def test_lp_reader_rejects_malformed_input(tmp_path):
         load("min x\nle x:1 threeish\n")
     with pytest.raises(InvalidInputError, match=r"bad\.lp:2: repeated variable 'x'"):
         load("min x\nle x:1 x:2 3\n")
+    # A variable token holds no colon, in a term or in the objective.
+    with pytest.raises(InvalidInputError, match=r"bad\.lp:2: malformed term 'a:b:1'"):
+        load("min phi\nle phi:1 a:b:1 3\n")
+    with pytest.raises(InvalidInputError, match=r"bad\.lp:1: malformed objective 'a:b'"):
+        load("min a:b\nle phi:1 3\n")
     with pytest.raises(InvalidInputError, match="cannot read"):
         read_lp(tmp_path / "absent.lp")
 
@@ -205,6 +213,122 @@ def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeyp
     path.write_text("min x\nle x:1 2/0\n")
     with pytest.raises(InvalidInputError, match=r"nums\.lp:2: not a rational: '2/0'"):
         read_lp(path)
+
+
+def test_certificate_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeypatch):
+    lp = Lp(
+        (
+            make_constraint("le", {"x": Fraction(1), "y": Fraction(1)}, 1),
+            make_constraint("eq", {"y": Fraction(1)}, 0),
+        ),
+        "x",
+    )
+    std = to_standard_form(lp)
+    path = tmp_path / "nums.cert"
+    path.write_text("optimal\nprimal\nx 1/2\ny 3\ndual\n0 3\n1 1/2\n2 -1\n")
+    parsed = []
+    original = lpio_module.parse_rational
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(lpio_module, "parse_rational", counting)
+    cert = read_certificate(path, std)
+    assert sorted(parsed) == sorted({"1/2", "3", "-1"})
+    assert cert == Optimal((Fraction(1, 2), Fraction(3)), (Fraction(3), Fraction(1, 2), Fraction(-1)))
+    # Every entry that repeats a token shares its one Fraction.
+    assert cert.primal[0] is cert.dual[1] and cert.primal[1] is cert.dual[0]
+    path.write_text("optimal\nprimal\nx 1/2\ndual\n0 1/2\n\n2 three\n")
+    with pytest.raises(InvalidInputError, match=r"nums\.cert:7: not a rational: 'three'$"):
+        read_certificate(path, std)
+
+
+_TAGS = [
+    Tag(PartialState.of({}), 0, True),
+    Tag(PartialState.of({0: 1}), 2, True),
+    Tag(PartialState.of({0: 1}), 2, False),
+]
+_VARIABLES = st.sampled_from(
+    [PHI, Weight(0), Weight(1), Weight(12), "s0", "x"]
+    + [
+        FnVar(tag, FnId(kind, idx), PartialState.of(z))
+        for tag in _TAGS
+        for kind, idx, z in (("c", 0, {}), ("b", 1, {1: 0}), ("e", 2, {0: 2, 3: 1}))
+    ]
+)
+_NUMBERS = st.one_of(SMALL, BIG_DENOMINATOR_LARGE)
+
+
+@st.composite
+def _programs(draw):
+    """A program over every kind of variable, with rows of either kind and
+    rows with no terms; ``make_constraint`` drops the zero terms drawn."""
+    objective = draw(_VARIABLES)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["le", "eq"]),
+                st.dictionaries(_VARIABLES, _NUMBERS, max_size=5),
+                _NUMBERS,
+            ),
+            max_size=6,
+        )
+    )
+    return Lp(tuple(make_constraint(kind, coefs, rhs) for kind, coefs, rhs in rows), objective)
+
+
+def _renamed(lp, tokens):
+    rows = (
+        make_constraint(con.kind, [(tokens[v], q) for v, q in con.coefs], con.rhs)
+        for con in lp.constraints
+    )
+    return Lp(tuple(rows), tokens[lp.objective])
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_programs())
+def test_lp_text_round_trips_to_the_standard_form_of_the_named_program(tmp_path, lp):
+    path = tmp_path / "drawn.lp"
+    write_lp(path, lp)
+    tokens = variable_tokens(column_order(lp))
+    assert to_standard_form(read_lp(path)) == to_standard_form(_renamed(lp, tokens))
+
+
+@st.composite
+def _certificates(draw):
+    std = to_standard_form(draw(_programs()))
+
+    def vector(n):
+        return tuple(draw(st.lists(_NUMBERS, min_size=n, max_size=n)))
+
+    kind = draw(st.sampled_from([Optimal, Infeasible, Unbounded]))
+    if kind is Optimal:
+        return std, Optimal(vector(std.num_cols), vector(std.num_rows))
+    if kind is Infeasible:
+        return std, Infeasible(vector(std.num_rows))
+    return std, Unbounded(vector(std.num_cols), vector(std.num_cols))
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_certificates())
+def test_certificate_text_round_trips_each_kind(tmp_path, drawn):
+    std, cert = drawn
+    path = tmp_path / "drawn.cert"
+    write_certificate(path, std, cert)
+    assert read_certificate(path, std) == cert
 
 
 # SHA-256 over the repr of to_standard_form(read_lp(lp)) and of

@@ -91,6 +91,18 @@ def test_standard_form_expands_equalities_adjacently():
     assert std.rhs[2] == Fraction(-6)
 
 
+def test_negated_equality_rows_share_one_fraction_per_coefficient_object():
+    half = Fraction(1, 2)
+    eq = make_constraint("eq", {PHI: half, Weight(0): half}, half)
+    other = make_constraint("eq", {Weight(0): half, Weight(1): Fraction(1, 2)}, 0)
+    std = to_standard_form(Lp((eq, other), PHI))
+    assert std.rows[1] == ((0, -half), (1, -half)) and std.rhs[1] == -half
+    assert std.rows[3] == ((1, -half), (2, -half)) and std.rhs[3] == 0
+    minus_half = std.rhs[1]
+    assert all(q is minus_half for _, q in std.rows[1]) and std.rows[3][0][1] is minus_half
+    assert std.rows[3][1][1] is not minus_half  # an equal but distinct coefficient
+
+
 def test_standard_form_registers_unseen_objective_variable():
     con = make_constraint("le", {Weight(0): Fraction(1)}, 5)
     std = to_standard_form(Lp((con,), PHI))
