@@ -23,9 +23,8 @@ variable token, `dual` and `farkas` entries by standard row index.
 Omitted entries are zero; a section names each place at most once.
 
 Both readers parse each distinct number token once per file, and every
-occurrence of a token shares that one ``Fraction``; omitted entries share
-one zero.  A program's variable tokens are the ``str`` pieces its lines
-split into.
+occurrence of a token shares that one ``Fraction``; omitted certificate
+entries share one zero.
 """
 
 from __future__ import annotations
@@ -245,7 +244,10 @@ def _token_columns(std: StdLp) -> dict[str, int]:
     return {tokens[v]: j for j, v in enumerate(std.columns)}
 
 
-def _column_vector(path, numbers: _Numbers, col_of: dict[str, int], entries, label: str) -> tuple[Fraction, ...]:
+def _column_vector(
+    numbers: _Numbers, col_of: dict[str, int], entries, label: str
+) -> tuple[Fraction, ...]:
+    path = numbers.path
     out = [Fraction(0)] * len(col_of)
     seen: set[int] = set()
     for lineno, key, val in entries:
@@ -259,7 +261,8 @@ def _column_vector(path, numbers: _Numbers, col_of: dict[str, int], entries, lab
     return tuple(out)
 
 
-def _row_vector(path, numbers: _Numbers, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
+def _row_vector(numbers: _Numbers, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
+    path = numbers.path
     out = [Fraction(0)] * std.num_rows
     seen: set[int] = set()
     for lineno, key, val in entries:
@@ -295,19 +298,19 @@ def read_certificate(path: str | Path, std: StdLp) -> Certificate:
         if set(sections) != {"primal", "dual"}:
             raise InvalidInputError(f"{path}: optimal needs primal and dual sections")
         return Optimal(
-            _column_vector(path, numbers, _token_columns(std), sections["primal"], "primal"),
-            _row_vector(path, numbers, std, sections["dual"], "dual"),
+            _column_vector(numbers, _token_columns(std), sections["primal"], "primal"),
+            _row_vector(numbers, std, sections["dual"], "dual"),
         )
     if kind == "infeasible":
         if set(sections) != {"farkas"}:
             raise InvalidInputError(f"{path}: infeasible needs a farkas section")
-        return Infeasible(_row_vector(path, numbers, std, sections["farkas"], "farkas"))
+        return Infeasible(_row_vector(numbers, std, sections["farkas"], "farkas"))
     if kind == "unbounded":
         if set(sections) != {"point", "ray"}:
             raise InvalidInputError(f"{path}: unbounded needs point and ray sections")
         col_of = _token_columns(std)
         return Unbounded(
-            _column_vector(path, numbers, col_of, sections["point"], "point"),
-            _column_vector(path, numbers, col_of, sections["ray"], "ray"),
+            _column_vector(numbers, col_of, sections["point"], "point"),
+            _column_vector(numbers, col_of, sections["ray"], "ray"),
         )
     raise InvalidInputError(f"{path}:{kind_line}: unknown certificate kind {kind!r}")

@@ -193,17 +193,23 @@ def test_certificate_reader_rejects_malformed_input(tmp_path):
         load("optimal\nprimal\nx 1\ndual\n0 one\n")
 
 
-def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeypatch):
-    path = tmp_path / "nums.lp"
-    path.write_text("min x\nle x:1/2 y:3 1/2\neq y:3 x:-1 0\nle x:1/2 3\n")
-    parsed = []
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every text the readers hand to ``parse_rational``, in order."""
+    texts = []
     original = lpio_module.parse_rational
 
     def counting(text):
-        parsed.append(text)
+        texts.append(text)
         return original(text)
 
     monkeypatch.setattr(lpio_module, "parse_rational", counting)
+    return texts
+
+
+def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, parsed):
+    path = tmp_path / "nums.lp"
+    path.write_text("min x\nle x:1/2 y:3 1/2\neq y:3 x:-1 0\nle x:1/2 3\n")
     lp = read_lp(path)
     assert sorted(parsed) == sorted({"1/2", "3", "-1", "0"})
     assert [con.rhs for con in lp.constraints] == [Fraction(1, 2), 0, 3]
@@ -215,7 +221,7 @@ def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeyp
         read_lp(path)
 
 
-def test_certificate_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, monkeypatch):
+def test_certificate_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, parsed):
     lp = Lp(
         (
             make_constraint("le", {"x": Fraction(1), "y": Fraction(1)}, 1),
@@ -226,17 +232,10 @@ def test_certificate_reader_parses_each_number_once_and_names_a_bad_one(tmp_path
     std = to_standard_form(lp)
     path = tmp_path / "nums.cert"
     path.write_text("optimal\nprimal\nx 1/2\ny 3\ndual\n0 3\n1 1/2\n2 -1\n")
-    parsed = []
-    original = lpio_module.parse_rational
-
-    def counting(text):
-        parsed.append(text)
-        return original(text)
-
-    monkeypatch.setattr(lpio_module, "parse_rational", counting)
     cert = read_certificate(path, std)
     assert sorted(parsed) == sorted({"1/2", "3", "-1"})
-    assert cert == Optimal((Fraction(1, 2), Fraction(3)), (Fraction(3), Fraction(1, 2), Fraction(-1)))
+    half, three = Fraction(1, 2), Fraction(3)
+    assert cert == Optimal((half, three), (three, half, Fraction(-1)))
     # Every entry that repeats a token shares its one Fraction.
     assert cert.primal[0] is cert.dual[1] and cert.primal[1] is cert.dual[0]
     path.write_text("optimal\nprimal\nx 1/2\ndual\n0 1/2\n\n2 three\n")
