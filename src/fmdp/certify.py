@@ -189,11 +189,15 @@ def _unbounded_int(std: StdLp, point, ray) -> bool:
 
 _ZERO = (0, 1)
 
+# A vector is carried as two lists, its numerators and its denominators,
+# so a check makes no tuple per entry: a pass allocates few objects the
+# garbage collector tracks.
 
-def _pairs(vec: Vector) -> list[tuple[int, int]]:
+
+def _pairs(vec: Vector) -> tuple[Sequence[int], list[int]]:
     if isinstance(vec, IntVector):
-        return [(n, vec.den) for n in vec.nums]
-    return [(q.numerator, q.denominator) for q in vec]
+        return vec.nums, [vec.den] * len(vec.nums)
+    return [q.numerator for q in vec], [q.denominator for q in vec]
 
 
 def _raw_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -204,58 +208,61 @@ def _raw_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] <= b[0] * a[1]
 
 
-def _raw_dot(coefs, vec: list[tuple[int, int]]) -> tuple[int, int]:
-    """``sum q * vec[j]`` over the ``(j, q)`` of ``coefs`` with ``vec[j] != 0``,
-    adding each product as ``_raw_add`` does."""
+def _raw_dot(coefs, nums: Sequence[int], dens: list[int]) -> tuple[int, int]:
+    """``sum q * v[j]`` over the ``(j, q)`` of ``coefs`` with ``v[j] != 0``,
+    where ``v[j]`` is ``nums[j] / dens[j]``; each product is added as
+    ``_raw_add`` adds."""
     n, d = _ZERO
     for j, q in coefs:
-        a, b = vec[j]
+        a = nums[j]
         if a:
-            tn, td = q.numerator * a, q.denominator * b
+            tn, td = q.numerator * a, q.denominator * dens[j]
             n, d = n * td + tn * d, d * td
     return n, d
 
 
-def _raw_rows_hold(std: StdLp, x: list[tuple[int, int]], with_rhs: bool) -> bool:
+def _raw_rows_hold(std: StdLp, x, with_rhs: bool) -> bool:
     """``A x <= b`` row by row, or ``A x <= 0`` without ``with_rhs``."""
+    nums, dens = x
     for sparse, b in zip(std.rows, std.rhs):
         bound = (b.numerator, b.denominator) if with_rhs else _ZERO
-        if not _raw_le(_raw_dot(sparse, x), bound):
+        if not _raw_le(_raw_dot(sparse, nums, dens), bound):
             return False
     return True
 
 
-def _raw_transpose_times(std: StdLp, y: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = [_ZERO] * std.num_cols
-    for sparse, (a, b) in zip(std.rows, y):
+def _raw_transpose_times(std: StdLp, y) -> tuple[list[int], list[int]]:
+    """``A^T y`` as numerators and denominators, summed over ``y_i != 0``."""
+    out_n, out_d = [0] * std.num_cols, [1] * std.num_cols
+    for sparse, a, b in zip(std.rows, *y):
         if a:
             for j, q in sparse:
-                n, d = out[j]
                 tn, td = q.numerator * a, q.denominator * b
-                out[j] = (n * td + tn * d, d * td)
-    return out
+                n, d = out_n[j], out_d[j]
+                out_n[j], out_d[j] = n * td + tn * d, d * td
+    return out_n, out_d
 
 
-def _raw_rhs_pairing(std: StdLp, y: list[tuple[int, int]]) -> tuple[int, int]:
-    return _raw_dot(enumerate(std.rhs), y)
+def _raw_rhs_pairing(std: StdLp, y) -> tuple[int, int]:
+    return _raw_dot(enumerate(std.rhs), *y)
 
 
 def _optimal_raw(std: StdLp, primal, dual) -> bool:
     x, y = _pairs(primal), _pairs(dual)
     if not _raw_rows_hold(std, x, True):
         return False
-    residual = _raw_transpose_times(std, y)
+    res_n, res_d = _raw_transpose_times(std, y)
     for j, q in std.objective:
-        residual[j] = _raw_add(residual[j], (q.numerator, q.denominator))
-    if any(entry[0] for entry in residual):
+        res_n[j], res_d[j] = _raw_add((res_n[j], res_d[j]), (q.numerator, q.denominator))
+    if any(res_n):
         return False
-    total = _raw_add(_raw_dot(std.objective, x), _raw_rhs_pairing(std, y))
+    total = _raw_add(_raw_dot(std.objective, *x), _raw_rhs_pairing(std, y))
     return total[0] == 0
 
 
 def _infeasible_raw(std: StdLp, farkas) -> bool:
     y = _pairs(farkas)
-    if any(entry[0] for entry in _raw_transpose_times(std, y)):
+    if any(_raw_transpose_times(std, y)[0]):
         return False
     return _raw_rhs_pairing(std, y)[0] < 0
 
@@ -264,7 +271,7 @@ def _unbounded_raw(std: StdLp, point, ray) -> bool:
     x, r = _pairs(point), _pairs(ray)
     if not (_raw_rows_hold(std, x, True) and _raw_rows_hold(std, r, False)):
         return False
-    return _raw_dot(std.objective, r)[0] < 0
+    return _raw_dot(std.objective, *r)[0] < 0
 
 
 # -- public checks -------------------------------------------------------------
