@@ -11,12 +11,13 @@ tables directly instead of assembling partial states.  The interpreters:
 * ``ElimPlan.sweep``, the numeric max-and-argmax pass over any values
   with ``+`` and ``<``;
 * ``max_sum_decode``, the one pricing kernel: it sweeps a ``Scaled``
-  family, plain integers over one denominator with negative infinity
-  (assignments excluded by indicator functions) as a stand-in below every
-  finite total, and walks the argmax tables back into a maximizing state;
-  ``max_sum`` is its value-only case.  A family of extended-real
-  ``ScopedFn`` tables is converted once on entry (``Scaled.of``);
-  ``fmdp.lpbuild.TagBlock.at`` scales a block's integer tables to w;
+  family, plain integers over one denominator with minus infinity
+  (``None``, an assignment excluded by an indicator function) as a
+  stand-in below every finite total, and walks the argmax tables back
+  into a maximizing state; ``max_sum`` is its value-only case.  A family
+  of ``ScopedFn`` tables of rationals and ``None`` is converted once on
+  entry (``Scaled.of``); ``fmdp.lpbuild.TagBlock.at`` scales a block's
+  integer tables to w;
 * ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
 * ``fmdp.weights``, which sweeps integers over one denominator to
   complete a primal solution and walks the rounds backwards to lift a
@@ -24,6 +25,8 @@ tables directly instead of assembling partial states.  The interpreters:
 
 ``explicit_max`` is the deliberately inefficient reference that enumerates
 every full state; tests hold the two implementations against each other.
+All three return a ``Fraction``, or ``None`` when every full state is
+excluded.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments
-from .values import NEG_INF, ExtReal, ext_sum
 
 __all__ = [
     "ElimRound",
@@ -200,12 +202,12 @@ class Scaled:
     """A function family as integer tables over one positive denominator.
 
     Entry ``e`` of input slot ``s`` stands for ``tables[s][e] / den``.
-    Negative infinity is the stand-in ``-(2 * bound + 1)``, where ``bound``
+    Minus infinity is the stand-in ``-(2 * bound + 1)``, where ``bound``
     is at least the sum over slots of each table's largest finite
     magnitude.  Every value a sweep forms is a sum of one entry per input
     slot below it, so a sum of finite entries is ``>= -bound`` and a sum
     meeting a stand-in is ``< -bound``: excluded totals stay below every
-    finite one, and the maximum is negative infinity exactly when it is
+    finite one, and the maximum is minus infinity exactly when it is
     below ``-bound``.
     """
 
@@ -215,8 +217,9 @@ class Scaled:
 
     @classmethod
     def of(cls, fs: Sequence[ScopedFn]) -> "Scaled":
-        """The family of extended-real tables ``fs``, converted once."""
-        scaled, den = int_tables([[v.finite for v in f.table] for f in fs])
+        """The family ``fs``, whose tables hold rationals and ``None`` for
+        minus infinity, converted once."""
+        scaled, den = int_tables([f.table for f in fs])
         bound = sum(max(map(abs, filter(None, ints)), default=0) for ints in scaled)
         floor = -(2 * bound + 1)
         tables = tuple([floor if n is None else n for n in ints] for ints in scaled)
@@ -227,7 +230,7 @@ def int_tables(
     tables: Iterable[Sequence[Fraction | None]],
 ) -> tuple[tuple[tuple[int | None, ...], ...], int]:
     """Rational tables over one denominator, the lcm of every entry's,
-    with ``None`` (negative infinity) kept: the integer tables and that
+    with ``None`` (minus infinity) kept: the integer tables and that
     denominator."""
     tables = list(tables)
     den = math.lcm(*{q.denominator for t in tables for q in t if q is not None})
@@ -242,11 +245,11 @@ def max_sum(
     order: Sequence[int],
     dims: Sequence[int],
     plan: ElimPlan | None = None,
-) -> ExtReal:
+) -> Fraction | None:
     """Maximum over all full states of the sum of ``fs``.
 
-    The result is negative infinity exactly when every full state is
-    excluded.  ``fs`` and ``plan`` are as for ``max_sum_decode``.
+    The result is ``None`` (minus infinity) exactly when every full state
+    is excluded.  ``fs`` and ``plan`` are as for ``max_sum_decode``.
     """
     return max_sum_decode(fs, order, dims, plan)[0]
 
@@ -256,38 +259,39 @@ def max_sum_decode(
     order: Sequence[int],
     dims: Sequence[int],
     plan: ElimPlan | None = None,
-) -> tuple[ExtReal, PartialState]:
+) -> tuple[Fraction | None, PartialState]:
     """Like ``max_sum`` but also returns a full state attaining the maximum.
 
-    ``fs`` is a family of extended-real ``ScopedFn`` tables or a ``Scaled``
-    one; a ``Scaled`` family needs ``plan``.  ``plan``, when given, must
-    have been built for functions shaped like ``fs`` along ``order``; it
-    spares rebuilding the schedule.  Walking the rounds backwards, each
-    eliminated variable takes its recorded winner (the lowest value on
-    ties) given the variables eliminated after it.  When the maximum is
-    negative infinity the returned state is still a valid full state
-    (every state is equally excluded, so an arbitrary consistent choice is
-    fine).
+    ``fs`` is a family of ``ScopedFn`` tables of rationals and ``None``
+    (minus infinity) or a ``Scaled`` one; a ``Scaled`` family needs
+    ``plan``.  ``plan``, when given, must have been built for functions
+    shaped like ``fs`` along ``order``; it spares rebuilding the schedule.
+    Walking the rounds backwards, each eliminated variable takes its
+    recorded winner (the lowest value on ties) given the variables
+    eliminated after it.  When the maximum is ``None`` the returned state
+    is still a valid full state (every state is equally excluded, so an
+    arbitrary consistent choice is fine).
     """
     if plan is None:
         plan = ElimPlan.build(fs, order, dims)
     family = fs if isinstance(fs, Scaled) else Scaled.of(fs)
     tables, choices = plan.sweep(family.tables, 0)
     total = sum(tables[s][0] for s in plan.final)
-    value = ExtReal(Fraction(total, family.den)) if total >= -family.bound else NEG_INF
+    value = Fraction(total, family.den) if total >= -family.bound else None
     x = [0] * len(plan.dims)
     for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
         x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]
     return value, PartialState(tuple(enumerate(x)))
 
 
-def explicit_max(fs: Sequence[ScopedFn], dims: Sequence[int]) -> ExtReal:
-    """Brute-force maximum over every full state; the oracle for ``max_sum``."""
-    best: ExtReal | None = None
+def explicit_max(fs: Sequence[ScopedFn], dims: Sequence[int]) -> Fraction | None:
+    """Brute-force maximum over every full state; the oracle for ``max_sum``.
+    A state where some table reads ``None`` is excluded; ``None`` if all are."""
+    best = None
     for x in assignments(range(len(dims)), dims):
-        total = ext_sum(f(x) for f in fs)
-        if best is None or best < total:
-            best = total
-    if best is None:
-        return NEG_INF
+        values = [f(x) for f in fs]
+        if None not in values:
+            total = sum(values, Fraction(0))
+            if best is None or best < total:
+                best = total
     return best

@@ -9,8 +9,8 @@ minus infinity on every state an earlier branch claimed.  So the error is
 the largest variable-elimination maximum over the blocks, each block's
 integer tables scaled to w (``TagBlock.at``) and swept along its own
 plan.  Only live branches have blocks; one whose states all fall to
-earlier branches contributes negative infinity and drops out, and the
-first branch's never does.  The blocks are the same objects the next
+earlier branches prices to ``None`` (minus infinity) and drops out, and
+the first branch's never does.  The blocks are the same objects the next
 weight fit for this policy reuses, so they are built once per policy,
 not once per call.
 """
@@ -31,9 +31,11 @@ __all__ = ["factored_bellman_err"]
 def factored_bellman_err(
     mdp: FactoredMdp, w: Sequence[Fraction], pol: DecisionList, order: Sequence[int]
 ) -> Fraction:
-    """The policy's Bellman error, maximized block by block.
+    """The policy's Bellman error: the largest block price that is not
+    ``None``.
 
     A list with no branch covers no state and is invalid input.
     """
     blocks = weight_lp_blocks(mdp, pol, order)
-    return max(max_sum(b.at(w), order, mdp.dims, b.plan) for b in blocks).unwrap()
+    prices = (max_sum(b.at(w), order, mdp.dims, b.plan) for b in blocks)
+    return max(p for p in prices if p is not None)

@@ -86,7 +86,8 @@ class ScopedFn:
     gives each scope variable's domain size.  ``table`` has one entry per
     scope assignment in the shared mixed-radix order.  An empty scope means
     a single constant entry.  The value type is whatever the caller stores
-    (probabilities, rationals, extended reals); the container is agnostic.
+    (probability vectors, rationals, or rationals with ``None`` for minus
+    infinity); the container is agnostic.
     """
 
     scope: tuple[int, ...]

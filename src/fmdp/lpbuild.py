@@ -3,9 +3,10 @@ as numbers by pricing and as rows by the full program.
 
 A block holds one tag's summands (built here only, from
 ``difference_fns`` and ``indicator_fns``) and their elimination plan
-(``fmdp.elim.ElimPlan``), each summand converted once, as it is built,
-to an integer table over the block's one denominator, with minus
-infinity as ``None``.  Branch blocks come in mirrored pairs sharing one
+(``fmdp.elim.ElimPlan``), each summand an integer table over the
+block's one denominator, with minus infinity as ``None``: a basis
+difference or reward is converted once, as it is built, and an
+indicator is written as one.  Branch blocks come in mirrored pairs sharing one
 plan and one denominator, the negative block's tables the negated ints
 of the positive one's: priced at w, the positive block sums to
 nu_w - Q_w^a on the branch's states and the negative one to the
@@ -60,7 +61,6 @@ from .factored import PartialState, ScopedFn, assignments, instantiate
 from .lp import PHI, Deferred, FnId, FnVar, Lp, LpVar, StdLp, Tag, Weight, named_lp
 from .model import FactoredMdp
 from .policy import DecisionList
-from .values import NEG_INF, fin
 
 __all__ = ["TagBlock", "branch_lp", "weight_lp_blocks", "weight_lp"]
 __all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
@@ -111,11 +111,6 @@ class TagBlock:
         return Scaled(tuple(tables), self.den * scale, bound)
 
 
-def _finite(fns: Sequence[ScopedFn]) -> list[list[Fraction | None]]:
-    """Extended-real tables as rationals, ``None`` for minus infinity."""
-    return [[v.finite for v in f.table] for f in fns]
-
-
 def _negated(tables: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([-n for n in t]) for t in tables)
 
@@ -125,28 +120,28 @@ def indicator_fns(
 ) -> list[ScopedFn]:
     """One exclusion function per earlier branch state, instantiated by ``t``.
 
-    The function for t' is negative infinity exactly on assignments
-    consistent with t' and zero elsewhere; instantiated by t, its scope is
-    domain(t') minus domain(t), and it is written there directly: a single
-    minus-infinity entry at t''s leftover values.  A t' subsumed by t yields
-    the constant negative infinity (the whole branch is shadowed, so
-    ``weight_lp_blocks`` builds no such branch), a t' conflicting with t
-    on some shared variable yields a function that is all-zero over its
-    leftover scope.
+    The function for t' is minus infinity (``None``) exactly on
+    assignments consistent with t' and ``0`` elsewhere; instantiated by t,
+    its scope is domain(t') minus domain(t), and it is written there
+    directly: a single ``None`` entry at t''s leftover values.  A t'
+    subsumed by t yields the constant ``None`` (the whole branch is
+    shadowed, so ``weight_lp_blocks`` builds no such branch), a t'
+    conflicting with t on some shared variable yields a function that is
+    all-zero over its leftover scope.  A table of ``0`` and ``None`` is an
+    integer table over any denominator, so blocks hold it as it is.
     """
     bound = dict(t.items)
-    zero = fin(0)
     out = []
     for tp in ts:
         leftover = [(v, val) for v, val in tp.items if v not in bound]
         scope = tuple(v for v, _ in leftover)
         card = tuple(dims[v] for v in scope)
-        table = [zero] * prod(card)
+        table: list[int | None] = [0] * prod(card)
         if all(bound.get(v, val) == val for v, val in tp.items):  # t' agrees with t
             idx = 0
             for c, (_, val) in zip(card, leftover):
                 idx = idx * c + val
-            table[idx] = NEG_INF
+            table[idx] = None
         out.append(ScopedFn(scope, card, tuple(table)))
     return out
 
@@ -188,9 +183,9 @@ def branch_lp(
     rewards = tuple(instantiate(r, t) for r in mdp.rewards[a])
     shadows = indicator_fns(ts, t, mdp.dims)
     plan = ElimPlan.build((*diffs, *rewards, *shadows), order, mdp.dims)
-    tables, den = int_tables([*(f.table for f in diffs + rewards), *_finite(shadows)])
-    nc, nr = len(diffs), len(rewards)
-    c, r, s = tables[:nc], tables[nc : nc + nr], tables[nc + nr :]
+    tables, den = int_tables([f.table for f in (*diffs, *rewards)])
+    c, r = tables[: len(diffs)], tables[len(diffs) :]
+    s = tuple(f.table for f in shadows)
     pos = TagBlock.of(Tag(t, a, True), c, _negated(r) + s, den, plan)
     return pos, TagBlock.of(Tag(t, a, False), _negated(c), r + s, den, plan)
 

@@ -1,88 +1,19 @@
-"""Exact arithmetic primitives: rationals and rationals-with-bottom.
+"""Exact rational text: parsing and formatting.
 
 All numeric work in this package happens over arbitrary-precision rationals.
-The single extension is a bottom element standing in for negative infinity,
-used by variable elimination to mark assignments ruled out by an indicator.
-Positive infinity is deliberately unrepresentable, so negation of the bottom
-element is an error rather than a wraparound.
+Where a value may be minus infinity (a table entry excluded by an indicator,
+or the maximum of a family that excludes every state) it is stored as
+``None``; integer sweeps read it as a stand-in below every finite total
+(``fmdp.elim.Scaled``).  There is no positive infinity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable
 
 from .errors import InvalidInputError
 
-__all__ = [
-    "ExtReal",
-    "NEG_INF",
-    "fin",
-    "ext_sum",
-    "parse_rational",
-    "format_rational",
-]
-
-
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class ExtReal:
-    """A rational number or negative infinity.
-
-    ``finite`` is ``None`` exactly when the value is negative infinity.
-    Addition saturates: bottom plus anything is bottom.  Comparison treats
-    bottom as strictly less than every finite value.
-    """
-
-    finite: Fraction | None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.finite is not None
-
-    def __add__(self, other: "ExtReal") -> "ExtReal":
-        if self.finite is None or other.finite is None:
-            return NEG_INF
-        return ExtReal(self.finite + other.finite)
-
-    def __neg__(self) -> "ExtReal":
-        if self.finite is None:
-            raise ValueError("cannot negate negative infinity")
-        return ExtReal(-self.finite)
-
-    def __lt__(self, other: "ExtReal") -> bool:
-        if self.finite is None:
-            return other.finite is not None
-        if other.finite is None:
-            return False
-        return self.finite < other.finite
-
-    def unwrap(self) -> Fraction:
-        """The finite value, or a ValueError if this is negative infinity."""
-        if self.finite is None:
-            raise ValueError("expected a finite value, got negative infinity")
-        return self.finite
-
-    def __str__(self) -> str:
-        return "-inf" if self.finite is None else format_rational(self.finite)
-
-
-NEG_INF = ExtReal(None)
-
-
-def fin(value: Fraction | int) -> ExtReal:
-    """Wrap a rational (or integer) as a finite extended real."""
-    return ExtReal(Fraction(value))
-
-
-def ext_sum(values: Iterable[ExtReal]) -> ExtReal:
-    """Sum with the empty sum equal to finite zero."""
-    total = fin(0)
-    for v in values:
-        total = total + v
-    return total
+__all__ = ["parse_rational", "format_rational"]
 
 
 def parse_rational(text: str) -> Fraction:

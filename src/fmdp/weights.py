@@ -5,14 +5,15 @@ but its projection onto (phi, w) is what actually matters.  So a small
 master program over (phi, w) collects one cut per violated block per
 round: pricing a block at the master optimum is an integer elimination
 sweep over the block's own plan, and its argmax yields the affine
-inequality the master was missing.  Blocks hold their summands as
-integer tables over one denominator (``fmdp.lpbuild.TagBlock``), so
-pricing, cuts, rows and the completion all read the same ints.  Only
-live branches have blocks, so every block is priced and every block's
-rows are checked.  A box trust region keeps the early masters bounded;
-whenever a box row carries positive dual weight at convergence the box
-grows and pricing resumes, since a binding box could be hiding the true
-optimum.
+inequality the master was missing; a block whose states earlier branches
+all claim prices to ``None`` (minus infinity) and yields none.  Blocks
+hold their summands as integer tables over one denominator
+(``fmdp.lpbuild.TagBlock``), so pricing, cuts, rows and the completion
+all read the same ints.  Only live branches have blocks, so every block
+is priced and every block's rows are checked.  A box trust region keeps
+the early masters bounded; whenever a box row carries positive dual
+weight at convergence the box grows and pricing resumes, since a binding
+box could be hiding the true optimum.
 
 Convergence alone is not trusted.  Each block's elimination plan
 (``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
@@ -62,7 +63,6 @@ from .lpbuild import FullLp, TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
 from .simplex import solve_lp
-from .values import NEG_INF, ExtReal, fin
 
 __all__ = ["update_weights"]
 
@@ -126,20 +126,21 @@ def update_weights(
 
     cuts: dict[tuple, _Cut] = {}
 
-    def cut_above(w: Sequence[Fraction], floor: ExtReal) -> bool:
-        """Keep the cut of every block that prices above ``floor`` at ``w``;
+    def cut_above(w: Sequence[Fraction], floor: Fraction | None) -> bool:
+        """Keep the cut of every block whose price at ``w`` is not ``None``
+        and is above ``floor`` (any price is, when ``floor`` is ``None``);
         whether there was one."""
         found = False
         for idx, block in enumerate(blocks):
             value, witness = max_sum_decode(block.at(w), order, dims, block.plan)
-            if value > floor:
+            if value is not None and (floor is None or value > floor):
                 cut = _cut_at(idx, block, witness)
                 cuts.setdefault((cut.alpha, cut.beta), cut)
                 found = True
         return found
 
     # The first branch's blocks exclude no state, so they always cut here.
-    cut_above(tuple(Fraction(0) for _ in range(m)), NEG_INF)
+    cut_above(tuple(Fraction(0) for _ in range(m)), None)
 
     box = _INITIAL_BOX
     growths = 0
@@ -160,7 +161,7 @@ def update_weights(
         phi, w = cert.primal[0], cert.primal[1:]
         # Two blocks may yield one new cut; a cut the master holds is never violated.
         known = len(cuts)
-        if cut_above(w, fin(phi)):
+        if cut_above(w, phi):
             if len(cuts) == known:
                 raise LpInternalError("violated blocks repeated existing cuts")
             continue

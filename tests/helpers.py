@@ -4,7 +4,7 @@ test suite."""
 import importlib.util
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -15,7 +15,18 @@ from fmdp.factored import PartialState, ScopedFn, assignments, consistent, insta
 from fmdp.lp import PHI, FnId, FnVar, Lp, Weight, make_constraint
 from fmdp.lpbuild import TagBlock, branch_lp
 from fmdp.model import FactoredMdp
-from fmdp.values import NEG_INF, ext_sum, fin
+
+
+def sum_or_none(values):
+    """The sum of rationals, or ``None`` (minus infinity) if any is ``None``."""
+    values = list(values)
+    return None if None in values else sum(values, Fraction(0))
+
+
+def max_or_none(values):
+    """The largest rational, ``None`` (minus infinity) below every one;
+    ``None`` when every value is."""
+    return max((v for v in values if v is not None), default=None)
 
 
 def random_ext_table_fns(
@@ -25,11 +36,11 @@ def random_ext_table_fns(
     fn_count_max: int = 5,
     neg_inf_prob: float = 0.2,
 ):
-    """A random family of ScopedFn<ExtReal> plus its dims vector.
+    """A random family of ScopedFn plus its dims vector.
 
     Scopes are random subsets, table entries are small rationals with an
-    occasional negative infinity, which is the shape variable elimination
-    has to survive.
+    occasional ``None`` (minus infinity), which is the shape variable
+    elimination has to survive.
     """
     n = rng.randint(1, n_max)
     dims = [rng.randint(1, dim_max) for _ in range(n)]
@@ -41,9 +52,9 @@ def random_ext_table_fns(
         for c in card:
             size *= c
         table = tuple(
-            NEG_INF
+            None
             if rng.random() < neg_inf_prob
-            else fin(Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
+            else Fraction(rng.randint(-20, 20), rng.randint(1, 5))
             for _ in range(size)
         )
         fns.append(ScopedFn(scope, card, table))
@@ -134,13 +145,13 @@ def min_lp(dims, tag, c_fns, b_fns, order) -> TagBlock:
     """The block for one tag from arbitrary summands.
 
     ``c_fns`` carry rational tables and enter scaled by their weight;
-    ``b_fns`` carry extended-real tables and enter additively, with a
-    minus-infinity entry simply leaving its variable unpinned.  Both are
-    converted once, to integer tables over their least common denominator.
+    ``b_fns`` carry rational tables with ``None`` for minus infinity and
+    enter additively, a ``None`` entry simply leaving its variable
+    unpinned.  Both are converted once, to integer tables over their least
+    common denominator.
     """
     plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
-    finite = [[v.finite for v in f.table] for f in b_fns]
-    tables, den = int_tables([*(f.table for f in c_fns), *finite])
+    tables, den = int_tables([f.table for f in (*c_fns, *b_fns)])
     return TagBlock.of(tag, tables[: len(c_fns)], tables[len(c_fns) :], den, plan)
 
 
@@ -157,10 +168,11 @@ def explicit_branch_sup(mdp, w, t, a, ts):
 
 def reference_indicator_fns(ts, t, dims):
     """The exclusion functions as first written: each tabulated over all of
-    domain(t'), minus infinity exactly at t', then instantiated by ``t``."""
+    domain(t'), ``None`` (minus infinity) exactly at t' and 0 elsewhere,
+    then instantiated by ``t``."""
     out = []
     for tp in ts:
-        full = ScopedFn.tabulate(tp.domain, dims, lambda x, tp=tp: NEG_INF if x == tp else fin(0))
+        full = ScopedFn.tabulate(tp.domain, dims, lambda x, tp=tp: None if x == tp else 0)
         out.append(instantiate(full, t))
     return out
 
@@ -181,7 +193,8 @@ def reference_difference_fns(mdp, t, a):
 def block_fns(block):
     """A block's integer tables read back as scoped functions on their plan
     slots' scopes: the weighted summands with ``Fraction`` tables and the
-    constant ones with extended-real tables."""
+    constant ones with ``Fraction`` tables and ``None`` for minus
+    infinity."""
     plan = block.plan
 
     def fn(s, table, value):
@@ -190,25 +203,53 @@ def block_fns(block):
 
     c_fns = tuple(fn(i, t, lambda n: Fraction(n, block.den)) for i, t in enumerate(block.c))
     b_fns = tuple(
-        fn(s, t, lambda n: NEG_INF if n is None else fin(Fraction(n, block.den)))
+        fn(s, t, lambda n: None if n is None else Fraction(n, block.den))
         for s, t in enumerate(block.b, len(block.c))
     )
     return c_fns, b_fns
 
 
 def reference_at(block, w):
-    """A block's summands at ``w`` as extended-real tables, in plan order:
-    each weighted summand scaled by its w_i, then the constant ones."""
+    """A block's summands at ``w`` as ``Fraction`` tables with ``None`` for
+    minus infinity, in plan order: each weighted summand scaled by its w_i,
+    then the constant ones."""
     c_fns, b_fns = block_fns(block)
-    scaled = [c.map_table(lambda q, wi=wi: fin(wi * q)) for wi, c in zip(w, c_fns)]
+    scaled = [c.map_table(lambda q, wi=wi: wi * q) for wi, c in zip(w, c_fns)]
     return scaled + list(b_fns)
 
 
+def reference_sweep(plan, tables):
+    """``fmdp.elim.ElimPlan.sweep`` over ``Fraction`` tables with ``None``
+    for minus infinity, written out: each point's total is ``None`` where
+    some dependent is, and each entry of a round's replacement keeps the
+    largest total of its points, ``None`` below every rational, and the
+    lowest value of the eliminated variable among equal ones."""
+    tables = list(tables)
+    choices = []
+    for rnd in plan.rounds:
+        card = plan.dims[rnd.var]
+        points = prod(plan.dims[v] for v in (*rnd.scope_e, rnd.var))
+        deps = list(zip(rnd.dependents, rnd.gather))
+        totals = [sum_or_none(tables[s][g[j]] for s, g in deps) for j in range(points)]
+        table, choice = [], []
+        for start in range(0, points, card):
+            best = start
+            for j in range(start + 1, start + card):
+                if totals[j] is not None and (totals[best] is None or totals[j] > totals[best]):
+                    best = j
+            table.append(totals[best])
+            choice.append(best - start)
+        tables.append(tuple(table))
+        choices.append(tuple(choice))
+    return tables, choices
+
+
 def reference_max_sum_decode(fns, plan):
-    """The extended-real elimination sweep: ``fmdp.elim.max_sum_decode``
-    as first written, before families were scaled to integers."""
-    tables, choices = plan.sweep([f.table for f in fns], fin(0))
-    value = ext_sum(tables[s][0] for s in plan.final)
+    """``fmdp.elim.max_sum_decode`` as first written, before families were
+    scaled to integers: the exact sweep (``reference_sweep``), its sum, and
+    the maximizing state walked back from its choices."""
+    tables, choices = reference_sweep(plan, [f.table for f in fns])
+    value = sum_or_none(tables[s][0] for s in plan.final)
     x = [0] * len(plan.dims)
     for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
         x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]
@@ -251,7 +292,7 @@ def reference_weight_lp(blocks):
         for i, c in enumerate(c_fns):
             rows += [make_constraint("eq", [(v, minus), (Weight(i), q)], 0) for v, q in zip(fn_vars[i], c.table)]
         for b, b_vars in zip(b_fns, fn_vars[len(c_fns) :]):
-            rows += [make_constraint("eq", [(v, one)], q.unwrap()) for v, q in zip(b_vars, b.table) if q.is_finite]
+            rows += [make_constraint("eq", [(v, one)], q) for v, q in zip(b_vars, b.table) if q is not None]
         for rnd, e_vars in zip(plan.rounds, fn_vars[plan.inputs :]):
             card = plan.dims[rnd.var]
             if not rnd.dependents:
@@ -275,10 +316,10 @@ def reference_block_tables(block, w, phi):
     for wi, c in zip(w, c_fns):
         bound += abs(wi) * max(map(abs, c.table), default=0)
     for b in b_fns:
-        bound += max((abs(v.unwrap()) for v in b.table if v.is_finite), default=Fraction(0))
+        bound += max((abs(v) for v in b.table if v is not None), default=Fraction(0))
     stand_in = -(2 * bound + Fraction(1, block.den * lcm(*(q.denominator for q in w))))
     weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, c_fns)]
-    pinned = [tuple(v.unwrap() if v.is_finite else stand_in for v in b.table) for b in b_fns]
+    pinned = [tuple(stand_in if v is None else v for v in b.table) for b in b_fns]
     tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
     if sum((tables[s][0] for s in block.plan.final), Fraction(0)) > phi:
         raise LpInternalError("completed block exceeds phi")
@@ -344,16 +385,16 @@ BIG_DENOMINATOR_LARGE = st.builds(
 def summands(draw):
     """The inputs of one ``min_lp`` block over 1-3 variables
     of 1-3 values: dims, weighted summands with rational tables, constant
-    summands with extended-real tables (minus infinity among them), and an
-    elimination order."""
+    summands with rational tables and ``None`` (minus infinity) among
+    them, and an elimination order."""
     n = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(1, 3)) for _ in range(n))
     scopes = _scopes(n, n)
     entry = st.one_of(
-        BIG_DENOMINATOR_SMALL.map(fin),
-        BIG_DENOMINATOR_LARGE.map(fin),
-        st.just(NEG_INF),
-        st.just(fin(0)),
+        BIG_DENOMINATOR_SMALL,
+        BIG_DENOMINATOR_LARGE,
+        st.just(None),
+        st.just(Fraction(0)),
     )
 
     def fn(values):

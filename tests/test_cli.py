@@ -13,9 +13,12 @@ from fmdp.certify import check_optimality
 from fmdp.cli import main
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState
+from fmdp.lp import Infeasible, Lp, Unbounded, make_constraint, to_standard_form
+from fmdp.lpio import write_certificate, write_lp
 from fmdp.mdpio import load_mdp, save_mdp
 from fmdp.model import make_ring
 from fmdp.policy import decision_list_from_text, select_action
+from fmdp.simplex import solve_lp
 
 
 def _ring_file(tmp_path, n=2):
@@ -156,6 +159,40 @@ def test_certify_needs_both_backends(tmp_path, capsys, monkeypatch):
     assert main(["certify", str(lp), str(cert)]) == 4
     assert seen == [True, False]
     assert capsys.readouterr().out == valid.replace(" valid\n", " INVALID\n")
+
+
+# min x with x <= 1 and x >= 2; min z with z <= 0.
+_INFEASIBLE = Lp(
+    (make_constraint("le", {"x": Fraction(1)}, 1), make_constraint("le", {"x": Fraction(-1)}, -2)), "x"
+)
+_UNBOUNDED = Lp((make_constraint("le", {"z": Fraction(1)}, 0),), "z")
+
+
+def _bumped(vec):
+    return (vec[0] + 1, *vec[1:])
+
+
+@pytest.mark.parametrize(
+    "lp, kind, altered",
+    [
+        (_INFEASIBLE, "infeasible", lambda cert: Infeasible(_bumped(cert.farkas))),
+        (_UNBOUNDED, "unbounded", lambda cert: Unbounded(cert.point, _bumped(cert.ray))),
+    ],
+    ids=["infeasible", "unbounded"],
+)
+def test_certify_checks_infeasible_and_unbounded_certificates(tmp_path, capsys, lp, kind, altered):
+    std = to_standard_form(lp)
+    cert = solve_lp(std)
+    lp_path, cert_path = tmp_path / "tiny.lp", tmp_path / "tiny.cert"
+    write_lp(lp_path, lp)
+    write_certificate(cert_path, std, cert)
+    line = f"certificate: kind={kind} rows={std.num_rows} cols={std.num_cols}"
+    assert main(["certify", str(lp_path), str(cert_path)]) == 0
+    assert capsys.readouterr().out == f"{line} valid\n"
+    # One Farkas entry, or one ray entry, off by one.
+    write_certificate(cert_path, std, altered(cert))
+    assert main(["certify", str(lp_path), str(cert_path)]) == 4
+    assert capsys.readouterr().out == f"{line} INVALID\n"
 
 
 def test_certify_bad_files_are_input_errors(tmp_path, capsys):

@@ -19,7 +19,6 @@ from fmdp.elim import (
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
 from fmdp.lp import Tag
-from fmdp.values import NEG_INF, ext_sum, fin
 
 from helpers import (
     BIG_DENOMINATOR_LARGE,
@@ -28,14 +27,18 @@ from helpers import (
     random_ext_table_fns,
     reference_at,
     reference_max_sum_decode,
+    reference_sweep,
+    sum_or_none,
     summands,
 )
 
+F = Fraction
+
 
 def _swept(fns, order, dims):
-    """The plan for ``fns`` and every slot's table after an extended-real sweep."""
+    """The plan for ``fns`` and every slot's table after the exact sweep."""
     plan = ElimPlan.build(fns, order, dims)
-    tables, _ = plan.sweep([f.table for f in fns], fin(0))
+    tables, _ = reference_sweep(plan, [f.table for f in fns])
     return plan, tables
 
 
@@ -51,50 +54,51 @@ def _worklists(plan, tables):
 
 
 def test_single_function_collapses_to_its_max():
-    f = ScopedFn((0,), (2,), (fin(1), fin(3)))
+    f = ScopedFn((0,), (2,), (F(1), F(3)))
     plan, tables = _swept([f], (0,), [2])
     assert plan.final == (1,)
     assert plan.scopes[1] == ()
-    assert tables[1] == (fin(3),)
-    assert max_sum_decode([f], (0,), [2]) == (fin(3), PartialState.of({0: 1}))
+    assert tables[1] == (F(3),)
+    assert max_sum_decode([f], (0,), [2]) == (F(3), PartialState.of({0: 1}))
 
 
 def test_step_with_no_dependent_functions_adds_constant_zero():
-    f = ScopedFn((1,), (2,), (fin(4), fin(6)))
+    f = ScopedFn((1,), (2,), (F(4), F(6)))
     plan, tables = _swept([f], (0, 1), [2, 2])
     first = plan.rounds[0]
     assert (first.var, first.dependents, first.scope_e) == (0, (), ())
-    assert tables[1] == (fin(0),)
-    assert next(_worklists(plan, tables)) == [f, ScopedFn.constant(fin(0))]
+    assert tables[1] == (F(0),)
+    assert next(_worklists(plan, tables)) == [f, ScopedFn.constant(F(0))]
 
 
 def test_step_hand_example_with_neg_inf():
-    f1 = ScopedFn((0,), (2,), (fin(1), fin(3)))
-    f2 = ScopedFn((0, 1), (2, 2), (fin(0), NEG_INF, fin(2), fin(5)))
+    f1 = ScopedFn((0,), (2,), (F(1), F(3)))
+    f2 = ScopedFn((0, 1), (2, 2), (F(0), None, F(2), F(5)))
     plan, tables = _swept([f1, f2], (0, 1), [2, 2])
     first = plan.rounds[0]
     assert (first.dependents, first.scope_e) == ((0, 1), (1,))
     # e(y) = max over x0 of f1(x0) + f2(x0, y)
-    assert tables[2] == (fin(5), fin(8))  # max(1+0, 3+2), max(1-inf, 3+5)
-    assert max_sum_decode([f1, f2], (0, 1), [2, 2]) == (fin(8), PartialState.of({0: 1, 1: 1}))
+    assert tables[2] == (F(5), F(8))  # max(1+0, 3+2), max(1-inf, 3+5)
+    assert max_sum_decode([f1, f2], (0, 1), [2, 2]) == (F(8), PartialState.of({0: 1, 1: 1}))
 
 
 def test_max_sum_constants_and_disjoint_scopes():
-    assert max_sum([ScopedFn.constant(fin(5))], (), []) == fin(5)
-    f1 = ScopedFn((0,), (2,), (fin(1), fin(3)))
-    f2 = ScopedFn((1,), (2,), (fin(2), fin(4)))
-    assert max_sum([f1, f2], (0, 1), [2, 2]) == fin(7)
-    assert max_sum([], (0, 1), [2, 2]) == fin(0)
+    assert max_sum([ScopedFn.constant(F(5))], (), []) == F(5)
+    f1 = ScopedFn((0,), (2,), (F(1), F(3)))
+    f2 = ScopedFn((1,), (2,), (F(2), F(4)))
+    assert max_sum([f1, f2], (0, 1), [2, 2]) == F(7)
+    assert max_sum([], (0, 1), [2, 2]) == F(0)
 
 
 def test_max_sum_all_excluded_is_neg_inf():
-    dead = ScopedFn((0,), (2,), (NEG_INF, NEG_INF))
-    live = ScopedFn((1,), (2,), (fin(1), fin(2)))
-    assert max_sum([dead, live], (0, 1), [2, 2]) == NEG_INF
+    dead = ScopedFn((0,), (2,), (None, None))
+    live = ScopedFn((1,), (2,), (F(1), F(2)))
+    assert max_sum([dead, live], (0, 1), [2, 2]) is None
+    assert explicit_max([dead, live], [2, 2]) is None
 
 
 def test_max_sum_rejects_bad_inputs():
-    f = ScopedFn((3,), (2,), (fin(0), fin(1)))
+    f = ScopedFn((3,), (2,), (F(0), F(1)))
     with pytest.raises(InvalidInputError):
         max_sum([f], (0, 1), [2, 2])
     with pytest.raises(InvalidInputError):
@@ -102,7 +106,7 @@ def test_max_sum_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
         max_sum([], (0,), [2, 2])
     with pytest.raises(InvalidInputError, match="cardinalities"):
-        max_sum([ScopedFn((0,), (2,), (fin(0), fin(1)))], (0,), [3])
+        max_sum([ScopedFn((0,), (2,), (F(0), F(1)))], (0,), [3])
 
 
 def test_worklist_count_invariant():
@@ -153,8 +157,8 @@ def test_constant_shift():
         fns, dims = random_ext_table_fns(rng, n_max=4)
         order = identity_order(len(dims))
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        shifted = fns + [ScopedFn.constant(fin(c))]
-        assert max_sum(shifted, order, dims) == max_sum(fns, order, dims) + fin(c)
+        shifted = fns + [ScopedFn.constant(c)]
+        assert max_sum(shifted, order, dims) == sum_or_none([max_sum(fns, order, dims), c])
 
 
 def test_decode_returns_attaining_state():
@@ -166,8 +170,8 @@ def test_decode_returns_attaining_state():
         value, witness = max_sum_decode(fns, tuple(order), dims)
         assert value == explicit_max(fns, dims)
         assert witness.domain == tuple(range(len(dims)))
-        if value.is_finite:
-            assert ext_sum(f(witness) for f in fns) == value
+        if value is not None:
+            assert sum_or_none(f(witness) for f in fns) == value
 
 
 def test_min_degree_order_is_permutation_and_agrees():
@@ -180,7 +184,7 @@ def test_min_degree_order_is_permutation_and_agrees():
         assert max_sum(fns, order, dims) == explicit_max(fns, dims)
 
 
-# -- the integer kernel against the extended-real reference sweep -----------
+# -- the integer kernel against the exact reference sweep -------------------
 
 @st.composite
 def _priced_blocks(draw):
@@ -193,7 +197,7 @@ def _priced_blocks(draw):
 
 def _assert_matches_reference(got, want):
     assert got[0] == want[0]
-    if want[0].is_finite:
+    if want[0] is not None:
         assert got[1] == want[1]
 
 
@@ -214,24 +218,24 @@ def test_integer_kernel_matches_the_extended_real_sweep(case):
     "dims, c_fns, b_fns, w",
     [
         # every assignment excluded, with no empty-scope minus infinity
-        ((2,), (), (ScopedFn((0,), (2,), (NEG_INF, NEG_INF)),), ()),
+        ((2,), (), (ScopedFn((0,), (2,), (None, None)),), ()),
         # a 1-value variable: a one-entry table with a scope is no constant
-        ((1, 2), (), (ScopedFn((0,), (1,), (NEG_INF,)), ScopedFn((1,), (2,), (fin(1), fin(2)))), ()),
+        ((1, 2), (), (ScopedFn((0,), (1,), (None,)), ScopedFn((1,), (2,), (F(1), F(2)))), ()),
         # a large empty-scope constant must not lift an excluded total
-        ((2,), (), (ScopedFn((), (), (fin(10**40),)), ScopedFn((0,), (2,), (NEG_INF, NEG_INF))), ()),
+        ((2,), (), (ScopedFn((), (), (F(10**40),)), ScopedFn((0,), (2,), (None, None))), ()),
         # an empty-scope constant next to minus infinity: the constant still
         # adds to the one state left
         (
             (2,),
             (ScopedFn((0,), (2,), (Fraction(1), Fraction(-2))),),
-            (ScopedFn.constant(fin(Fraction(-7, 3))), ScopedFn((0,), (2,), (NEG_INF, fin(0)))),
+            (ScopedFn.constant(F(-7, 3)), ScopedFn((0,), (2,), (None, F(0)))),
             (Fraction(5),),
         ),
         # w = 0 and a weight with a large prime denominator
         (
             (2, 2),
             (ScopedFn((0,), (2,), (Fraction(3), Fraction(-1, 7))), ScopedFn((1,), (2,), (Fraction(5), Fraction(2)))),
-            (ScopedFn((0, 1), (2, 2), (fin(0), NEG_INF, fin(Fraction(1, 3)), fin(0))),),
+            (ScopedFn((0, 1), (2, 2), (F(0), None, F(1, 3), F(0))),),
             (Fraction(0), Fraction(1, 2**61 - 1)),
         ),
     ],
@@ -256,12 +260,12 @@ def test_integer_kernel_edge_cases(dims, c_fns, b_fns, w):
 def test_empty_scope_minus_infinity_marks_a_shadowed_block():
     dims = (2,)
     c_fns = (ScopedFn((0,), (2,), (Fraction(1), Fraction(2))),)
-    dead = ScopedFn.constant(NEG_INF)
+    dead = ScopedFn.constant(None)
     block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (dead,), (0,))
     assert block.b == ((None,),)
-    assert max_sum(block.at((Fraction(1),)), (0,), dims, block.plan) == NEG_INF
-    assert max_sum(reference_at(block, (Fraction(1),)), (0,), dims) == NEG_INF
-    live = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (ScopedFn.constant(fin(3)),), (0,))
+    assert max_sum(block.at((Fraction(1),)), (0,), dims, block.plan) is None
+    assert max_sum(reference_at(block, (Fraction(1),)), (0,), dims) is None
+    live = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (ScopedFn.constant(F(3)),), (0,))
     # The constant is a one-entry table like any other and counts in the bound.
     assert live.b == ((3 * live.den,),) and live.b_max == 3 * live.den
-    assert max_sum(live.at((Fraction(1, 2),)), (0,), dims, live.plan) == fin(4)
+    assert max_sum(live.at((Fraction(1, 2),)), (0,), dims, live.plan) == F(4)

@@ -15,7 +15,7 @@ from fmdp.factored import (
     instantiate,
     restrict,
 )
-from fmdp.values import NEG_INF, ExtReal, ext_sum, fin, format_rational, parse_rational
+from fmdp.values import format_rational, parse_rational
 
 # A two-variable binary example used throughout: W is value 0, B is value 1.
 W, B = 0, 1
@@ -127,28 +127,6 @@ def test_scope_soundness_random_agreement():
         assert f(x) == f(y)
 
 
-def test_ext_real_saturating_arithmetic():
-    assert fin(2) + fin(Fraction(1, 2)) == fin(Fraction(5, 2))
-    assert fin(1) + NEG_INF == NEG_INF
-    assert NEG_INF + NEG_INF == NEG_INF
-    assert ext_sum([]) == fin(0)
-    assert ext_sum([fin(1), NEG_INF, fin(3)]) == NEG_INF
-    assert -fin(Fraction(3, 4)) == fin(Fraction(-3, 4))
-    with pytest.raises(ValueError):
-        -NEG_INF
-    with pytest.raises(ValueError):
-        NEG_INF.unwrap()
-
-
-def test_ext_real_ordering_bottom_least():
-    assert NEG_INF < fin(-10**9)
-    assert not (fin(0) < NEG_INF)
-    assert not (NEG_INF < NEG_INF)
-    assert max([NEG_INF, fin(-3), fin(2)]) == fin(2)
-    assert max([NEG_INF, NEG_INF]) == NEG_INF
-    assert sorted([fin(1), NEG_INF, fin(0)]) == [NEG_INF, fin(0), fin(1)]
-
-
 def test_rational_parse_and_format():
     assert parse_rational("9/10") == Fraction(9, 10)
     assert parse_rational(" -3 ") == Fraction(-3)
@@ -158,8 +136,3 @@ def test_rational_parse_and_format():
     for bad in ["", "1/0", "x", "1/2/3"]:
         with pytest.raises(InvalidInputError):
             parse_rational(bad)
-
-
-def test_ext_real_str():
-    assert str(ExtReal(Fraction(-1, 3))) == "-1/3"
-    assert str(NEG_INF) == "-inf"

@@ -156,6 +156,13 @@ def test_lp_reader_rejects_malformed_input(tmp_path):
         load("min a:b\nle phi:1 3\n")
     with pytest.raises(InvalidInputError, match="cannot read"):
         read_lp(tmp_path / "absent.lp")
+    (tmp_path / "bad.lp").write_text("# caf\u00e9\nmin x\nle x:1 3\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=r"bad\.lp is not ascii text"):
+        read_lp(tmp_path / "bad.lp")
+    # The writer refuses a name the reader would split or misread.
+    for name in ("a:b", "a b"):
+        with pytest.raises(InvalidInputError, match=f"variable token {name!r} is not writable"):
+            write_lp(tmp_path / "out.lp", Lp((make_constraint("le", {name: Fraction(1)}, 1),), name))
 
 
 def test_certificate_reader_rejects_malformed_input(tmp_path):
@@ -185,6 +192,14 @@ def test_certificate_reader_rejects_malformed_input(tmp_path):
         load("optimal\nprimal\nx 1\n")
     with pytest.raises(InvalidInputError, match="needs point and ray"):
         load("unbounded\npoint\n")
+    with pytest.raises(InvalidInputError, match="infeasible needs a farkas section"):
+        load("infeasible\ndual\n0 1\n")
+    with pytest.raises(InvalidInputError, match=r"bad\.cert:1: expected a bare certificate kind"):
+        load("optimal kind\nprimal\ndual\n")
+    with pytest.raises(InvalidInputError, match=r"bad\.cert:3: malformed line 'x 1 2'"):
+        load("optimal\nprimal\nx 1 2\ndual\n")
+    with pytest.raises(InvalidInputError, match=r"bad\.cert:4: bad row index 'first'"):
+        load("optimal\nprimal\ndual\nfirst 1\n")
     # A bad number names its file and line, in either kind of section.
     path = tmp_path / "bad.cert"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}:3: not a rational: '1/0'$"):

@@ -14,6 +14,7 @@ from helpers import (
     all_states,
     block_fns,
     explicit_branch_sup,
+    max_or_none,
     min_lp,
     models,
     random_rational_fn,
@@ -21,6 +22,7 @@ from helpers import (
     reference_difference_fns,
     reference_fn_vars,
     reference_weight_lp,
+    sum_or_none,
     summands,
 )
 
@@ -34,7 +36,6 @@ from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, weight_lp, weig
 from fmdp.model import elimination_order, make_ring
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
-from fmdp.values import NEG_INF, ext_sum, fin
 
 TAG = Tag(EMPTY_STATE, 0, True)
 
@@ -52,11 +53,11 @@ def _pin_weights(block_lp_constraints, w):
 
 
 def _explicit_value(c_fns, b_fns, w, dims):
-    best = NEG_INF
+    best = None
     for x in all_states(dims):
-        total = fin(sum((wi * f(restrict(x, f.scope)) for wi, f in zip(w, c_fns)), Fraction(0)))
-        total = total + ext_sum([f(restrict(x, f.scope)) for f in b_fns])
-        best = max(best, total)
+        weighted = sum((wi * f(restrict(x, f.scope)) for wi, f in zip(w, c_fns)), Fraction(0))
+        total = sum_or_none([weighted, *(f(restrict(x, f.scope)) for f in b_fns)])
+        best = max_or_none([best, total])
     return best
 
 
@@ -65,7 +66,7 @@ def test_constant_pair_generates_four_rows():
         (2,),
         TAG,
         (ScopedFn.constant(Fraction(1)),),
-        (ScopedFn.constant(fin(Fraction(-1))),),
+        (ScopedFn.constant(Fraction(-1)),),
         (0,),
     )
     assert len(_rows(block)) == 4
@@ -97,7 +98,7 @@ def test_projection_matches_enumeration_with_pinned_weights():
             for c in card:
                 size *= c
             table = tuple(
-                NEG_INF if rng.random() < 0.25 else fin(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+                None if rng.random() < 0.25 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                 for _ in range(size)
             )
             b_fns.append(ScopedFn(scope, card, table))
@@ -108,9 +109,9 @@ def test_projection_matches_enumeration_with_pinned_weights():
         std = to_standard_form(_pin_weights(_rows(block), w))
         cert = solve_lp(std)
         target = _explicit_value(c_fns, b_fns, w, dims)
-        if target.is_finite:
+        if target is not None:
             assert isinstance(cert, Optimal)
-            assert cert.primal[std.col_of[PHI]] == target.unwrap()
+            assert cert.primal[std.col_of[PHI]] == target
             assert check_optimality(std, cert.primal, cert.dual)
             checked["optimal"] += 1
         else:
@@ -122,7 +123,7 @@ def test_projection_matches_enumeration_with_pinned_weights():
 
 def test_minus_infinity_entries_leave_variables_unpinned():
     scope = (0,)
-    b = ScopedFn(scope, (2,), (NEG_INF, fin(Fraction(4))))
+    b = ScopedFn(scope, (2,), (None, Fraction(4)))
     block = min_lp((2,), TAG, (), (b,), (0,))
     pins = [
         c
@@ -143,7 +144,7 @@ def test_a_block_reads_back_as_the_functions_it_was_built_from(drawn):
     dims, c_fns, b_fns, order = drawn
     block = min_lp(dims, TAG, c_fns, b_fns, order)
     assert block_fns(block) == (c_fns, b_fns)
-    finite = [q for f in c_fns for q in f.table] + [v.finite for f in b_fns for v in f.table if v.is_finite]
+    finite = [q for f in (*c_fns, *b_fns) for q in f.table if q is not None]
     assert block.den == lcm(*(q.denominator for q in finite))
 
 
@@ -184,7 +185,7 @@ def test_branch_blocks_mirror_each_other():
         assert cp.scope == cn.scope
         assert [-q for q in cp.table] == list(cn.table)
     for bp, bn in zip(pos_b[: len(mdp.rewards[1])], neg_b):
-        assert [v.unwrap() for v in bp.table] == [-v.unwrap() for v in bn.table]
+        assert None not in bp.table and list(bp.table) == [-v for v in bn.table]
 
 
 def test_branch_pair_recovers_branch_error():
@@ -202,10 +203,10 @@ def test_branch_pair_recovers_branch_error():
             std = to_standard_form(_pin_weights(_rows(block), w))
             cert = solve_lp(std)
             assert isinstance(cert, Optimal)
-            half = fin(cert.primal[std.col_of[PHI]])
+            half = cert.primal[std.col_of[PHI]]
             assert half == max_sum(reference_at(block, w), order, mdp.dims, block.plan)
             halves.append(half)
-        assert max(halves) == fin(explicit_branch_sup(mdp, w, t, a, ts))
+        assert max(halves) == explicit_branch_sup(mdp, w, t, a, ts)
 
 
 def _diff_keys(mdp):
@@ -277,7 +278,7 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
             cards = [1] * plan.inputs + [plan.dims[rnd.var] for rnd in plan.rounds]
             c_fns, b_fns = block_fns(block)
             unpinned = [[False] * len(c.table) for c in c_fns]
-            unpinned += [[not v.is_finite for v in b.table] for b in b_fns]
+            unpinned += [[v is None for v in b.table] for b in b_fns]
             for s, fn_vars in enumerate(reference_fn_vars(block)):
                 cols = range(at.cols[s], at.cols[s] + len(fn_vars))
                 assert [std.columns[col] for col in cols] == fn_vars

@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from helpers import models
+from hypothesis import HealthCheck, given, settings
 
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments
@@ -461,6 +464,93 @@ def test_model_round_trip(tmp_path):
 def test_model_dict_round_trip_bigger():
     mdp = make_ring(4)
     assert mdp_from_json_dict(mdp_to_json_dict(mdp)) == mdp
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(models())
+def test_model_json_round_trips_through_text_and_file(tmp_path, mdp):
+    assert mdp_from_json_dict(json.loads(json.dumps(mdp_to_json_dict(mdp)))) == mdp
+    path = tmp_path / "drawn.json"
+    save_mdp(mdp, str(path))
+    assert load_mdp(str(path)) == mdp
+
+
+def _at(keys, change):
+    """A corruption of the ring-1 JSON: ``change`` applied to the container
+    at ``keys``; it returns the corrupted JSON."""
+
+    def corrupt(data):
+        inner = data
+        for key in keys:
+            inner = inner[key]
+        change(inner)
+        return data
+
+    return corrupt
+
+
+def _set(*keys, value):
+    return _at(keys[:-1], lambda inner: inner.__setitem__(keys[-1], value))
+
+
+def _append(*keys, value):
+    return _at(keys, lambda inner: inner.append(value))
+
+
+def _pop(*keys):
+    return _at(keys, list.pop)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_set("discount", value=True), "discount: expected a rational, got a boolean"),
+        (_set("basis", 1, "table", 0, value=[1]), "basis 1: table: expected a rational, got [1]"),
+        (_set("basis", 0, value=3), "basis 0: expected an object with scope and table"),
+        (_set("basis", 1, "scope", value=[5]), "basis 1: scope variable 5 out of range"),
+        (_set("basis", 1, "table", value="10"), "basis 1: table must be a list"),
+        (_set("actions", 0, "transitions", 0, "table", 1, value="1"), "transition 0: table row 1 must be a list"),
+        (_append("basis", 1, "table", value="0"), "basis 1: table has 3 entries, scope needs 2"),
+        (lambda data: [data], "top level must be an object"),
+        (_set("domains", value="WB"), "domains must be lists of value names"),
+        (_set("domains", 0, value=["W", "W"]), "variable 0 repeats a value name"),
+        (_set("actions", value={}), "actions must be a list"),
+        (_pop("actions", 0, "transitions"), "action 'noop' needs one transition entry per variable"),
+        (_set("actions", 1, "rewards", value={}), "action 'restart_0' rewards must be a list"),
+        (_set("actions", 1, "name", value="noop"), "duplicate action names"),
+        (_set("default", value="wait"), "default action 'wait' not defined"),
+        (_set("effects", value=[]), "effects must map action names to variables"),
+        (_set("basis", value={}), "basis must be a list"),
+    ],
+    ids=[
+        "boolean-rational",
+        "non-rational-entry",
+        "function-not-object",
+        "scope-out-of-range",
+        "table-not-list",
+        "table-row-not-list",
+        "table-wrong-size",
+        "top-level-not-object",
+        "domains-not-names",
+        "repeated-value-name",
+        "actions-not-list",
+        "transition-count",
+        "rewards-not-list",
+        "duplicate-action-names",
+        "undefined-default",
+        "effects-not-mapping",
+        "basis-not-list",
+    ],
+)
+def test_load_rejects_each_malformed_model_field(corrupt, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        mdp_from_json_dict(corrupt(mdp_to_json_dict(make_ring(1))))
 
 
 def test_load_parses_exact_decimals(tmp_path):

@@ -10,11 +10,13 @@ import pytest
 from helpers import (
     SMALL,
     all_states,
+    max_or_none,
     min_lp,
     models,
     reference_complete_primal,
     reference_weight_lp,
     reference_weight_lp_blocks,
+    sum_or_none,
     summands,
     sysadmin,
 )
@@ -34,7 +36,6 @@ from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp, policy_value
 from fmdp.policy import Branch, DecisionList, greedy_decision_list
 from fmdp.simplex import solve_lp
-from fmdp.values import NEG_INF, ext_sum
 from fmdp.weights import _Cut, _cut_at, _master_std, update_weights
 
 weights_module = importlib.import_module("fmdp.weights")
@@ -110,6 +111,24 @@ def test_certificate_is_exposed_and_checks_out():
     assert trace["rounds"] >= 1
     assert trace["box_growths"] == 0
     assert trace["lp_rows"] == std.num_rows
+
+
+def test_a_binding_box_grows_and_the_fit_stays_the_optimum():
+    # At discount 999/1000 the last two fits put w0 at 2997000/1501, past
+    # the initial box of 1024, so each grows the box once.
+    mdp = dataclasses.replace(make_ring(2), discount=Fraction(999, 1000))
+    steps: list[dict] = []
+    api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
+    assert [step["box_growths"] for step in steps] == [0, 1, 1]
+    assert steps[-1]["w"][0] == Fraction(2997000, 1501)
+    starts = [tuple(Fraction(0) for _ in mdp.basis)] + [step["w"] for step in steps[:-1]]
+    for start, step in zip(starts, steps):
+        explicit = to_standard_form(explicit_weight_lp(mdp, greedy_decision_list(mdp, start)))
+        cert = solve_lp(explicit)
+        assert isinstance(cert, Optimal)
+        assert step["phi"] == cert.primal[explicit.col_of[PHI]]
+        traced = step["certificate"]
+        assert check_optimality(step["std"], traced.primal, traced.dual)
 
 
 def test_update_is_deterministic():
@@ -202,9 +221,9 @@ def test_a_cut_holds_the_block_values_at_its_witness(drawn):
     dims, c_fns, b_fns, order = drawn
     block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, b_fns, order)
     for x in all_states(dims):
-        total = ext_sum(b(x) for b in b_fns)
-        if total.is_finite:
-            assert _cut_at(7, block, x) == _Cut(7, x, tuple(c(x) for c in c_fns), total.unwrap())
+        total = sum_or_none(b(x) for b in b_fns)
+        if total is not None:
+            assert _cut_at(7, block, x) == _Cut(7, x, tuple(c(x) for c in c_fns), total)
         else:
             with pytest.raises(LpInternalError, match="excluded state"):
                 _cut_at(7, block, x)
@@ -401,7 +420,7 @@ def _shadowing_fits(draw):
     blocks = weight_lp_blocks(mdp, pol, order)
     w = tuple(draw(SMALL) for _ in mdp.basis)
     prices = (max_sum(b.at(w), order, mdp.dims, b.plan) for b in blocks)
-    return blocks, w, max(prices).unwrap()
+    return blocks, w, max_or_none(prices)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -489,7 +508,7 @@ def test_blocks_whose_states_earlier_branches_claim_complete_below_phi():
     assert (w, phi) == ((Fraction(855, 64), Fraction(25, 16), Fraction(25, 16)), Fraction(27, 128))
     blocks, std, cert = weight_lp_blocks(mdp, pol, order), trace["std"], trace["certificate"]
     assert len(blocks) == 8
-    excluded = [k for k, b in enumerate(blocks) if max_sum(b.at(w), order, mdp.dims, b.plan) == NEG_INF]
+    excluded = [k for k, b in enumerate(blocks) if max_sum(b.at(w), order, mdp.dims, b.plan) is None]
     assert excluded == [4, 5, 6, 7]
     for normalized in (True, False):
         assert check_optimality(std, cert.primal, cert.dual, normalized=normalized)
