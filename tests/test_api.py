@@ -70,14 +70,23 @@ def _explicit_phi(mdp, pol):
 
 @pytest.mark.parametrize(
     "name, every_fit",
-    [("ring-4", True), ("ring-5", True), ("sysadmin-3", True), ("ring-6", True), ("sysadmin-4", False)],
+    [
+        ("ring-4", True),
+        ("ring-5", True),
+        ("sysadmin-3", True),
+        ("ring-6", False),
+        ("ring-6", True),
+        ("sysadmin-4", False),
+    ],
 )
 def test_fits_and_errors_match_the_oracle_on_benchmark_models(name, every_fit):
     """The construction against the oracle, not only the certificate: on
     the benchmark's seed-0 models, each checked fit's phi is the optimum of
     the explicit weight LP of the list it fitted, and the factored Bellman
     error is the brute-force one, at the fit's weights and at drawn ones.
-    Sysadmin-4, the largest, is checked at its last fit only."""
+    Sysadmin-4, the largest, is checked at its last fit only; ring-6 is
+    checked both at every fit and at its last fit alone, where the drawn
+    weights differ from those of the every-fit run."""
     mdp = sysadmin(4) if name == "sysadmin-4" else perfbench_instances(0)[name]
     order = elimination_order(mdp, "min-degree")
     steps = []
