@@ -5,11 +5,15 @@ standard-form program and reports a plain boolean.  Nothing here trusts
 the solver: a certificate that fails any condition is rejected no matter
 where it came from.
 
+Every standard form minimizes ``x_0`` (``fmdp.lp``), so the objective
+enters each test through column 0 alone: an optimal pair needs
+``A^T y + e_0 = 0`` and ``x_0 + b^T y = 0``, and a ray needs ``r_0 < 0``.
+
 There are two backends, and they share no arithmetic: only the length
 checks and the sign test of a dual or Farkas vector run before they
 split.  The default decides every test over Python ints.  A row that a
 test reads is scaled to integers by ``L_i``, the lcm of its denominators
-and its right-hand side's; the objective likewise.  The primal vector is
+and its right-hand side's.  The primal vector is
 put over one common denominator, and so is the dual of each scaled row,
 ``y_i / L_i``.  Every inequality and equality then compares integers,
 with no gcd and no ``Fraction`` per term.  With ``normalized=False``
@@ -90,16 +94,6 @@ def _row_scale(sparse, b: Fraction) -> int:
     return lcm(b.denominator, *{q.denominator for _, q in sparse})
 
 
-def _scaled_objective(std: StdLp) -> tuple[dict[int, int], int]:
-    """The objective times the lcm ``L_c`` of its denominators, as an
-    integer per column, and ``L_c``."""
-    scale = lcm(*{q.denominator for _, q in std.objective})
-    c: dict[int, int] = {}
-    for j, q in std.objective:
-        c[j] = c.get(j, 0) + q.numerator * (scale // q.denominator)
-    return c, scale
-
-
 def _over_one_denominator(vec: Vector) -> tuple[Sequence[int], int]:
     """Integers ``n_k`` and one ``d > 0`` with ``vec[k] = n_k / d``."""
     if isinstance(vec, IntVector):
@@ -157,16 +151,13 @@ def _optimal_int(std: StdLp, primal, dual) -> bool:
     if not _rows_hold(std, x, dx):
         return False
     scaled, dz = _scaled_dual(std, dual)
-    c, dc = _scaled_objective(std)
-    # A^T y + c = 0, where A^T y = (scaled A)^T z / dz and c_j = c[j] / dc.
+    # A^T y + e_0 = 0, where A^T y = (scaled A)^T z / dz.
     residual = _transpose_times(std.num_cols, scaled)
-    for j, cj in c.items():
-        residual[j] = residual[j] * dc + cj * dz
+    residual[0] += dz
     if any(residual):
         return False
-    # c^T x + b^T y = 0, times dc * dx * dz.
-    primal_obj = sum(cj * x[j] for j, cj in c.items())
-    return primal_obj * dz + _rhs_pairing(scaled) * dc * dx == 0
+    # x_0 + b^T y = 0, times dx * dz.
+    return x[0] * dz + _rhs_pairing(scaled) * dx == 0
 
 
 def _infeasible_int(std: StdLp, farkas) -> bool:
@@ -179,10 +170,7 @@ def _infeasible_int(std: StdLp, farkas) -> bool:
 def _unbounded_int(std: StdLp, point, ray) -> bool:
     x, dx = _over_one_denominator(point)
     r, _ = _over_one_denominator(ray)
-    if not (_rows_hold(std, x, dx) and _rows_hold(std, r, 0)):
-        return False
-    c, _ = _scaled_objective(std)
-    return sum(cj * r[j] for j, cj in c.items()) < 0
+    return _rows_hold(std, x, dx) and _rows_hold(std, r, 0) and r[0] < 0
 
 
 # -- raw-pair backend ----------------------------------------------------------
@@ -251,13 +239,14 @@ def _optimal_raw(std: StdLp, primal, dual) -> bool:
     x, y = _pairs(primal), _pairs(dual)
     if not _raw_rows_hold(std, x, True):
         return False
+    # A^T y + e_0 = 0: column 0 holds res_n[0] / res_d[0] + 1.
     res_n, res_d = _raw_transpose_times(std, y)
-    for j, q in std.objective:
-        res_n[j], res_d[j] = _raw_add((res_n[j], res_d[j]), (q.numerator, q.denominator))
+    res_n[0] += res_d[0]
     if any(res_n):
         return False
-    total = _raw_add(_raw_dot(std.objective, *x), _raw_rhs_pairing(std, y))
-    return total[0] == 0
+    # x_0 + b^T y = 0.
+    nums, dens = x
+    return _raw_add((nums[0], dens[0]), _raw_rhs_pairing(std, y))[0] == 0
 
 
 def _infeasible_raw(std: StdLp, farkas) -> bool:
@@ -269,9 +258,7 @@ def _infeasible_raw(std: StdLp, farkas) -> bool:
 
 def _unbounded_raw(std: StdLp, point, ray) -> bool:
     x, r = _pairs(point), _pairs(ray)
-    if not (_raw_rows_hold(std, x, True) and _raw_rows_hold(std, r, False)):
-        return False
-    return _raw_dot(std.objective, *r)[0] < 0
+    return _raw_rows_hold(std, x, True) and _raw_rows_hold(std, r, False) and r[0][0] < 0
 
 
 # -- public checks -------------------------------------------------------------
@@ -287,8 +274,8 @@ def check_optimality(
     """Verify a claimed optimal pair.
 
     Requires primal feasibility, dual feasibility under the convention
-    `max -b^T y, A^T y = -c, y >= 0`, and exact objective equality
-    `c^T x = -b^T y`.
+    `max -b^T y, A^T y = -e_0, y >= 0`, and exact objective equality
+    `x_0 = -b^T y`.
     """
     _require_len("primal", primal, std.num_cols)
     _require_len("dual", dual, std.num_rows)
@@ -322,7 +309,7 @@ def check_unbounded(
     normalized: bool = True,
 ) -> bool:
     """Verify an unboundedness witness: a feasible point plus a ray with
-    A r <= 0 and c^T r < 0."""
+    A r <= 0 and r_0 < 0."""
     _require_len("point", point, std.num_cols)
     _require_len("ray", ray, std.num_cols)
     if normalized:

@@ -7,14 +7,16 @@ a tag naming the branch and sign half they belong to, so unions of
 constraint sets from different branches never share them.  A row names
 each variable at most once; ``make_constraint`` checks this, never merges.
 
-``to_standard_form`` flattens a constraint list to `minimize c^T x subject
+``to_standard_form`` flattens a constraint list to `minimize x_0 subject
 to A x <= b` with free x, the only shape the simplex and the certificate
-checkers speak.  Equalities become two adjacent rows; the negated row
+checkers speak.  Column 0 is the objective variable in every standard
+form, so the objective vector is always the unit vector e_0 and no
+program stores it.  Equalities become two adjacent rows; the negated row
 shares one ``Fraction`` per distinct coefficient object, so a program
 whose rows share coefficients (as ``read_lp`` gives) makes one negation
-per distinct number.  The dual convention
-is fixed once for the whole package: the dual of `min c^T x, Ax <= b` is
-`max -b^T y, A^T y = -c, y >= 0`.
+per distinct number.  The dual convention is fixed once for the whole
+package: the dual of `min x_0, A x <= b` is `max -b^T y, A^T y = -e_0,
+y >= 0`.
 
 A builder that numbers its own columns (``fmdp.lpbuild.assemble_lp``)
 emits the standard form directly and names its columns only on first read
@@ -173,7 +175,7 @@ class Lp:
 
 @dataclass(frozen=True)
 class StdLp:
-    """`minimize c^T x subject to A x <= b`, x free, rows and c sparse.
+    """`minimize x_0 subject to A x <= b`, x free, rows sparse.
 
     ``constraint_rows[k]`` lists the row indices produced by the k-th input
     constraint (one for an inequality, two adjacent for an equality), which
@@ -185,7 +187,6 @@ class StdLp:
     columns: Sequence[LpVar]
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     rhs: tuple[Fraction, ...]
-    objective: tuple[tuple[int, Fraction], ...]
     constraint_rows: Sequence[tuple[int, ...]]
 
     @cached_property
@@ -271,7 +272,6 @@ def to_standard_form(lp: Lp) -> StdLp:
         columns=tuple(col_of),
         rows=tuple(rows),
         rhs=tuple(rhs),
-        objective=((0, Fraction(1)),),
         constraint_rows=tuple(constraint_rows),
     )
 

@@ -384,7 +384,6 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
         Deferred(n, names),
         tuple(rows),
         tuple(rhs),
-        ((0, one),),
         Deferred(len(halves), constraint_rows),
         tuple(weight_cols),
         tuple(placed),

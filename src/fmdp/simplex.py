@@ -1,9 +1,11 @@
 """Exact two-phase primal simplex over rationals, pivoting on integer rows.
 
-The program is the textbook one: free variables are split into
-nonnegative pairs u - v, every row gets a slack, rows are sign-flipped
-(sigma_i = +1 or -1) so right-hand sides start nonnegative, and one
-artificial variable per row seeds the basis.  Columns are numbered u, v,
+The program is `min x_0, A x <= b`: column 0 is the objective variable
+of every standard form (``fmdp.lp``), so phase two's cost row starts as
+the unit row e_0.  Otherwise it is the textbook one: free variables are
+split into nonnegative pairs u - v, every row gets a slack, rows are
+sign-flipped (sigma_i = +1 or -1) so right-hand sides start nonnegative,
+and one artificial variable per row seeds the basis.  Columns are numbered u, v,
 slack, artificial, and Bland's rule runs over that numbering: the lowest
 eligible column enters, ties on the ratio test go to the lowest basic
 index.  That guarantees termination without cycling.
@@ -91,10 +93,10 @@ def _eliminate(
 
 
 def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
-    """Solve `min c^T x, A x <= b` exactly and certify the outcome.
+    """Solve `min x_0, A x <= b` exactly and certify the outcome.
 
     Certificates follow the package-wide dual convention
-    `max -b^T y, A^T y = -c, y >= 0`.  When ``stats`` is given, pivot
+    `max -b^T y, A^T y = -e_0, y >= 0`.  When ``stats`` is given, pivot
     counts and tableau dimensions are recorded in it.
     """
     n = std.num_cols
@@ -216,17 +218,13 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
             pivot(r, enter)
             counts["driveout"] += 1
 
-    # Phase two: the real objective, priced against the current basis.
-    cost = [_ZERO] * n
-    for j, q in std.objective:
-        cost[j] += q
-    dz = lcm(*(q.denominator for q in cost))
-    z2 = {j: q.numerator * (dz // q.denominator) for j, q in enumerate(cost) if q}
-    for r in range(m):
-        e = basis[r]
-        cb = cost[e] if e < v0 else -cost[e - v0] if e < s0 else _ZERO
-        if cb != 0:
-            z2, dz = _eliminate(z2, dz, cb.numerator * dz, rows[r], cb.denominator * dens[r])
+    # Phase two: the cost row of x_0 = u_0 - v_0, priced against the
+    # current basis.  u_0 and v_0 are never basic together, so at most
+    # one row is eliminated.
+    z2, dz = {0: 1}, 1
+    for r, e in enumerate(basis):
+        if e == 0 or e == v0:
+            z2, dz = _eliminate(z2, dz, 1 if e == 0 else -1, rows[r], dens[r])
     rows.append(z2)
     dens.append(dz)
     blocked = run("phase2")

@@ -101,7 +101,7 @@ def _master_std(m: int, box: Fraction, cuts: Collection[_Cut]) -> StdLp:
     rhs = (box,) * (2 * m) + tuple(-c.beta for c in cuts)
     columns = (PHI, *(Weight(i) for i in range(m)))
     singles = tuple((k,) for k in range(len(rows)))
-    return StdLp(columns, tuple(rows), rhs, ((0, one),), singles)
+    return StdLp(columns, tuple(rows), rhs, singles)
 
 
 def update_weights(

@@ -202,8 +202,7 @@ def _dense(std):
         for c, q in entries:
             rows[r][c] = q
     cost = [F(0)] * std.num_cols
-    for c, q in std.objective:
-        cost[c] = q
+    cost[0] = F(1)  # every standard form minimizes column 0
     return rows, list(std.rhs), cost
 
 

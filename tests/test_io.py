@@ -347,7 +347,7 @@ def test_certificate_text_round_trips_each_kind(tmp_path, drawn):
 
 # SHA-256 over the repr of to_standard_form(read_lp(lp)) and of
 # read_certificate(cert, std) for each final program and certificate below.
-GOLDEN_READER = "6b5dc172d5d4d6723baeda742fa084e431bd1506c2d1328836a09f1697b47ade"
+GOLDEN_READER = "54dee85080a5b0e08543b71d780cf33ca0f04eea20bc4ae065680d25d2c755ef"
 
 
 def test_reader_output_on_the_benchmark_dumps_matches_its_golden_digest(tmp_path):

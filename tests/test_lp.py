@@ -75,7 +75,6 @@ def test_standard_form_objective_column_first():
     assert std.columns == (PHI, Weight(0))
     assert std.rows == (((0, Fraction(-1)), (1, Fraction(1))),)
     assert std.rhs == (Fraction(0),)
-    assert std.objective == ((0, Fraction(1)),)
 
 
 def test_standard_form_expands_equalities_adjacently():

@@ -316,7 +316,6 @@ def test_assembled_lp_is_the_standard_form_of_its_named_program(mdp, ws):
         assert renamed == flattened.rows
         assert direct.rhs == flattened.rhs
         assert direct.constraint_rows == flattened.constraint_rows
-        assert direct.objective == flattened.objective
         assert len(direct.col_of) == direct.num_cols
         assert weight_lp(mdp, pol, order) == named
 
