@@ -156,11 +156,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 # -- shared plumbing -------------------------------------------------------
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(lines: list[str], report_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if report_path:
-        Path(report_path).write_text(text, encoding="utf-8")
+        _write(report_path, text)
 
 
 def _load_model(args) -> FactoredMdp:
@@ -239,9 +246,7 @@ def _cmd_solve(args) -> int:
     if args.dump_cert:
         write_certificate(args.dump_cert, last["std"], last["certificate"])
     if args.policy_out:
-        Path(args.policy_out).write_text(
-            decision_list_to_text(mdp, res.pol), encoding="utf-8"
-        )
+        _write(args.policy_out, decision_list_to_text(mdp, res.pol))
     return 0
 
 

@@ -112,6 +112,13 @@ def variable_tokens(variables: Collection[LpVar]) -> dict[LpVar, str]:
     return out
 
 
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+
+
 def write_lp(path: str | Path, lp: Lp) -> None:
     tokens = variable_tokens(column_order(lp))
     lines = list(_LP_HEADER)
@@ -122,7 +129,7 @@ def write_lp(path: str | Path, lp: Lp) -> None:
             lines.append(f"{con.kind} {terms} {format_rational(con.rhs)}")
         else:
             lines.append(f"{con.kind} {format_rational(con.rhs)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(path, lines)
 
 
 def _content_lines(path: str | Path) -> list[tuple[int, str]]:
@@ -219,7 +226,7 @@ def write_certificate(path: str | Path, std: StdLp, cert: Certificate) -> None:
         _write_labeled(lines, "ray", zip(cols, cert.ray))
     else:
         raise InvalidInputError(f"unknown certificate {cert!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(path, lines)
 
 
 def _split_sections(path: str | Path, lines: list[tuple[int, str]]) -> dict[str, list]:
@@ -244,34 +251,27 @@ def _token_columns(std: StdLp) -> dict[str, int]:
     return {tokens[v]: j for j, v in enumerate(std.columns)}
 
 
-def _column_vector(
-    numbers: _Numbers, col_of: dict[str, int], entries, label: str
+def _vector(
+    numbers: _Numbers, entries, label: str, size: int, col_of: dict[str, int] | None = None
 ) -> tuple[Fraction, ...]:
+    """A section's entries as a vector of ``size``, zero where omitted,
+    keyed by variable token through ``col_of`` or, without it, by row
+    index."""
     path = numbers.path
-    out = [Fraction(0)] * len(col_of)
+    out = [Fraction(0)] * size
     seen: set[int] = set()
     for lineno, key, val in entries:
-        if key not in col_of:
-            raise InvalidInputError(f"{path}:{lineno}: unknown variable {key!r} in {label}")
-        if col_of[key] in seen:
-            raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
-        seen.add(col_of[key])
-        numbers.lineno = lineno
-        out[col_of[key]] = numbers[val]
-    return tuple(out)
-
-
-def _row_vector(numbers: _Numbers, std: StdLp, entries, label: str) -> tuple[Fraction, ...]:
-    path = numbers.path
-    out = [Fraction(0)] * std.num_rows
-    seen: set[int] = set()
-    for lineno, key, val in entries:
-        try:
-            idx = int(key)
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}:{lineno}: bad row index {key!r}") from exc
-        if not 0 <= idx < std.num_rows:
-            raise InvalidInputError(f"{path}:{lineno}: row {idx} outside 0..{std.num_rows - 1}")
+        if col_of is not None:
+            idx = col_of.get(key)
+            if idx is None:
+                raise InvalidInputError(f"{path}:{lineno}: unknown variable {key!r} in {label}")
+        else:
+            try:
+                idx = int(key)
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: bad row index {key!r}") from exc
+            if not 0 <= idx < size:
+                raise InvalidInputError(f"{path}:{lineno}: row {idx} outside 0..{size - 1}")
         if idx in seen:
             raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")
         seen.add(idx)
@@ -298,19 +298,19 @@ def read_certificate(path: str | Path, std: StdLp) -> Certificate:
         if set(sections) != {"primal", "dual"}:
             raise InvalidInputError(f"{path}: optimal needs primal and dual sections")
         return Optimal(
-            _column_vector(numbers, _token_columns(std), sections["primal"], "primal"),
-            _row_vector(numbers, std, sections["dual"], "dual"),
+            _vector(numbers, sections["primal"], "primal", std.num_cols, _token_columns(std)),
+            _vector(numbers, sections["dual"], "dual", std.num_rows),
         )
     if kind == "infeasible":
         if set(sections) != {"farkas"}:
             raise InvalidInputError(f"{path}: infeasible needs a farkas section")
-        return Infeasible(_row_vector(numbers, std, sections["farkas"], "farkas"))
+        return Infeasible(_vector(numbers, sections["farkas"], "farkas", std.num_rows))
     if kind == "unbounded":
         if set(sections) != {"point", "ray"}:
             raise InvalidInputError(f"{path}: unbounded needs point and ray sections")
         col_of = _token_columns(std)
         return Unbounded(
-            _column_vector(numbers, col_of, sections["point"], "point"),
-            _column_vector(numbers, col_of, sections["ray"], "ray"),
+            _vector(numbers, sections["point"], "point", std.num_cols, col_of),
+            _vector(numbers, sections["ray"], "ray", std.num_cols, col_of),
         )
     raise InvalidInputError(f"{path}:{kind_line}: unknown certificate kind {kind!r}")

@@ -204,6 +204,33 @@ def test_a_row_with_only_zero_terms_is_still_compared(normalized):
     assert not _agreed(check_unbounded, unbounded, zero, ray, normalized=normalized)
 
 
+@pytest.mark.parametrize("normalized", BACKENDS)
+def test_column_zero_terms_are_checked(normalized):
+    # min phi over -phi <= 0 and w <= 3, columns (phi, w): phi = 0 is
+    # optimal with dual (1, 0), and b^T y = 0 for every dual (y_0, 0).
+    std = to_standard_form(
+        Lp(
+            (
+                make_constraint("le", {"phi": Fraction(-1)}, 0),
+                make_constraint("le", {"w": Fraction(1)}, 3),
+            ),
+            "phi",
+        )
+    )
+    x, y = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    assert _agreed(check_optimality, std, x, y, normalized=normalized)
+    # A^T y + e_0 is -1 or +1 in column 0 and 0 elsewhere.
+    for missed in ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(0))):
+        assert not _agreed(check_optimality, std, x, missed, normalized=normalized)
+    # x_0 = 1 is feasible and the dual is exact, but x_0 + b^T y = 1.
+    assert not _agreed(check_optimality, std, (Fraction(1), Fraction(0)), y, normalized=normalized)
+    # Without the first row phi falls forever; a ray along w has A r <= 0
+    # but r_0 = 0.
+    free = to_standard_form(Lp((make_constraint("le", {"w": Fraction(1)}, 3),), "phi"))
+    assert _agreed(check_unbounded, free, x, (Fraction(-1), Fraction(0)), normalized=normalized)
+    assert not _agreed(check_unbounded, free, x, (Fraction(0), Fraction(-1)), normalized=normalized)
+
+
 @pytest.fixture(scope="module")
 def ring3_final():
     mdp = make_ring(3)

@@ -58,6 +58,16 @@ def test_no_timing_reports_are_byte_identical(tmp_path):
     assert b"seconds=-" in paths[0].read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--report", "--dump-lp", "--dump-cert", "--policy-out"])
+def test_unwritable_output_paths_are_input_errors(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "out"
+    code = main(["solve", "--model", _ring_file(tmp_path), flag, str(target)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith(f"fmdp: cannot write {target}: ") and err.count("\n") == 1
+
+
 GOLDEN_SHA256 = {
     3: {
         "report": "1a5c73c568d84f13f52401d234e6754c0af9c5b140d08a28d44b54de06c99630",

@@ -1,4 +1,4 @@
-"""Round trips through the program and certificate text formats."""
+"""Round trips through the program, certificate and model file formats."""
 
 import hashlib
 import importlib
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import BIG_DENOMINATOR_LARGE, SMALL, perfbench_instances, random_token_lp
+from helpers import BIG_DENOMINATOR_LARGE, SMALL, models, perfbench_instances, random_token_lp
 
 from fmdp.api import ApiConfig, api
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
@@ -31,6 +31,7 @@ from fmdp.lp import (
     to_standard_form,
 )
 from fmdp.lpio import read_certificate, read_lp, variable_tokens, write_certificate, write_lp
+from fmdp.mdpio import load_mdp, mdp_from_json_dict, mdp_to_json_dict, save_mdp
 from fmdp.model import elimination_order
 from fmdp.simplex import solve_lp
 
@@ -343,6 +344,25 @@ def test_certificate_text_round_trips_each_kind(tmp_path, drawn):
     path = tmp_path / "drawn.cert"
     write_certificate(path, std, cert)
     assert read_certificate(path, std) == cert
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(models())
+def test_model_json_round_trips_and_saves_the_same_bytes(tmp_path, mdp):
+    assert mdp.validate() == []
+    assert mdp_from_json_dict(mdp_to_json_dict(mdp)) == mdp
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_mdp(mdp, str(first))
+    loaded = load_mdp(str(first))
+    assert loaded == mdp
+    save_mdp(loaded, str(second))
+    assert second.read_bytes() == first.read_bytes()
 
 
 # SHA-256 over the repr of to_standard_form(read_lp(lp)) and of
