@@ -13,13 +13,13 @@ There are two backends, and they share no arithmetic: only the length
 checks and the sign test of a dual or Farkas vector run before they
 split.  The default decides every test over Python ints.  A row that a
 test reads is scaled to integers by ``L_i``, the lcm of its denominators
-and its right-hand side's.  The primal vector is
-put over one common denominator, and so is the dual of each scaled row,
-``y_i / L_i``.  Every inequality and equality then compares integers,
-with no gcd and no ``Fraction`` per term.  With ``normalized=False``
-every value is carried instead as an unreduced numerator/denominator
-pair with positive denominator and comparisons cross-multiply; it is the
-independent path for when the integer scaling itself is under suspicion.
+and its right-hand side's.  The primal vector is put over one common
+denominator, and so is the dual of each scaled row, ``y_i / L_i``.
+Every inequality and equality then compares integers, with no gcd and
+no ``Fraction`` per term.  With ``normalized=False`` every value is
+carried instead as an unreduced numerator/denominator pair with positive
+denominator and comparisons cross-multiply; it is the independent path
+for when the integer scaling itself is under suspicion.
 
 Both backends touch only nonzero certificate entries: a term ``a_ij x_j``
 with ``x_j = 0`` is left out of its row sum, and a row with ``y_i = 0``

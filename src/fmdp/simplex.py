@@ -5,10 +5,10 @@ of every standard form (``fmdp.lp``), so phase two's cost row starts as
 the unit row e_0.  Otherwise it is the textbook one: free variables are
 split into nonnegative pairs u - v, every row gets a slack, rows are
 sign-flipped (sigma_i = +1 or -1) so right-hand sides start nonnegative,
-and one artificial variable per row seeds the basis.  Columns are numbered u, v,
-slack, artificial, and Bland's rule runs over that numbering: the lowest
-eligible column enters, ties on the ratio test go to the lowest basic
-index.  That guarantees termination without cycling.
+and one artificial variable per row seeds the basis.  Columns are
+numbered u, v, slack, artificial, and Bland's rule runs over that
+numbering: the lowest eligible column enters, ties on the ratio test go
+to the lowest basic index.  That guarantees termination without cycling.
 
 Only the u columns, the slacks and the right-hand side are stored, n + m + 1
 columns instead of 2n + 2m + 1.  The other columns follow from
