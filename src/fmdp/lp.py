@@ -11,16 +11,19 @@ each variable at most once; ``make_constraint`` checks this, never merges.
 to A x <= b` with free x, the only shape the simplex and the certificate
 checkers speak.  Column 0 is the objective variable in every standard
 form, so the objective vector is always the unit vector e_0 and no
-program stores it.  Equalities become two adjacent rows; the negated row
-shares one ``Fraction`` per distinct coefficient object, so a program
-whose rows share coefficients (as ``read_lp`` gives) makes one negation
-per distinct number.  The dual convention is fixed once for the whole
+program stores it.  Equalities become two adjacent rows (``StdRows``);
+the negated row shares one ``Fraction`` per distinct coefficient object,
+so a program whose rows share coefficients makes one negation per
+distinct number.  The dual convention is fixed once for the whole
 package: the dual of `min x_0, A x <= b` is `max -b^T y, A^T y = -e_0,
 y >= 0`.
 
-A builder that numbers its own columns (``fmdp.lpbuild.assemble_lp``)
-emits the standard form directly and names its columns only on first read
-(``Deferred``); ``named_lp`` is the inverse of ``to_standard_form``.
+Code that numbers its own columns emits the standard form directly: the
+builder (``fmdp.lpbuild.assemble_lp``), which names its columns only on
+first read (``Deferred``), and the program reader (``fmdp.lpio.read_lp``).
+``named_lp`` is the inverse of ``to_standard_form``: the program it names
+keeps the form it came from, so ``to_standard_form(named_lp(std, o)) is
+std`` and its constraints are made only if someone reads them.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "StdLp",
     "Deferred",
     "column_order",
+    "StdRows",
     "to_standard_form",
     "named_lp",
     "Optimal",
@@ -153,7 +157,7 @@ def make_constraint(
     on a variable named twice, whatever its coefficients."""
     if kind not in ("le", "eq"):
         raise ValueError(f"constraint kind {kind!r}")
-    # Lists and tuples, as the file reader passes, skip the ABC check.
+    # Lists and tuples, as ``named_lp`` passes, skip the ABC check.
     if not isinstance(coefs, (list, tuple)) and isinstance(coefs, Mapping):
         coefs = coefs.items()
     keyed = sorted(((_var_key(v), v, q) for v, q in coefs), key=itemgetter(0))
@@ -167,10 +171,12 @@ def make_constraint(
 
 @dataclass(frozen=True)
 class Lp:
-    """Ordered constraints plus the variable to minimize."""
+    """Ordered constraints plus the variable to minimize.  ``std``, set only
+    by ``named_lp``, is the standard form the constraints are named from."""
 
     constraints: Sequence[Constraint]
     objective: LpVar
+    std: StdLp | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -241,46 +247,58 @@ def column_order(lp: Lp) -> dict[LpVar, int]:
     return col_of
 
 
+class StdRows:
+    """The rows of a standard form, added one input constraint at a time.
+
+    An equality adds its row and then the negated row.  The negation of each
+    coefficient object is made once: ``rows`` and ``rhs`` keep every
+    coefficient object alive, so its id names it; keying by value would hash
+    each ``Fraction``, a modular inverse each.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[tuple[int, Fraction], ...]] = []
+        self.rhs: list[Fraction] = []
+        self.constraint_rows: list[tuple[int, ...]] = []
+        self._negated: dict[int, Fraction] = {}
+
+    def add(self, kind: str, sparse: tuple[tuple[int, Fraction], ...], rhs: Fraction) -> None:
+        """Add one constraint, its terms ``sparse`` sorted by column."""
+        k = len(self.rows)
+        self.rows.append(sparse)
+        self.rhs.append(rhs)
+        if kind == "eq":
+            negated = self._negated
+            for _, q in ((0, rhs), *sparse):
+                if id(q) not in negated:
+                    negated[id(q)] = -q
+            self.rows.append(tuple([(j, negated[id(q)]) for j, q in sparse]))
+            self.rhs.append(negated[id(rhs)])
+            self.constraint_rows.append((k, k + 1))
+        else:
+            self.constraint_rows.append((k,))
+
+    def std(self, columns: Sequence[LpVar]) -> StdLp:
+        return StdLp(columns, tuple(self.rows), tuple(self.rhs), tuple(self.constraint_rows))
+
+
 def to_standard_form(lp: Lp) -> StdLp:
-    """Flatten to inequality form, columns in ``column_order``."""
+    """Flatten to inequality form, columns in ``column_order``; a program
+    ``named_lp`` made returns the standard form it was named from."""
+    if lp.std is not None:
+        return lp.std
     col_of = column_order(lp)
-    rows: list[tuple[tuple[int, Fraction], ...]] = []
-    rhs: list[Fraction] = []
-    constraint_rows: list[tuple[int, ...]] = []
-    # The negation of each coefficient object, made once.  ``rows`` and
-    # ``rhs`` keep every negated object alive for the call, so its id names
-    # it; keying by value would hash each Fraction, a modular inverse each.
-    negated: dict[int, Fraction] = {}
-
-    def neg(q: Fraction) -> Fraction:
-        m = negated.get(id(q))
-        if m is None:
-            m = negated[id(q)] = -q
-        return m
-
+    out = StdRows()
     for con in lp.constraints:
-        sparse = tuple(sorted(((col_of[v], q) for v, q in con.coefs)))
-        produced = [len(rows)]
-        rows.append(sparse)
-        rhs.append(con.rhs)
-        if con.kind == "eq":
-            produced.append(len(rows))
-            rows.append(tuple((j, neg(q)) for j, q in sparse))
-            rhs.append(neg(con.rhs))
-        constraint_rows.append(tuple(produced))
-    return StdLp(
-        columns=tuple(col_of),
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        constraint_rows=tuple(constraint_rows),
-    )
+        out.add(con.kind, tuple(sorted((col_of[v], q) for v, q in con.coefs)), con.rhs)
+    return out.std(tuple(col_of))
 
 
 def named_lp(std: StdLp, objective: LpVar) -> Lp:
     """The program ``std`` is the standard form of, named by its columns
     (``objective`` is column 0); an equality is read off its first row.
     Rows are named on first read of the constraints; until then only their
-    count is known."""
+    count is known.  The program keeps ``std`` as its ``std`` field."""
 
     def constraints():
         cols = std.columns
@@ -289,7 +307,7 @@ def named_lp(std: StdLp, objective: LpVar) -> Lp:
             kind = "eq" if len(produced) == 2 else "le"
             yield make_constraint(kind, [(cols[j], q) for j, q in std.rows[k]], std.rhs[k])
 
-    return Lp(Deferred(len(std.constraint_rows), constraints), objective)
+    return Lp(Deferred(len(std.constraint_rows), constraints), objective, std)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,12 @@ labeled sections: `primal`, `point`, and `ray` entries are keyed by
 variable token, `dual` and `farkas` entries by standard row index.
 Omitted entries are zero; a section names each place at most once.
 
-Both readers parse each distinct number token once per file, and every
-occurrence of a token shares that one ``Fraction``; omitted certificate
-entries share one zero.
+The program reader emits the standard form directly, in one pass over the
+file, and returns it as ``named_lp(std, objective)``: ``to_standard_form``
+of that program is ``std`` itself, and its named constraints are made only
+if someone reads them.  Both readers parse each distinct number token once
+per file, and every occurrence of a token shares that one ``Fraction``;
+omitted certificate entries share one zero.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from typing import Collection, Iterable
 from .errors import InvalidInputError, LpInternalError
 from .lp import (
     Certificate,
-    Constraint,
     FnVar,
     Infeasible,
     Lp,
@@ -45,11 +47,12 @@ from .lp import (
     Optimal,
     Phi,
     StdLp,
+    StdRows,
     Tag,
     Unbounded,
     Weight,
     column_order,
-    make_constraint,
+    named_lp,
 )
 from .values import format_rational, parse_rational
 
@@ -113,8 +116,14 @@ def variable_tokens(variables: Collection[LpVar]) -> dict[LpVar, str]:
 
 
 def _write_lines(path: str | Path, lines: list[str]) -> None:
+    # Encoded before the file is opened, so text the readers would refuse
+    # leaves no file behind.
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        data = ("\n".join(lines) + "\n").encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise InvalidInputError(f"cannot write {path}: not ascii text: {exc}") from exc
+    try:
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
@@ -166,12 +175,17 @@ class _Numbers(dict):
 
 
 def read_lp(path: str | Path) -> Lp:
-    """Parse a program file back into constraints over opaque token names.
+    """Parse a program file straight into its standard form, returned as
+    ``named_lp(std, objective)``: ``to_standard_form`` gives ``std`` back,
+    and the constraints are named only if someone reads them.
 
-    Each distinct number token is parsed once per read, and every
-    occurrence of it shares that one ``Fraction``.  A variable token is the
-    text before a term's only colon, kept as the ``str`` the line was split
-    into.
+    The objective takes column 0; every other token takes the next column
+    when a row first names it with a nonzero coefficient, a row's new
+    tokens in string order, so the columns are those ``to_standard_form``
+    gives the named program.  A variable token is the text before a term's
+    only colon, kept as the ``str`` the line was split into.  Each distinct
+    number token is parsed once per read, and every occurrence of it
+    shares that one ``Fraction``.
     """
     lines = _content_lines(path)
     if not lines or not lines[0][1].startswith("min "):
@@ -181,7 +195,8 @@ def read_lp(path: str | Path) -> Lp:
     if ":" in objective or objective.split() != [objective]:
         raise InvalidInputError(f"{path}:{obj_line}: malformed objective {objective!r}")
     numbers = _Numbers(path)
-    cons: list[Constraint] = []
+    col_of: dict[str, int] = {objective: 0}
+    out = StdRows()
     for lineno, text in lines[1:]:
         fields = text.split()
         kind = fields[0]
@@ -189,17 +204,21 @@ def read_lp(path: str | Path) -> Lp:
             raise InvalidInputError(f"{path}:{lineno}: malformed row {text!r}")
         numbers.lineno = lineno
         rhs = numbers[fields[-1]]
-        coefs: list[tuple[LpVar, Fraction]] = []
+        row: dict[str, Fraction] = {}
         for term in fields[1:-1]:
             name, _, coef = term.rpartition(":")
             if not name or ":" in name:
                 raise InvalidInputError(f"{path}:{lineno}: malformed term {term!r}")
-            coefs.append((name, numbers[coef]))
-        try:
-            cons.append(make_constraint(kind, coefs, rhs))
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
-    return Lp(tuple(cons), objective)
+            row[name] = numbers[coef]
+        if len(row) < len(fields) - 2:
+            names = [term.rpartition(":")[0] for term in fields[1:-1]]
+            repeated = min(v for v in row if names.count(v) > 1)
+            raise InvalidInputError(f"{path}:{lineno}: repeated variable {repeated!r}")
+        for v in sorted([v for v in row if v not in col_of]):
+            if row[v]:
+                col_of[v] = len(col_of)
+        out.add(kind, tuple(sorted([(col_of[v], q) for v, q in row.items() if q])), rhs)
+    return named_lp(out.std(tuple(col_of)), objective)
 
 
 def _write_labeled(lines: list[str], label: str, pairs: Iterable[tuple[str, Fraction]]) -> None:

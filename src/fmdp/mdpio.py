@@ -231,6 +231,11 @@ def load_mdp(path: str) -> FactoredMdp:
 
 
 def save_mdp(mdp: FactoredMdp, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(mdp_to_json_dict(mdp), handle, indent=1)
-        handle.write("\n")
+    """Write a model file; a path that cannot be written raises
+    InvalidInputError."""
+    try:
+        with open(path, "w") as handle:
+            json.dump(mdp_to_json_dict(mdp), handle, indent=1)
+            handle.write("\n")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write model file: {exc}") from exc

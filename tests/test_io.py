@@ -32,7 +32,7 @@ from fmdp.lp import (
 )
 from fmdp.lpio import read_certificate, read_lp, variable_tokens, write_certificate, write_lp
 from fmdp.mdpio import load_mdp, mdp_from_json_dict, mdp_to_json_dict, save_mdp
-from fmdp.model import elimination_order
+from fmdp.model import elimination_order, make_ring
 from fmdp.simplex import solve_lp
 
 lpio_module = importlib.import_module("fmdp.lpio")
@@ -150,6 +150,12 @@ def test_lp_reader_rejects_malformed_input(tmp_path):
         load("min x\nle x:1 threeish\n")
     with pytest.raises(InvalidInputError, match=r"bad\.lp:2: repeated variable 'x'"):
         load("min x\nle x:1 x:2 3\n")
+    # A zero term still counts: the check runs before zero terms are dropped.
+    with pytest.raises(InvalidInputError, match=r"bad\.lp:2: repeated variable 'x'"):
+        load("min x\nle x:0 x:1 3\n")
+    # The first repeated token in string order is the one named.
+    with pytest.raises(InvalidInputError, match=r"bad\.lp:3: repeated variable 'a'"):
+        load("min x\nle x:1 3\neq b:1 a:1 b:2 a:0 3\n")
     # A variable token holds no colon, in a term or in the objective.
     with pytest.raises(InvalidInputError, match=r"bad\.lp:2: malformed term 'a:b:1'"):
         load("min phi\nle phi:1 a:b:1 3\n")
@@ -164,6 +170,22 @@ def test_lp_reader_rejects_malformed_input(tmp_path):
     for name in ("a:b", "a b"):
         with pytest.raises(InvalidInputError, match=f"variable token {name!r} is not writable"):
             write_lp(tmp_path / "out.lp", Lp((make_constraint("le", {name: Fraction(1)}, 1),), name))
+
+
+def test_writers_refuse_non_ascii_tokens_and_leave_no_file(tmp_path):
+    lp = Lp((make_constraint("le", {"\u00e9": Fraction(1)}, 1),), "\u00e9")
+    std = to_standard_form(lp)
+    with pytest.raises(InvalidInputError, match=r"out\.lp: not ascii text"):
+        write_lp(tmp_path / "out.lp", lp)
+    with pytest.raises(InvalidInputError, match=r"out\.cert: not ascii text"):
+        write_certificate(tmp_path / "out.cert", std, Optimal((Fraction(1),), (Fraction(0),)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_mdp_names_an_unwritable_path_as_input_error(tmp_path):
+    with pytest.raises(InvalidInputError, match="cannot write model file"):
+        save_mdp(make_ring(2), str(tmp_path / "missing" / "m.json"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certificate_reader_rejects_malformed_input(tmp_path):
@@ -314,6 +336,61 @@ def test_lp_text_round_trips_to_the_standard_form_of_the_named_program(tmp_path,
     write_lp(path, lp)
     tokens = variable_tokens(column_order(lp))
     assert to_standard_form(read_lp(path)) == to_standard_form(_renamed(lp, tokens))
+
+
+# Listed out of string order ("x10" < "x2", "a" < "b"), so the order a row
+# names its new tokens in is often not the order they take columns in.
+# "unused" is named by no row: as the objective it only takes column 0.
+_TOKENS = ["x2", "x10", "b", "a", "phi", "w0", "f1a_c0_"]
+# Zero, and equal values under distinct tokens.
+_COEF_TOKENS = ["1", "-1", "0", "1/2", "2/4", "0.5", "-3", "7/3"]
+
+
+@st.composite
+def _token_program_texts(draw):
+    """A program file's text over opaque tokens, and the program it says,
+    built term by term with ``make_constraint``."""
+    objective = draw(st.sampled_from(_TOKENS + ["unused"]))
+    lines, cons = [f"min {objective}"], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["le", "eq"]))
+        names = draw(st.lists(st.sampled_from(_TOKENS), unique=True, max_size=5))
+        terms = [(name, draw(st.sampled_from(_COEF_TOKENS))) for name in names]
+        rhs = draw(st.sampled_from(_COEF_TOKENS))
+        lines.append(" ".join([kind, *(f"{n}:{c}" for n, c in terms), rhs]))
+        cons.append(make_constraint(kind, [(n, Fraction(c)) for n, c in terms], Fraction(rhs)))
+    return "\n".join(lines) + "\n", Lp(tuple(cons), objective)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_token_program_texts())
+def test_lp_reader_emits_the_standard_form_of_the_program_it_names(tmp_path, drawn):
+    text, said = drawn
+    path = tmp_path / "drawn.lp"
+    path.write_text(text)
+    view = read_lp(path)
+    std = view.std
+    assert to_standard_form(view) is std
+    # The slow path: the named constraints, flattened afresh.
+    assert view == said
+    assert std == to_standard_form(Lp(tuple(view.constraints), view.objective))
+    assert std == to_standard_form(said)
+    # The negated half of every equality shares one object per distinct
+    # coefficient object.
+    negated: dict[int, Fraction] = {}
+    for produced in std.constraint_rows:
+        if len(produced) == 2:
+            k, n = produced
+            pairs = [(std.rhs[k], std.rhs[n])]
+            pairs += [(q, m) for (_, q), (_, m) in zip(std.rows[k], std.rows[n])]
+            for q, m in pairs:
+                assert m == -q and negated.setdefault(id(q), m) is m
 
 
 @st.composite

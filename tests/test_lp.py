@@ -152,4 +152,7 @@ def test_named_lp_inverts_the_standard_form():
         lp = random_token_lp(rng)
         std = to_standard_form(lp)
         named = named_lp(std, lp.objective)
-        assert named == lp and to_standard_form(named) == std
+        assert named == lp and to_standard_form(named) is std
+        # Rebuilt without the form it was named from, the program flattens
+        # back to the same form.
+        assert to_standard_form(Lp(tuple(named.constraints), named.objective)) == std
