@@ -1,29 +1,27 @@
 """Linear program data model shared by the builder, solver, and checkers.
 
-Constraints are sparse rational rows over three kinds of variables: the
+A program has one representation, ``StdLp``: `minimize x_0 subject to
+A x <= b` with free x and sparse rational rows, the only shape the
+simplex and the certificate checkers speak.  Column 0 is the objective
+variable, so the objective vector is always the unit vector e_0 and no
+program stores it.  Columns are named by three kinds of variables: the
 objective scalar phi, one weight per basis function, and private function
-variables introduced by the factored construction.  Private variables carry
-a tag naming the branch and sign half they belong to, so unions of
-constraint sets from different branches never share them.  A row names
-each variable at most once; ``make_constraint`` checks this, never merges.
+variables introduced by the factored construction; a program read from a
+file names them by their ``str`` tokens.  Private variables carry a tag
+naming the branch and sign half they belong to, so rows from different
+branches never share them.
 
-``to_standard_form`` flattens a constraint list to `minimize x_0 subject
-to A x <= b` with free x, the only shape the simplex and the certificate
-checkers speak.  Column 0 is the objective variable in every standard
-form, so the objective vector is always the unit vector e_0 and no
-program stores it.  Equalities become two adjacent rows (``StdRows``);
-the negated row shares one ``Fraction`` per distinct coefficient object,
-so a program whose rows share coefficients makes one negation per
-distinct number.  The dual convention is fixed once for the whole
-package: the dual of `min x_0, A x <= b` is `max -b^T y, A^T y = -e_0,
-y >= 0`.
-
-Code that numbers its own columns emits the standard form directly: the
-builder (``fmdp.lpbuild.assemble_lp``), which names its columns only on
-first read (``Deferred``), and the program reader (``fmdp.lpio.read_lp``).
-``named_lp`` is the inverse of ``to_standard_form``: the program it names
-keeps the form it came from, so ``to_standard_form(named_lp(std, o)) is
-std`` and its constraints are made only if someone reads them.
+Every producer numbers its own columns.  An equality is two adjacent
+rows, the second negated.  The program reader (``fmdp.lpio.read_lp``)
+and the oracle's explicit program (``fmdp.oracle.explicit_weight_lp``)
+add their rows through ``StdRows``, whose negated row shares one
+``Fraction`` per distinct coefficient object, so a program whose rows
+share coefficients makes one negation per distinct number.  The builder
+(``fmdp.lpbuild.assemble_lp``) writes its rows itself and names its
+columns only on first read (``Deferred``); the weight fit's master
+(``fmdp.weights``) has inequalities only.  The dual convention is fixed
+once for the whole package: the dual of `min x_0, A x <= b` is
+`max -b^T y, A^T y = -e_0, y >= 0`.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 from .factored import PartialState
 
@@ -45,15 +42,9 @@ __all__ = [
     "FnId",
     "FnVar",
     "LpVar",
-    "Constraint",
-    "make_constraint",
-    "Lp",
     "StdLp",
     "Deferred",
-    "column_order",
     "StdRows",
-    "to_standard_form",
-    "named_lp",
     "Optimal",
     "Infeasible",
     "Unbounded",
@@ -120,65 +111,6 @@ class FnVar:
 LpVar = Union[Phi, Weight, FnVar, str]
 
 
-def _var_key(v: LpVar):
-    if type(v) is str:
-        return (3, v)
-    if isinstance(v, Phi):
-        return (0, 0)
-    if isinstance(v, Weight):
-        return (1, v.i)
-    if isinstance(v, FnVar):
-        return (
-            2,
-            (v.tag.t.items, v.tag.action, v.tag.pos, v.fn.kind, v.fn.idx, v.z.items),
-        )
-    return (3, str(v))
-
-
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    """A single row: sum of coef * var `kind` rhs, kind "le" or "eq".
-
-    Coefficients are stored zero-free, one per variable, canonically ordered,
-    so two constraints are structurally equal exactly when they say the same.
-    """
-
-    kind: str
-    coefs: tuple[tuple[LpVar, Fraction], ...]
-    rhs: Fraction
-
-
-def make_constraint(
-    kind: str,
-    coefs: Mapping[LpVar, Fraction] | Iterable[tuple[LpVar, Fraction]],
-    rhs: Fraction | int,
-) -> Constraint:
-    """The row without its zero terms; ``ValueError`` on an unknown kind or
-    on a variable named twice, whatever its coefficients."""
-    if kind not in ("le", "eq"):
-        raise ValueError(f"constraint kind {kind!r}")
-    # Lists and tuples, as ``named_lp`` passes, skip the ABC check.
-    if not isinstance(coefs, (list, tuple)) and isinstance(coefs, Mapping):
-        coefs = coefs.items()
-    keyed = sorted(((_var_key(v), v, q) for v, q in coefs), key=itemgetter(0))
-    for (key, v, _), (next_key, _, _) in zip(keyed, keyed[1:]):
-        if key == next_key:
-            raise ValueError(f"repeated variable {v!r}")
-    if type(rhs) is not Fraction:
-        rhs = Fraction(rhs)
-    return Constraint(kind, tuple((v, q) for _, v, q in keyed if q != 0), rhs)
-
-
-@dataclass(frozen=True)
-class Lp:
-    """Ordered constraints plus the variable to minimize.  ``std``, set only
-    by ``named_lp``, is the standard form the constraints are named from."""
-
-    constraints: Sequence[Constraint]
-    objective: LpVar
-    std: StdLp | None = field(default=None, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class StdLp:
     """`minimize x_0 subject to A x <= b`, x free, rows sparse.
@@ -236,17 +168,6 @@ class Deferred(Sequence):
         return repr(self.items)
 
 
-def column_order(lp: Lp) -> dict[LpVar, int]:
-    """The column of every variable: the objective takes column 0 and the
-    rest follow in order of first appearance across the constraint list."""
-    col_of: dict[LpVar, int] = {lp.objective: 0}
-    for con in lp.constraints:
-        for v, _ in con.coefs:
-            if v not in col_of:
-                col_of[v] = len(col_of)
-    return col_of
-
-
 class StdRows:
     """The rows of a standard form, added one input constraint at a time.
 
@@ -282,32 +203,8 @@ class StdRows:
         return StdLp(columns, tuple(self.rows), tuple(self.rhs), tuple(self.constraint_rows))
 
 
-def to_standard_form(lp: Lp) -> StdLp:
-    """Flatten to inequality form, columns in ``column_order``; a program
-    ``named_lp`` made returns the standard form it was named from."""
-    if lp.std is not None:
-        return lp.std
-    col_of = column_order(lp)
-    out = StdRows()
-    for con in lp.constraints:
-        out.add(con.kind, tuple(sorted((col_of[v], q) for v, q in con.coefs)), con.rhs)
-    return out.std(tuple(col_of))
-
-
-def named_lp(std: StdLp, objective: LpVar) -> Lp:
-    """The program ``std`` is the standard form of, named by its columns
-    (``objective`` is column 0); an equality is read off its first row.
-    Rows are named on first read of the constraints; until then only their
-    count is known.  The program keeps ``std`` as its ``std`` field."""
-
-    def constraints():
-        cols = std.columns
-        for produced in std.constraint_rows:
-            k = produced[0]
-            kind = "eq" if len(produced) == 2 else "le"
-            yield make_constraint(kind, [(cols[j], q) for j, q in std.rows[k]], std.rhs[k])
-
-    return Lp(Deferred(len(std.constraint_rows), constraints), objective, std)
+def to_standard_form(std: StdLp) -> StdLp:
+    return std  # perfbench still calls and traces it; it goes in ROADMAP item 2's revision
 
 
 @dataclass(frozen=True)

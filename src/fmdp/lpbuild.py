@@ -42,8 +42,8 @@ columns, an entry per table entry, and one run of rows, so a block's
 maps a (slot, entry or round point) to the row a dual lift credits.
 ``fmdp.weights`` writes its integer primal a slot at a time and lifts its
 dual through that map.
-Names (the ``FnVar`` columns and ``weight_lp``'s named rows) are made
-only when read, to write an LP or certificate file.
+The ``FnVar`` column names are made only when read, to write an LP or
+certificate file.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ from typing import NamedTuple, Sequence
 from .elim import ElimPlan, ElimRound, Scaled, identity_order, int_tables
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments, instantiate
-from .lp import PHI, Deferred, FnId, FnVar, Lp, LpVar, StdLp, Tag, Weight, named_lp
+from .lp import PHI, Deferred, FnId, FnVar, LpVar, StdLp, Tag, Weight
 from .model import FactoredMdp
 from .policy import DecisionList
 
-__all__ = ["TagBlock", "branch_lp", "weight_lp_blocks", "weight_lp"]
+__all__ = ["TagBlock", "branch_lp", "weight_lp_blocks"]
 __all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
 
 
@@ -220,14 +220,6 @@ def weight_lp_blocks(
     result = tuple(blocks)
     mdp._cache["blocks"] = (key, result)
     return result
-
-
-def weight_lp(
-    mdp: FactoredMdp, pol: DecisionList, order: tuple[int, ...] | None = None
-) -> Lp:
-    """The full program, named: minimize phi over the union of every
-    branch block."""
-    return named_lp(assemble_lp(weight_lp_blocks(mdp, pol, order)), PHI)
 
 
 class Placed(NamedTuple):

@@ -22,11 +22,12 @@ labeled sections: `primal`, `point`, and `ray` entries are keyed by
 variable token, `dual` and `farkas` entries by standard row index.
 Omitted entries are zero; a section names each place at most once.
 
-The program reader emits the standard form directly, in one pass over the
-file, and returns it as ``named_lp(std, objective)``: ``to_standard_form``
-of that program is ``std`` itself, and its named constraints are made only
-if someone reads them.  Both readers parse each distinct number token once
-per file, and every occurrence of a token shares that one ``Fraction``;
+Both directions work on the standard form (``fmdp.lp.StdLp``).  The
+writer names column 0 on the `min` line and writes each constraint's terms
+in column order, an equality once, from the first of its two rows.  The
+reader builds the standard form in one pass over the file, the objective
+as column 0.  Both readers parse each distinct number token once per
+file, and every occurrence of a token shares that one ``Fraction``;
 omitted certificate entries share one zero.
 """
 
@@ -42,7 +43,6 @@ from .lp import (
     Certificate,
     FnVar,
     Infeasible,
-    Lp,
     LpVar,
     Optimal,
     Phi,
@@ -51,8 +51,6 @@ from .lp import (
     Tag,
     Unbounded,
     Weight,
-    column_order,
-    named_lp,
 )
 from .values import format_rational, parse_rational
 
@@ -115,6 +113,11 @@ def variable_tokens(variables: Collection[LpVar]) -> dict[LpVar, str]:
     return out
 
 
+def _column_tokens(std: StdLp) -> list[str]:
+    tokens = variable_tokens(std.columns)
+    return [tokens[v] for v in std.columns]
+
+
 def _write_lines(path: str | Path, lines: list[str]) -> None:
     # Encoded before the file is opened, so text the readers would refuse
     # leaves no file behind.
@@ -128,16 +131,17 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
-def write_lp(path: str | Path, lp: Lp) -> None:
-    tokens = variable_tokens(column_order(lp))
+def write_lp(path: str | Path, std: StdLp) -> None:
+    """Write ``std`` as a program file: `min` names column 0, and each
+    constraint is one line, its terms in column order."""
+    names = _column_tokens(std)
     lines = list(_LP_HEADER)
-    lines.append(f"min {tokens[lp.objective]}")
-    for con in lp.constraints:
-        terms = " ".join(f"{tokens[v]}:{format_rational(q)}" for v, q in con.coefs)
-        if terms:
-            lines.append(f"{con.kind} {terms} {format_rational(con.rhs)}")
-        else:
-            lines.append(f"{con.kind} {format_rational(con.rhs)}")
+    lines.append(f"min {names[0]}")
+    for produced in std.constraint_rows:
+        k = produced[0]
+        terms = [f"{names[j]}:{format_rational(q)}" for j, q in std.rows[k]]
+        kind = "eq" if len(produced) == 2 else "le"
+        lines.append(" ".join([kind, *terms, format_rational(std.rhs[k])]))
     _write_lines(path, lines)
 
 
@@ -174,15 +178,12 @@ class _Numbers(dict):
         return q
 
 
-def read_lp(path: str | Path) -> Lp:
-    """Parse a program file straight into its standard form, returned as
-    ``named_lp(std, objective)``: ``to_standard_form`` gives ``std`` back,
-    and the constraints are named only if someone reads them.
+def read_lp(path: str | Path) -> StdLp:
+    """Parse a program file straight into its standard form.
 
     The objective takes column 0; every other token takes the next column
     when a row first names it with a nonzero coefficient, a row's new
-    tokens in string order, so the columns are those ``to_standard_form``
-    gives the named program.  A variable token is the text before a term's
+    tokens in string order.  A variable token is the text before a term's
     only colon, kept as the ``str`` the line was split into.  Each distinct
     number token is parsed once per read, and every occurrence of it
     shares that one ``Fraction``.
@@ -218,7 +219,7 @@ def read_lp(path: str | Path) -> Lp:
             if row[v]:
                 col_of[v] = len(col_of)
         out.add(kind, tuple(sorted([(col_of[v], q) for v, q in row.items() if q])), rhs)
-    return named_lp(out.std(tuple(col_of)), objective)
+    return out.std(tuple(col_of))
 
 
 def _write_labeled(lines: list[str], label: str, pairs: Iterable[tuple[str, Fraction]]) -> None:
@@ -229,8 +230,7 @@ def _write_labeled(lines: list[str], label: str, pairs: Iterable[tuple[str, Frac
 
 
 def write_certificate(path: str | Path, std: StdLp, cert: Certificate) -> None:
-    tokens = variable_tokens(std.columns)
-    cols = [tokens[v] for v in std.columns]
+    cols = _column_tokens(std)
     lines = ["# entries omitted from a section are zero"]
     if isinstance(cert, Optimal):
         lines.append("optimal")
@@ -266,8 +266,7 @@ def _split_sections(path: str | Path, lines: list[tuple[int, str]]) -> dict[str,
 
 
 def _token_columns(std: StdLp) -> dict[str, int]:
-    tokens = variable_tokens(std.columns)
-    return {tokens[v]: j for j, v in enumerate(std.columns)}
+    return {token: j for j, token in enumerate(_column_tokens(std))}
 
 
 def _vector(

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import FmdpError, OracleLimitError
 from .factored import PartialState, ScopedFn, assignments
-from .lp import PHI, Lp, Weight, make_constraint
+from .lp import PHI, StdLp, StdRows, Weight
 from .model import FactoredMdp, Weights
 from .policy import DecisionList, select_action
 
@@ -123,10 +123,13 @@ def explicit_bellman_err(
 
 def explicit_weight_lp(
     mdp: FactoredMdp, pol: DecisionList, limit: int = DEFAULT_STATE_LIMIT
-) -> Lp:
+) -> StdLp:
     """The same feasible (phi, w) region as the compact construction, one
-    mirrored pair of rows per enumerated state."""
-    cons = []
+    mirrored pair of rows per enumerated state.  Phi is column 0; each
+    weight takes the next column in the first row where it is nonzero."""
+    col_of: dict[int, int] = {}  # basis index -> column
+    minus = Fraction(-1)
+    out = StdRows()
     for x in enumerate_states(mdp, limit):
         a = select_action(pol, x)
         digits = _digits(mdp, x)
@@ -135,14 +138,11 @@ def explicit_weight_lp(
             h.table[_index(h, digits)] - mdp.discount * Fraction(s, den)
             for h, s in zip(mdp.basis, sums)
         ]
+        above = sorted((col_of.setdefault(i, len(col_of) + 1), c) for i, c in enumerate(coef) if c)
         r = mdp.reward(a, x)
-        above = {Weight(i): c for i, c in enumerate(coef)}
-        above[PHI] = Fraction(-1)
-        cons.append(make_constraint("le", above, r))
-        below = {Weight(i): -c for i, c in enumerate(coef)}
-        below[PHI] = Fraction(-1)
-        cons.append(make_constraint("le", below, -r))
-    return Lp(tuple(cons), PHI)
+        out.add("le", ((0, minus), *above), r)
+        out.add("le", ((0, minus), *[(j, -c) for j, c in above]), -r)
+    return out.std((PHI, *(Weight(i) for i in col_of)))
 
 
 def _solve_exact(aug: list[list[int]]) -> tuple[list[int], int]:

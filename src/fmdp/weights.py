@@ -57,8 +57,8 @@ from .certify import IntVector, check_optimality
 from .elim import identity_order, max_sum_decode
 from .errors import LpInternalError
 from .factored import PartialState
-from .lp import PHI, Optimal, StdLp, Weight, named_lp
-from .lp import to_standard_form  # unused here; perfbench/tracer.py patches this name
+from .lp import PHI, Optimal, StdLp, Weight
+from .lp import to_standard_form  # perfbench's tracer patches it; goes in ROADMAP item 2's revision
 from .lpbuild import FullLp, TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
 from .policy import DecisionList
@@ -192,7 +192,7 @@ def update_weights(
         trace["lp_seconds"] = lp_seconds
         trace["certificate"] = Optimal(primal.fractions(), dual)
         trace["std"] = std
-        trace["lp"] = named_lp(std, PHI)
+        trace["lp"] = std  # perfbench still reads this name; it goes in ROADMAP item 2's revision
     return w, phi
 
 

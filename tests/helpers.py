@@ -3,18 +3,113 @@ test suite."""
 
 import importlib.util
 import random
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from hypothesis import strategies as st
 
 from fmdp.elim import ElimPlan, int_tables
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
-from fmdp.lp import PHI, FnId, FnVar, Lp, Weight, make_constraint
+from fmdp.lp import PHI, FnId, FnVar, LpVar, Phi, StdLp, StdRows, Weight
 from fmdp.lpbuild import TagBlock, branch_lp
 from fmdp.model import FactoredMdp
+
+
+# The named program layer the package once built its programs in, kept as
+# the tests' reference: a program as a list of canonical named rows, and
+# its flattening to the standard form.
+
+
+def _var_key(v: LpVar):
+    if type(v) is str:
+        return (3, v)
+    if isinstance(v, Phi):
+        return (0, 0)
+    if isinstance(v, Weight):
+        return (1, v.i)
+    if isinstance(v, FnVar):
+        return (
+            2,
+            (v.tag.t.items, v.tag.action, v.tag.pos, v.fn.kind, v.fn.idx, v.z.items),
+        )
+    return (3, str(v))
+
+
+@dataclass(frozen=True, slots=True)
+class Constraint:
+    """A single row: sum of coef * var `kind` rhs, kind "le" or "eq".
+
+    Coefficients are stored zero-free, one per variable, canonically ordered,
+    so two constraints are structurally equal exactly when they say the same.
+    """
+
+    kind: str
+    coefs: tuple[tuple[LpVar, Fraction], ...]
+    rhs: Fraction
+
+
+def make_constraint(
+    kind: str,
+    coefs: Mapping[LpVar, Fraction] | Iterable[tuple[LpVar, Fraction]],
+    rhs: Fraction | int,
+) -> Constraint:
+    """The row without its zero terms; ``ValueError`` on an unknown kind or
+    on a variable named twice, whatever its coefficients."""
+    if kind not in ("le", "eq"):
+        raise ValueError(f"constraint kind {kind!r}")
+    # Lists and tuples skip the ABC check.
+    if not isinstance(coefs, (list, tuple)) and isinstance(coefs, Mapping):
+        coefs = coefs.items()
+    keyed = sorted(((_var_key(v), v, q) for v, q in coefs), key=itemgetter(0))
+    for (key, v, _), (next_key, _, _) in zip(keyed, keyed[1:]):
+        if key == next_key:
+            raise ValueError(f"repeated variable {v!r}")
+    if type(rhs) is not Fraction:
+        rhs = Fraction(rhs)
+    return Constraint(kind, tuple((v, q) for _, v, q in keyed if q != 0), rhs)
+
+
+@dataclass(frozen=True)
+class Lp:
+    """Ordered constraints plus the variable to minimize."""
+
+    constraints: Sequence[Constraint]
+    objective: LpVar
+
+
+def column_order(lp: Lp) -> dict[LpVar, int]:
+    """The column of every variable: the objective takes column 0 and the
+    rest follow in order of first appearance across the constraint list."""
+    col_of: dict[LpVar, int] = {lp.objective: 0}
+    for con in lp.constraints:
+        for v, _ in con.coefs:
+            if v not in col_of:
+                col_of[v] = len(col_of)
+    return col_of
+
+
+def flatten(lp: Lp) -> StdLp:
+    """Flatten to inequality form, columns in ``column_order``."""
+    col_of = column_order(lp)
+    out = StdRows()
+    for con in lp.constraints:
+        out.add(con.kind, tuple(sorted((col_of[v], q) for v, q in con.coefs)), con.rhs)
+    return out.std(tuple(col_of))
+
+
+def renumbered(std: StdLp, columns) -> StdLp:
+    """``std`` over ``columns``, the same variables in another order: each
+    term moved to its variable's column there, each row sorted again."""
+    col_of = {v: j for j, v in enumerate(columns)}
+    to = [col_of[v] for v in std.columns]
+    rows = tuple(tuple(sorted((to[j], q) for j, q in row)) for row in std.rows)
+    return StdLp(tuple(columns), rows, std.rhs, tuple(std.constraint_rows))
 
 
 def sum_or_none(values):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from helpers import random_ext_table_fns, random_token_lp
+from helpers import flatten, random_ext_table_fns, random_token_lp
 from test_model import corrupt_reward, corrupt_transition, violations_contain
 
 from fmdp.api import ApiConfig, api, posterior_bound
@@ -20,7 +20,7 @@ from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.elim import explicit_max, identity_order, max_sum
 from fmdp.error import factored_bellman_err
 from fmdp.factored import ScopedFn
-from fmdp.lp import Infeasible, Optimal, Unbounded, to_standard_form
+from fmdp.lp import Infeasible, Optimal, Unbounded
 from fmdp.model import FactoredMdp, make_ring
 from fmdp.oracle import (
     enumerate_states,
@@ -129,7 +129,7 @@ def test_accept_4_weight_lp_optimum_matches_explicit():
         for w in _weight_sweep(rng, mdp, 6):
             pol = greedy_decision_list(mdp, w)
             _, phi = update_weights(mdp, pol)
-            cert = solve_lp(to_standard_form(explicit_weight_lp(mdp, pol)))
+            cert = solve_lp(explicit_weight_lp(mdp, pol))
             assert isinstance(cert, Optimal)
             assert cert.primal[0] == phi
 
@@ -288,7 +288,7 @@ def test_accept_7_certificates_sound_under_perturbation():
     rejected = 0
     for _ in range(100):
         lp = random_token_lp(rng, max_vars=20, max_rows=40)
-        std = to_standard_form(lp)
+        std = flatten(lp)
         cert = solve_lp(std)
         kind_counts[type(cert).__name__] += 1
         assert _checked(std, cert)

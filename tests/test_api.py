@@ -13,7 +13,7 @@ import fmdp.lpbuild
 from fmdp.api import ApiConfig, ApiResult, api, posterior_bound
 from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, OracleLimitError
-from fmdp.lp import PHI, Optimal, to_standard_form
+from fmdp.lp import PHI, Optimal
 from fmdp.model import elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp
 from fmdp.policy import greedy_decision_list
@@ -62,7 +62,7 @@ def test_bit_for_bit_determinism():
 
 
 def _explicit_phi(mdp, pol):
-    std = to_standard_form(explicit_weight_lp(mdp, pol))
+    std = explicit_weight_lp(mdp, pol)
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     return cert.primal[std.col_of[PHI]]
@@ -127,7 +127,7 @@ def test_master_pivots_per_iteration_are_pinned(n, pivots):
         [step["cuts"] for step in steps],
         [step["rounds"] for step in steps],
         [(step["lp_rows"], step["lp_cols"]) for step in steps],
-        [len(step["lp"].constraints) for step in steps],
+        [len(step["std"].constraint_rows) for step in steps],
     )
     assert shape == _LP_SHAPES[n]
 
@@ -169,9 +169,9 @@ def test_perfbench_tracer_sees_every_layer():
         "elim.pricing", "elim.maxsum",
     ):
         assert name in seen, name
-    # assemble_lp emits the full program in standard form, so a fit no
-    # longer flattens a named one; fmdp.weights.to_standard_form is still
-    # there to patch (entering the tracer would fail otherwise).
+    # assemble_lp emits the full program in standard form, so a fit
+    # flattens nothing; fmdp.weights.to_standard_form, the identity, is
+    # still there to patch (entering the tracer would fail otherwise).
     assert "lp.stdform" not in seen
 
 

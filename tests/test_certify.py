@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     SMALL,
+    Lp,
+    flatten,
+    make_constraint,
     random_token_lp,
     reference_infeasible,
     reference_optimality,
@@ -22,7 +25,7 @@ from helpers import (
 from fmdp import ApiConfig, api, elimination_order, make_ring
 from fmdp.certify import IntVector, check_infeasible, check_optimality, check_unbounded
 from fmdp.errors import InvalidInputError
-from fmdp.lp import Infeasible, Lp, Optimal, Unbounded, make_constraint, to_standard_form
+from fmdp.lp import Infeasible, Optimal, Unbounded
 from fmdp.simplex import solve_lp
 
 BACKENDS = (True, False)
@@ -45,7 +48,7 @@ def _agreed(check, std, *vectors, normalized):
 
 
 def _optimal_fixture():
-    std = to_standard_form(
+    std = flatten(
         Lp(
             (
                 make_constraint("le", {"w": Fraction(1), "phi": Fraction(-1)}, 1),
@@ -84,7 +87,7 @@ def test_optimality_rejects_scaled_dual():
 
 
 def test_farkas_scaling_and_negation():
-    std = to_standard_form(
+    std = flatten(
         Lp(
             (
                 make_constraint("le", {"x": Fraction(1)}, 0),
@@ -102,7 +105,7 @@ def test_farkas_scaling_and_negation():
 
 
 def test_unbounded_requires_descending_ray():
-    std = to_standard_form(Lp((make_constraint("le", {"x": Fraction(1)}, 3),), "x"))
+    std = flatten(Lp((make_constraint("le", {"x": Fraction(1)}, 3),), "x"))
     cert = solve_lp(std)
     assert isinstance(cert, Unbounded)
     assert not check_unbounded(std, cert.point, (Fraction(0),))
@@ -126,7 +129,7 @@ def test_unreduced_pairs_agree_with_fractions():
     rng = random.Random(99)
     compared = 0
     for _ in range(60):
-        std = to_standard_form(random_token_lp(rng))
+        std = flatten(random_token_lp(rng))
         cert = solve_lp(std)
         if isinstance(cert, Optimal):
             a = check_optimality(std, cert.primal, cert.dual)
@@ -156,7 +159,7 @@ def _split(cert):
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_backends_agree_with_the_reference(seed, data):
     # An entry moved from zero or to zero is what zero-skipping could miss.
-    std = to_standard_form(random_token_lp(random.Random(seed)))
+    std = flatten(random_token_lp(random.Random(seed)))
     check, reference, vectors = _split(solve_lp(std))
     mode = data.draw(st.sampled_from(["none", "shift", "raise a zero", "zero out"]))
     if mode == "none":
@@ -185,7 +188,7 @@ def test_backends_agree_with_the_reference(seed, data):
 def test_a_row_with_only_zero_terms_is_still_compared(normalized):
     # min phi over x <= -1 and phi >= 0, columns (phi, x).  Row 0 meets only
     # x, and its dual is zero: at x = 0 it reads 0 <= -1.
-    std = to_standard_form(
+    std = flatten(
         Lp(
             (
                 make_constraint("le", {"x": Fraction(1)}, -1),
@@ -198,7 +201,7 @@ def test_a_row_with_only_zero_terms_is_still_compared(normalized):
     zero, fixed = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(-1))
     assert _agreed(check_optimality, std, fixed, dual, normalized=normalized)
     assert not _agreed(check_optimality, std, zero, dual, normalized=normalized)
-    unbounded = to_standard_form(Lp((make_constraint("le", {"x": Fraction(1)}, -1),), "phi"))
+    unbounded = flatten(Lp((make_constraint("le", {"x": Fraction(1)}, -1),), "phi"))
     ray = (Fraction(-1), Fraction(0))
     assert _agreed(check_unbounded, unbounded, fixed, ray, normalized=normalized)
     assert not _agreed(check_unbounded, unbounded, zero, ray, normalized=normalized)
@@ -208,7 +211,7 @@ def test_a_row_with_only_zero_terms_is_still_compared(normalized):
 def test_column_zero_terms_are_checked(normalized):
     # min phi over -phi <= 0 and w <= 3, columns (phi, w): phi = 0 is
     # optimal with dual (1, 0), and b^T y = 0 for every dual (y_0, 0).
-    std = to_standard_form(
+    std = flatten(
         Lp(
             (
                 make_constraint("le", {"phi": Fraction(-1)}, 0),
@@ -226,7 +229,7 @@ def test_column_zero_terms_are_checked(normalized):
     assert not _agreed(check_optimality, std, (Fraction(1), Fraction(0)), y, normalized=normalized)
     # Without the first row phi falls forever; a ray along w has A r <= 0
     # but r_0 = 0.
-    free = to_standard_form(Lp((make_constraint("le", {"w": Fraction(1)}, 3),), "phi"))
+    free = flatten(Lp((make_constraint("le", {"w": Fraction(1)}, 3),), "phi"))
     assert _agreed(check_unbounded, free, x, (Fraction(-1), Fraction(0)), normalized=normalized)
     assert not _agreed(check_unbounded, free, x, (Fraction(0), Fraction(-1)), normalized=normalized)
 

@@ -6,14 +6,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import sysadmin
+from helpers import Lp, flatten, make_constraint, sysadmin
 
 from fmdp import cli
 from fmdp.certify import check_optimality
 from fmdp.cli import main
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState
-from fmdp.lp import Infeasible, Lp, Unbounded, make_constraint, to_standard_form
+from fmdp.lp import Infeasible, Unbounded
 from fmdp.lpio import write_certificate, write_lp
 from fmdp.mdpio import load_mdp, save_mdp
 from fmdp.model import make_ring
@@ -71,13 +71,13 @@ def test_unwritable_output_paths_are_input_errors(tmp_path, capsys, flag):
 GOLDEN_SHA256 = {
     3: {
         "report": "1a5c73c568d84f13f52401d234e6754c0af9c5b140d08a28d44b54de06c99630",
-        "lp": "f956bba2b1b1732227d064dccef0fd9eaf51372f2e95c846caf2cb638bde86ca",
+        "lp": "5e854711db0883ac9731e05949031e12d414f8a6a9ff0daf3bcfeede0b38221e",
         "cert": "475939e58a6e1b3228d5918711864cd8bd865fe2edef17ba3781ada229480782",
         "policy": "d6268ba78bf30eb1281b6f751dc8fe3ab98007aed6ba6a802ac3e467cd54c394",
     },
     4: {
         "report": "c516590edfc000ccd406c4d80af29a37078ebf48155cfd5b3ba508c2cd912cbc",
-        "lp": "665afbb7d062551c80bc8514d4c2eaa14f2e88e77e35110b429f50005ada1b06",
+        "lp": "ff3ae18a28d5bc32c0abbcd0217aa872350c4192f9d8ec22df0368357b84bb9c",
         "cert": "3bbbab084f4af86be5ce2af1a7e7ca0e58ce7484c9a3dda583899b3643f31d14",
         "policy": "cd8b98263ebf40ec70d7c8a62096437ebdd6f5e59c52cc0e469f064e772a3d1b",
     },
@@ -191,10 +191,10 @@ def _bumped(vec):
     ids=["infeasible", "unbounded"],
 )
 def test_certify_checks_infeasible_and_unbounded_certificates(tmp_path, capsys, lp, kind, altered):
-    std = to_standard_form(lp)
+    std = flatten(lp)
     cert = solve_lp(std)
     lp_path, cert_path = tmp_path / "tiny.lp", tmp_path / "tiny.cert"
-    write_lp(lp_path, lp)
+    write_lp(lp_path, std)
     write_certificate(cert_path, std, cert)
     line = f"certificate: kind={kind} rows={std.num_rows} cols={std.num_cols}"
     assert main(["certify", str(lp_path), str(cert_path)]) == 0
@@ -203,6 +203,19 @@ def test_certify_checks_infeasible_and_unbounded_certificates(tmp_path, capsys, 
     write_certificate(cert_path, std, altered(cert))
     assert main(["certify", str(lp_path), str(cert_path)]) == 4
     assert capsys.readouterr().out == f"{line} INVALID\n"
+
+
+def test_certify_refuses_an_exponent_in_a_certificate(tmp_path, capsys):
+    # Fraction would read "1e999999999" as a power of ten with a billion
+    # digits; the reader refuses it as it refuses any other bad number.
+    std = flatten(_UNBOUNDED)
+    lp_path, cert_path = tmp_path / "tiny.lp", tmp_path / "tiny.cert"
+    write_lp(lp_path, std)
+    cert_path.write_text("unbounded\npoint\nz 1e999999999\nray\nz -1\n")
+    assert main(["certify", str(lp_path), str(cert_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fmdp: {cert_path}:3: not a rational: '1e999999999'\n"
 
 
 def test_certify_bad_files_are_input_errors(tmp_path, capsys):

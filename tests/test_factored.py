@@ -133,6 +133,9 @@ def test_rational_parse_and_format():
     assert parse_rational("0.9") == Fraction(9, 10)
     assert format_rational(Fraction(9, 10)) == "9/10"
     assert format_rational(Fraction(4, 2)) == "2"
-    for bad in ["", "1/0", "x", "1/2/3"]:
+    assert parse_rational(".5") == Fraction(1, 2) and parse_rational("1.") == 1
+    # Fraction reads these too; an exponent costs a power of ten as long as
+    # the exponent says ("1e999999999" would not finish).
+    for bad in ["", "1/0", "x", "1/2/3", "1e5", "1E-3", "1_000", "\u0661\u0662"]:
         with pytest.raises(InvalidInputError):
             parse_rational(bad)

@@ -10,26 +10,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import BIG_DENOMINATOR_LARGE, SMALL, models, perfbench_instances, random_token_lp
+from helpers import (
+    BIG_DENOMINATOR_LARGE,
+    SMALL,
+    Lp,
+    column_order,
+    flatten,
+    make_constraint,
+    models,
+    perfbench_instances,
+    random_token_lp,
+)
 
 from fmdp.api import ApiConfig, api
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.errors import InvalidInputError
 from fmdp.factored import PartialState
-from fmdp.lp import (
-    PHI,
-    FnId,
-    FnVar,
-    Infeasible,
-    Lp,
-    Optimal,
-    Tag,
-    Unbounded,
-    Weight,
-    column_order,
-    make_constraint,
-    to_standard_form,
-)
+from fmdp.lp import PHI, FnId, FnVar, Infeasible, Optimal, Tag, Unbounded, Weight
 from fmdp.lpio import read_certificate, read_lp, variable_tokens, write_certificate, write_lp
 from fmdp.mdpio import load_mdp, mdp_from_json_dict, mdp_to_json_dict, save_mdp
 from fmdp.model import elimination_order, make_ring
@@ -70,24 +67,23 @@ def test_fn_var_token_shape():
 def test_lp_round_trip_preserves_structure(tmp_path):
     lp = _internal_lp()
     path = tmp_path / "block.lp"
-    write_lp(path, lp)
-    back = read_lp(path)
-    std_in = to_standard_form(lp)
-    std_back = to_standard_form(back)
+    std_in = flatten(lp)
+    write_lp(path, std_in)
+    std_back = read_lp(path)
     tokens_in = variable_tokens(std_in.columns)
     tokens_back = {v: v for v in std_back.columns}
     assert _tokenized_rows(std_in, tokens_in) == _tokenized_rows(std_back, tokens_back)
     assert tokens_in[std_in.columns[0]] == std_back.columns[0] == "phi"
-    assert [c.kind for c in back.constraints] == ["eq", "le", "le"]
+    assert std_back.constraint_rows == ((0, 1), (2,), (3,))
 
 
 def test_lp_file_is_commented_and_stable(tmp_path):
     path = tmp_path / "a.lp"
-    write_lp(path, _internal_lp())
+    write_lp(path, flatten(_internal_lp()))
     text = path.read_text()
     assert "dual convention" in text
     assert "min phi" in text.splitlines()[3]
-    write_lp(tmp_path / "b.lp", _internal_lp())
+    write_lp(tmp_path / "b.lp", flatten(_internal_lp()))
     assert text == (tmp_path / "b.lp").read_text()
 
 
@@ -96,7 +92,7 @@ def test_certificate_round_trips_each_kind(tmp_path):
     seen = set()
     while len(seen) < 3:
         lp = random_token_lp(rng)
-        std = to_standard_form(lp)
+        std = flatten(lp)
         cert = solve_lp(std)
         kind = type(cert).__name__
         if kind in seen:
@@ -104,9 +100,9 @@ def test_certificate_round_trips_each_kind(tmp_path):
         seen.add(kind)
         lp_path = tmp_path / f"{kind}.lp"
         cert_path = tmp_path / f"{kind}.cert"
-        write_lp(lp_path, lp)
+        write_lp(lp_path, std)
         write_certificate(cert_path, std, cert)
-        std_back = to_standard_form(read_lp(lp_path))
+        std_back = read_lp(lp_path)
         back = read_certificate(cert_path, std_back)
         if isinstance(cert, Optimal):
             assert check_optimality(std_back, back.primal, back.dual)
@@ -125,7 +121,7 @@ def test_certificate_exact_vector_round_trip(tmp_path):
         ),
         "x",
     )
-    std = to_standard_form(lp)
+    std = flatten(lp)
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     path = tmp_path / "opt.cert"
@@ -169,14 +165,14 @@ def test_lp_reader_rejects_malformed_input(tmp_path):
     # The writer refuses a name the reader would split or misread.
     for name in ("a:b", "a b"):
         with pytest.raises(InvalidInputError, match=f"variable token {name!r} is not writable"):
-            write_lp(tmp_path / "out.lp", Lp((make_constraint("le", {name: Fraction(1)}, 1),), name))
+            write_lp(tmp_path / "out.lp", flatten(Lp((make_constraint("le", {name: Fraction(1)}, 1),), name)))
 
 
 def test_writers_refuse_non_ascii_tokens_and_leave_no_file(tmp_path):
     lp = Lp((make_constraint("le", {"\u00e9": Fraction(1)}, 1),), "\u00e9")
-    std = to_standard_form(lp)
+    std = flatten(lp)
     with pytest.raises(InvalidInputError, match=r"out\.lp: not ascii text"):
-        write_lp(tmp_path / "out.lp", lp)
+        write_lp(tmp_path / "out.lp", std)
     with pytest.raises(InvalidInputError, match=r"out\.cert: not ascii text"):
         write_certificate(tmp_path / "out.cert", std, Optimal((Fraction(1),), (Fraction(0),)))
     assert list(tmp_path.iterdir()) == []
@@ -190,7 +186,7 @@ def test_save_mdp_names_an_unwritable_path_as_input_error(tmp_path):
 
 def test_certificate_reader_rejects_malformed_input(tmp_path):
     lp = Lp((make_constraint("le", {"x": Fraction(1)}, 1),), "x")
-    std = to_standard_form(lp)
+    std = flatten(lp)
 
     def load(text):
         p = tmp_path / "bad.cert"
@@ -248,9 +244,9 @@ def parsed(monkeypatch):
 def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, parsed):
     path = tmp_path / "nums.lp"
     path.write_text("min x\nle x:1/2 y:3 1/2\neq y:3 x:-1 0\nle x:1/2 3\n")
-    lp = read_lp(path)
+    std = read_lp(path)
     assert sorted(parsed) == sorted({"1/2", "3", "-1", "0"})
-    assert [con.rhs for con in lp.constraints] == [Fraction(1, 2), 0, 3]
+    assert [std.rhs[rows[0]] for rows in std.constraint_rows] == [Fraction(1, 2), 0, 3]
     path.write_text("min x\nle x:1 2\n\nle x:1/2 y:three 1\n")
     with pytest.raises(InvalidInputError, match=r"nums\.lp:4: not a rational: 'three'"):
         read_lp(path)
@@ -267,7 +263,7 @@ def test_certificate_reader_parses_each_number_once_and_names_a_bad_one(tmp_path
         ),
         "x",
     )
-    std = to_standard_form(lp)
+    std = flatten(lp)
     path = tmp_path / "nums.cert"
     path.write_text("optimal\nprimal\nx 1/2\ny 3\ndual\n0 3\n1 1/2\n2 -1\n")
     cert = read_certificate(path, std)
@@ -333,9 +329,9 @@ def _renamed(lp, tokens):
 @given(_programs())
 def test_lp_text_round_trips_to_the_standard_form_of_the_named_program(tmp_path, lp):
     path = tmp_path / "drawn.lp"
-    write_lp(path, lp)
+    write_lp(path, flatten(lp))
     tokens = variable_tokens(column_order(lp))
-    assert to_standard_form(read_lp(path)) == to_standard_form(_renamed(lp, tokens))
+    assert read_lp(path) == flatten(_renamed(lp, tokens))
 
 
 # Listed out of string order ("x10" < "x2", "a" < "b"), so the order a row
@@ -374,13 +370,8 @@ def test_lp_reader_emits_the_standard_form_of_the_program_it_names(tmp_path, dra
     text, said = drawn
     path = tmp_path / "drawn.lp"
     path.write_text(text)
-    view = read_lp(path)
-    std = view.std
-    assert to_standard_form(view) is std
-    # The slow path: the named constraints, flattened afresh.
-    assert view == said
-    assert std == to_standard_form(Lp(tuple(view.constraints), view.objective))
-    assert std == to_standard_form(said)
+    std = read_lp(path)
+    assert std == flatten(said)
     # The negated half of every equality shares one object per distinct
     # coefficient object.
     negated: dict[int, Fraction] = {}
@@ -395,7 +386,7 @@ def test_lp_reader_emits_the_standard_form_of_the_program_it_names(tmp_path, dra
 
 @st.composite
 def _certificates(draw):
-    std = to_standard_form(draw(_programs()))
+    std = flatten(draw(_programs()))
 
     def vector(n):
         return tuple(draw(st.lists(_NUMBERS, min_size=n, max_size=n)))
@@ -442,12 +433,14 @@ def test_model_json_round_trips_and_saves_the_same_bytes(tmp_path, mdp):
     assert second.read_bytes() == first.read_bytes()
 
 
-# SHA-256 over the repr of to_standard_form(read_lp(lp)) and of
-# read_certificate(cert, std) for each final program and certificate below.
+# SHA-256 over the repr of read_lp(lp) and of read_certificate(cert, std)
+# for each final program and certificate below.
 GOLDEN_READER = "54dee85080a5b0e08543b71d780cf33ca0f04eea20bc4ae065680d25d2c755ef"
 
 
 def test_reader_output_on_the_benchmark_dumps_matches_its_golden_digest(tmp_path):
+    """Also the writer's round trip: a program read back and written again
+    reads back equal, and writing that once more gives the same bytes."""
     instances = perfbench_instances(0)
     digest = hashlib.sha256()
     for name in ("ring-3", "ring-4", "sysadmin-3"):
@@ -455,9 +448,15 @@ def test_reader_output_on_the_benchmark_dumps_matches_its_golden_digest(tmp_path
         steps = []
         api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
         lp_path, cert_path = tmp_path / f"{name}.lp", tmp_path / f"{name}.cert"
-        write_lp(lp_path, steps[-1]["lp"])
+        write_lp(lp_path, steps[-1]["std"])
         write_certificate(cert_path, steps[-1]["std"], steps[-1]["certificate"])
-        std = to_standard_form(read_lp(lp_path))
+        std = read_lp(lp_path)
         digest.update(repr(std).encode())
         digest.update(repr(read_certificate(cert_path, std)).encode())
+        again, last = tmp_path / f"{name}.again.lp", tmp_path / f"{name}.last.lp"
+        write_lp(again, std)
+        back = read_lp(again)
+        assert back == std
+        write_lp(last, back)
+        assert last.read_bytes() == again.read_bytes()
     assert digest.hexdigest() == GOLDEN_READER

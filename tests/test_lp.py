@@ -1,27 +1,15 @@
-"""Constraint canonicalization and standard-form flattening."""
+"""The reference named rows (``helpers.make_constraint``), their flattening
+to the standard form, and the package's variable and column types."""
 
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_token_lp
+from helpers import Constraint, Lp, flatten, make_constraint
 
 from fmdp.factored import PartialState
-from fmdp.lp import (
-    PHI,
-    Constraint,
-    Deferred,
-    FnId,
-    FnVar,
-    Lp,
-    Tag,
-    Weight,
-    make_constraint,
-    named_lp,
-    to_standard_form,
-)
+from fmdp.lp import PHI, Deferred, FnId, FnVar, Tag, Weight
 
 
 def test_make_constraint_rejects_repeats_and_drops_zeros():
@@ -70,7 +58,7 @@ def test_bad_kind_rejected():
 
 def test_standard_form_objective_column_first():
     c1 = make_constraint("le", {Weight(0): Fraction(1), PHI: Fraction(-1)}, 0)
-    std = to_standard_form(Lp((c1,), PHI))
+    std = flatten(Lp((c1,), PHI))
     assert std.columns[0] is PHI
     assert std.columns == (PHI, Weight(0))
     assert std.rows == (((0, Fraction(-1)), (1, Fraction(1))),)
@@ -80,7 +68,7 @@ def test_standard_form_objective_column_first():
 def test_standard_form_expands_equalities_adjacently():
     eq = make_constraint("eq", {Weight(0): Fraction(2)}, 6)
     le = make_constraint("le", {Weight(0): Fraction(1), PHI: Fraction(-1)}, 0)
-    std = to_standard_form(Lp((le, eq), PHI))
+    std = flatten(Lp((le, eq), PHI))
     assert std.num_rows == 3
     assert std.constraint_rows == ((0,), (1, 2))
     w = std.col_of[Weight(0)]
@@ -94,7 +82,7 @@ def test_negated_equality_rows_share_one_fraction_per_coefficient_object():
     half = Fraction(1, 2)
     eq = make_constraint("eq", {PHI: half, Weight(0): half}, half)
     other = make_constraint("eq", {Weight(0): half, Weight(1): Fraction(1, 2)}, 0)
-    std = to_standard_form(Lp((eq, other), PHI))
+    std = flatten(Lp((eq, other), PHI))
     assert std.rows[1] == ((0, -half), (1, -half)) and std.rhs[1] == -half
     assert std.rows[3] == ((1, -half), (2, -half)) and std.rhs[3] == 0
     minus_half = std.rhs[1]
@@ -104,7 +92,7 @@ def test_negated_equality_rows_share_one_fraction_per_coefficient_object():
 
 def test_standard_form_registers_unseen_objective_variable():
     con = make_constraint("le", {Weight(0): Fraction(1)}, 5)
-    std = to_standard_form(Lp((con,), PHI))
+    std = flatten(Lp((con,), PHI))
     assert std.columns == (PHI, Weight(0))
     assert std.rows[0] == ((1, Fraction(1)),)
 
@@ -132,7 +120,7 @@ def test_fn_var_hash_is_computed_once_and_structural():
 
 def test_standard_form_col_of_follows_its_columns():
     con = make_constraint("le", {Weight(0): Fraction(1), PHI: Fraction(-1)}, 5)
-    std = to_standard_form(Lp((con,), PHI))
+    std = flatten(Lp((con,), PHI))
     assert "col_of" not in vars(std)
     assert std.col_of == {PHI: 0, Weight(0): 1}
 
@@ -145,14 +133,3 @@ def test_deferred_makes_its_items_once_on_first_read():
     assert names != ("a",) and names != "ab" and names != ["a", "b"]
     assert calls == [1]
 
-
-def test_named_lp_inverts_the_standard_form():
-    rng = random.Random(17)
-    for _ in range(300):
-        lp = random_token_lp(rng)
-        std = to_standard_form(lp)
-        named = named_lp(std, lp.objective)
-        assert named == lp and to_standard_form(named) is std
-        # Rebuilt without the form it was named from, the program flattens
-        # back to the same form.
-        assert to_standard_form(Lp(tuple(named.constraints), named.objective)) == std

@@ -14,6 +14,7 @@ from helpers import (
     all_states,
     block_fns,
     explicit_branch_sup,
+    flatten,
     max_or_none,
     min_lp,
     models,
@@ -22,6 +23,7 @@ from helpers import (
     reference_difference_fns,
     reference_fn_vars,
     reference_weight_lp,
+    renumbered,
     sum_or_none,
     summands,
 )
@@ -30,9 +32,9 @@ from fmdp.certify import check_optimality
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
-from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Unbounded, Weight, make_constraint, named_lp, to_standard_form
+from fmdp.lp import PHI, FnVar, Optimal, StdLp, Tag, Unbounded, Weight
 from fmdp.api import api
-from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, weight_lp, weight_lp_blocks
+from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, weight_lp_blocks
 from fmdp.model import elimination_order, make_ring
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
@@ -40,16 +42,20 @@ from fmdp.simplex import solve_lp
 TAG = Tag(EMPTY_STATE, 0, True)
 
 
-def _rows(block):
-    """One block's rows as named constraints."""
-    return named_lp(assemble_lp((block,)), PHI).constraints
-
-
-def _pin_weights(block_lp_constraints, w):
-    cons = list(block_lp_constraints)
+def _pinned(block, w):
+    """One block's program with each weight pinned to w_i by an equality;
+    a weight no row holds takes a new column."""
+    std = assemble_lp((block,))
+    columns, rows, rhs = list(std.columns), list(std.rows), list(std.rhs)
+    produced = list(std.constraint_rows)
     for i, wi in enumerate(w):
-        cons.append(make_constraint("eq", {Weight(i): Fraction(1)}, wi))
-    return Lp(tuple(cons), PHI)
+        if Weight(i) not in columns:
+            columns.append(Weight(i))
+        j = columns.index(Weight(i))
+        produced.append((len(rows), len(rows) + 1))
+        rows += [((j, Fraction(1)),), ((j, Fraction(-1)),)]
+        rhs += [wi, -wi]
+    return StdLp(tuple(columns), tuple(rows), tuple(rhs), tuple(produced))
 
 
 def _explicit_value(c_fns, b_fns, w, dims):
@@ -69,14 +75,13 @@ def test_constant_pair_generates_four_rows():
         (ScopedFn.constant(Fraction(-1)),),
         (0,),
     )
-    assert len(_rows(block)) == 4
-    kinds = [c.kind for c in _rows(block)]
-    assert kinds == ["eq", "eq", "le", "le"]
-    tie, pin, dominate, gen = _rows(block)
-    assert dict(tie.coefs)[Weight(0)] == 1
-    assert pin.rhs == Fraction(-1)
-    assert len(dominate.coefs) == 1
-    assert dict(gen.coefs)[PHI] == -1 and len(gen.coefs) == 4
+    std = assemble_lp((block,))
+    assert std.constraint_rows == ((0, 1), (2, 3), (4,), (5,))
+    tie, pin, dominate, gen = std.rows[0], std.rows[2], std.rows[4], std.rows[5]
+    assert dict(tie)[std.col_of[Weight(0)]] == 1
+    assert std.rhs[2] == Fraction(-1)
+    assert len(dominate) == 1
+    assert dict(gen)[0] == -1 and len(gen) == 4
 
 
 def test_projection_matches_enumeration_with_pinned_weights():
@@ -106,7 +111,7 @@ def test_projection_matches_enumeration_with_pinned_weights():
         order = list(range(n))
         rng.shuffle(order)
         block = min_lp(dims, TAG, tuple(c_fns), tuple(b_fns), tuple(order))
-        std = to_standard_form(_pin_weights(_rows(block), w))
+        std = _pinned(block, w)
         cert = solve_lp(std)
         target = _explicit_value(c_fns, b_fns, w, dims)
         if target is not None:
@@ -125,14 +130,14 @@ def test_minus_infinity_entries_leave_variables_unpinned():
     scope = (0,)
     b = ScopedFn(scope, (2,), (None, Fraction(4)))
     block = min_lp((2,), TAG, (), (b,), (0,))
+    std = assemble_lp((block,))
     pins = [
-        c
-        for c in _rows(block)
-        if c.kind == "eq" and len(c.coefs) == 1 and isinstance(c.coefs[0][0], FnVar)
+        k
+        for k, *negated in std.constraint_rows
+        if negated and len(std.rows[k]) == 1 and isinstance(std.columns[std.rows[k][0][0]], FnVar)
     ]
     assert len(pins) == 1
-    assert pins[0].rhs == Fraction(4)
-    std = to_standard_form(Lp(tuple(_rows(block)), PHI))
+    assert std.rhs[pins[0]] == Fraction(4)
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     assert cert.primal[std.col_of[PHI]] == Fraction(4)
@@ -200,7 +205,7 @@ def test_branch_pair_recovers_branch_error():
         pos, neg = branch_lp(mdp, t, a, ts, order)
         halves = []
         for block in (pos, neg):
-            std = to_standard_form(_pin_weights(_rows(block), w))
+            std = _pinned(block, w)
             cert = solve_lp(std)
             assert isinstance(cert, Optimal)
             half = cert.primal[std.col_of[PHI]]
@@ -260,10 +265,9 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
         assert [block.tag.t for block in blocks[::2]] == [b.t for b in live]
         tags = [b.tag for b in blocks]
         assert len(set(tags)) == len(tags)
-        lp = weight_lp(mdp, pol, order)
-        assert len(set(lp.constraints)) == len(lp.constraints)
         std = assemble_lp(blocks)
-        assert len(lp.constraints) == len(std.constraint_rows)
+        said = [(len(ks), std.rows[ks[0]], std.rhs[ks[0]]) for ks in std.constraint_rows]
+        assert len(set(said)) == len(said) and len(std.col_of) == std.num_cols
         halves = {ks[0]: len(ks) for ks in std.constraint_rows}
         first = 0
         for block, at in zip(blocks, std.placed):
@@ -306,25 +310,20 @@ def test_assembled_lp_is_the_standard_form_of_its_named_program(mdp, ws):
         order = elimination_order(mdp, kind)
         blocks = weight_lp_blocks(mdp, pol, order)
         named = reference_weight_lp(blocks)
-        direct, flattened = assemble_lp(blocks), to_standard_form(named)
-        # The two number their columns differently: renamed to the column
-        # of the same name, every row is the same row.
-        rename = [flattened.col_of[v] for v in direct.columns]
-        assert rename[0] == 0 and sorted(rename) == list(range(flattened.num_cols))
+        direct, flattened = assemble_lp(blocks), flatten(named)
+        # The two number their columns differently: moved to the column of
+        # the same name, every row is the same row.
+        assert direct.columns[0] == PHI and len(direct.col_of) == direct.num_cols
+        assert sorted(direct.columns, key=flattened.col_of.__getitem__) == list(flattened.columns)
         assert all(row == tuple(sorted(row)) for row in direct.rows)
-        renamed = tuple(tuple(sorted((rename[j], q) for j, q in row)) for row in direct.rows)
-        assert renamed == flattened.rows
-        assert direct.rhs == flattened.rhs
-        assert direct.constraint_rows == flattened.constraint_rows
-        assert len(direct.col_of) == direct.num_cols
-        assert weight_lp(mdp, pol, order) == named
+        assert renumbered(direct, flattened.columns) == flattened
 
 
 def test_ring_one_constant_basis_hand_optimum():
     mdp = dataclasses.replace(make_ring(1), basis=(ScopedFn.constant(Fraction(1)),))
     pol = greedy_decision_list(mdp, (Fraction(0),))
     assert len(pol.branches) == 1
-    std = to_standard_form(weight_lp(mdp, pol))
+    std = assemble_lp(weight_lp_blocks(mdp, pol))
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     assert cert.primal[std.col_of[PHI]] == Fraction(1, 2)

@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import models
+from helpers import Lp, flatten, make_constraint, models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmdp.errors import OracleLimitError
 from fmdp.factored import PartialState, restrict
-from fmdp.lp import PHI, Lp, Optimal, Weight, make_constraint, to_standard_form
+from fmdp.lp import PHI, Optimal, Weight
 from fmdp.model import make_ring
 from fmdp.oracle import (
     enumerate_states,
@@ -109,9 +109,8 @@ def test_optimal_value_dominates_any_policy_and_solves_bellman():
 def test_explicit_weight_lp_row_count_and_solution():
     mdp = make_ring(1)
     pol = _default_pol(mdp)
-    lp = explicit_weight_lp(mdp, pol)
-    assert len(lp.constraints) == 4
-    std = to_standard_form(lp)
+    std = explicit_weight_lp(mdp, pol)
+    assert len(std.constraint_rows) == 4
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     assert cert.primal[std.col_of[PHI]] == 0
@@ -165,4 +164,4 @@ def test_oracle_meets_its_definitions_on_drawn_models(mdp, data):
         r = mdp.reward(a, x)
         rows.append(make_constraint("le", {**coef, PHI: Fraction(-1)}, r))
         rows.append(make_constraint("le", {**{k: -c for k, c in coef.items()}, PHI: Fraction(-1)}, -r))
-    assert explicit_weight_lp(mdp, pol) == Lp(tuple(rows), PHI)
+    assert explicit_weight_lp(mdp, pol) == flatten(Lp(tuple(rows), PHI))

@@ -5,19 +5,19 @@ import math
 import random
 from fractions import Fraction
 
-from helpers import perfbench_instances, random_token_lp
+from helpers import Lp, flatten, make_constraint, perfbench_instances, random_token_lp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
-from fmdp.lp import Infeasible, Lp, Optimal, Unbounded, make_constraint, to_standard_form
+from fmdp.lp import Infeasible, Optimal, Unbounded
 from fmdp.oracle import explicit_weight_lp
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
 
 
 def _std(*cons, objective="x"):
-    return to_standard_form(Lp(tuple(cons), objective))
+    return flatten(Lp(tuple(cons), objective))
 
 
 def test_lower_bounded_minimum():
@@ -66,7 +66,7 @@ def test_no_rows_means_unbounded_objective():
 
 def test_two_sided_envelope():
     # min phi subject to phi >= w - 1 and phi >= -w has its bottom at w = 1/2.
-    std = to_standard_form(
+    std = flatten(
         Lp(
             (
                 make_constraint("le", {"w": Fraction(1), "phi": Fraction(-1)}, 1),
@@ -85,7 +85,7 @@ def test_two_sided_envelope():
 
 def test_duplicate_equalities_leave_dependent_rows():
     con = make_constraint("eq", {"x": Fraction(1)}, 1)
-    std = to_standard_form(Lp((con, con), "x"))
+    std = flatten(Lp((con, con), "x"))
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     assert cert.primal == (Fraction(1),)
@@ -108,7 +108,7 @@ def test_random_instances_self_certify():
     rng = random.Random(20260815)
     kinds = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(120):
-        std = to_standard_form(random_token_lp(rng))
+        std = flatten(random_token_lp(rng))
         cert = solve_lp(std)
         if isinstance(cert, Optimal):
             kinds["optimal"] += 1
@@ -125,7 +125,7 @@ def test_random_instances_self_certify():
 def test_pivot_counts_stay_under_basis_bound():
     rng = random.Random(7)
     for _ in range(40):
-        std = to_standard_form(random_token_lp(rng))
+        std = flatten(random_token_lp(rng))
         stats = {}
         solve_lp(std, stats=stats)
         bound = math.comb(stats["cols"], max(std.num_rows, 1))
@@ -143,9 +143,9 @@ def _certificate_coordinates(cert):
 
 def _digest(batch):
     digest = hashlib.sha256()
-    for lp in batch:
+    for std in batch:
         stats: dict = {}
-        cert = solve_lp(to_standard_form(lp), stats)
+        cert = solve_lp(std, stats)
         assert all(type(q) is Fraction for q in _certificate_coordinates(cert))
         digest.update(repr(cert).encode())
         digest.update(repr(stats).encode())
@@ -160,8 +160,8 @@ _GOLDEN_SOLVER_DIGEST = "fee333ccdeee2e6cbb65c6769843d1c8c1b42006192fda5492071f3
 
 def test_golden_solver_digest():
     rng = random.Random(20261018)
-    batch = [random_token_lp(rng) for _ in range(200)]
-    batch += [random_token_lp(rng, max_vars=8, max_rows=30) for _ in range(50)]
+    batch = [flatten(random_token_lp(rng)) for _ in range(200)]
+    batch += [flatten(random_token_lp(rng, max_vars=8, max_rows=30)) for _ in range(50)]
     assert _digest(batch) == _GOLDEN_SOLVER_DIGEST
 
 
@@ -197,8 +197,8 @@ def test_golden_solver_digest_on_tall_programs():
     rng = random.Random(20261019)
     batch = []
     for _ in range(15):
-        batch.append(random_token_lp(rng, max_vars=6, max_rows=120))
-        batch.append(_feasible_token_lp(rng, max_vars=6, max_rows=120))
+        batch.append(flatten(random_token_lp(rng, max_vars=6, max_rows=120)))
+        batch.append(flatten(_feasible_token_lp(rng, max_vars=6, max_rows=120)))
     mdp = perfbench_instances(0)["ring-5"]
     rng = random.Random(0xFD)
     for _ in range(3):
@@ -236,7 +236,7 @@ def _certifies(std, cert, normalized):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_mixed_lps())
 def test_property_certificates_verify_and_repeat(lp):
-    std = to_standard_form(lp)
+    std = flatten(lp)
     stats: dict = {}
     cert = solve_lp(std, stats)
     assert _certifies(std, cert, normalized=True)

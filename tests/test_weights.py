@@ -9,13 +9,17 @@ from math import lcm
 import pytest
 from helpers import (
     SMALL,
+    Lp,
     all_states,
+    flatten,
+    make_constraint,
     max_or_none,
     min_lp,
     models,
     reference_complete_primal,
     reference_weight_lp,
     reference_weight_lp_blocks,
+    renumbered,
     sum_or_none,
     summands,
     sysadmin,
@@ -29,8 +33,8 @@ from fmdp.elim import identity_order, max_sum
 from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
-from fmdp.lp import PHI, FnVar, Lp, Optimal, Tag, Weight, make_constraint, to_standard_form
-from fmdp.lpbuild import assemble_lp, weight_lp, weight_lp_blocks
+from fmdp.lp import PHI, FnVar, Optimal, Tag, Weight
+from fmdp.lpbuild import assemble_lp, weight_lp_blocks
 from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp, policy_value
@@ -91,7 +95,7 @@ def test_matches_explicit_per_state_program():
         )
         pol = greedy_decision_list(mdp, seed_w)
         _, phi = update_weights(mdp, pol)
-        std = to_standard_form(explicit_weight_lp(mdp, pol))
+        std = explicit_weight_lp(mdp, pol)
         cert = solve_lp(std)
         assert isinstance(cert, Optimal)
         assert cert.primal[std.col_of[PHI]] == phi
@@ -123,7 +127,7 @@ def test_a_binding_box_grows_and_the_fit_stays_the_optimum():
     assert steps[-1]["w"][0] == Fraction(2997000, 1501)
     starts = [tuple(Fraction(0) for _ in mdp.basis)] + [step["w"] for step in steps[:-1]]
     for start, step in zip(starts, steps):
-        explicit = to_standard_form(explicit_weight_lp(mdp, greedy_decision_list(mdp, start)))
+        explicit = explicit_weight_lp(mdp, greedy_decision_list(mdp, start))
         cert = solve_lp(explicit)
         assert isinstance(cert, Optimal)
         assert step["phi"] == cert.primal[explicit.col_of[PHI]]
@@ -149,7 +153,8 @@ def test_repeated_branch_changes_nothing():
     branches = list(pol.branches)
     branches.insert(6, branches[1])
     repeated = DecisionList(tuple(branches))
-    assert weight_lp(mdp, repeated, order) == weight_lp(mdp, pol, order)
+    full = assemble_lp(weight_lp_blocks(mdp, pol, order))
+    assert assemble_lp(weight_lp_blocks(mdp, repeated, order)) == full
     assert update_weights(mdp, repeated, order) == update_weights(mdp, pol, order)
     for v in (w, update_weights(mdp, pol, order)[0]):
         assert factored_bellman_err(mdp, v, repeated, order) == factored_bellman_err(mdp, v, pol, order)
@@ -171,22 +176,23 @@ def test_a_fit_names_its_variables_only_when_they_are_read(tmp_path, monkeypatch
     assert made == []
     trace: dict = {}
     assert update_weights(mdp, pol, order, trace=trace) == untraced
-    assert made == [] and len(trace["lp"].constraints) == len(trace["std"].constraint_rows)
-    # Read, the names write the same files as the program built row by row.
+    assert made == [] and trace["lp"] is trace["std"]
+    # Read, the names write the same program as the one built row by row.
     named = reference_weight_lp(weight_lp_blocks(mdp, pol, order))
-    write_lp(tmp_path / "fit.lp", trace["lp"])
-    write_lp(tmp_path / "named.lp", named)
+    flattened = flatten(named)
+    write_lp(tmp_path / "fit.lp", trace["std"])
+    write_lp(tmp_path / "named.lp", flattened)
     assert made
-    assert (tmp_path / "fit.lp").read_bytes() == (tmp_path / "named.lp").read_bytes()
+    read = read_lp(tmp_path / "fit.lp")
+    assert read == read_lp(tmp_path / "named.lp")
     # The named program numbers its columns by first appearance; the same
     # certificate moved to those columns reads back to the same vectors.
-    cert, flattened = trace["certificate"], to_standard_form(named)
+    cert = trace["certificate"]
     moved = [Fraction(0)] * flattened.num_cols
     for v, q in zip(trace["std"].columns, cert.primal):
         moved[flattened.col_of[v]] = q
     write_certificate(tmp_path / "fit.cert", trace["std"], cert)
     write_certificate(tmp_path / "named.cert", flattened, Optimal(tuple(moved), cert.dual))
-    read = to_standard_form(read_lp(tmp_path / "fit.lp"))
     back = read_certificate(tmp_path / "fit.cert", read)
     assert back == read_certificate(tmp_path / "named.cert", read)
     assert check_optimality(read, back.primal, back.dual)
@@ -237,7 +243,7 @@ def _named_master(m, box, cuts):
     for cut in cuts:
         coefs = {PHI: Fraction(-1), **{Weight(i): a for i, a in enumerate(cut.alpha)}}
         cons.append(make_constraint("le", coefs, -cut.beta))
-    return to_standard_form(Lp(tuple(cons), PHI))
+    return flatten(Lp(tuple(cons), PHI))
 
 
 def test_master_is_the_standard_form_of_its_named_program():
@@ -292,7 +298,8 @@ def test_shadowed_branches_build_no_blocks(monkeypatch):
     assert err == phi
     assert len(trace["std"].placed) == len(blocks)
     assert trace["std"] == assemble_lp(blocks)
-    assert trace["lp"].constraints == reference_weight_lp(blocks).constraints
+    flattened = flatten(reference_weight_lp(blocks))
+    assert renumbered(trace["std"], flattened.columns) == flattened
 
 
 def test_sysadmin3_final_list_of_82_branches_gives_56_blocks():
@@ -450,7 +457,7 @@ def test_integer_completion_matches_the_reference_with_shadows(fit, slack):
 @given(_shadowing_lists(), st.lists(SMALL, min_size=3, max_size=3))
 def test_pruned_blocks_keep_the_optimum_of_the_program_with_shadowed_blocks(drawn, ws):
     mdp, pol, order = drawn
-    unpruned = to_standard_form(reference_weight_lp(reference_weight_lp_blocks(mdp, pol, order)))
+    unpruned = flatten(reference_weight_lp(reference_weight_lp_blocks(mdp, pol, order)))
     # Derandomized, the draws include programs of 150-240 rows, which the
     # sparse simplex solves in under a second each; one of 326 rows takes
     # about 6 s, so programs above 300 rows are left out.
@@ -460,7 +467,7 @@ def test_pruned_blocks_keep_the_optimum_of_the_program_with_shadowed_blocks(draw
     assert isinstance(cert, Optimal)
     assert cert.primal[unpruned.col_of[PHI]] == phi
     # The oracle's program, one pair of rows per state (at most 27 states).
-    explicit = to_standard_form(explicit_weight_lp(mdp, pol))
+    explicit = explicit_weight_lp(mdp, pol)
     cert = solve_lp(explicit)
     assert isinstance(cert, Optimal)
     assert cert.primal[explicit.col_of[PHI]] == phi
