@@ -71,7 +71,7 @@ def main() -> None:
         cert = solve_and_describe("contradictory bounds", std)
         assert isinstance(cert, Infeasible)
         show("farkas multipliers", cert.farkas)
-        combined = sum(y * b for y, b in zip(cert.farkas, std.rhs))
+        combined = sum(y * std.fraction_row(i)[1] for i, y in enumerate(cert.farkas))
         print(f"  nonnegative row combination gives 0 <= {format_rational(combined)}")
         print(f"  checker accepts: {check_infeasible(std, cert.farkas)}")
         print()

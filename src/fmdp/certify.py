@@ -10,27 +10,33 @@ enters each test through column 0 alone: an optimal pair needs
 ``A^T y + e_0 = 0`` and ``x_0 + b^T y = 0``, and a ray needs ``r_0 < 0``.
 
 There are two backends, and they share no arithmetic: only the length
-checks and the sign test of a dual or Farkas vector run before they
-split.  The default decides every test over Python ints.  A row that a
-test reads is scaled to integers by ``L_i``, the lcm of its denominators
-and its right-hand side's.  The primal vector is put over one common
-denominator, and so is the dual of each scaled row, ``y_i / L_i``.
-Every inequality and equality then compares integers, with no gcd and
-no ``Fraction`` per term.  With ``normalized=False`` every value is
-carried instead as an unreduced numerator/denominator pair with positive
-denominator and comparisons cross-multiply; it is the independent path
-for when the integer scaling itself is under suspicion.
+checks, the row-denominator check and the sign test of a dual or Farkas
+vector run before they split.  The default decides every test over
+Python ints.  Each row is integers over its own positive denominator
+``den_i`` (``fmdp.lp``), so a row's primal test compares the sum of its
+numerators times the primal, put over one common denominator, with its
+right-hand side numerator; the dual is read as ``y_i / den_i``, put over
+one common denominator.  Every inequality and equality then compares
+integers, with no gcd and no ``Fraction`` per term.  With
+``normalized=False`` every value is carried instead as an unreduced
+numerator/denominator pair with positive denominator, a row coefficient
+as its numerator over its row's denominator, and comparisons
+cross-multiply; it is the independent path for when the integer sums
+themselves are under suspicion.  Both backends refuse a row denominator
+that is not positive, as they refuse such an ``IntVector``.
 
-Both backends touch only nonzero certificate entries: a term ``a_ij x_j``
-with ``x_j = 0`` is left out of its row sum, and a row with ``y_i = 0``
-is left out of ``A^T y`` and ``b^T y``.  Adding a zero product is exact,
-so no verdict depends on it.  Every row is still compared, so a row that
-touches no nonzero entry is tested as ``0 <= b_i``.
+Both backends leave a row with ``y_i = 0`` out of ``A^T y`` and
+``b^T y``.  The raw-pair backend also leaves a term ``a_ij x_j`` with
+``x_j = 0`` out of its row sum; the integer backend sums every term of a
+row.  Adding a zero product is exact, so no verdict depends on it.
+Every row is still compared, so a row that touches no nonzero entry is
+tested as ``0 <= b_i``.
 
 Every vector a check takes may be a ``Fraction`` sequence or an
 ``IntVector``, integer numerators over one positive denominator.  The
 integer backend reads an ``IntVector`` as it stands, with no ``Fraction``
-and no lcm; ``fmdp.weights`` hands its full primal over in this form.
+and no lcm; ``fmdp.weights`` hands its full primal and dual over in
+this form.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import InvalidInputError
@@ -73,6 +80,12 @@ def _require_len(name: str, vec: Vector, want: int) -> None:
         raise InvalidInputError(f"{name} has length {len(vec)}, expected {want}")
 
 
+def _require_rows(std: StdLp) -> None:
+    if min(std.dens, default=1) <= 0:
+        k, d = next((k, d) for k, d in enumerate(std.dens) if d <= 0)
+        raise InvalidInputError(f"row {k} has denominator {d!r}, expected a positive integer")
+
+
 def _has_negative(vec: Vector) -> bool:
     if isinstance(vec, IntVector):
         return any(n < 0 for n in vec.nums)
@@ -89,11 +102,6 @@ def _nonzero(vec: Vector) -> list[tuple[int, int, int]]:
 # -- integer backend -----------------------------------------------------------
 
 
-def _row_scale(sparse, b: Fraction) -> int:
-    """``L_i``, the lcm of the denominators of a row and its right-hand side."""
-    return lcm(b.denominator, *{q.denominator for _, q in sparse})
-
-
 def _over_one_denominator(vec: Vector) -> tuple[Sequence[int], int]:
     """Integers ``n_k`` and one ``d > 0`` with ``vec[k] = n_k / d``."""
     if isinstance(vec, IntVector):
@@ -104,46 +112,32 @@ def _over_one_denominator(vec: Vector) -> tuple[Sequence[int], int]:
 
 def _rows_hold(std: StdLp, x: Sequence[int], rhs_scale: int) -> bool:
     """``A x <= b * rhs_scale`` for every row, where ``x`` holds integers;
-    a row is scaled to integers only where it meets a nonzero ``x_j``."""
-    for sparse, b in zip(std.rows, std.rhs):
-        touched = [(q, x[j]) for j, q in sparse if x[j]]
-        if not touched:
-            if b.numerator * rhs_scale < 0:
-                return False
-            continue
-        scale = _row_scale(sparse, b)
-        lhs = sum(q.numerator * (scale // q.denominator) * xj for q, xj in touched)
-        if lhs > b.numerator * (scale // b.denominator) * rhs_scale:
+    a row's denominator is positive, so it compares its numerators."""
+    at = x.__getitem__
+    for cols, nums, b in zip(std.cols, std.nums, std.rhs):
+        if sum(map(mul, nums, map(at, cols))) > b * rhs_scale:
             return False
     return True
 
 
 def _scaled_dual(std: StdLp, y: Vector) -> tuple[list, int]:
-    """The rows with ``y_i != 0`` scaled to integers by ``L_i``, each with
-    its scaled right-hand side and the integer ``z_i`` of ``y_i / L_i = z_i / d``,
-    plus ``d > 0``."""
-    live = []
-    for i, n, dy in _nonzero(y):
-        sparse, b = std.rows[i], std.rhs[i]
-        live.append((sparse, b, n, dy, _row_scale(sparse, b)))
-    d = lcm(*{dy * scale for _, _, _, dy, scale in live})
-    out = []
-    for sparse, b, n, dy, scale in live:
-        row = [(j, q.numerator * (scale // q.denominator)) for j, q in sparse]
-        out.append((row, b.numerator * (scale // b.denominator), n * (d // (dy * scale))))
-    return out, d
+    """The rows with ``y_i != 0``, each with the integer ``z_i`` of
+    ``y_i / den_i = z_i / d``, plus ``d > 0``."""
+    live = [(i, n, dy * std.dens[i]) for i, n, dy in _nonzero(y)]
+    d = lcm(*{scale for _, _, scale in live})
+    return [(i, n * (d // scale)) for i, n, scale in live], d
 
 
-def _transpose_times(num_cols: int, scaled: list) -> list[int]:
-    out = [0] * num_cols
-    for row, _, z in scaled:
-        for j, a in row:
+def _transpose_times(std: StdLp, scaled: list) -> list[int]:
+    out = [0] * std.num_cols
+    for i, z in scaled:
+        for j, a in zip(std.cols[i], std.nums[i]):
             out[j] += a * z
     return out
 
 
-def _rhs_pairing(scaled: list) -> int:
-    return sum(b * z for _, b, z in scaled)
+def _rhs_pairing(std: StdLp, scaled: list) -> int:
+    return sum(std.rhs[i] * z for i, z in scaled)
 
 
 def _optimal_int(std: StdLp, primal, dual) -> bool:
@@ -151,20 +145,20 @@ def _optimal_int(std: StdLp, primal, dual) -> bool:
     if not _rows_hold(std, x, dx):
         return False
     scaled, dz = _scaled_dual(std, dual)
-    # A^T y + e_0 = 0, where A^T y = (scaled A)^T z / dz.
-    residual = _transpose_times(std.num_cols, scaled)
+    # A^T y + e_0 = 0, where A^T y = (integer rows)^T z / dz.
+    residual = _transpose_times(std, scaled)
     residual[0] += dz
     if any(residual):
         return False
     # x_0 + b^T y = 0, times dx * dz.
-    return x[0] * dz + _rhs_pairing(scaled) * dx == 0
+    return x[0] * dz + _rhs_pairing(std, scaled) * dx == 0
 
 
 def _infeasible_int(std: StdLp, farkas) -> bool:
     scaled, _ = _scaled_dual(std, farkas)
-    if any(_transpose_times(std.num_cols, scaled)):
+    if any(_transpose_times(std, scaled)):
         return False
-    return _rhs_pairing(scaled) < 0
+    return _rhs_pairing(std, scaled) < 0
 
 
 def _unbounded_int(std: StdLp, point, ray) -> bool:
@@ -179,7 +173,8 @@ _ZERO = (0, 1)
 
 # A vector is carried as two lists, its numerators and its denominators,
 # so a check makes no tuple per entry: a pass allocates few objects the
-# garbage collector tracks.
+# garbage collector tracks.  A row coefficient is the pair of its numerator
+# and its row's denominator, not reduced.
 
 
 def _pairs(vec: Vector) -> tuple[Sequence[int], list[int]]:
@@ -196,25 +191,18 @@ def _raw_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] <= b[0] * a[1]
 
 
-def _raw_dot(coefs, nums: Sequence[int], dens: list[int]) -> tuple[int, int]:
-    """``sum q * v[j]`` over the ``(j, q)`` of ``coefs`` with ``v[j] != 0``,
-    where ``v[j]`` is ``nums[j] / dens[j]``; each product is added as
-    ``_raw_add`` adds."""
-    n, d = _ZERO
-    for j, q in coefs:
-        a = nums[j]
-        if a:
-            tn, td = q.numerator * a, q.denominator * dens[j]
-            n, d = n * td + tn * d, d * td
-    return n, d
-
-
 def _raw_rows_hold(std: StdLp, x, with_rhs: bool) -> bool:
-    """``A x <= b`` row by row, or ``A x <= 0`` without ``with_rhs``."""
+    """``A x <= b`` row by row, or ``A x <= 0`` without ``with_rhs``; each
+    product ``a_ij x_j`` with ``x_j != 0`` is added as ``_raw_add`` adds."""
     nums, dens = x
-    for sparse, b in zip(std.rows, std.rhs):
-        bound = (b.numerator, b.denominator) if with_rhs else _ZERO
-        if not _raw_le(_raw_dot(sparse, nums, dens), bound):
+    for cols, row, den, b in zip(std.cols, std.nums, std.dens, std.rhs):
+        n, d = _ZERO
+        for j, a in zip(cols, row):
+            v = nums[j]
+            if v:
+                tn, td = a * v, den * dens[j]
+                n, d = n * td + tn * d, d * td
+        if not _raw_le((n, d), (b, den) if with_rhs else _ZERO):
             return False
     return True
 
@@ -222,17 +210,23 @@ def _raw_rows_hold(std: StdLp, x, with_rhs: bool) -> bool:
 def _raw_transpose_times(std: StdLp, y) -> tuple[list[int], list[int]]:
     """``A^T y`` as numerators and denominators, summed over ``y_i != 0``."""
     out_n, out_d = [0] * std.num_cols, [1] * std.num_cols
-    for sparse, a, b in zip(std.rows, *y):
+    for cols, row, den, a, b in zip(std.cols, std.nums, std.dens, *y):
         if a:
-            for j, q in sparse:
-                tn, td = q.numerator * a, q.denominator * b
+            for j, q in zip(cols, row):
+                tn, td = q * a, den * b
                 n, d = out_n[j], out_d[j]
                 out_n[j], out_d[j] = n * td + tn * d, d * td
     return out_n, out_d
 
 
 def _raw_rhs_pairing(std: StdLp, y) -> tuple[int, int]:
-    return _raw_dot(enumerate(std.rhs), *y)
+    """``b^T y``, summed over ``y_i != 0``."""
+    n, d = _ZERO
+    for b, den, a, e in zip(std.rhs, std.dens, *y):
+        if a:
+            tn, td = b * a, den * e
+            n, d = n * td + tn * d, d * td
+    return n, d
 
 
 def _optimal_raw(std: StdLp, primal, dual) -> bool:
@@ -277,6 +271,7 @@ def check_optimality(
     `max -b^T y, A^T y = -e_0, y >= 0`, and exact objective equality
     `x_0 = -b^T y`.
     """
+    _require_rows(std)
     _require_len("primal", primal, std.num_cols)
     _require_len("dual", dual, std.num_rows)
     if _has_negative(dual):
@@ -293,6 +288,7 @@ def check_infeasible(
     normalized: bool = True,
 ) -> bool:
     """Verify a Farkas vector: y >= 0, A^T y = 0, and b^T y < 0."""
+    _require_rows(std)
     _require_len("farkas", farkas, std.num_rows)
     if _has_negative(farkas):
         return False
@@ -310,6 +306,7 @@ def check_unbounded(
 ) -> bool:
     """Verify an unboundedness witness: a feasible point plus a ray with
     A r <= 0 and r_0 < 0."""
+    _require_rows(std)
     _require_len("point", point, std.num_cols)
     _require_len("ray", ray, std.num_cols)
     if normalized:

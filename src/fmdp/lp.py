@@ -11,17 +11,27 @@ file names them by their ``str`` tokens.  Private variables carry a tag
 naming the branch and sign half they belong to, so rows from different
 branches never share them.
 
+Each row is integers over one positive row denominator: its columns in
+ascending order, the numerators of its coefficients, the numerator of its
+right-hand side, and the denominator, kept as four parallel per-row
+tuples.  A row is in lowest terms, the gcd of its denominator and all its
+numerators 1, and has no zero coefficient, so every rational row has
+exactly one such form and two programs are equal exactly when their
+rows are.  The simplex seeds its tableau from these ints as they stand
+and the checkers sum them as they stand; ``StdLp.fraction_row`` renders a
+row as ``Fraction``s for readers that want rationals.
+
 Every producer numbers its own columns.  An equality is two adjacent
 rows, the second negated.  The program reader (``fmdp.lpio.read_lp``)
 and the oracle's explicit program (``fmdp.oracle.explicit_weight_lp``)
-add their rows through ``StdRows``, whose negated row shares one
-``Fraction`` per distinct coefficient object, so a program whose rows
-share coefficients makes one negation per distinct number.  The builder
-(``fmdp.lpbuild.assemble_lp``) writes its rows itself and names its
-columns only on first read (``Deferred``); the weight fit's master
-(``fmdp.weights``) has inequalities only.  The dual convention is fixed
-once for the whole package: the dual of `min x_0, A x <= b` is
-`max -b^T y, A^T y = -e_0, y >= 0`.
+add their rows through ``StdRows``, which puts each rational row into
+this form once.  The builder (``fmdp.lpbuild.assemble_lp``) and the
+weight fit's master (``fmdp.weights``) write theirs straight from their
+integer tables; the builder names its columns only on first read
+(``Deferred``).  The builder and ``StdRows`` keep one numerator tuple
+per row shape.  The dual
+convention is fixed once for the whole package: the dual of
+`min x_0, A x <= b` is `max -b^T y, A^T y = -e_0, y >= 0`.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Union
 
 from .factored import PartialState
@@ -115,16 +126,21 @@ LpVar = Union[Phi, Weight, FnVar, str]
 class StdLp:
     """`minimize x_0 subject to A x <= b`, x free, rows sparse.
 
-    ``constraint_rows[k]`` lists the row indices produced by the k-th input
-    constraint (one for an inequality, two adjacent for an equality), which
-    lets duals built against the input constraints translate to row space.
-    ``columns`` names each column; it and ``constraint_rows`` may each be a
-    ``Deferred`` tuple.  ``col_of`` inverts ``columns`` on first read.
+    Row i reads `sum_k nums[i][k] * x[cols[i][k]] <= rhs[i]` with every
+    number divided by ``dens[i] > 0``, in lowest terms with no zero
+    numerator (see the module notes).  ``constraint_rows[k]`` lists the row indices produced by the
+    k-th input constraint (one for an inequality, two adjacent for an
+    equality), which lets duals built against the input constraints
+    translate to row space.  ``columns`` names each column; it and
+    ``constraint_rows`` may each be a ``Deferred`` tuple.  ``col_of``
+    inverts ``columns`` on first read.
     """
 
     columns: Sequence[LpVar]
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
-    rhs: tuple[Fraction, ...]
+    cols: tuple[tuple[int, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    dens: tuple[int, ...]
     constraint_rows: Sequence[tuple[int, ...]]
 
     @cached_property
@@ -133,11 +149,18 @@ class StdLp:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
 
     @property
     def num_cols(self) -> int:
         return len(self.columns)
+
+    def fraction_row(self, i: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
+        """Row ``i`` as ``(column, coefficient)`` terms and its right-hand
+        side, every number a ``Fraction``."""
+        d = self.dens[i]
+        terms = tuple((j, Fraction(n, d)) for j, n in zip(self.cols[i], self.nums[i]))
+        return terms, Fraction(self.rhs[i], d)
 
 
 class Deferred(Sequence):
@@ -171,36 +194,74 @@ class Deferred(Sequence):
 class StdRows:
     """The rows of a standard form, added one input constraint at a time.
 
-    An equality adds its row and then the negated row.  The negation of each
-    coefficient object is made once: ``rows`` and ``rhs`` keep every
-    coefficient object alive, so its id names it; keying by value would hash
-    each ``Fraction``, a modular inverse each.
+    ``add`` puts each rational row in lowest integer terms.  An equality
+    adds its row and then the negated row, the two sharing one column
+    tuple.  Equal numerator tuples are kept once, and so is the negation of
+    each.
     """
 
     def __init__(self) -> None:
-        self.rows: list[tuple[tuple[int, Fraction], ...]] = []
-        self.rhs: list[Fraction] = []
+        self.cols: list[tuple[int, ...]] = []
+        self.nums: list[tuple[int, ...]] = []
+        self.rhs: list[int] = []
+        self.dens: list[int] = []
         self.constraint_rows: list[tuple[int, ...]] = []
-        self._negated: dict[int, Fraction] = {}
+        self._shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._negated: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def add(self, kind: str, sparse: tuple[tuple[int, Fraction], ...], rhs: Fraction) -> None:
-        """Add one constraint, its terms ``sparse`` sorted by column."""
-        k = len(self.rows)
-        self.rows.append(sparse)
-        self.rhs.append(rhs)
+    def add(self, kind: str, sparse: Sequence[tuple[int, Fraction]], rhs: Fraction) -> None:
+        """Add one constraint: rational terms ``sparse`` sorted by column,
+        zero terms dropped here, and the right-hand side ``rhs``."""
+        terms = [(j, *q.as_integer_ratio()) for j, q in sparse if q]
+        cols, nums, dens = zip(*terms) if terms else ((), (), ())
+        self.add_ratios(kind, cols, nums, dens, rhs.as_integer_ratio())
+
+    def add_ratios(
+        self,
+        kind: str,
+        cols: tuple[int, ...],
+        nums: tuple[int, ...],
+        dens: Sequence[int],
+        rhs: tuple[int, int],
+    ) -> None:
+        """Add one constraint over the ascending columns ``cols``, the
+        coefficient on ``cols[k]`` being ``nums[k] / dens[k]``, nonzero and
+        in lowest terms with a positive denominator, as is the right-hand
+        side's pair ``rhs``: over the lcm of the denominators the row is in
+        lowest terms too."""
+        r, rd = rhs
+        den = lcm(rd, *dens)
+        if den != 1:
+            nums = tuple([n * (den // d) for n, d in zip(nums, dens)])
+            r *= den // rd
+        nums = self._shapes.setdefault(nums, nums)
+        k = len(self.rhs)
         if kind == "eq":
-            negated = self._negated
-            for _, q in ((0, rhs), *sparse):
-                if id(q) not in negated:
-                    negated[id(q)] = -q
-            self.rows.append(tuple([(j, negated[id(q)]) for j, q in sparse]))
-            self.rhs.append(negated[id(rhs)])
+            negated = self._negated.get(nums)
+            if negated is None:
+                negated = tuple([-n for n in nums])
+                negated = self._negated[nums] = self._shapes.setdefault(negated, negated)
+            self.cols += (cols, cols)
+            self.nums += (nums, negated)
+            self.rhs += (r, -r)
+            self.dens += (den, den)
             self.constraint_rows.append((k, k + 1))
         else:
+            self.cols.append(cols)
+            self.nums.append(nums)
+            self.rhs.append(r)
+            self.dens.append(den)
             self.constraint_rows.append((k,))
 
     def std(self, columns: Sequence[LpVar]) -> StdLp:
-        return StdLp(columns, tuple(self.rows), tuple(self.rhs), tuple(self.constraint_rows))
+        return StdLp(
+            columns,
+            tuple(self.cols),
+            tuple(self.nums),
+            tuple(self.rhs),
+            tuple(self.dens),
+            tuple(self.constraint_rows),
+        )
 
 
 def to_standard_form(std: StdLp) -> StdLp:

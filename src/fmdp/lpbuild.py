@@ -36,7 +36,9 @@ gets a function variable whose dominance rows bound every one-variable
 extension of its dependents; a summary row says the surviving constants
 sum to at most phi.  A block that is only priced never builds rows.
 ``assemble_lp`` emits every block's rows, in that order, in one pass
-straight into standard form.  Each plan slot of a block is one run of
+straight into standard form, each row in lowest integer terms over its
+own denominator (``fmdp.lp``), read off the block's integer tables with
+no ``Fraction``.  Each plan slot of a block is one run of
 columns, an entry per table entry, and one run of rows, so a block's
 ``Placed`` record holds only where each run starts; ``Placed.credited``
 maps a (slot, entry or round point) to the row a dual lift credits.
@@ -51,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -273,90 +275,122 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
     order, so every row lists its columns in ascending order: a weight
     before the block's runs, a round's dependents before its own slot, and
     a row's slots ascending.  Private variables carry their block's tag,
-    so no row appears in two blocks.  Every row holding a column with
-    coefficient 1 (or -1) shares one term object for it, every tie
-    coefficient and pin right-hand side n/den is one ``Fraction`` per
-    distinct (n, den), and the rows of each constraint are listed only
-    when read.
+    so no row appears in two blocks.  Each row is written in lowest
+    integer terms straight from the block's integer tables: a tie of
+    weight coefficient n/den is the row ``(n, -den) / den`` divided by
+    gcd(n, den), a pin of value n/den the row ``den * f <= n`` over den,
+    divided likewise, and every other row has denominator 1.  Every column
+    is one int object, the two rows of an equality share one column tuple,
+    rows of one shape share one numerator tuple, and the rows of each
+    constraint are listed only when read.
     """
-    one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
-    rows: list[tuple[tuple[int, Fraction], ...]] = []
-    rhs: list[Fraction] = []
+    # Count the rows and columns first, so each row field and the column
+    # ints are one list of final length: a list that regrows leaves holes
+    # in the heap.
+    sized = []
+    m = 0
+    for block in blocks:
+        plan = block.plan
+        sizes = [prod(plan.dims[v] for v in scope) for scope in plan.scopes]
+        sized.append((block, sizes))
+        m += 2 * sum(map(len, block.c)) + 2 * sum(len(b) - b.count(None) for b in block.b) + 1
+        for slot, rnd in enumerate(plan.rounds, plan.inputs):
+            m += sizes[slot] * plan.dims[rnd.var] if rnd.dependents else 1
+    weights = {i for block in blocks for i, c in enumerate(block.c) if any(c)}
+    # One int per column, shared by every row that names it.
+    ids = list(range(1 + len(weights) + sum(sum(sizes) for _, sizes in sized)))
+    cols: list = [None] * m
+    nums: list = [None] * m
+    rhs = [0] * m
+    dens = [1] * m
+    r = 0  # the next row
+    width = 1  # the next column; phi is column 0
     halves = bytearray()  # per constraint, its row count: 2 for an equality
     weight_cols: list[int | None] = []
     placed: list[Placed] = []
-    # The terms (column, 1) and (column, -1) of every column; phi is column 0.
-    up: list[tuple[int, Fraction]] = [(0, one)]
-    down: list[tuple[int, Fraction]] = [(0, minus)]
-    # Per denominator, the Fraction n/den of every numerator n met so far.
-    by_den: dict[int, dict[int, Fraction]] = {}
+    shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def frac(n: int) -> Fraction:
-        q = fracs.get(n)
-        if q is None:
-            q = fracs[n] = Fraction(n, den)
-        return q
+    def shared(t: tuple[int, ...]) -> tuple[int, ...]:
+        return shapes.setdefault(t, t)
 
-    def fresh(count: int) -> int:
-        """The first of ``count`` new columns."""
-        k = len(up)
-        ids = list(range(k, k + count))  # one int per column, in both terms
-        up.extend(zip(ids, repeat(one)))
-        down.extend(zip(ids, repeat(minus)))
-        return k
+    minus_one, plus_one = shared((-1,)), shared((1,))
+    # Per block denominator, per numerator n met so far: the numerator pair
+    # and the denominator of its tie rows, and of its pin rows with their
+    # right-hand sides.  A zero tie coefficient leaves ``-f <= 0, f <= 0``.
+    by_den: dict[int, tuple[dict, dict]] = {}
 
-    def equality(row, negated, n: int) -> None:
-        """The rows ``row <= n/den`` and ``negated <= -n/den``."""
-        rows.extend((row, negated))
-        rhs.extend((frac(n), frac(-n)))
-        halves.append(2)
+    def tie(n: int) -> tuple:
+        g = gcd(n, den)
+        a, d = n // g, den // g
+        got = ties[n] = ((shared((a, -d)), shared((-a, d))), d)
+        return got
 
-    for block in blocks:
+    def pin(n: int) -> tuple:
+        g = gcd(n, den)
+        a, d = n // g, den // g
+        got = pins[n] = ((shared((d,)), shared((-d,))), (a, -a), d)
+        return got
+
+    for block, sizes in sized:
         plan, nc, den = block.plan, len(block.c), block.den
-        fracs = by_den.setdefault(den, {})
+        ties, pins = by_den.setdefault(den, ({0: ((minus_one, plus_one), 1)}, {}))
         weight_cols += [None] * (nc - len(weight_cols))
         for i, c in enumerate(block.c):
             if weight_cols[i] is None and any(c):
-                weight_cols[i] = fresh(1)
-        sizes = [prod(plan.dims[v] for v in scope) for scope in plan.scopes]
-        cols = tuple(accumulate(sizes[:-1], initial=fresh(sum(sizes))))
+                weight_cols[i], width = width, width + 1
+        runs = tuple(accumulate(sizes[:-1], initial=width))
+        width += sum(sizes)
         first: list[int] = []
-        for k, w, c in zip(cols, weight_cols, block.c):
-            first.append(len(rows))
-            for j, n in enumerate(c, k):
-                if n:
-                    equality(((w, frac(n)), down[j]), ((w, frac(-n)), up[j]), 0)
-                else:
-                    equality((down[j],), (up[j],), 0)
-        for k, b in zip(cols[nc:], block.b):
-            first.append(len(rows))
-            for j, n in enumerate(b, k):
+        # An equality's two rows share one column tuple.
+        for k, w, c in zip(runs, weight_cols, block.c):
+            first.append(r)
+            weight = None if w is None else ids[w]
+            for j, n in zip(ids[k : k + len(c)], c):
+                pair, d = ties.get(n) or tie(n)
+                cols[r] = cols[r + 1] = (weight, j) if n else (j,)
+                nums[r], nums[r + 1] = pair
+                dens[r] = dens[r + 1] = d
+                r += 2
+            halves += b"\x02" * len(c)
+        for k, b in zip(runs[nc:], block.b):
+            first.append(r)
+            for j, n in zip(ids[k : k + len(b)], b):
                 if n is not None:
-                    equality((up[j],), (down[j],), n)
+                    pair, sides, d = pins.get(n) or pin(n)
+                    cols[r] = cols[r + 1] = (j,)
+                    nums[r], nums[r + 1] = pair
+                    rhs[r], rhs[r + 1] = sides
+                    dens[r] = dens[r + 1] = d
+                    r += 2
+                    halves.append(2)
+        start = r
         for slot, rnd in enumerate(plan.rounds, plan.inputs):
-            e = cols[slot]
-            first.append(len(rows))
+            e = runs[slot]
+            first.append(r)
             if rnd.dependents:
                 # Point j's row: each dependent's entry there, then -1 on
                 # the replacement's entry j // card.
-                terms = [
-                    list(map(up[cols[s] : cols[s] + sizes[s]].__getitem__, g))
+                points = [
+                    list(map(ids[runs[s] : runs[s] + sizes[s]].__getitem__, g))
                     for s, g in zip(rnd.dependents, rnd.gather)
                 ]
                 card = plan.dims[rnd.var]
-                terms.append([t for t in down[e : e + sizes[slot]] for _ in range(card)])
-                rows.extend(zip(*terms))
+                points.append([t for t in ids[e : e + sizes[slot]] for _ in range(card)])
+                count = sizes[slot] * card
+                cols[r : r + count] = zip(*points)
+                nums[r : r + count] = repeat(shared((1,) * len(rnd.dependents) + (-1,)), count)
+                r += count
             else:
-                rows.append((down[e],))  # -e <= 0, for all the round's points
-        placed.append(Placed(cols, tuple(first), len(rows)))
-        rows.append((down[0], *(up[cols[s]] for s in plan.final)))
-        inequalities = len(rows) - len(rhs)
-        rhs.extend(repeat(zero, inequalities))
-        halves.extend(repeat(1, inequalities))
-    n = len(up)
+                cols[r], nums[r] = (ids[e],), minus_one  # -e <= 0, for all the round's points
+                r += 1
+        placed.append(Placed(runs, tuple(first), r))
+        cols[r] = (0, *(ids[runs[s]] for s in plan.final))
+        nums[r] = shared((-1,) + (1,) * len(plan.final))
+        r += 1
+        halves.extend(repeat(1, r - start))
 
     def names() -> list[LpVar]:
-        out: list[LpVar] = [PHI] * n
+        out: list[LpVar] = [PHI] * width
         for i, w in enumerate(weight_cols):
             if w is not None:
                 out[w] = Weight(i)
@@ -372,10 +406,18 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
             yield tuple(range(k, k + h))
             k += h
 
+    # One list at a time becomes its tuple and is dropped, so the peak
+    # holds one spare copy of a row field, not four.
+    cols = tuple(cols)
+    nums = tuple(nums)
+    rhs = tuple(rhs)
+    dens = tuple(dens)
     return FullLp(
-        Deferred(n, names),
-        tuple(rows),
-        tuple(rhs),
+        Deferred(width, names),
+        cols,
+        nums,
+        rhs,
+        dens,
         Deferred(len(halves), constraint_rows),
         tuple(weight_cols),
         tuple(placed),

@@ -24,11 +24,13 @@ Omitted entries are zero; a section names each place at most once.
 
 Both directions work on the standard form (``fmdp.lp.StdLp``).  The
 writer names column 0 on the `min` line and writes each constraint's terms
-in column order, an equality once, from the first of its two rows.  The
+in column order, an equality once, from the first of its two rows,
+formatting each distinct numerator over its row denominator once.  The
 reader builds the standard form in one pass over the file, the objective
-as column 0.  Both readers parse each distinct number token once per
-file, and every occurrence of a token shares that one ``Fraction``;
-omitted certificate entries share one zero.
+as column 0, each row put in integer terms by ``fmdp.lp.StdRows``.  Both
+readers parse each distinct number token once per file, and every
+occurrence of a token shares that one ``Fraction``; omitted certificate
+entries share one zero.
 """
 
 from __future__ import annotations
@@ -133,15 +135,25 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
 
 def write_lp(path: str | Path, std: StdLp) -> None:
     """Write ``std`` as a program file: `min` names column 0, and each
-    constraint is one line, its terms in column order."""
+    constraint is one line, its terms in column order.  Each distinct
+    numerator and row denominator pair is formatted once."""
     names = _column_tokens(std)
+    formatted: dict[tuple[int, int], str] = {}
+
+    def text(n: int, d: int) -> str:
+        got = formatted.get((n, d))
+        if got is None:
+            got = formatted[n, d] = format_rational(Fraction(n, d))
+        return got
+
     lines = list(_LP_HEADER)
     lines.append(f"min {names[0]}")
     for produced in std.constraint_rows:
         k = produced[0]
-        terms = [f"{names[j]}:{format_rational(q)}" for j, q in std.rows[k]]
+        d = std.dens[k]
+        terms = [f"{names[j]}:{text(n, d)}" for j, n in zip(std.cols[k], std.nums[k])]
         kind = "eq" if len(produced) == 2 else "le"
-        lines.append(" ".join([kind, *terms, format_rational(std.rhs[k])]))
+        lines.append(" ".join([kind, *terms, text(std.rhs[k], d)]))
     _write_lines(path, lines)
 
 
@@ -178,6 +190,15 @@ class _Numbers(dict):
         return q
 
 
+class _Ratios(_Numbers):
+    """``_Numbers`` that keeps each number as its numerator and
+    denominator."""
+
+    def __missing__(self, token: str) -> tuple[int, int]:
+        got = self[token] = super().__missing__(token).as_integer_ratio()
+        return got
+
+
 def read_lp(path: str | Path) -> StdLp:
     """Parse a program file straight into its standard form.
 
@@ -185,8 +206,8 @@ def read_lp(path: str | Path) -> StdLp:
     when a row first names it with a nonzero coefficient, a row's new
     tokens in string order.  A variable token is the text before a term's
     only colon, kept as the ``str`` the line was split into.  Each distinct
-    number token is parsed once per read, and every occurrence of it
-    shares that one ``Fraction``.
+    number token is parsed once per read, and ``StdRows`` puts each row in
+    lowest integer terms.
     """
     lines = _content_lines(path)
     if not lines or not lines[0][1].startswith("min "):
@@ -195,7 +216,7 @@ def read_lp(path: str | Path) -> StdLp:
     objective = obj_text[4:].strip()
     if ":" in objective or objective.split() != [objective]:
         raise InvalidInputError(f"{path}:{obj_line}: malformed objective {objective!r}")
-    numbers = _Numbers(path)
+    numbers = _Ratios(path)
     col_of: dict[str, int] = {objective: 0}
     out = StdRows()
     for lineno, text in lines[1:]:
@@ -205,7 +226,7 @@ def read_lp(path: str | Path) -> StdLp:
             raise InvalidInputError(f"{path}:{lineno}: malformed row {text!r}")
         numbers.lineno = lineno
         rhs = numbers[fields[-1]]
-        row: dict[str, Fraction] = {}
+        row: dict[str, tuple[int, int]] = {}
         for term in fields[1:-1]:
             name, _, coef = term.rpartition(":")
             if not name or ":" in name:
@@ -216,9 +237,11 @@ def read_lp(path: str | Path) -> StdLp:
             repeated = min(v for v in row if names.count(v) > 1)
             raise InvalidInputError(f"{path}:{lineno}: repeated variable {repeated!r}")
         for v in sorted([v for v in row if v not in col_of]):
-            if row[v]:
+            if row[v][0]:
                 col_of[v] = len(col_of)
-        out.add(kind, tuple(sorted([(col_of[v], q) for v, q in row.items() if q])), rhs)
+        terms = sorted([(col_of[v], *q) for v, q in row.items() if q[0]])
+        cols, nums, dens = zip(*terms) if terms else ((), (), ())
+        out.add_ratios(kind, cols, nums, dens, rhs)
     return out.std(tuple(col_of))
 
 

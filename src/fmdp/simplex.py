@@ -37,11 +37,14 @@ about 2n + 2 nonzeros, against n + m + 1 entries in a dense row; the
 weight LPs have a handful of columns and tens to hundreds of rows.  The
 objective rows are stored the same way.
 
-Input rows are scaled by the lcm of their denominators.  A pivot with
-pivot entry P turns row k into (P * row_k - f * row_r) / (den_k * P),
-walking only the two rows' nonzeros, after dividing P and f by their
-gcd; the result is reduced by one gcd over its nonzeros, so every row is
-in lowest terms.  The ratio test cross-multiplies, since a row's
+Input rows arrive as integers over one positive row denominator
+(``fmdp.lp``), already in lowest terms, and seed the tableau as they
+stand: the row's numerators, its denominator on its own slack, and its
+right-hand side numerator, all times sigma_i.  A pivot with pivot entry
+P turns row k into (P * row_k - f * row_r) / (den_k * P), walking only
+the two rows' nonzeros, after dividing P and f by their gcd; the result
+is reduced by one gcd over its nonzeros, so every row stays in lowest
+terms.  The ratio test cross-multiplies, since a row's
 denominator cancels in rhs / entry.  The rational tableau these rows
 represent is, entry for entry, the dense ``Fraction`` one, so every sign
 test and ratio comparison decides the same way: the Bland pivot
@@ -58,7 +61,7 @@ with no positive entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import LpInternalError
 from .lp import Certificate, Infeasible, Optimal, StdLp, Unbounded
@@ -117,13 +120,15 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     rows: list[dict[int, int]] = []
     dens: list[int] = []
     basis: list[int] = []
-    for i, (sparse, b) in enumerate(zip(std.rows, std.rhs)):
-        den = lcm(b.denominator, *(q.denominator for _, q in sparse))
-        sg = 1 if b >= 0 else -1
-        row = {j: sg * q.numerator * (den // q.denominator) for j, q in sparse if q}
-        row[n + i] = sg * den
+    for i, (cols, nums, b, den) in enumerate(zip(std.cols, std.nums, std.rhs, std.dens)):
+        if b >= 0:
+            row = dict(zip(cols, nums))
+            row[n + i] = den
+        else:
+            row = {j: -q for j, q in zip(cols, nums)}
+            row[n + i] = -den
         if b:
-            row[rhs_key] = sg * b.numerator * (den // b.denominator)
+            row[rhs_key] = abs(b)
         rows.append(row)
         dens.append(den)
         basis.append(a0 + i)

@@ -10,6 +10,7 @@ or the maximum of a family that excludes every state) it is stored as
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -20,6 +21,11 @@ __all__ = ["parse_rational", "format_rational"]
 # (a 12-byte "1e999999999" costs a power of ten with a billion digits), a
 # digit separator, or a digit outside ASCII.
 _REFUSED = re.compile(r"[eE_]|(?![0-9])\d")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _digit_limit() -> str:
+    return f"Python's limit of {sys.get_int_max_str_digits()} decimal digits per integer"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -27,16 +33,26 @@ def parse_rational(text: str) -> Fraction:
 
     Decimal literals become the exact fraction they denote (0.9 is 9/10),
     never a binary float.  Exponents, ``_`` separators and digits outside
-    ASCII are refused.
+    ASCII are refused, and so is a run of digits longer than Python's
+    limit for converting text to an integer.
     """
     try:
         if _REFUSED.search(text):
             raise ValueError(text)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        if limit and max(map(len, _DIGITS.findall(text)), default=0) > limit:
+            raise InvalidInputError(
+                f"not a rational: a {len(text)}-character token exceeds {_digit_limit()}"
+            ) from exc
         raise InvalidInputError(f"not a rational: {text!r}") from exc
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render as "p/q", dropping the denominator when it is 1."""
-    return str(Fraction(value))
+    """Render as "p/q", dropping the denominator when it is 1.  A value
+    with more digits than Python converts is refused."""
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot format a rational: it exceeds {_digit_limit()}") from exc

@@ -32,17 +32,18 @@ phi >= 0: the first live branch has no indicator, so its mirrored
 blocks sum to nu_w - Q_w^a and to the negation on the same non-empty set
 of states, and one of the two maxima is >= 0.
 The master duals are propagated backwards through the plan's rounds
-along each cut's argmax path into a full dual vector.  Both vectors are
+along each cut's argmax path into a full dual vector, as numerators over
+the lcm of the master duals' denominators.  Both vectors are
 written by position: ``assemble_lp`` builds the complete standard form
 directly, giving each plan slot of a block one run of columns and one
 run of rows (``fmdp.lpbuild.Placed``), so the completion writes each
 swept table as one slice, the lift asks ``Placed.credited`` for the row
 of each entry or round point it reaches, and no variable is named on the
 way.  The pair must then survive ``check_optimality`` on that standard
-form, the primal as an ``fmdp.certify.IntVector``; anything less raises
+form, both as ``fmdp.certify.IntVector``s; anything less raises
 ``LpInternalError``.
-The primal becomes ``Fraction``s only for a traced certificate, one
-object per distinct value.
+Both become ``Fraction``s only for a traced certificate, one object per
+distinct value.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .simplex import solve_lp
 
 __all__ = ["update_weights"]
 
-_INITIAL_BOX = Fraction(1024)
+_INITIAL_BOX = 1024
 _BOX_GROWTH = 16
 _MAX_BOX_GROWTHS = 40
 _MAX_ROUNDS = 10000
@@ -74,34 +75,43 @@ _MAX_ROUNDS = 10000
 
 @dataclass(frozen=True)
 class _Cut:
+    """A block's cut at ``witness``: the master row
+    `-phi + alpha.w <= -beta` as the standard form holds it, its columns,
+    numerators, right-hand side numerator and denominator, in lowest terms
+    (``fmdp.lp``), so two cuts say the same exactly when their rows are
+    equal."""
+
     block_index: int
     witness: PartialState
-    alpha: tuple[Fraction, ...]
-    beta: Fraction
+    row: tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
 def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:
     """The cut of ``block`` at the full state ``x``: its weighted summands'
-    values there and the sum of its constant ones."""
+    values there and the sum of its constant ones, over the block's
+    denominator."""
     plan, values = block.plan, [v for _, v in x.items]
     at = [t[plan.entry(scope, values)] for t, scope in zip(block.c + block.b, plan.scopes)]
     nc = len(block.c)
     if None in at[nc:]:
         raise LpInternalError("cut witness passed through an excluded state")
-    alpha = tuple(Fraction(n, block.den) for n in at[:nc])
-    return _Cut(block_index, x, alpha, Fraction(sum(at[nc:]), block.den))
+    den, beta = block.den, sum(at[nc:])
+    alpha = [(i + 1, n) for i, n in enumerate(at[:nc]) if n]
+    g = gcd(den, beta, *(n for _, n in alpha))
+    cols = (0, *(j for j, _ in alpha))
+    nums = (-den // g, *(n // g for _, n in alpha))
+    return _Cut(block_index, x, (cols, nums, -beta // g, den // g))
 
 
-def _master_std(m: int, box: Fraction, cuts: Collection[_Cut]) -> StdLp:
+def _master_std(m: int, box: int, cuts: Collection[_Cut]) -> StdLp:
     """The master over columns (phi, w_0..w_{m-1}): box rows `+-w_i <= box`,
     then `-phi + alpha.w <= -beta` per cut."""
-    one, minus = Fraction(1), Fraction(-1)
-    rows = [((i + 1, q),) for i in range(m) for q in (one, minus)]
-    rows += [((0, minus), *((i + 1, a) for i, a in enumerate(c.alpha) if a != 0)) for c in cuts]
-    rhs = (box,) * (2 * m) + tuple(-c.beta for c in cuts)
+    rows = [((i + 1,), q, box, 1) for i in range(m) for q in ((1,), (-1,))]
+    rows += [cut.row for cut in cuts]
+    cols, nums, rhs, dens = zip(*rows) if rows else ((), (), (), ())
     columns = (PHI, *(Weight(i) for i in range(m)))
     singles = tuple((k,) for k in range(len(rows)))
-    return StdLp(columns, tuple(rows), rhs, singles)
+    return StdLp(columns, cols, nums, rhs, dens, singles)
 
 
 def update_weights(
@@ -135,7 +145,7 @@ def update_weights(
             value, witness = max_sum_decode(block.at(w), order, dims, block.plan)
             if value is not None and (floor is None or value > floor):
                 cut = _cut_at(idx, block, witness)
-                cuts.setdefault((cut.alpha, cut.beta), cut)
+                cuts.setdefault(cut.row, cut)
                 found = True
         return found
 
@@ -190,7 +200,7 @@ def update_weights(
         trace["lp_rows"] = std.num_rows
         trace["lp_cols"] = std.num_cols
         trace["lp_seconds"] = lp_seconds
-        trace["certificate"] = Optimal(primal.fractions(), dual)
+        trace["certificate"] = Optimal(primal.fractions(), dual.fractions())
         trace["std"] = std
         trace["lp"] = std  # perfbench still reads this name; it goes in ROADMAP item 2's revision
     return w, phi
@@ -223,7 +233,9 @@ def _complete_primal(
         for k, table in zip(at.cols, tables):
             nums[k : k + len(table)] = [n * factor for n in table]
     g = gcd(den, *nums)  # D is rarely the least denominator
-    return IntVector([n // g for n in nums], den // g)
+    if g > 1:
+        nums = [n // g for n in nums]
+    return IntVector(nums, den // g)
 
 
 def _lift_dual(
@@ -231,13 +243,17 @@ def _lift_dual(
     blocks: Sequence[TagBlock],
     cuts: Iterable[_Cut],
     cut_duals: Sequence[Fraction],
-) -> tuple[Fraction, ...]:
+) -> IntVector:
     """Push each cut's dual weight back along its witness: through the
     summary row, down every round's dominance row at the witness, and onto
-    the tie and pin rows of the input entries it reaches."""
-    dual = [Fraction(0)] * std.num_rows
+    the tie and pin rows of the input entries it reaches.  Every weight is
+    a numerator over the lcm of the cut duals' denominators, so the lift
+    adds ints only."""
+    den = lcm(*(q.denominator for q in cut_duals))
+    dual = [0] * std.num_rows
 
-    for cut, lam in zip(cuts, cut_duals):
+    for cut, q in zip(cuts, cut_duals):
+        lam = q.numerator * (den // q.denominator)
         if lam == 0:
             continue
         block = blocks[cut.block_index]
@@ -245,16 +261,16 @@ def _lift_dual(
         at = std.placed[cut.block_index]
         x = [v for _, v in cut.witness.items]
         dual[at.summary] += lam
-        demand: dict[int, Fraction] = {s: lam for s in plan.final}
+        demand: dict[int, int] = {s: lam for s in plan.final}
         for r in reversed(range(len(plan.rounds))):
-            flow = demand.pop(plan.inputs + r, Fraction(0))
+            flow = demand.pop(plan.inputs + r, 0)
             if flow == 0:
                 continue
             rnd = plan.rounds[r]
             j = plan.entry(rnd.scope_e, x) * plan.dims[rnd.var] + x[rnd.var]
             dual[at.credited(block, plan.inputs + r, j)] += flow
             for s in rnd.dependents:
-                demand[s] = demand.get(s, Fraction(0)) + flow
+                demand[s] = demand.get(s, 0) + flow
         for s, flow in demand.items():
             if flow == 0:
                 continue
@@ -262,4 +278,4 @@ def _lift_dual(
             if k is None:
                 raise LpInternalError("dual flow reached an unpinned entry")
             dual[k] += flow
-    return tuple(dual)
+    return IntVector(dual, den)

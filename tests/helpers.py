@@ -103,13 +103,24 @@ def flatten(lp: Lp) -> StdLp:
     return out.std(tuple(col_of))
 
 
+def readded(std: StdLp, to=None) -> StdRows:
+    """``std``'s constraints added again, one at a time, through
+    ``StdRows``, each term's column ``j`` moved to ``to[j]`` when ``to`` is
+    given."""
+    out = StdRows()
+    for produced in std.constraint_rows:
+        terms, rhs = std.fraction_row(produced[0])
+        if to is not None:
+            terms = tuple(sorted((to[j], q) for j, q in terms))
+        out.add("eq" if len(produced) == 2 else "le", terms, rhs)
+    return out
+
+
 def renumbered(std: StdLp, columns) -> StdLp:
     """``std`` over ``columns``, the same variables in another order: each
-    term moved to its variable's column there, each row sorted again."""
+    term moved to its variable's column there."""
     col_of = {v: j for j, v in enumerate(columns)}
-    to = [col_of[v] for v in std.columns]
-    rows = tuple(tuple(sorted((to[j], q) for j, q in row)) for row in std.rows)
-    return StdLp(tuple(columns), rows, std.rhs, tuple(std.constraint_rows))
+    return readded(std, [col_of[v] for v in std.columns]).std(tuple(columns))
 
 
 def sum_or_none(values):
@@ -188,14 +199,23 @@ def random_token_lp(rng: random.Random, max_vars: int = 4, max_rows: int = 6) ->
     return Lp(tuple(cons), "x0")
 
 
+def fraction_rows(std):
+    """Every row of ``std`` as ``Fraction`` terms and right-hand side."""
+    return [std.fraction_row(i) for i in range(std.num_rows)]
+
+
 def _row_values(std, x):
-    return [sum((q * x[j] for j, q in sparse), Fraction(0)) for sparse in std.rows]
+    return [sum((q * x[j] for j, q in terms), Fraction(0)) for terms, _ in fraction_rows(std)]
+
+
+def _rhs(std):
+    return [b for _, b in fraction_rows(std)]
 
 
 def _transpose_times(std, y):
     out = [Fraction(0)] * std.num_cols
-    for sparse, yi in zip(std.rows, y):
-        for j, q in sparse:
+    for (terms, _), yi in zip(fraction_rows(std), y):
+        for j, q in terms:
             out[j] += q * yi
     return out
 
@@ -203,7 +223,7 @@ def _transpose_times(std, y):
 def reference_optimality(std, primal, dual) -> bool:
     """``fmdp.certify.check_optimality`` in plain ``Fraction`` arithmetic,
     every entry included, zero or not.  The objective is column 0."""
-    if any(lhs > b for lhs, b in zip(_row_values(std, primal), std.rhs)):
+    if any(lhs > b for lhs, b in zip(_row_values(std, primal), _rhs(std))):
         return False
     if any(yi < 0 for yi in dual):
         return False
@@ -211,7 +231,7 @@ def reference_optimality(std, primal, dual) -> bool:
     residual[0] += 1
     if any(residual):
         return False
-    dual_obj = sum((b * yi for b, yi in zip(std.rhs, dual)), Fraction(0))
+    dual_obj = sum((b * yi for b, yi in zip(_rhs(std), dual)), Fraction(0))
     return primal[0] + dual_obj == 0
 
 
@@ -219,12 +239,12 @@ def reference_infeasible(std, farkas) -> bool:
     """``fmdp.certify.check_infeasible`` in plain ``Fraction`` arithmetic."""
     if any(yi < 0 for yi in farkas) or any(_transpose_times(std, farkas)):
         return False
-    return sum((b * yi for b, yi in zip(std.rhs, farkas)), Fraction(0)) < 0
+    return sum((b * yi for b, yi in zip(_rhs(std), farkas)), Fraction(0)) < 0
 
 
 def reference_unbounded(std, point, ray) -> bool:
     """``fmdp.certify.check_unbounded`` in plain ``Fraction`` arithmetic."""
-    if any(lhs > b for lhs, b in zip(_row_values(std, point), std.rhs)):
+    if any(lhs > b for lhs, b in zip(_row_values(std, point), _rhs(std))):
         return False
     if any(lhs > 0 for lhs in _row_values(std, ray)):
         return False

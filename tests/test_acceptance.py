@@ -198,12 +198,15 @@ def test_accept_6_posterior_bound_holds_exactly():
 
 def _dense(std):
     rows = [[F(0)] * std.num_cols for _ in range(std.num_rows)]
-    for r, entries in enumerate(std.rows):
+    rhs = []
+    for r in range(std.num_rows):
+        entries, b = std.fraction_row(r)
         for c, q in entries:
             rows[r][c] = q
+        rhs.append(b)
     cost = [F(0)] * std.num_cols
     cost[0] = F(1)  # every standard form minimizes column 0
-    return rows, list(std.rhs), cost
+    return rows, rhs, cost
 
 
 def _conditions_from_scratch(std, cert) -> bool:

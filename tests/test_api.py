@@ -77,6 +77,7 @@ def _explicit_phi(mdp, pol):
         ("ring-6", False),
         ("ring-6", True),
         ("sysadmin-4", False),
+        ("sysadmin-5", False),
     ],
 )
 def test_fits_and_errors_match_the_oracle_on_benchmark_models(name, every_fit):
@@ -84,10 +85,14 @@ def test_fits_and_errors_match_the_oracle_on_benchmark_models(name, every_fit):
     the benchmark's seed-0 models, each checked fit's phi is the optimum of
     the explicit weight LP of the list it fitted, and the factored Bellman
     error is the brute-force one, at the fit's weights and at drawn ones.
-    Sysadmin-4, the largest, is checked at its last fit only; ring-6 is
-    checked both at every fit and at its last fit alone, where the drawn
-    weights differ from those of the every-fit run."""
-    mdp = sysadmin(4) if name == "sysadmin-4" else perfbench_instances(0)[name]
+    Sysadmin-4 and sysadmin-5, the largest (sysadmin-5's full program is
+    228132x117196), are checked at their last fit only; ring-6 is checked
+    both at every fit and at its last fit alone, where the drawn weights
+    differ from those of the every-fit run."""
+    if name in ("sysadmin-4", "sysadmin-5"):
+        mdp = sysadmin(int(name[-1]))
+    else:
+        mdp = perfbench_instances(0)[name]
     order = elimination_order(mdp, "min-degree")
     steps = []
     api(mdp, ApiConfig(order=order), trace=steps)

@@ -3,6 +3,7 @@
 Every vector is also checked as an ``IntVector`` of numerators over one
 denominator, which must get the verdict of its ``Fraction`` form."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -272,6 +273,27 @@ def test_int_vectors_of_wrong_length_or_denominator_raise(normalized):
     for check, vectors in bad:
         with pytest.raises(InvalidInputError):
             check(std, *vectors, normalized=normalized)
+
+
+@pytest.mark.parametrize("normalized", BACKENDS)
+def test_row_denominators_that_are_not_positive_raise(normalized):
+    # A negative row denominator flips the row's inequality, and a zero one
+    # makes no rational: both backends refuse them as they refuse such an
+    # IntVector.
+    std, cert = _optimal_fixture()
+    k = std.num_rows - 1
+    farkas = (Fraction(0),) * std.num_rows
+    ray = (Fraction(-1),) + (Fraction(0),) * (std.num_cols - 1)
+    for den in (0, -1, -std.dens[k]):
+        bad = dataclasses.replace(std, dens=std.dens[:k] + (den,))
+        calls = [
+            (check_optimality, (cert.primal, cert.dual)),
+            (check_infeasible, (farkas,)),
+            (check_unbounded, (cert.primal, ray)),
+        ]
+        for check, vectors in calls:
+            with pytest.raises(InvalidInputError, match=f"row {k} has denominator {den}"):
+                check(bad, *vectors, normalized=normalized)
 
 
 def test_int_vector_fractions_are_one_object_per_value():

@@ -218,6 +218,19 @@ def test_certify_refuses_an_exponent_in_a_certificate(tmp_path, capsys):
     assert captured.err == f"fmdp: {cert_path}:3: not a rational: '1e999999999'\n"
 
 
+def test_certify_refuses_a_number_past_the_digit_limit(tmp_path, capsys):
+    lp_path, cert_path = tmp_path / "huge.lp", tmp_path / "huge.cert"
+    lp_path.write_text(f"min z\nle z:{'1' * 5000} 1\n")
+    cert_path.write_text("optimal\nprimal\ndual\n")
+    assert main(["certify", str(lp_path), str(cert_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"fmdp: {lp_path}:2: not a rational: a 5000-character token exceeds Python's limit of "
+        f"{sys.get_int_max_str_digits()} decimal digits per integer\n"
+    )
+
+
 def test_certify_bad_files_are_input_errors(tmp_path, capsys):
     missing = tmp_path / "nope.lp"
     assert main(["certify", str(missing), str(missing)]) == 1

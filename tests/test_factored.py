@@ -1,6 +1,7 @@
 """Partial states, scoped functions, and the shared table-order convention."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,10 @@ def test_rational_parse_and_format():
     for bad in ["", "1/0", "x", "1/2/3", "1e5", "1E-3", "1_000", "\u0661\u0662"]:
         with pytest.raises(InvalidInputError):
             parse_rational(bad)
+    # Python converts at most this many digits between int and str; a
+    # longer run is refused by name, on the way in and on the way out.
+    limit = f"limit of {sys.get_int_max_str_digits()} decimal digits"
+    with pytest.raises(InvalidInputError, match=f"5000-character token exceeds .*{limit}"):
+        parse_rational("1" * 5000)
+    with pytest.raises(InvalidInputError, match=f"cannot format a rational: .*{limit}"):
+        format_rational(Fraction(10**5000, 3))

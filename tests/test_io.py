@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,9 @@ lpio_module = importlib.import_module("fmdp.lpio")
 
 def _tokenized_rows(std, tokens):
     named = []
-    for sparse, rhs in zip(std.rows, std.rhs):
-        named.append(({tokens[std.columns[j]]: q for j, q in sparse}, rhs))
+    for i in range(std.num_rows):
+        terms, rhs = std.fraction_row(i)
+        named.append(({tokens[std.columns[j]]: q for j, q in terms}, rhs))
     return named
 
 
@@ -178,6 +180,17 @@ def test_writers_refuse_non_ascii_tokens_and_leave_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_writers_refuse_a_number_past_the_digit_limit_and_leave_no_file(tmp_path):
+    huge = Fraction(10**5000, 3)
+    limit = f"limit of {sys.get_int_max_str_digits()} decimal digits"
+    with pytest.raises(InvalidInputError, match=limit):
+        write_lp(tmp_path / "out.lp", flatten(Lp((make_constraint("le", {"x": huge}, 1),), "x")))
+    std = flatten(Lp((make_constraint("le", {"x": Fraction(1)}, 1),), "x"))
+    with pytest.raises(InvalidInputError, match=limit):
+        write_certificate(tmp_path / "out.cert", std, Optimal((huge,), (Fraction(0),)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_mdp_names_an_unwritable_path_as_input_error(tmp_path):
     with pytest.raises(InvalidInputError, match="cannot write model file"):
         save_mdp(make_ring(2), str(tmp_path / "missing" / "m.json"))
@@ -246,7 +259,7 @@ def test_lp_reader_parses_each_number_once_and_names_a_bad_one(tmp_path, parsed)
     path.write_text("min x\nle x:1/2 y:3 1/2\neq y:3 x:-1 0\nle x:1/2 3\n")
     std = read_lp(path)
     assert sorted(parsed) == sorted({"1/2", "3", "-1", "0"})
-    assert [std.rhs[rows[0]] for rows in std.constraint_rows] == [Fraction(1, 2), 0, 3]
+    assert [std.fraction_row(rows[0])[1] for rows in std.constraint_rows] == [Fraction(1, 2), 0, 3]
     path.write_text("min x\nle x:1 2\n\nle x:1/2 y:three 1\n")
     with pytest.raises(InvalidInputError, match=r"nums\.lp:4: not a rational: 'three'"):
         read_lp(path)
@@ -372,16 +385,15 @@ def test_lp_reader_emits_the_standard_form_of_the_program_it_names(tmp_path, dra
     path.write_text(text)
     std = read_lp(path)
     assert std == flatten(said)
-    # The negated half of every equality shares one object per distinct
-    # coefficient object.
-    negated: dict[int, Fraction] = {}
+    # The negated half of every equality shares its positive half's column
+    # tuple, and equal numerator tuples are one object.
     for produced in std.constraint_rows:
         if len(produced) == 2:
             k, n = produced
-            pairs = [(std.rhs[k], std.rhs[n])]
-            pairs += [(q, m) for (_, q), (_, m) in zip(std.rows[k], std.rows[n])]
-            for q, m in pairs:
-                assert m == -q and negated.setdefault(id(q), m) is m
+            assert std.cols[n] is std.cols[k] and std.dens[n] == std.dens[k]
+            assert std.nums[n] == tuple(-a for a in std.nums[k]) and std.rhs[n] == -std.rhs[k]
+    shapes: dict[tuple, tuple] = {}
+    assert all(shapes.setdefault(nums, nums) is nums for nums in std.nums)
 
 
 @st.composite
@@ -433,9 +445,21 @@ def test_model_json_round_trips_and_saves_the_same_bytes(tmp_path, mdp):
     assert second.read_bytes() == first.read_bytes()
 
 
-# SHA-256 over the repr of read_lp(lp) and of read_certificate(cert, std)
-# for each final program and certificate below.
+# SHA-256 over the rows of read_lp(lp), in the repr a program had when its
+# rows were (column, Fraction) terms (``_fraction_repr``), and the repr of
+# read_certificate(cert, std), for each final program and certificate below.
 GOLDEN_READER = "54dee85080a5b0e08543b71d780cf33ca0f04eea20bc4ae065680d25d2c755ef"
+
+
+def _fraction_repr(std):
+    """``std`` printed with each row as ``(column, Fraction)`` terms and a
+    ``Fraction`` right-hand side, so the digest pins the rationals read."""
+    rows = [std.fraction_row(i) for i in range(std.num_rows)]
+    terms, rhs = tuple(t for t, _ in rows), tuple(b for _, b in rows)
+    return (
+        f"StdLp(columns={std.columns!r}, rows={terms!r}, rhs={rhs!r}, "
+        f"constraint_rows={std.constraint_rows!r})"
+    )
 
 
 def test_reader_output_on_the_benchmark_dumps_matches_its_golden_digest(tmp_path):
@@ -451,7 +475,7 @@ def test_reader_output_on_the_benchmark_dumps_matches_its_golden_digest(tmp_path
         write_lp(lp_path, steps[-1]["std"])
         write_certificate(cert_path, steps[-1]["std"], steps[-1]["certificate"])
         std = read_lp(lp_path)
-        digest.update(repr(std).encode())
+        digest.update(_fraction_repr(std).encode())
         digest.update(repr(read_certificate(cert_path, std)).encode())
         again, last = tmp_path / f"{name}.again.lp", tmp_path / f"{name}.last.lp"
         write_lp(again, std)

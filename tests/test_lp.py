@@ -1,15 +1,25 @@
 """The reference named rows (``helpers.make_constraint``), their flattening
-to the standard form, and the package's variable and column types."""
+to the standard form, the integer rows every producer writes, and the
+package's variable and column types."""
 
 import dataclasses
+import importlib
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from helpers import Constraint, Lp, flatten, make_constraint
+from helpers import Constraint, Lp, flatten, make_constraint, perfbench_instances, random_token_lp
 
+from fmdp.api import ApiConfig, api
 from fmdp.factored import PartialState
 from fmdp.lp import PHI, Deferred, FnId, FnVar, Tag, Weight
+from fmdp.lpio import read_lp, write_lp
+from fmdp.model import elimination_order
+from fmdp.oracle import explicit_weight_lp
+
+weights_module = importlib.import_module("fmdp.weights")
 
 
 def test_make_constraint_rejects_repeats_and_drops_zeros():
@@ -61,8 +71,8 @@ def test_standard_form_objective_column_first():
     std = flatten(Lp((c1,), PHI))
     assert std.columns[0] is PHI
     assert std.columns == (PHI, Weight(0))
-    assert std.rows == (((0, Fraction(-1)), (1, Fraction(1))),)
-    assert std.rhs == (Fraction(0),)
+    assert (std.cols, std.nums, std.rhs, std.dens) == (((0, 1),), ((-1, 1),), (0,), (1,))
+    assert std.fraction_row(0) == (((0, Fraction(-1)), (1, Fraction(1))), Fraction(0))
 
 
 def test_standard_form_expands_equalities_adjacently():
@@ -72,29 +82,79 @@ def test_standard_form_expands_equalities_adjacently():
     assert std.num_rows == 3
     assert std.constraint_rows == ((0,), (1, 2))
     w = std.col_of[Weight(0)]
-    assert std.rows[1] == ((w, Fraction(2)),)
-    assert std.rhs[1] == Fraction(6)
-    assert std.rows[2] == ((w, Fraction(-2)),)
-    assert std.rhs[2] == Fraction(-6)
+    assert std.fraction_row(1) == (((w, Fraction(2)),), Fraction(6))
+    assert std.fraction_row(2) == (((w, Fraction(-2)),), Fraction(-6))
 
 
-def test_negated_equality_rows_share_one_fraction_per_coefficient_object():
+def test_rows_are_integers_in_lowest_terms_over_one_row_denominator():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    rows = (
+        make_constraint("le", {PHI: third, Weight(0): Fraction(-5, 6)}, Fraction(7, 4)),
+        make_constraint("le", {PHI: Fraction(2, 4), Weight(0): Fraction(4, 2)}, 6),
+        make_constraint("le", {PHI: Fraction(0), Weight(0): third}, 0),
+        make_constraint("le", {}, Fraction(-3, 9)),
+    )
+    std = flatten(Lp(rows, PHI))
+    assert std.cols == ((0, 1), (0, 1), (1,), ())
+    assert std.nums == ((4, -10), (1, 4), (1,), ())
+    assert std.rhs == (21, 12, 0, -1)
+    assert std.dens == (12, 2, 3, 3)
+    assert std.fraction_row(0) == (((0, third), (1, Fraction(-5, 6))), Fraction(7, 4))
+    assert std.fraction_row(1) == (((0, half), (1, Fraction(2))), Fraction(6))
+
+
+def test_negated_equality_rows_share_columns_and_one_numerator_tuple_per_shape():
     half = Fraction(1, 2)
     eq = make_constraint("eq", {PHI: half, Weight(0): half}, half)
     other = make_constraint("eq", {Weight(0): half, Weight(1): Fraction(1, 2)}, 0)
     std = flatten(Lp((eq, other), PHI))
-    assert std.rows[1] == ((0, -half), (1, -half)) and std.rhs[1] == -half
-    assert std.rows[3] == ((1, -half), (2, -half)) and std.rhs[3] == 0
-    minus_half = std.rhs[1]
-    assert all(q is minus_half for _, q in std.rows[1]) and std.rows[3][0][1] is minus_half
-    assert std.rows[3][1][1] is not minus_half  # an equal but distinct coefficient
+    assert std.fraction_row(1) == (((0, -half), (1, -half)), -half)
+    assert std.fraction_row(3) == (((1, -half), (2, -half)), 0)
+    assert std.nums == ((1, 1), (-1, -1), (1, 1), (-1, -1)) and std.dens == (2, 2, 2, 2)
+    assert std.nums[0] is std.nums[2] and std.nums[1] is std.nums[3]
+    assert std.cols[1] is std.cols[0] and std.cols[3] is std.cols[2]
 
 
 def test_standard_form_registers_unseen_objective_variable():
     con = make_constraint("le", {Weight(0): Fraction(1)}, 5)
     std = flatten(Lp((con,), PHI))
     assert std.columns == (PHI, Weight(0))
-    assert std.rows[0] == ((1, Fraction(1)),)
+    assert std.fraction_row(0) == (((1, Fraction(1)),), Fraction(5))
+
+
+def _assert_lowest_integer_terms(std):
+    """Every row: ascending columns of the program, one nonzero integer
+    numerator per column, a positive integer denominator, and gcd 1 over
+    the denominator and every numerator."""
+    assert len(std.cols) == len(std.nums) == len(std.dens) == std.num_rows
+    for cols, nums, r, d in zip(std.cols, std.nums, std.rhs, std.dens):
+        assert type(d) is int and d > 0 and type(r) is int
+        assert len(nums) == len(cols) and all(type(n) is int and n for n in nums)
+        assert list(cols) == sorted(set(cols)) and all(0 <= j < std.num_cols for j in cols)
+        assert gcd(d, r, *nums) == 1
+
+
+def test_every_producer_writes_rows_in_lowest_integer_terms(tmp_path, monkeypatch):
+    masters = []
+
+    def kept(*args):
+        masters.append(master_std(*args))
+        return masters[-1]
+
+    master_std = weights_module._master_std
+    monkeypatch.setattr(weights_module, "_master_std", kept)
+    programs = [flatten(random_token_lp(random.Random(seed))) for seed in range(40)]
+    for name, mdp in perfbench_instances(0).items():
+        order = elimination_order(mdp, "min-degree")
+        steps = []
+        res = api(mdp, ApiConfig(order=order), trace=steps)
+        programs += [step["std"] for step in steps]
+        write_lp(tmp_path / f"{name}.lp", steps[-1]["std"])
+        programs.append(read_lp(tmp_path / f"{name}.lp"))
+        programs.append(explicit_weight_lp(mdp, res.pol))
+    assert len(masters) > 20
+    for std in programs + masters:
+        _assert_lowest_integer_terms(std)
 
 
 def test_constraint_is_hashable_and_usable_in_sets():

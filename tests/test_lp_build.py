@@ -19,6 +19,7 @@ from helpers import (
     min_lp,
     models,
     random_rational_fn,
+    readded,
     reference_at,
     reference_difference_fns,
     reference_fn_vars,
@@ -32,7 +33,7 @@ from fmdp.certify import check_optimality
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
-from fmdp.lp import PHI, FnVar, Optimal, StdLp, Tag, Unbounded, Weight
+from fmdp.lp import PHI, FnVar, Optimal, Tag, Unbounded, Weight
 from fmdp.api import api
 from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, weight_lp_blocks
 from fmdp.model import elimination_order, make_ring
@@ -46,16 +47,12 @@ def _pinned(block, w):
     """One block's program with each weight pinned to w_i by an equality;
     a weight no row holds takes a new column."""
     std = assemble_lp((block,))
-    columns, rows, rhs = list(std.columns), list(std.rows), list(std.rhs)
-    produced = list(std.constraint_rows)
+    columns, rows = list(std.columns), readded(std)
     for i, wi in enumerate(w):
         if Weight(i) not in columns:
             columns.append(Weight(i))
-        j = columns.index(Weight(i))
-        produced.append((len(rows), len(rows) + 1))
-        rows += [((j, Fraction(1)),), ((j, Fraction(-1)),)]
-        rhs += [wi, -wi]
-    return StdLp(tuple(columns), tuple(rows), tuple(rhs), tuple(produced))
+        rows.add("eq", ((columns.index(Weight(i)), Fraction(1)),), wi)
+    return rows.std(tuple(columns))
 
 
 def _explicit_value(c_fns, b_fns, w, dims):
@@ -77,9 +74,9 @@ def test_constant_pair_generates_four_rows():
     )
     std = assemble_lp((block,))
     assert std.constraint_rows == ((0, 1), (2, 3), (4,), (5,))
-    tie, pin, dominate, gen = std.rows[0], std.rows[2], std.rows[4], std.rows[5]
+    (tie, _), (_, pin), (dominate, _), (gen, _) = map(std.fraction_row, (0, 2, 4, 5))
     assert dict(tie)[std.col_of[Weight(0)]] == 1
-    assert std.rhs[2] == Fraction(-1)
+    assert pin == Fraction(-1)
     assert len(dominate) == 1
     assert dict(gen)[0] == -1 and len(gen) == 4
 
@@ -134,10 +131,10 @@ def test_minus_infinity_entries_leave_variables_unpinned():
     pins = [
         k
         for k, *negated in std.constraint_rows
-        if negated and len(std.rows[k]) == 1 and isinstance(std.columns[std.rows[k][0][0]], FnVar)
+        if negated and len(std.cols[k]) == 1 and isinstance(std.columns[std.cols[k][0]], FnVar)
     ]
     assert len(pins) == 1
-    assert std.rhs[pins[0]] == Fraction(4)
+    assert std.fraction_row(pins[0])[1] == Fraction(4)
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     assert cert.primal[std.col_of[PHI]] == Fraction(4)
@@ -266,7 +263,7 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
         tags = [b.tag for b in blocks]
         assert len(set(tags)) == len(tags)
         std = assemble_lp(blocks)
-        said = [(len(ks), std.rows[ks[0]], std.rhs[ks[0]]) for ks in std.constraint_rows]
+        said = [(len(ks), std.fraction_row(ks[0])) for ks in std.constraint_rows]
         assert len(set(said)) == len(said) and len(std.col_of) == std.num_cols
         halves = {ks[0]: len(ks) for ks in std.constraint_rows}
         first = 0
@@ -274,7 +271,7 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
             plan = block.plan
             # The block's rows run from the row after the previous block's
             # summary row to its own, which bounds phi.
-            assert dict(std.rows[at.summary])[0] == -1
+            assert dict(std.fraction_row(at.summary)[0])[0] == -1
             mine = range(first, at.summary + 1)
             # Slot s's run of columns, one per table entry, and its credited
             # rows, one per entry, or per round point (entry j // dims[var]
@@ -296,7 +293,7 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
                 for col, k in zip(owners, positions):
                     if k is not None:
                         assert k in mine and halves[k - half] == (2 if s < plan.inputs else 1)
-                        assert dict(std.rows[k])[col] == -1
+                        assert dict(std.fraction_row(k)[0])[col] == -1
             first = at.summary + 1
         assert first == std.num_rows
 
@@ -315,7 +312,7 @@ def test_assembled_lp_is_the_standard_form_of_its_named_program(mdp, ws):
         # the same name, every row is the same row.
         assert direct.columns[0] == PHI and len(direct.col_of) == direct.num_cols
         assert sorted(direct.columns, key=flattened.col_of.__getitem__) == list(flattened.columns)
-        assert all(row == tuple(sorted(row)) for row in direct.rows)
+        assert all(list(cols) == sorted(set(cols)) for cols in direct.cols)
         assert renumbered(direct, flattened.columns) == flattened
 
 

@@ -33,7 +33,7 @@ from fmdp.elim import identity_order, max_sum
 from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
-from fmdp.lp import PHI, FnVar, Optimal, Tag, Weight
+from fmdp.lp import PHI, FnVar, Optimal, StdRows, Tag, Weight
 from fmdp.lpbuild import assemble_lp, weight_lp_blocks
 from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
@@ -229,20 +229,29 @@ def test_a_cut_holds_the_block_values_at_its_witness(drawn):
     for x in all_states(dims):
         total = sum_or_none(b(x) for b in b_fns)
         if total is not None:
-            assert _cut_at(7, block, x) == _Cut(7, x, tuple(c(x) for c in c_fns), total)
+            assert _cut_at(7, block, x) == _cut(tuple(c(x) for c in c_fns), total, 7, x)
         else:
             with pytest.raises(LpInternalError, match="excluded state"):
                 _cut_at(7, block, x)
 
 
-def _named_master(m, box, cuts):
+def _cut(alpha, beta, index=0, witness=EMPTY_STATE):
+    """The cut `-phi + alpha.w <= -beta`, its row put in integer terms by
+    ``StdRows``."""
+    rows = StdRows()
+    rows.add("le", ((0, Fraction(-1)), *((i + 1, a) for i, a in enumerate(alpha))), -beta)
+    std = rows.std((PHI, *(Weight(i) for i in range(len(alpha)))))
+    return _Cut(index, witness, (std.cols[0], std.nums[0], std.rhs[0], std.dens[0]))
+
+
+def _named_master(m, box, said):
     cons = []
     for i in range(m):
         cons.append(make_constraint("le", {Weight(i): Fraction(1)}, box))
         cons.append(make_constraint("le", {Weight(i): Fraction(-1)}, box))
-    for cut in cuts:
-        coefs = {PHI: Fraction(-1), **{Weight(i): a for i, a in enumerate(cut.alpha)}}
-        cons.append(make_constraint("le", coefs, -cut.beta))
+    for alpha, beta in said:
+        coefs = {PHI: Fraction(-1), **{Weight(i): a for i, a in enumerate(alpha)}}
+        cons.append(make_constraint("le", coefs, -beta))
     return flatten(Lp(tuple(cons), PHI))
 
 
@@ -254,14 +263,14 @@ def test_master_is_the_standard_form_of_its_named_program():
 
     for m in range(5):
         for _ in range(20):
-            cuts = [
-                _Cut(0, EMPTY_STATE, tuple(rational(-2, 2) for _ in range(m)), rational(-5, 5))
+            said = [
+                (tuple(rational(-2, 2) for _ in range(m)), rational(-5, 5))
                 for _ in range(rng.randint(0, 4))
             ]
-            flat = _Cut(0, EMPTY_STATE, (Fraction(0),) * m, rational(-5, 5))
-            cuts.insert(rng.randint(0, len(cuts)), flat)
-            box = Fraction(rng.randint(1, 4096))
-            direct, named = _master_std(m, box, cuts), _named_master(m, box, cuts)
+            said.insert(rng.randint(0, len(said)), ((Fraction(0),) * m, rational(-5, 5)))
+            box = rng.randint(1, 4096)
+            cuts = [_cut(alpha, beta) for alpha, beta in said]
+            direct, named = _master_std(m, box, cuts), _named_master(m, box, said)
             assert direct == named
             assert direct.col_of == named.col_of
 
