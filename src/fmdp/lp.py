@@ -4,12 +4,8 @@ A program has one representation, ``StdLp``: `minimize x_0 subject to
 A x <= b` with free x and sparse rational rows, the only shape the
 simplex and the certificate checkers speak.  Column 0 is the objective
 variable, so the objective vector is always the unit vector e_0 and no
-program stores it.  Columns are named by three kinds of variables: the
-objective scalar phi, one weight per basis function, and private function
-variables introduced by the factored construction; a program read from a
-file names them by their ``str`` tokens.  Private variables carry a tag
-naming the branch and sign half they belong to, so rows from different
-branches never share them.
+program stores it.  Every column is named by its ``str`` token, the name
+a program file gives it (``fmdp.lpio``), whichever producer made it.
 
 Each row is integers over one positive row denominator: its columns in
 ascending order, the numerators of its coefficients, the numerator of its
@@ -27,32 +23,23 @@ and the oracle's explicit program (``fmdp.oracle.explicit_weight_lp``)
 add their rows through ``StdRows``, which puts each rational row into
 this form once.  The builder (``fmdp.lpbuild.assemble_lp``) and the
 weight fit's master (``fmdp.weights``) write theirs straight from their
-integer tables; the builder names its columns only on first read
-(``Deferred``).  The builder and ``StdRows`` keep one numerator tuple
-per row shape.  The dual
-convention is fixed once for the whole package: the dual of
-`min x_0, A x <= b` is `max -b^T y, A^T y = -e_0, y >= 0`.
+integer tables; the builder renders its column tokens only on first
+read (``Deferred``).  The builder and ``StdRows`` keep one numerator
+tuple per row shape.  The dual convention is fixed once for the whole
+package: the dual of `min x_0, A x <= b` is
+`max -b^T y, A^T y = -e_0, y >= 0`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Union
 
-from .factored import PartialState
-
 __all__ = [
-    "Phi",
-    "PHI",
-    "Weight",
-    "Tag",
-    "FnId",
-    "FnVar",
-    "LpVar",
     "StdLp",
     "Deferred",
     "StdRows",
@@ -61,65 +48,6 @@ __all__ = [
     "Unbounded",
     "Certificate",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Phi:
-    """The objective scalar; a single shared instance is enough."""
-
-
-PHI = Phi()
-
-
-@dataclass(frozen=True, slots=True)
-class Weight:
-    i: int
-
-
-@dataclass(frozen=True, slots=True)
-class Tag:
-    """Identity of one factored-LP invocation: branch state, action, sign."""
-
-    t: PartialState
-    action: int
-    pos: bool
-
-
-@dataclass(frozen=True, slots=True)
-class FnId:
-    """Which function a private variable tabulates.
-
-    kind "c" with a basis index, "b" with a summand index, or "e" with the
-    variable eliminated in the round that created it.
-    """
-
-    kind: str
-    idx: int
-
-
-@dataclass(frozen=True, slots=True)
-class FnVar:
-    """One private variable: entry ``z`` of function ``fn`` in block ``tag``.
-
-    The hash is computed once, at construction, since column lookups hash
-    every variable many times.  ``str`` hashes are salted per process, so
-    the stored value is only valid in the process that built it; an
-    ``FnVar`` never crosses a process (files name variables by token).
-    """
-
-    tag: Tag
-    fn: FnId
-    z: PartialState
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.tag, self.fn, self.z)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-LpVar = Union[Phi, Weight, FnVar, str]
 
 
 @dataclass(frozen=True)
@@ -131,12 +59,12 @@ class StdLp:
     numerator (see the module notes).  ``constraint_rows[k]`` lists the row indices produced by the
     k-th input constraint (one for an inequality, two adjacent for an
     equality), which lets duals built against the input constraints
-    translate to row space.  ``columns`` names each column; it and
+    translate to row space.  ``columns`` holds each column's token; it and
     ``constraint_rows`` may each be a ``Deferred`` tuple.  ``col_of``
     inverts ``columns`` on first read.
     """
 
-    columns: Sequence[LpVar]
+    columns: Sequence[str]
     cols: tuple[tuple[int, ...], ...]
     nums: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
@@ -144,7 +72,7 @@ class StdLp:
     constraint_rows: Sequence[tuple[int, ...]]
 
     @cached_property
-    def col_of(self) -> dict[LpVar, int]:
+    def col_of(self) -> dict[str, int]:
         return {v: j for j, v in enumerate(self.columns)}
 
     @property
@@ -253,7 +181,7 @@ class StdRows:
             self.dens.append(den)
             self.constraint_rows.append((k,))
 
-    def std(self, columns: Sequence[LpVar]) -> StdLp:
+    def std(self, columns: Sequence[str]) -> StdLp:
         return StdLp(
             columns,
             tuple(self.cols),

@@ -44,28 +44,42 @@ columns, an entry per table entry, and one run of rows, so a block's
 maps a (slot, entry or round point) to the row a dual lift credits.
 ``fmdp.weights`` writes its integer primal a slot at a time and lifts its
 dual through that map.
-The ``FnVar`` column names are made only when read, to write an LP or
-certificate file.
+
+The builder is the one producer of private column tokens
+(`f<tag>_<slot>_<z>`, in the grammar of ``fmdp.lpio``'s notes).  It
+renders every column's token only when the names are first read, to
+write an LP or certificate file, the tag part widened from 8 hex digits
+to 16 or 64 if two of the program's tags collide there.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .elim import ElimPlan, ElimRound, Scaled, identity_order, int_tables
-from .errors import InvalidInputError
-from .factored import PartialState, ScopedFn, assignments, instantiate
-from .lp import PHI, Deferred, FnId, FnVar, LpVar, StdLp, Tag, Weight
+from .errors import InvalidInputError, LpInternalError
+from .factored import PartialState, ScopedFn, instantiate
+from .lp import Deferred, StdLp
 from .model import FactoredMdp
 from .policy import DecisionList
 
-__all__ = ["TagBlock", "branch_lp", "weight_lp_blocks"]
+__all__ = ["Tag", "TagBlock", "branch_lp", "weight_lp_blocks"]
 __all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
+
+
+@dataclass(frozen=True, slots=True)
+class Tag:
+    """Identity of one block: branch state, action, sign."""
+
+    t: PartialState
+    action: int
+    pos: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,10 +274,35 @@ class FullLp(StdLp):
     placed: tuple[Placed, ...] = field(compare=False, repr=False)
 
 
-def _slot_ids(block: TagBlock) -> list[FnId]:
-    ids = [FnId("c", i) for i in range(len(block.c))]
-    ids += [FnId("b", k) for k in range(len(block.b))]
-    return ids + [FnId("e", rnd.var) for rnd in block.plan.rounds]
+def _digest(tag: Tag) -> str:
+    """The SHA-256 hex digest of a tag's text."""
+    items = ",".join(f"{v}:{val}" for v, val in tag.t.items)
+    text = f"t={items};a={tag.action};pos={int(tag.pos)}"
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _tag_digests(tags: Sequence[Tag]) -> dict[Tag, str]:
+    """Each tag's digest cut to 8 hex digits, or to 16 or all 64 if two
+    distinct tags collide at the narrower width."""
+    full = {tag: _digest(tag) for tag in tags}
+    for width in (8, 16, 64):
+        cut = {tag: d[:width] for tag, d in full.items()}
+        if len(set(cut.values())) == len(cut):
+            return cut
+    raise LpInternalError("tag digests collide at full width")
+
+
+def _slot_names(block: TagBlock) -> list[str]:
+    names = [f"c{i}" for i in range(len(block.c))]
+    names += [f"b{k}" for k in range(len(block.b))]
+    return names + [f"e{rnd.var}" for rnd in block.plan.rounds]
+
+
+def _points(scope: tuple[int, ...], dims: Sequence[int]) -> list[str]:
+    """The ``z`` part of the token of each entry of a table over ``scope``,
+    in table order: `<var>.<value>` per variable, joined by `-`."""
+    axes = [[f"{v}.{x}" for x in range(dims[v])] for v in sorted(scope)]
+    return ["-".join(z) for z in product(*axes)]
 
 
 def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
@@ -389,15 +428,21 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
         r += 1
         halves.extend(repeat(1, r - start))
 
-    def names() -> list[LpVar]:
-        out: list[LpVar] = [PHI] * width
+    def names() -> list[str]:
+        out = ["phi"] * width
         for i, w in enumerate(weight_cols):
             if w is not None:
-                out[w] = Weight(i)
+                out[w] = f"w{i}"
+        digests = _tag_digests([block.tag for block in blocks])
+        points: dict[tuple, list[str]] = {}
         for block, at in zip(blocks, placed):
-            for fid, scope, k in zip(_slot_ids(block), block.plan.scopes, at.cols):
-                for j, z in enumerate(assignments(scope, block.plan.dims), k):
-                    out[j] = FnVar(block.tag, fid, z)
+            plan = block.plan
+            for slot, scope, k in zip(_slot_names(block), plan.scopes, at.cols):
+                zs = points.get((scope, plan.dims))
+                if zs is None:
+                    zs = points[scope, plan.dims] = _points(scope, plan.dims)
+                head = f"f{digests[block.tag]}_{slot}_"
+                out[k : k + len(zs)] = [head + z for z in zs]
         return out
 
     def constraint_rows():

@@ -13,9 +13,14 @@ comments; the writer uses them to record the conventions a consumer needs:
 
 Variable tokens never contain whitespace or colons; the program reader
 rejects a term or objective whose token has a colon, so every column it
-names can be written back.  Internal variables render as `phi`, `w<i>`,
-and `f<tag>_<fn>_<z>` where the tag part is a short hash of the branch
-identity; readers treat every token as opaque.
+names can be written back.  Every program names its columns by these
+tokens (``fmdp.lp.StdLp.columns``), and the writers write them as they
+stand.  The programs the solver builds use `phi` for the objective,
+`w<i>` for weight i, and `f<tag>_<slot>_<z>` for a private variable:
+`<tag>` is 8, 16 or 64 hex digits of the SHA-256 digest of its block's
+branch state, action and sign, `<slot>` one of `c<i>`, `b<k>`, `e<var>`,
+and `<z>` the entry's `<var>.<value>` pairs joined by `-`
+(``fmdp.lpbuild`` renders them).  Readers treat every token as opaque.
 
 A certificate file names its kind on the first directive line, then holds
 labeled sections: `primal`, `point`, and `ray` entries are keyed by
@@ -35,30 +40,16 @@ entries share one zero.
 
 from __future__ import annotations
 
-import hashlib
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Iterable
 
-from .errors import InvalidInputError, LpInternalError
-from .lp import (
-    Certificate,
-    FnVar,
-    Infeasible,
-    LpVar,
-    Optimal,
-    Phi,
-    StdLp,
-    StdRows,
-    Tag,
-    Unbounded,
-    Weight,
-)
+from .errors import InvalidInputError
+from .lp import Certificate, Infeasible, Optimal, StdLp, StdRows, Unbounded
 from .values import format_rational, parse_rational
 
 __all__ = [
-    "tag_digest",
-    "variable_tokens",
     "write_lp",
     "read_lp",
     "write_certificate",
@@ -73,51 +64,13 @@ _LP_HEADER = (
 )
 
 
-def tag_digest(tag: Tag, length: int = 8) -> str:
-    """Short stable identifier for a branch tag."""
-    items = ",".join(f"{v}:{val}" for v, val in tag.t.items)
-    text = f"t={items};a={tag.action};pos={int(tag.pos)}"
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:length]
-
-
-def _token(v: LpVar, digests: dict[Tag, str]) -> str:
-    if isinstance(v, Phi):
-        return "phi"
-    if isinstance(v, Weight):
-        return f"w{v.i}"
-    if isinstance(v, FnVar):
-        z = "-".join(f"{var}.{val}" for var, val in v.z.items)
-        return f"f{digests[v.tag]}_{v.fn.kind}{v.fn.idx}_{z}"
-    token = str(v)
-    if ":" in token or token.split() != [token]:
-        raise InvalidInputError(f"variable token {token!r} is not writable")
-    return token
-
-
-def variable_tokens(variables: Collection[LpVar]) -> dict[LpVar, str]:
-    """Map each variable to a unique token, widening the tag hash if two
-    distinct tags ever collide at the default width."""
-    tags = {v.tag for v in variables if isinstance(v, FnVar)}
-    for tag_len in (8, 16, 64):
-        digests = {t: tag_digest(t, tag_len) for t in tags}
-        if len(set(digests.values())) == len(tags):
-            break
-    else:
-        raise LpInternalError("tag digests collide at full width")
-    out: dict[LpVar, str] = {}
-    seen: dict[str, LpVar] = {}
-    for v in variables:
-        tok = _token(v, digests)
-        if tok in seen and seen[tok] != v:
-            raise LpInternalError(f"distinct variables share the token {tok}")
-        out[v] = tok
-        seen[tok] = v
-    return out
-
-
-def _column_tokens(std: StdLp) -> list[str]:
-    tokens = variable_tokens(std.columns)
-    return [tokens[v] for v in std.columns]
+def _tokens(std: StdLp) -> Sequence[str]:
+    """``std``'s column tokens, refused unless each is a ``str`` the
+    program reader reads back as it is."""
+    for token in std.columns:
+        if type(token) is not str or ":" in token or token.split() != [token]:
+            raise InvalidInputError(f"variable token {token!r} is not writable")
+    return std.columns
 
 
 def _write_lines(path: str | Path, lines: list[str]) -> None:
@@ -137,7 +90,7 @@ def write_lp(path: str | Path, std: StdLp) -> None:
     """Write ``std`` as a program file: `min` names column 0, and each
     constraint is one line, its terms in column order.  Each distinct
     numerator and row denominator pair is formatted once."""
-    names = _column_tokens(std)
+    names = _tokens(std)
     formatted: dict[tuple[int, int], str] = {}
 
     def text(n: int, d: int) -> str:
@@ -253,7 +206,7 @@ def _write_labeled(lines: list[str], label: str, pairs: Iterable[tuple[str, Frac
 
 
 def write_certificate(path: str | Path, std: StdLp, cert: Certificate) -> None:
-    cols = _column_tokens(std)
+    cols = _tokens(std)
     lines = ["# entries omitted from a section are zero"]
     if isinstance(cert, Optimal):
         lines.append("optimal")
@@ -286,10 +239,6 @@ def _split_sections(path: str | Path, lines: list[tuple[int, str]]) -> dict[str,
         else:
             raise InvalidInputError(f"{path}:{lineno}: malformed line {text!r}")
     return sections
-
-
-def _token_columns(std: StdLp) -> dict[str, int]:
-    return {token: j for j, token in enumerate(_column_tokens(std))}
 
 
 def _vector(
@@ -339,7 +288,7 @@ def read_certificate(path: str | Path, std: StdLp) -> Certificate:
         if set(sections) != {"primal", "dual"}:
             raise InvalidInputError(f"{path}: optimal needs primal and dual sections")
         return Optimal(
-            _vector(numbers, sections["primal"], "primal", std.num_cols, _token_columns(std)),
+            _vector(numbers, sections["primal"], "primal", std.num_cols, std.col_of),
             _vector(numbers, sections["dual"], "dual", std.num_rows),
         )
     if kind == "infeasible":
@@ -349,9 +298,8 @@ def read_certificate(path: str | Path, std: StdLp) -> Certificate:
     if kind == "unbounded":
         if set(sections) != {"point", "ray"}:
             raise InvalidInputError(f"{path}: unbounded needs point and ray sections")
-        col_of = _token_columns(std)
         return Unbounded(
-            _vector(numbers, sections["point"], "point", std.num_cols, col_of),
-            _vector(numbers, sections["ray"], "ray", std.num_cols, col_of),
+            _vector(numbers, sections["point"], "point", std.num_cols, std.col_of),
+            _vector(numbers, sections["ray"], "ray", std.num_cols, std.col_of),
         )
     raise InvalidInputError(f"{path}:{kind_line}: unknown certificate kind {kind!r}")

@@ -47,7 +47,7 @@ def _scoped_fn_to_json(f: ScopedFn, as_distribution: bool) -> dict:
 
 
 def _scoped_fn_from_json(
-    obj: object, dims: Sequence[int], where: str, dist_over: int | None
+    obj: object, dims: Sequence[int], where: str, distributions: bool
 ) -> ScopedFn:
     if not isinstance(obj, dict) or "scope" not in obj or "table" not in obj:
         raise InvalidInputError(f"{where}: expected an object with scope and table")
@@ -61,7 +61,7 @@ def _scoped_fn_from_json(
     raw = obj["table"]
     if not isinstance(raw, list):
         raise InvalidInputError(f"{where}: table must be a list")
-    if dist_over is not None:
+    if distributions:
         table = []
         for row_idx, row in enumerate(raw):
             if not isinstance(row, list):
@@ -160,9 +160,7 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
             )
         transitions.append(
             tuple(
-                _scoped_fn_from_json(
-                    t, dims, f"{where}, transition {i}", dist_over=i
-                )
+                _scoped_fn_from_json(t, dims, f"{where}, transition {i}", distributions=True)
                 for i, t in enumerate(trans_raw)
             )
         )
@@ -171,7 +169,7 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
             raise InvalidInputError(f"model file: {where} rewards must be a list")
         rewards.append(
             tuple(
-                _scoped_fn_from_json(r, dims, f"{where}, reward {j}", dist_over=None)
+                _scoped_fn_from_json(r, dims, f"{where}, reward {j}", distributions=False)
                 for j, r in enumerate(rewards_raw)
             )
         )
@@ -198,7 +196,7 @@ def mdp_from_json_dict(data: object) -> FactoredMdp:
     if not isinstance(basis_raw, list):
         raise InvalidInputError("model file: basis must be a list")
     basis = tuple(
-        _scoped_fn_from_json(h, dims, f"basis {i}", dist_over=None)
+        _scoped_fn_from_json(h, dims, f"basis {i}", distributions=False)
         for i, h in enumerate(basis_raw)
     )
 

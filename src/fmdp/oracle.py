@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import FmdpError, OracleLimitError
 from .factored import PartialState, ScopedFn, assignments
-from .lp import PHI, StdLp, StdRows, Weight
+from .lp import StdLp, StdRows
 from .model import FactoredMdp, Weights
 from .policy import DecisionList, select_action
 
@@ -125,8 +125,9 @@ def explicit_weight_lp(
     mdp: FactoredMdp, pol: DecisionList, limit: int = DEFAULT_STATE_LIMIT
 ) -> StdLp:
     """The same feasible (phi, w) region as the compact construction, one
-    mirrored pair of rows per enumerated state.  Phi is column 0; each
-    weight takes the next column in the first row where it is nonzero."""
+    mirrored pair of rows per enumerated state.  Phi is column 0, `phi`;
+    weight i, `w<i>`, takes the next column in the first row where it is
+    nonzero."""
     col_of: dict[int, int] = {}  # basis index -> column
     minus = Fraction(-1)
     out = StdRows()
@@ -142,7 +143,7 @@ def explicit_weight_lp(
         r = mdp.reward(a, x)
         out.add("le", ((0, minus), *above), r)
         out.add("le", ((0, minus), *[(j, -c) for j, c in above]), -r)
-    return out.std((PHI, *(Weight(i) for i in col_of)))
+    return out.std(("phi", *(f"w{i}" for i in col_of)))
 
 
 def _solve_exact(aug: list[list[int]]) -> tuple[list[int], int]:

@@ -58,7 +58,7 @@ from .certify import IntVector, check_optimality
 from .elim import identity_order, max_sum_decode
 from .errors import LpInternalError
 from .factored import PartialState
-from .lp import PHI, Optimal, StdLp, Weight
+from .lp import Optimal, StdLp
 from .lp import to_standard_form  # perfbench's tracer patches it; goes in ROADMAP item 2's revision
 from .lpbuild import FullLp, TagBlock, assemble_lp, weight_lp_blocks
 from .model import FactoredMdp, Weights
@@ -104,12 +104,12 @@ def _cut_at(block_index: int, block: TagBlock, x: PartialState) -> _Cut:
 
 
 def _master_std(m: int, box: int, cuts: Collection[_Cut]) -> StdLp:
-    """The master over columns (phi, w_0..w_{m-1}): box rows `+-w_i <= box`,
+    """The master over columns `phi`, `w0`..`w<m-1>`: box rows `+-w_i <= box`,
     then `-phi + alpha.w <= -beta` per cut."""
     rows = [((i + 1,), q, box, 1) for i in range(m) for q in ((1,), (-1,))]
     rows += [cut.row for cut in cuts]
     cols, nums, rhs, dens = zip(*rows) if rows else ((), (), (), ())
-    columns = (PHI, *(Weight(i) for i in range(m)))
+    columns = ("phi", *(f"w{i}" for i in range(m)))
     singles = tuple((k,) for k in range(len(rows)))
     return StdLp(columns, cols, nums, rhs, dens, singles)
 

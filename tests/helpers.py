@@ -1,6 +1,7 @@
 """Shared random-instance generators and enumeration references for the
 test suite."""
 
+import hashlib
 import importlib.util
 import random
 from collections.abc import Sequence
@@ -9,21 +10,95 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Union
 
 from hypothesis import strategies as st
 
 from fmdp.elim import ElimPlan, int_tables
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
-from fmdp.lp import PHI, FnId, FnVar, LpVar, Phi, StdLp, StdRows, Weight
-from fmdp.lpbuild import TagBlock, branch_lp
+from fmdp.lp import StdLp, StdRows
+from fmdp.lpbuild import Tag, TagBlock, branch_lp
 from fmdp.model import FactoredMdp
 
 
 # The named program layer the package once built its programs in, kept as
-# the tests' reference: a program as a list of canonical named rows, and
-# its flattening to the standard form.
+# the tests' reference: variables as objects, a program as a list of
+# canonical named rows, and its flattening to the standard form, each
+# column named by the token ``variable_tokens`` renders for it.
+
+
+@dataclass(frozen=True, slots=True)
+class Phi:
+    """The objective scalar; a single shared instance is enough."""
+
+
+PHI = Phi()
+
+
+@dataclass(frozen=True, slots=True)
+class Weight:
+    i: int
+
+
+@dataclass(frozen=True, slots=True)
+class FnId:
+    """Which function a private variable tabulates: kind "c" with a basis
+    index, "b" with a summand index, or "e" with the variable eliminated
+    in the round that created it."""
+
+    kind: str
+    idx: int
+
+
+@dataclass(frozen=True, slots=True)
+class FnVar:
+    """One private variable: entry ``z`` of function ``fn`` in block ``tag``."""
+
+    tag: Tag
+    fn: FnId
+    z: PartialState
+
+
+LpVar = Union[Phi, Weight, FnVar, str]
+
+
+def tag_digest(tag: Tag, width: int = 8) -> str:
+    """The first ``width`` hex digits of the SHA-256 digest of a tag's text."""
+    items = ",".join(f"{v}:{val}" for v, val in tag.t.items)
+    text = f"t={items};a={tag.action};pos={int(tag.pos)}"
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:width]
+
+
+def variable_tokens(variables: Iterable[LpVar], digest=tag_digest) -> dict[LpVar, str]:
+    """Each variable's token, as ``fmdp.lpio``'s notes document it: `phi`,
+    `w<i>`, `f<tag>_<kind><idx>_<z>`, and a ``str`` as it is.  The tag part
+    is 8 hex digits, or 16 or 64 if two distinct tags collide at the
+    narrower width; ``LpInternalError`` if they collide at every width or
+    two variables share a token."""
+    variables = list(dict.fromkeys(variables))
+    tags = {v.tag for v in variables if isinstance(v, FnVar)}
+    for width in (8, 16, 64):
+        digests = {t: digest(t, width) for t in tags}
+        if len(set(digests.values())) == len(tags):
+            break
+    else:
+        raise LpInternalError("tag digests collide at full width")
+
+    def token(v):
+        if isinstance(v, Phi):
+            return "phi"
+        if isinstance(v, Weight):
+            return f"w{v.i}"
+        if isinstance(v, FnVar):
+            z = "-".join(f"{var}.{val}" for var, val in v.z.items)
+            return f"f{digests[v.tag]}_{v.fn.kind}{v.fn.idx}_{z}"
+        return v
+
+    tokens = {v: token(v) for v in variables}
+    if len(set(tokens.values())) < len(tokens):
+        raise LpInternalError("distinct variables share a token")
+    return tokens
 
 
 def _var_key(v: LpVar):
@@ -95,12 +170,14 @@ def column_order(lp: Lp) -> dict[LpVar, int]:
 
 
 def flatten(lp: Lp) -> StdLp:
-    """Flatten to inequality form, columns in ``column_order``."""
+    """Flatten to inequality form, columns in ``column_order``, each named
+    by its token."""
     col_of = column_order(lp)
     out = StdRows()
     for con in lp.constraints:
         out.add(con.kind, tuple(sorted((col_of[v], q) for v, q in con.coefs)), con.rhs)
-    return out.std(tuple(col_of))
+    tokens = variable_tokens(col_of)
+    return out.std(tuple(tokens[v] for v in col_of))
 
 
 def readded(std: StdLp, to=None) -> StdRows:

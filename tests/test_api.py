@@ -13,7 +13,7 @@ import fmdp.lpbuild
 from fmdp.api import ApiConfig, ApiResult, api, posterior_bound
 from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, OracleLimitError
-from fmdp.lp import PHI, Optimal
+from fmdp.lp import Optimal
 from fmdp.model import elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp
 from fmdp.policy import greedy_decision_list
@@ -65,7 +65,7 @@ def _explicit_phi(mdp, pol):
     std = explicit_weight_lp(mdp, pol)
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
-    return cert.primal[std.col_of[PHI]]
+    return cert.primal[std.col_of["phi"]]
 
 
 @pytest.mark.parametrize(

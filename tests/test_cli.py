@@ -1,5 +1,6 @@
 """The command line surface, driven through main() with real files."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -266,16 +267,47 @@ def test_oracle_check_respects_state_limit(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
-def test_oracle_check_failure_names_the_check(tmp_path, capsys, monkeypatch):
+def _answers(value):
+    return lambda real: lambda *args, **kwargs: value
+
+
+def _not_converged(real):
+    return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), w_eq=False)
+
+
+def _not_holding(real):
+    return lambda *args, **kwargs: real(*args, **kwargs)._replace(holds=False)
+
+
+@pytest.mark.parametrize(
+    "check, name, broken, detail",
+    [
+        ("q-values", "explicit_q", _answers(Fraction(999)), "3 actions, 4 states"),
+        ("bellman-errors", "explicit_bellman_err", _answers(Fraction(999)), "5 greedy lists"),
+        ("weight-lp-optimum", "solve_lp", _answers(Infeasible((Fraction(1),))), "3 greedy lists"),
+        ("posterior-bound", "api", _not_converged, "weights did not converge in 30 iterations"),
+        ("posterior-bound", "posterior_bound", _not_holding, "lhs="),
+    ],
+    ids=["q-values", "bellman-errors", "weight-lp-optimum", "bound-not-converged", "bound-not-holding"],
+)
+def test_oracle_check_failure_names_the_check(tmp_path, capsys, monkeypatch, check, name, broken, detail):
     model = _ring_file(tmp_path)
-    monkeypatch.setattr(
-        "fmdp.cli.explicit_q", lambda *args, **kwargs: Fraction(999)
-    )
+    monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
     code = main(["oracle-check", "--model", model])
     captured = capsys.readouterr()
     assert code == 3
-    assert "FAIL q-values" in captured.out
-    assert "q-values" in captured.err
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL {check} (") and detail in failed[0]
+    assert "oracle-check: 3 of 4 checks passed" in captured.out
+    assert f"fmdp: oracle-check failed at {check}" in captured.err
+
+
+def test_solve_skips_the_bound_above_the_oracle_limit(tmp_path, capsys):
+    model = _ring_file(tmp_path)
+    assert main(["solve", "--model", model, "--no-timing", "--oracle-limit", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "bound: skipped (state space above the oracle limit)" in out
+    assert "bound: lhs=" not in out
 
 
 def test_internal_lp_failure_exits_two(tmp_path, capsys, monkeypatch):

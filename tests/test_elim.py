@@ -18,7 +18,7 @@ from fmdp.elim import (
 )
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
-from fmdp.lp import Tag
+from fmdp.lpbuild import Tag
 
 from helpers import (
     BIG_DENOMINATOR_LARGE,

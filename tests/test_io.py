@@ -1,11 +1,13 @@
 """Round trips through the program, certificate and model file formats."""
 
+import dataclasses
 import hashlib
 import importlib
 import random
 import re
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,34 +15,42 @@ from hypothesis import strategies as st
 
 from helpers import (
     BIG_DENOMINATOR_LARGE,
+    PHI,
     SMALL,
+    FnId,
+    FnVar,
     Lp,
+    Weight,
     column_order,
     flatten,
     make_constraint,
     models,
     perfbench_instances,
     random_token_lp,
+    variable_tokens,
 )
 
 from fmdp.api import ApiConfig, api
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
-from fmdp.errors import InvalidInputError
+from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import PartialState
-from fmdp.lp import PHI, FnId, FnVar, Infeasible, Optimal, Tag, Unbounded, Weight
-from fmdp.lpio import read_certificate, read_lp, variable_tokens, write_certificate, write_lp
+from fmdp.lp import Infeasible, Optimal, Unbounded
+from fmdp.lpbuild import Tag, assemble_lp, weight_lp_blocks
+from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.mdpio import load_mdp, mdp_from_json_dict, mdp_to_json_dict, save_mdp
 from fmdp.model import elimination_order, make_ring
+from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
 
 lpio_module = importlib.import_module("fmdp.lpio")
+lpbuild_module = importlib.import_module("fmdp.lpbuild")
 
 
-def _tokenized_rows(std, tokens):
+def _tokenized_rows(std):
     named = []
     for i in range(std.num_rows):
         terms, rhs = std.fraction_row(i)
-        named.append(({tokens[std.columns[j]]: q for j, q in terms}, rhs))
+        named.append(({std.columns[j]: q for j, q in terms}, rhs))
     return named
 
 
@@ -56,14 +66,66 @@ def _internal_lp():
     return Lp(cons, PHI)
 
 
+_GRAMMAR = re.compile(r"phi|w\d+|f(?P<tag>[0-9a-f]{8})_[cbe]\d+_(?P<z>\d+\.\d+(-\d+\.\d+)*)?")
+
+
 def test_fn_var_token_shape():
-    lp = _internal_lp()
-    tokens = variable_tokens(
-        [v for con in lp.constraints for v, _ in con.coefs]
-    )
-    fn_tokens = sorted(t for t in tokens.values() if t.startswith("f"))
-    assert re.fullmatch(r"f[0-9a-f]{8}_c0_0\.1-2\.0", fn_tokens[0])
-    assert re.fullmatch(r"f[0-9a-f]{8}_e1_", fn_tokens[1])
+    # Every column of an assembled program is `phi`, `w<i>` or
+    # `f<tag>_<slot>_<z>` with its z variables ascending; each block's
+    # columns share one tag, and no two blocks do.
+    mdp = make_ring(3)
+    pol = greedy_decision_list(mdp, (Fraction(-1), Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2)))
+    blocks = weight_lp_blocks(mdp, pol, elimination_order(mdp, "min-degree"))
+    std = assemble_lp(blocks)
+    assert std.columns[0] == "phi" and len(std.col_of) == std.num_cols
+    assert {t for t in std.columns if t[0] == "w"} == {f"w{i}" for i in range(len(mdp.basis))}
+    tags = []
+    for block, at in zip(blocks, std.placed):
+        width = sum(prod(block.plan.dims[v] for v in scope) for scope in block.plan.scopes)
+        matched = [_GRAMMAR.fullmatch(t) for t in std.columns[at.cols[0] : at.cols[0] + width]]
+        assert all(m and m["tag"] for m in matched)
+        assert len({m["tag"] for m in matched}) == 1
+        tags.append(matched[0]["tag"])
+        for m in matched:
+            z = [int(pair.split(".")[0]) for pair in (m["z"] or "").split("-") if pair]
+            assert z == sorted(set(z))
+        zeros = "-".join(f"{v}.0" for v in sorted(block.plan.scopes[0]))
+        assert std.columns[at.cols[0]] == f"f{tags[-1]}_c0_{zeros}"
+    assert len(set(tags)) == len(blocks)
+
+
+def _ring3_blocks():
+    mdp = make_ring(3)
+    pol = greedy_decision_list(mdp, (Fraction(-1), Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2)))
+    return weight_lp_blocks(mdp, pol, elimination_order(mdp, "min-degree"))
+
+
+@pytest.mark.parametrize("same, width", [(8, 16), (16, 64)])
+def test_tag_digests_widen_past_a_collision(monkeypatch, same, width):
+    # With the first ``same`` hex digits of every tag's digest made equal,
+    # the tags collide at that width, so the tokens take the next width.
+    blocks = _ring3_blocks()
+    std = assemble_lp(blocks)
+    narrow = list(std.columns)
+    original = lpbuild_module._digest
+    # Each block's tag part at 8 digits, and its full digest.
+    full = {narrow[at.cols[0]][1:9]: original(b.tag) for b, at in zip(blocks, std.placed)}
+    assert len(full) == len(blocks)
+    monkeypatch.setattr(lpbuild_module, "_digest", lambda tag: "0" * same + original(tag)[same:])
+    wide = list(assemble_lp(blocks).columns)
+    digest = {key: ("0" * same + d[same:])[:width] for key, d in full.items()}
+    assert wide == [t if t[0] != "f" else f"f{digest[t[1:9]]}{t[9:]}" for t in narrow]
+
+
+def test_tag_digests_that_collide_at_every_width_are_an_internal_error(tmp_path, monkeypatch):
+    blocks = _ring3_blocks()
+    monkeypatch.setattr(lpbuild_module, "_digest", lambda tag: "0" * 64)
+    std = assemble_lp(blocks)
+    with pytest.raises(LpInternalError, match="tag digests collide at full width"):
+        std.columns[0]
+    with pytest.raises(LpInternalError, match="tag digests collide at full width"):
+        write_lp(tmp_path / "out.lp", std)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lp_round_trip_preserves_structure(tmp_path):
@@ -72,10 +134,8 @@ def test_lp_round_trip_preserves_structure(tmp_path):
     std_in = flatten(lp)
     write_lp(path, std_in)
     std_back = read_lp(path)
-    tokens_in = variable_tokens(std_in.columns)
-    tokens_back = {v: v for v in std_back.columns}
-    assert _tokenized_rows(std_in, tokens_in) == _tokenized_rows(std_back, tokens_back)
-    assert tokens_in[std_in.columns[0]] == std_back.columns[0] == "phi"
+    assert _tokenized_rows(std_in) == _tokenized_rows(std_back)
+    assert std_in.columns[0] == std_back.columns[0] == "phi"
     assert std_back.constraint_rows == ((0, 1), (2,), (3,))
 
 
@@ -168,6 +228,17 @@ def test_lp_reader_rejects_malformed_input(tmp_path):
     for name in ("a:b", "a b"):
         with pytest.raises(InvalidInputError, match=f"variable token {name!r} is not writable"):
             write_lp(tmp_path / "out.lp", flatten(Lp((make_constraint("le", {name: Fraction(1)}, 1),), name)))
+
+
+def test_writers_refuse_a_column_that_is_no_token_and_leave_no_file(tmp_path):
+    std = flatten(Lp((make_constraint("le", {"x": Fraction(1)}, 1),), "x"))
+    for column in (PHI, 7, "a:b", "a b", ""):
+        bad = dataclasses.replace(std, columns=(column,))
+        with pytest.raises(InvalidInputError, match=f"variable token {re.escape(repr(column))} is not writable"):
+            write_lp(tmp_path / "out.lp", bad)
+        with pytest.raises(InvalidInputError, match=f"variable token {re.escape(repr(column))} is not writable"):
+            write_certificate(tmp_path / "out.cert", bad, Optimal((Fraction(1),), (Fraction(0),)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writers_refuse_non_ascii_tokens_and_leave_no_file(tmp_path):

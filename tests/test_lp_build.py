@@ -27,15 +27,16 @@ from helpers import (
     renumbered,
     sum_or_none,
     summands,
+    variable_tokens,
 )
 
 from fmdp.certify import check_optimality
 from fmdp.elim import identity_order, max_sum
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
-from fmdp.lp import PHI, FnVar, Optimal, Tag, Unbounded, Weight
+from fmdp.lp import Optimal, Unbounded
 from fmdp.api import api
-from fmdp.lpbuild import assemble_lp, branch_lp, difference_fns, weight_lp_blocks
+from fmdp.lpbuild import Tag, assemble_lp, branch_lp, difference_fns, weight_lp_blocks
 from fmdp.model import elimination_order, make_ring
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
@@ -49,9 +50,9 @@ def _pinned(block, w):
     std = assemble_lp((block,))
     columns, rows = list(std.columns), readded(std)
     for i, wi in enumerate(w):
-        if Weight(i) not in columns:
-            columns.append(Weight(i))
-        rows.add("eq", ((columns.index(Weight(i)), Fraction(1)),), wi)
+        if f"w{i}" not in columns:
+            columns.append(f"w{i}")
+        rows.add("eq", ((columns.index(f"w{i}"), Fraction(1)),), wi)
     return rows.std(tuple(columns))
 
 
@@ -75,7 +76,7 @@ def test_constant_pair_generates_four_rows():
     std = assemble_lp((block,))
     assert std.constraint_rows == ((0, 1), (2, 3), (4,), (5,))
     (tie, _), (_, pin), (dominate, _), (gen, _) = map(std.fraction_row, (0, 2, 4, 5))
-    assert dict(tie)[std.col_of[Weight(0)]] == 1
+    assert dict(tie)[std.col_of["w0"]] == 1
     assert pin == Fraction(-1)
     assert len(dominate) == 1
     assert dict(gen)[0] == -1 and len(gen) == 4
@@ -113,7 +114,7 @@ def test_projection_matches_enumeration_with_pinned_weights():
         target = _explicit_value(c_fns, b_fns, w, dims)
         if target is not None:
             assert isinstance(cert, Optimal)
-            assert cert.primal[std.col_of[PHI]] == target
+            assert cert.primal[std.col_of["phi"]] == target
             assert check_optimality(std, cert.primal, cert.dual)
             checked["optimal"] += 1
         else:
@@ -131,13 +132,13 @@ def test_minus_infinity_entries_leave_variables_unpinned():
     pins = [
         k
         for k, *negated in std.constraint_rows
-        if negated and len(std.cols[k]) == 1 and isinstance(std.columns[std.cols[k][0]], FnVar)
+        if negated and len(std.cols[k]) == 1 and std.columns[std.cols[k][0]].startswith("f")
     ]
     assert len(pins) == 1
     assert std.fraction_row(pins[0])[1] == Fraction(4)
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
-    assert cert.primal[std.col_of[PHI]] == Fraction(4)
+    assert cert.primal[std.col_of["phi"]] == Fraction(4)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -205,7 +206,7 @@ def test_branch_pair_recovers_branch_error():
             std = _pinned(block, w)
             cert = solve_lp(std)
             assert isinstance(cert, Optimal)
-            half = cert.primal[std.col_of[PHI]]
+            half = cert.primal[std.col_of["phi"]]
             assert half == max_sum(reference_at(block, w), order, mdp.dims, block.plan)
             halves.append(half)
         assert max(halves) == explicit_branch_sup(mdp, w, t, a, ts)
@@ -266,6 +267,7 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
         said = [(len(ks), std.fraction_row(ks[0])) for ks in std.constraint_rows]
         assert len(set(said)) == len(said) and len(std.col_of) == std.num_cols
         halves = {ks[0]: len(ks) for ks in std.constraint_rows}
+        tokens = variable_tokens(v for block in blocks for vs in reference_fn_vars(block) for v in vs)
         first = 0
         for block, at in zip(blocks, std.placed):
             plan = block.plan
@@ -282,7 +284,7 @@ def test_weight_lp_blocks_have_disjoint_tags_and_no_duplicates(mdp, ws):
             unpinned += [[v is None for v in b.table] for b in b_fns]
             for s, fn_vars in enumerate(reference_fn_vars(block)):
                 cols = range(at.cols[s], at.cols[s] + len(fn_vars))
-                assert [std.columns[col] for col in cols] == fn_vars
+                assert [std.columns[col] for col in cols] == [tokens[v] for v in fn_vars]
                 owners = [col for col in cols for _ in range(cards[s])]
                 positions = [at.credited(block, s, j) for j in range(len(owners))]
                 want = unpinned[s] if s < plan.inputs else [False] * len(owners)
@@ -310,7 +312,7 @@ def test_assembled_lp_is_the_standard_form_of_its_named_program(mdp, ws):
         direct, flattened = assemble_lp(blocks), flatten(named)
         # The two number their columns differently: moved to the column of
         # the same name, every row is the same row.
-        assert direct.columns[0] == PHI and len(direct.col_of) == direct.num_cols
+        assert direct.columns[0] == "phi" and len(direct.col_of) == direct.num_cols
         assert sorted(direct.columns, key=flattened.col_of.__getitem__) == list(flattened.columns)
         assert all(list(cols) == sorted(set(cols)) for cols in direct.cols)
         assert renumbered(direct, flattened.columns) == flattened
@@ -323,6 +325,6 @@ def test_ring_one_constant_basis_hand_optimum():
     std = assemble_lp(weight_lp_blocks(mdp, pol))
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
-    assert cert.primal[std.col_of[PHI]] == Fraction(1, 2)
-    assert cert.primal[std.col_of[Weight(0)]] == Fraction(5)
+    assert cert.primal[std.col_of["phi"]] == Fraction(1, 2)
+    assert cert.primal[std.col_of["w0"]] == Fraction(5)
     assert check_optimality(std, cert.primal, cert.dual)

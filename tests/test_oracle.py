@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import Lp, flatten, make_constraint, models
+from helpers import PHI, Lp, Weight, flatten, make_constraint, models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmdp.errors import OracleLimitError
 from fmdp.factored import PartialState, restrict
-from fmdp.lp import PHI, Optimal, Weight
+from fmdp.lp import Optimal
 from fmdp.model import make_ring
 from fmdp.oracle import (
     enumerate_states,
@@ -113,7 +113,7 @@ def test_explicit_weight_lp_row_count_and_solution():
     assert len(std.constraint_rows) == 4
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
-    assert cert.primal[std.col_of[PHI]] == 0
+    assert cert.primal[std.col_of["phi"]] == 0
     values = policy_value(mdp, pol)
     recovered = {
         x: sum(

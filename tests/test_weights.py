@@ -8,8 +8,10 @@ from math import lcm
 
 import pytest
 from helpers import (
+    PHI,
     SMALL,
     Lp,
+    Weight,
     all_states,
     flatten,
     make_constraint,
@@ -33,8 +35,8 @@ from fmdp.elim import identity_order, max_sum
 from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn
-from fmdp.lp import PHI, FnVar, Optimal, StdRows, Tag, Weight
-from fmdp.lpbuild import assemble_lp, weight_lp_blocks
+from fmdp.lp import Optimal, StdRows
+from fmdp.lpbuild import Tag, assemble_lp, weight_lp_blocks
 from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.model import FactoredMdp, elimination_order, make_ring
 from fmdp.oracle import explicit_bellman_err, explicit_weight_lp, policy_value
@@ -98,7 +100,7 @@ def test_matches_explicit_per_state_program():
         std = explicit_weight_lp(mdp, pol)
         cert = solve_lp(std)
         assert isinstance(cert, Optimal)
-        assert cert.primal[std.col_of[PHI]] == phi
+        assert cert.primal[std.col_of["phi"]] == phi
 
 
 def test_certificate_is_exposed_and_checks_out():
@@ -109,7 +111,7 @@ def test_certificate_is_exposed_and_checks_out():
     cert = trace["certificate"]
     std = trace["std"]
     assert isinstance(cert, Optimal)
-    assert cert.primal[std.col_of[PHI]] == phi
+    assert cert.primal[std.col_of["phi"]] == phi
     assert check_optimality(std, cert.primal, cert.dual)
     assert trace["cuts"] >= 2
     assert trace["rounds"] >= 1
@@ -130,7 +132,7 @@ def test_a_binding_box_grows_and_the_fit_stays_the_optimum():
         explicit = explicit_weight_lp(mdp, greedy_decision_list(mdp, start))
         cert = solve_lp(explicit)
         assert isinstance(cert, Optimal)
-        assert step["phi"] == cert.primal[explicit.col_of[PHI]]
+        assert step["phi"] == cert.primal[explicit.col_of["phi"]]
         traced = step["certificate"]
         assert check_optimality(step["std"], traced.primal, traced.dual)
 
@@ -161,14 +163,16 @@ def test_repeated_branch_changes_nothing():
 
 
 def test_a_fit_names_its_variables_only_when_they_are_read(tmp_path, monkeypatch):
+    # The builder renders every column token of a program in one call of
+    # ``_tag_digests``, so each call is one naming of the columns.
     made = []
-    original = FnVar.__post_init__
+    original = lpbuild_module._tag_digests
 
-    def counting(self):
-        made.append(self)
-        original(self)
+    def counting(tags):
+        made.append(tags)
+        return original(tags)
 
-    monkeypatch.setattr(FnVar, "__post_init__", counting)
+    monkeypatch.setattr(lpbuild_module, "_tag_digests", counting)
     mdp = make_ring(3)
     order = elimination_order(mdp, "min-degree")
     pol = greedy_decision_list(mdp, (Fraction(-1), Fraction(2, 3), Fraction(2, 3), Fraction(-1, 2)))
@@ -182,7 +186,7 @@ def test_a_fit_names_its_variables_only_when_they_are_read(tmp_path, monkeypatch
     flattened = flatten(named)
     write_lp(tmp_path / "fit.lp", trace["std"])
     write_lp(tmp_path / "named.lp", flattened)
-    assert made
+    assert len(made) == 1
     read = read_lp(tmp_path / "fit.lp")
     assert read == read_lp(tmp_path / "named.lp")
     # The named program numbers its columns by first appearance; the same
@@ -193,6 +197,10 @@ def test_a_fit_names_its_variables_only_when_they_are_read(tmp_path, monkeypatch
         moved[flattened.col_of[v]] = q
     write_certificate(tmp_path / "fit.cert", trace["std"], cert)
     write_certificate(tmp_path / "named.cert", flattened, Optimal(tuple(moved), cert.dual))
+    # The program write, the certificate write and a certificate read
+    # against the fit's own program share the one naming.
+    assert read_certificate(tmp_path / "fit.cert", trace["std"]) == cert
+    assert len(made) == 1
     back = read_certificate(tmp_path / "fit.cert", read)
     assert back == read_certificate(tmp_path / "named.cert", read)
     assert check_optimality(read, back.primal, back.dual)
@@ -240,7 +248,7 @@ def _cut(alpha, beta, index=0, witness=EMPTY_STATE):
     ``StdRows``."""
     rows = StdRows()
     rows.add("le", ((0, Fraction(-1)), *((i + 1, a) for i, a in enumerate(alpha))), -beta)
-    std = rows.std((PHI, *(Weight(i) for i in range(len(alpha)))))
+    std = rows.std(("phi", *(f"w{i}" for i in range(len(alpha)))))
     return _Cut(index, witness, (std.cols[0], std.nums[0], std.rhs[0], std.dens[0]))
 
 
@@ -474,12 +482,12 @@ def test_pruned_blocks_keep_the_optimum_of_the_program_with_shadowed_blocks(draw
     w, phi = update_weights(mdp, pol, order)
     cert = solve_lp(unpruned)
     assert isinstance(cert, Optimal)
-    assert cert.primal[unpruned.col_of[PHI]] == phi
+    assert cert.primal[unpruned.col_of["phi"]] == phi
     # The oracle's program, one pair of rows per state (at most 27 states).
     explicit = explicit_weight_lp(mdp, pol)
     cert = solve_lp(explicit)
     assert isinstance(cert, Optimal)
-    assert cert.primal[explicit.col_of[PHI]] == phi
+    assert cert.primal[explicit.col_of["phi"]] == phi
     for v in (w, tuple(ws[: len(mdp.basis)])):
         assert factored_bellman_err(mdp, v, pol, order) == explicit_bellman_err(mdp, v, pol)
 
