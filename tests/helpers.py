@@ -70,7 +70,7 @@ def tag_digest(tag: Tag, width: int = 8) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:width]
 
 
-def variable_tokens(variables: Iterable[LpVar], digest=tag_digest) -> dict[LpVar, str]:
+def variable_tokens(variables: Iterable[LpVar]) -> dict[LpVar, str]:
     """Each variable's token, as ``fmdp.lpio``'s notes document it: `phi`,
     `w<i>`, `f<tag>_<kind><idx>_<z>`, and a ``str`` as it is.  The tag part
     is 8 hex digits, or 16 or 64 if two distinct tags collide at the
@@ -79,7 +79,7 @@ def variable_tokens(variables: Iterable[LpVar], digest=tag_digest) -> dict[LpVar
     variables = list(dict.fromkeys(variables))
     tags = {v.tag for v in variables if isinstance(v, FnVar)}
     for width in (8, 16, 64):
-        digests = {t: digest(t, width) for t in tags}
+        digests = {t: tag_digest(t, width) for t in tags}
         if len(set(digests.values())) == len(tags):
             break
     else:
