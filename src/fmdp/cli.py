@@ -275,10 +275,10 @@ def _cmd_oracle_check(args) -> int:
         if not ok:
             failures.append(name)
 
+    # One expansion of each (action, state) backs up every weight vector.
     n_actions = len(mdp.actions)
     ok = all(
-        mdp.q_value(w, a, x) == explicit_q(mdp, w, a, x)
-        for w in weight_vectors
+        [mdp.q_value(w, a, x) for w in weight_vectors] == explicit_q(mdp, weight_vectors, a, x)
         for a in range(n_actions)
         for x in states
     )
@@ -289,25 +289,26 @@ def _cmd_oracle_check(args) -> int:
         f"{len(states)} states",
     )
 
-    ok = True
-    for w in weight_vectors:
+    # One greedy list per weight vector serves its error and, for the first
+    # three, its weight fit, which runs right after the error so that it
+    # reuses the blocks the error just built.
+    err_ok = lp_ok = True
+    for k, w in enumerate(weight_vectors):
         pol = greedy_decision_list(mdp, w)
-        if factored_bellman_err(mdp, w, pol, order) != explicit_bellman_err(
+        err_ok &= factored_bellman_err(mdp, w, pol, order) == explicit_bellman_err(
             mdp, w, pol, args.oracle_limit
-        ):
-            ok = False
-            break
-    check("bellman-errors", ok, f"{len(weight_vectors)} greedy lists")
-
-    ok = True
-    for w in weight_vectors[:3]:
-        pol = greedy_decision_list(mdp, w)
-        _, phi = update_weights(mdp, pol, order)
-        cert = solve_lp(explicit_weight_lp(mdp, pol, args.oracle_limit))
-        if not isinstance(cert, Optimal) or cert.primal[0] != phi:
-            ok = False
-            break
-    check("weight-lp-optimum", ok, "3 greedy lists")
+        )
+        if k < 3:
+            _, phi = update_weights(mdp, pol, order)
+            std = explicit_weight_lp(mdp, pol, args.oracle_limit)
+            cert = solve_lp(std)
+            lp_ok &= (
+                isinstance(cert, Optimal)
+                and check_optimality(std, cert.primal, cert.dual)
+                and cert.primal[0] == phi
+            )
+    check("bellman-errors", err_ok, f"{len(weight_vectors)} greedy lists")
+    check("weight-lp-optimum", lp_ok, "3 greedy lists")
 
     res = api(mdp, ApiConfig(Fraction(0), 30, order))
     if res.w_eq:

@@ -15,8 +15,9 @@ Variable tokens never contain whitespace or colons; the program reader
 rejects a term or objective whose token has a colon, so every column it
 names can be written back.  Every program names its columns by these
 tokens (``fmdp.lp.StdLp.columns``), and the writers write them as they
-stand.  The programs the solver builds use `phi` for the objective,
-`w<i>` for weight i, and `f<tag>_<slot>_<z>` for a private variable:
+stand, refusing a program where two columns share a token.  The programs
+the solver builds use `phi` for the objective, `w<i>` for weight i, and
+`f<tag>_<slot>_<z>` for a private variable:
 `<tag>` is 8, 16 or 64 hex digits of the SHA-256 digest of its block's
 branch state, action and sign, `<slot>` one of `c<i>`, `b<k>`, `e<var>`,
 and `<z>` the entry's `<var>.<value>` pairs joined by `-`
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable
 
@@ -66,10 +68,15 @@ _LP_HEADER = (
 
 def _tokens(std: StdLp) -> Sequence[str]:
     """``std``'s column tokens, refused unless each is a ``str`` the
-    program reader reads back as it is."""
+    program reader reads back as it is and no two columns share one."""
     for token in std.columns:
         if type(token) is not str or ":" in token or token.split() != [token]:
             raise InvalidInputError(f"variable token {token!r} is not writable")
+    # Sorted, not hashed: a set of a large program's tokens takes a table
+    # about four times the size of the sorted list of pointers.
+    for token, after in pairwise(sorted(std.columns)):
+        if token == after:
+            raise InvalidInputError(f"variable token {token!r} names two columns")
     return std.columns
 
 

@@ -7,7 +7,11 @@ the model's transition, reward and basis tables.  Every successor of a
 state is expanded, and every linear solve is dense, so the costs range
 from quadratic (backed-up values) to cubic (exact linear solves) in the
 state count; ``enumerate_states`` refuses state spaces past an explicit
-limit.
+limit.  ``fmdp oracle-check`` (``fmdp.cli``) expands each (action, state)
+pair once for all its weight vectors (``explicit_q`` takes a sequence of
+them), builds one greedy list per weight vector, and certifies each
+``explicit_weight_lp`` answer with ``check_optimality`` before comparing
+its phi.
 
 The arithmetic is over integers.  A state's successors carry integer
 probability numerators over one denominator, the product of each
@@ -100,12 +104,19 @@ def _expected_basis(mdp: FactoredMdp, a: int, digits: Digits) -> tuple[list[int]
     return sums, den * scale
 
 
-def explicit_q(mdp: FactoredMdp, w: Weights, a: int, x: PartialState) -> Fraction:
-    """One-step backup of the linear value estimate, by full expansion."""
+def explicit_q(
+    mdp: FactoredMdp, ws: Sequence[Weights], a: int, x: PartialState
+) -> list[Fraction]:
+    """One-step backup of each linear value estimate in ``ws``, in order,
+    from one full expansion of ``a`` at ``x``: the successors, reward and
+    expected basis sums do not depend on the weights."""
     r = mdp.reward(a, x)
     sums, den = _expected_basis(mdp, a, _digits(mdp, x))
-    (ws,), scale = _over_one_den([w])
-    return r + mdp.discount * Fraction(sum(map(mul, ws, sums)), den * scale)
+    rows, scale = _over_one_den(ws)
+    return [
+        r + mdp.discount * Fraction(sum(map(mul, row, sums)), den * scale)
+        for row in rows
+    ]
 
 
 def explicit_bellman_err(
@@ -115,7 +126,8 @@ def explicit_bellman_err(
     best = Fraction(0)
     for x in enumerate_states(mdp, limit):
         a = select_action(pol, x)
-        gap = abs(explicit_q(mdp, w, a, x) - mdp.nu_w(w, x))
+        (q,) = explicit_q(mdp, (w,), a, x)
+        gap = abs(q - mdp.nu_w(w, x))
         if gap > best:
             best = gap
     return best

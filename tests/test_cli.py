@@ -14,7 +14,7 @@ from fmdp.certify import check_optimality
 from fmdp.cli import main
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState
-from fmdp.lp import Infeasible, Unbounded
+from fmdp.lp import Infeasible, Optimal, Unbounded
 from fmdp.lpio import write_certificate, write_lp
 from fmdp.mdpio import load_mdp, save_mdp
 from fmdp.model import make_ring
@@ -260,6 +260,25 @@ def test_oracle_check_passes_on_ring(tmp_path, capsys):
     assert out.count("ok  ") == 4
 
 
+# The whole report on ring-5: every line, the posterior bound's lhs and rhs
+# included, under both elimination orders.
+ORACLE_REPORT_RING5 = """\
+model: vars=5 actions=6 basis=6 discount=9/10 states=32
+ok   q-values (5 weight vectors, 6 actions, 32 states)
+ok   bellman-errors (5 greedy lists)
+ok   weight-lp-optimum (3 greedy lists)
+ok   posterior-bound (t=2 lhs=109107525758579959131/829106720262984961555 rhs=891/1060)
+oracle-check: 4 of 4 checks passed
+"""
+
+
+@pytest.mark.parametrize("order", ["identity", "min-degree"])
+def test_oracle_check_report_on_ring5(tmp_path, capsys, order):
+    model = _ring_file(tmp_path, 5)
+    assert main(["oracle-check", "--model", model, "--order", order]) == 0
+    assert capsys.readouterr().out == ORACLE_REPORT_RING5
+
+
 def test_oracle_check_respects_state_limit(tmp_path, capsys):
     model = _ring_file(tmp_path)
     code = main(["oracle-check", "--model", model, "--oracle-limit", "3"])
@@ -269,6 +288,18 @@ def test_oracle_check_respects_state_limit(tmp_path, capsys):
 
 def _answers(value):
     return lambda real: lambda *args, **kwargs: value
+
+
+def _backups(value):
+    return lambda real: lambda mdp, ws, a, x: [value] * len(ws)
+
+
+def _doubled_dual(real):
+    def solve(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        return Optimal(cert.primal, tuple(2 * y for y in cert.dual))
+
+    return solve
 
 
 def _not_converged(real):
@@ -282,13 +313,21 @@ def _not_holding(real):
 @pytest.mark.parametrize(
     "check, name, broken, detail",
     [
-        ("q-values", "explicit_q", _answers(Fraction(999)), "3 actions, 4 states"),
+        ("q-values", "explicit_q", _backups(Fraction(999)), "3 actions, 4 states"),
         ("bellman-errors", "explicit_bellman_err", _answers(Fraction(999)), "5 greedy lists"),
         ("weight-lp-optimum", "solve_lp", _answers(Infeasible((Fraction(1),))), "3 greedy lists"),
+        ("weight-lp-optimum", "solve_lp", _doubled_dual, "3 greedy lists"),
         ("posterior-bound", "api", _not_converged, "weights did not converge in 30 iterations"),
         ("posterior-bound", "posterior_bound", _not_holding, "lhs="),
     ],
-    ids=["q-values", "bellman-errors", "weight-lp-optimum", "bound-not-converged", "bound-not-holding"],
+    ids=[
+        "q-values",
+        "bellman-errors",
+        "weight-lp-optimum",
+        "weight-lp-broken-dual",
+        "bound-not-converged",
+        "bound-not-holding",
+    ],
 )
 def test_oracle_check_failure_names_the_check(tmp_path, capsys, monkeypatch, check, name, broken, detail):
     model = _ring_file(tmp_path)

@@ -34,7 +34,7 @@ from fmdp.api import ApiConfig, api
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import PartialState
-from fmdp.lp import Infeasible, Optimal, Unbounded
+from fmdp.lp import Infeasible, Optimal, StdRows, Unbounded
 from fmdp.lpbuild import Tag, assemble_lp, weight_lp_blocks
 from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.mdpio import load_mdp, mdp_from_json_dict, mdp_to_json_dict, save_mdp
@@ -233,6 +233,16 @@ def test_writers_refuse_a_column_that_is_no_token_and_leave_no_file(tmp_path):
             write_lp(tmp_path / "out.lp", bad)
         with pytest.raises(InvalidInputError, match=f"variable token {re.escape(repr(column))} is not writable"):
             write_certificate(tmp_path / "out.cert", bad, Optimal((Fraction(1),), (Fraction(0),)))
+    # Two columns may not share a token, even in separate rows: the reader
+    # would read one column where the program has two.
+    rows = StdRows()
+    rows.add("le", ((0, Fraction(-1)), (1, Fraction(1))), Fraction(1))
+    rows.add("le", ((0, Fraction(-1)), (2, Fraction(1))), Fraction(2))
+    repeated = rows.std(("phi", "x", "x"))
+    with pytest.raises(InvalidInputError, match="variable token 'x' names two columns"):
+        write_lp(tmp_path / "out.lp", repeated)
+    with pytest.raises(InvalidInputError, match="variable token 'x' names two columns"):
+        write_certificate(tmp_path / "out.cert", repeated, Optimal((Fraction(0),) * 3, (Fraction(0),) * 2))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,17 +1,24 @@
 """Reference brute-force answers on hand-checkable rings, and the oracle
 against its definitions on drawn models."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
+from pathlib import Path
+from tempfile import TemporaryDirectory
+from unittest import mock
 
 import pytest
 from helpers import PHI, Lp, Weight, flatten, make_constraint, models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmdp import cli
 from fmdp.errors import OracleLimitError
 from fmdp.factored import PartialState, restrict
 from fmdp.lp import Optimal
+from fmdp.mdpio import save_mdp
 from fmdp.model import make_ring
 from fmdp.oracle import (
     enumerate_states,
@@ -55,7 +62,7 @@ def test_explicit_q_agrees_with_factored_backup():
             )
             a = rng.randrange(len(mdp.actions))
             for x in enumerate_states(mdp):
-                assert explicit_q(mdp, w, a, x) == mdp.q_value(w, a, x)
+                assert explicit_q(mdp, (w,), a, x) == [mdp.q_value(w, a, x)]
 
 
 def test_explicit_bellman_err_zero_weights():
@@ -147,7 +154,7 @@ def test_oracle_meets_its_definitions_on_drawn_models(mdp, data):
     states = enumerate_states(mdp)
     for a in range(len(mdp.actions)):
         for x in states:
-            assert explicit_q(mdp, w, a, x) == _backup(mdp, a, x, lambda y: mdp.nu_w(w, y))
+            assert explicit_q(mdp, (w,), a, x) == [_backup(mdp, a, x, lambda y: mdp.nu_w(w, y))]
 
     pol = greedy_decision_list(mdp, data.draw(weights))
     held = policy_value(mdp, pol)
@@ -165,3 +172,46 @@ def test_oracle_meets_its_definitions_on_drawn_models(mdp, data):
         rows.append(make_constraint("le", {**coef, PHI: Fraction(-1)}, r))
         rows.append(make_constraint("le", {**{k: -c for k, c in coef.items()}, PHI: Fraction(-1)}, -r))
     assert explicit_weight_lp(mdp, pol) == flatten(Lp(tuple(rows), PHI))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(mdp=models(), data=st.data())
+def test_one_expansion_backs_up_every_weight_vector(mdp, data):
+    weights = st.tuples(*(st.fractions(-9, 9, max_denominator=7) for _ in mdp.basis))
+    ws = data.draw(st.lists(weights, min_size=0, max_size=4))
+    for a in range(len(mdp.actions)):
+        for x in enumerate_states(mdp):
+            backups = explicit_q(mdp, ws, a, x)
+            assert backups == [explicit_q(mdp, (w,), a, x)[0] for w in ws]
+            assert backups == [mdp.q_value(w, a, x) for w in ws]
+
+
+def _oracle_check_lines(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["oracle-check", "--model", str(path)])
+    return out.getvalue().splitlines()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(mdp=models(), data=st.data())
+def test_oracle_check_fails_a_backup_wrong_for_the_last_vector_at_one_state(mdp, data):
+    a_bad = data.draw(st.integers(0, len(mdp.actions) - 1))
+    x_bad = data.draw(st.sampled_from(enumerate_states(mdp)))
+    real = cli.explicit_q
+
+    def mutant(mdp, ws, a, x):
+        backups = real(mdp, ws, a, x)
+        if (a, x) == (a_bad, x_bad):
+            backups[-1] += 1
+        return backups
+
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_mdp(mdp, str(path))
+        held = _oracle_check_lines(path)
+        with mock.patch.object(cli, "explicit_q", mutant):
+            broken = _oracle_check_lines(path)
+    assert held[1].startswith("ok   q-values (")
+    assert broken[1] == "FAIL" + held[1][4:]
+    assert broken[2:-1] == held[2:-1]
