@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .elim import identity_order, min_degree_order
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments
-from .values import format_rational
+from .values import format_rational, over_one_den
 
 __all__ = [
     "FactoredMdp",
@@ -333,14 +334,27 @@ class FactoredMdp:
         """Value of the weighted basis combination at a full state."""
         return sum((wi * h(x) for wi, h in zip(w, self.basis)), Fraction(0))
 
-    def q_value(self, w: Sequence[Fraction], a: int, x: PartialState) -> Fraction:
-        """Action value under the weighted basis combination:
-        immediate reward plus discounted expected next-step basis value."""
+    def q_values(
+        self, ws: Sequence[Sequence[Fraction]], a: int, x: PartialState
+    ) -> list[Fraction]:
+        """Action value of ``a`` at ``x`` under each weighted basis
+        combination in ``ws``, in order: immediate reward plus discounted
+        expected next-step basis value.
+
+        The reward and each g(i, a)(x) are evaluated once for all of
+        ``ws``, and the g values put over one denominator, so each weight
+        vector costs one integer dot product.
+        """
         self._check_action(a)
-        future = sum(
-            (wi * self.g(i, a)(x) for i, wi in enumerate(w)), Fraction(0)
-        )
-        return self.reward(a, x) + self.discount * future
+        r = self.reward(a, x)
+        (gs,), den = over_one_den([[self.g(i, a)(x) for i in range(len(self.basis))]])
+        rows, scale = over_one_den(ws)
+        return [r + self.discount * Fraction(sum(map(mul, row, gs)), den * scale) for row in rows]
+
+    def q_value(self, w: Sequence[Fraction], a: int, x: PartialState) -> Fraction:
+        """Action value under one weighted basis combination;
+        ``q_values`` with ``ws = (w,)``."""
+        return self.q_values((w,), a, x)[0]
 
 
 def elimination_order(mdp: FactoredMdp, kind: str = "identity") -> tuple[int, ...]:

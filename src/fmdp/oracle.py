@@ -10,8 +10,10 @@ state count; ``enumerate_states`` refuses state spaces past an explicit
 limit.  ``fmdp oracle-check`` (``fmdp.cli``) expands each (action, state)
 pair once for all its weight vectors (``explicit_q`` takes a sequence of
 them), builds one greedy list per weight vector, and certifies each
-``explicit_weight_lp`` answer with ``check_optimality`` before comparing
-its phi.
+weight fit's ``(phi, w)`` on ``explicit_weight_lp``: it solves only the
+rows the fit makes tight and checks the padded dual on the whole program
+with ``check_optimality``.  ``explicit_bellman_err`` and
+``explicit_weight_lp`` scale the basis tables to integers once per call.
 
 The arithmetic is over integers.  A state's successors carry integer
 probability numerators over one denominator, the product of each
@@ -26,7 +28,7 @@ the answers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -35,6 +37,7 @@ from .factored import PartialState, ScopedFn, assignments
 from .lp import StdLp, StdRows
 from .model import FactoredMdp, Weights
 from .policy import DecisionList, select_action
+from .values import over_one_den
 
 __all__ = [
     "enumerate_states",
@@ -72,12 +75,6 @@ def _index(f: ScopedFn, digits: Digits) -> int:
     return idx
 
 
-def _over_one_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rational rows as integer rows over their least common denominator."""
-    den = lcm(*[q.denominator for row in rows for q in row])
-    return [[q.numerator * (den // q.denominator) for q in row] for row in rows], den
-
-
 def _successors(
     mdp: FactoredMdp, a: int, digits: Digits
 ) -> tuple[list[tuple[tuple[int, ...], int]], int]:
@@ -86,22 +83,44 @@ def _successors(
     out: list[tuple[tuple[int, ...], int]] = [((), 1)]
     den = 1
     for fn in mdp.transitions[a]:
-        (row,), d = _over_one_den([fn.table[_index(fn, digits)]])
+        (row,), d = over_one_den([fn.table[_index(fn, digits)]])
         steps = [(val, p) for val, p in enumerate(row) if p]
         out = [(s + (val,), n * p) for s, n in out for val, p in steps]
         den *= d
     return out, den
 
 
-def _expected_basis(mdp: FactoredMdp, a: int, digits: Digits) -> tuple[list[int], int]:
+def _basis_tables(mdp: FactoredMdp) -> tuple[list[list[int]], int]:
+    """Every basis table as integers over their one lcm."""
+    return over_one_den([h.table for h in mdp.basis])
+
+
+def _expected_basis(
+    mdp: FactoredMdp, tables: tuple[list[list[int]], int], a: int, digits: Digits
+) -> tuple[list[int], int]:
     """E[h_i(next)] under ``a`` for every basis function h_i, as integer
-    numerators over one denominator."""
+    numerators over one denominator, from the basis ``tables``."""
     succ, den = _successors(mdp, a, digits)
-    tables, scale = _over_one_den([h.table for h in mdp.basis])
-    sums = [
-        sum(n * t[_index(h, s)] for s, n in succ) for h, t in zip(mdp.basis, tables)
-    ]
+    ints, scale = tables
+    sums = [sum(n * t[_index(h, s)] for s, n in succ) for h, t in zip(mdp.basis, ints)]
     return sums, den * scale
+
+
+def _backups(
+    mdp: FactoredMdp,
+    tables: tuple[list[list[int]], int],
+    ws: Sequence[Weights],
+    a: int,
+    x: PartialState,
+) -> list[Fraction]:
+    """``explicit_q`` from the caller's ``_basis_tables``."""
+    r = mdp.reward(a, x)
+    sums, den = _expected_basis(mdp, tables, a, _digits(mdp, x))
+    rows, scale = over_one_den(ws)
+    return [
+        r + mdp.discount * Fraction(sum(map(mul, row, sums)), den * scale)
+        for row in rows
+    ]
 
 
 def explicit_q(
@@ -110,23 +129,18 @@ def explicit_q(
     """One-step backup of each linear value estimate in ``ws``, in order,
     from one full expansion of ``a`` at ``x``: the successors, reward and
     expected basis sums do not depend on the weights."""
-    r = mdp.reward(a, x)
-    sums, den = _expected_basis(mdp, a, _digits(mdp, x))
-    rows, scale = _over_one_den(ws)
-    return [
-        r + mdp.discount * Fraction(sum(map(mul, row, sums)), den * scale)
-        for row in rows
-    ]
+    return _backups(mdp, _basis_tables(mdp), ws, a, x)
 
 
 def explicit_bellman_err(
     mdp: FactoredMdp, w: Weights, pol: DecisionList, limit: int = DEFAULT_STATE_LIMIT
 ) -> Fraction:
     """sup |Q_w(pi(x), x) - nu_w(x)| over every enumerated state."""
+    tables = _basis_tables(mdp)
     best = Fraction(0)
     for x in enumerate_states(mdp, limit):
         a = select_action(pol, x)
-        (q,) = explicit_q(mdp, (w,), a, x)
+        (q,) = _backups(mdp, tables, (w,), a, x)
         gap = abs(q - mdp.nu_w(w, x))
         if gap > best:
             best = gap
@@ -140,13 +154,14 @@ def explicit_weight_lp(
     mirrored pair of rows per enumerated state.  Phi is column 0, `phi`;
     weight i, `w<i>`, takes the next column in the first row where it is
     nonzero."""
+    tables = _basis_tables(mdp)
     col_of: dict[int, int] = {}  # basis index -> column
     minus = Fraction(-1)
     out = StdRows()
     for x in enumerate_states(mdp, limit):
         a = select_action(pol, x)
         digits = _digits(mdp, x)
-        sums, den = _expected_basis(mdp, a, digits)
+        sums, den = _expected_basis(mdp, tables, a, digits)
         coef = [
             h.table[_index(h, digits)] - mdp.discount * Fraction(s, den)
             for h, s in zip(mdp.basis, sums)

@@ -1,4 +1,4 @@
-"""Exact rational text: parsing and formatting.
+"""Exact rationals: text parsing and formatting, and integer rows.
 
 All numeric work in this package happens over arbitrary-precision rationals.
 Where a value may be minus infinity (a table entry excluded by an indicator,
@@ -12,10 +12,12 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import InvalidInputError
 
-__all__ = ["parse_rational", "format_rational"]
+__all__ = ["parse_rational", "format_rational", "over_one_den"]
 
 # Forms ``Fraction`` would take but this package never writes: an exponent
 # (a 12-byte "1e999999999" costs a power of ten with a billion digits), a
@@ -56,3 +58,9 @@ def format_rational(value: Fraction | int) -> str:
         return str(Fraction(value))
     except ValueError as exc:
         raise InvalidInputError(f"cannot format a rational: it exceeds {_digit_limit()}") from exc
+
+
+def over_one_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rational rows as integer rows over their least common denominator."""
+    den = lcm(*[q.denominator for row in rows for q in row])
+    return [[q.numerator * (den // q.denominator) for q in row] for row in rows], den

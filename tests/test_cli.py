@@ -302,6 +302,25 @@ def _doubled_dual(real):
     return solve
 
 
+def _moved_weight(real):
+    def fit(*args, **kwargs):
+        w, phi = real(*args, **kwargs)
+        return (w[0] + 1, *w[1:]), phi
+
+    return fit
+
+
+def _moved_phi(step):
+    def moved(real):
+        def fit(*args, **kwargs):
+            w, phi = real(*args, **kwargs)
+            return w, phi + step
+
+        return fit
+
+    return moved
+
+
 def _not_converged(real):
     return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), w_eq=False)
 
@@ -317,6 +336,9 @@ def _not_holding(real):
         ("bellman-errors", "explicit_bellman_err", _answers(Fraction(999)), "5 greedy lists"),
         ("weight-lp-optimum", "solve_lp", _answers(Infeasible((Fraction(1),))), "3 greedy lists"),
         ("weight-lp-optimum", "solve_lp", _doubled_dual, "3 greedy lists"),
+        ("weight-lp-optimum", "update_weights", _moved_weight, "3 greedy lists"),
+        ("weight-lp-optimum", "update_weights", _moved_phi(Fraction(1, 7)), "3 greedy lists"),
+        ("weight-lp-optimum", "update_weights", _moved_phi(Fraction(-1, 7)), "3 greedy lists"),
         ("posterior-bound", "api", _not_converged, "weights did not converge in 30 iterations"),
         ("posterior-bound", "posterior_bound", _not_holding, "lhs="),
     ],
@@ -325,6 +347,9 @@ def _not_holding(real):
         "bellman-errors",
         "weight-lp-optimum",
         "weight-lp-broken-dual",
+        "weight-lp-moved-weight",
+        "weight-lp-phi-above",
+        "weight-lp-phi-below",
         "bound-not-converged",
         "bound-not-holding",
     ],
@@ -339,6 +364,32 @@ def test_oracle_check_failure_names_the_check(tmp_path, capsys, monkeypatch, che
     assert len(failed) == 1 and failed[0].startswith(f"FAIL {check} (") and detail in failed[0]
     assert "oracle-check: 3 of 4 checks passed" in captured.out
     assert f"fmdp: oracle-check failed at {check}" in captured.err
+
+
+def test_oracle_check_certifies_a_fit_that_makes_every_row_tight(tmp_path, capsys, monkeypatch):
+    # On ring-1 the constant and the indicator basis function represent
+    # every value exactly, so each fit has phi = 0 and makes both rows of
+    # every pair tight: the program the check solves is the whole one.
+    # Only the weight-lp line is read: api() stops ring-1 at t = 1 on
+    # err = 0 before its weights repeat, so posterior-bound is not run.
+    model = _ring_file(tmp_path, 1)
+    fits, solved = [], []
+    real_fit, real_solve = cli.update_weights, cli.solve_lp
+
+    def fit(*args, **kwargs):
+        fits.append(real_fit(*args, **kwargs))
+        return fits[-1]
+
+    def solve(std, *args, **kwargs):
+        solved.append(std)
+        return real_solve(std, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "update_weights", fit)
+    monkeypatch.setattr(cli, "solve_lp", solve)
+    main(["oracle-check", "--model", model])
+    assert "\nok   weight-lp-optimum (3 greedy lists)\n" in capsys.readouterr().out
+    assert [phi for _, phi in fits] == [0, 0, 0]
+    assert [std.num_rows for std in solved] == [4, 4, 4]
 
 
 def test_solve_skips_the_bound_above_the_oracle_limit(tmp_path, capsys):

@@ -184,6 +184,7 @@ def test_one_expansion_backs_up_every_weight_vector(mdp, data):
             backups = explicit_q(mdp, ws, a, x)
             assert backups == [explicit_q(mdp, (w,), a, x)[0] for w in ws]
             assert backups == [mdp.q_value(w, a, x) for w in ws]
+            assert backups == mdp.q_values(ws, a, x)
 
 
 def _oracle_check_lines(path):
