@@ -6,7 +6,8 @@ greedy decision list off the new weights.  Because every step is rational
 arithmetic, weight convergence is an exact equality test, not a tolerance.
 
 ``posterior_bound`` checks the a-posteriori guarantee for converged runs
-against the brute-force oracle, which limits it to small state spaces.
+against the brute-force oracle, which limits it to small state spaces;
+it alone decides which runs have converged.
 """
 
 from __future__ import annotations
@@ -129,10 +130,12 @@ def posterior_bound(
 
     Compares ``(1 - discount) * sup |nu_star - nu_w|`` against
     ``2 * discount * err``, with the optimal values taken from the explicit
-    oracle.  Only meaningful after weight convergence, so any other result
-    is rejected; state spaces past ``limit`` raise ``OracleLimitError``.
+    oracle.  A run has converged when its weights repeated or its error is
+    0: ``err`` is the Bellman residual of nu_w, so at 0 nu_w is optimal and
+    both sides are 0.  Any other run raises ``InvalidInputError``; state
+    spaces past ``limit`` raise ``OracleLimitError``.
     """
-    if not result.w_eq:
+    if not (result.w_eq or result.err == 0):
         raise InvalidInputError("the posterior bound needs a run with converged weights")
     star = optimal_value(mdp, limit)
     gap = Fraction(0)

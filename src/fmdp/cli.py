@@ -229,17 +229,16 @@ def _cmd_solve(args) -> int:
     lines.append("policy:")
     for branch_line in decision_list_to_text(mdp, res.pol).splitlines():
         lines.append("  " + branch_line)
-    if not res.w_eq:
+    try:
+        lhs, rhs, holds = posterior_bound(mdp, res, limit=args.oracle_limit)
+        lines.append(
+            f"bound: lhs={format_rational(lhs)} rhs={format_rational(rhs)} "
+            f"holds={_yn(holds)}"
+        )
+    except OracleLimitError:
+        lines.append("bound: skipped (state space above the oracle limit)")
+    except InvalidInputError:  # the run has not converged
         lines.append("bound: skipped (weights did not converge)")
-    else:
-        try:
-            lhs, rhs, holds = posterior_bound(mdp, res, limit=args.oracle_limit)
-            lines.append(
-                f"bound: lhs={format_rational(lhs)} rhs={format_rational(rhs)} "
-                f"holds={_yn(holds)}"
-            )
-        except OracleLimitError:
-            lines.append("bound: skipped (state space above the oracle limit)")
     _emit(lines, args.report)
 
     last = steps[-1]
@@ -307,15 +306,16 @@ def _cmd_oracle_check(args) -> int:
     check("weight-lp-optimum", lp_ok, "3 greedy lists")
 
     res = api(mdp, ApiConfig(Fraction(0), 30, order))
-    if res.w_eq:
+    try:
         bound = posterior_bound(mdp, res, limit=args.oracle_limit)
+    except InvalidInputError:  # the run has not converged
+        check("posterior-bound", False, "weights did not converge in 30 iterations")
+    else:
         detail = (
             f"t={res.t} lhs={format_rational(bound.lhs)} "
             f"rhs={format_rational(bound.rhs)}"
         )
         check("posterior-bound", bound.holds, detail)
-    else:
-        check("posterior-bound", False, "weights did not converge in 30 iterations")
 
     total = 4
     lines.append(f"oracle-check: {total - len(failures)} of {total} checks passed")
@@ -346,8 +346,7 @@ def _is_optimum(std: StdLp, phi: Fraction, w: Weights) -> bool:
             rows.append(row)
     if not rows:  # every row has slack, so a smaller phi is feasible
         return False
-    # The tight rows alone, each its own constraint.
-    cert = solve_lp(StdLp(std.columns, *map(tuple, zip(*rows)), tuple(zip(range(len(rows))))))
+    cert = solve_lp(StdLp(std.columns, *map(tuple, zip(*rows))))
     if not isinstance(cert, Optimal):
         return False
     dual = [Fraction(0)] * std.num_rows

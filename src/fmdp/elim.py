@@ -40,12 +40,12 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments
+from .values import over_one_den
 
 __all__ = [
     "ElimRound",
     "ElimPlan",
     "Scaled",
-    "int_tables",
     "max_sum",
     "max_sum_decode",
     "explicit_max",
@@ -166,11 +166,11 @@ class ElimPlan:
         """Table index over ``scope`` of the full state with values ``x``."""
         return _index(x, [(v, self.dims[v]) for v in scope])
 
-    def sweep(self, tables: Sequence[Sequence], zero) -> tuple[list[tuple], list[tuple[int, ...]]]:
+    def sweep(self, tables: Sequence[Sequence]) -> tuple[list[tuple], list[tuple[int, ...]]]:
         """Run every round over one value table per input slot.
 
-        Values need ``+`` and ``<``; ``zero`` is the empty sum, so a round
-        nothing depends on yields the constant ``zero``.  Returns the table
+        Values need ``+`` and ``<``, and ``0`` is the empty sum, so a round
+        nothing depends on yields the constant ``0``.  Returns the table
         of every slot and, per round, the winning value of the eliminated
         variable at each entry of the replacement, the lowest on ties.
         """
@@ -180,7 +180,7 @@ class ElimPlan:
             card = self.dims[rnd.var]
             size = math.prod(self.dims[v] for v in rnd.scope_e)
             if not rnd.dependents:
-                tables.append((zero,) * size)
+                tables.append((0,) * size)
                 choices.append((0,) * size)
                 continue
             # The dependents' sum at every point, one dependent at a time.
@@ -219,25 +219,11 @@ class Scaled:
     def of(cls, fs: Sequence[ScopedFn]) -> "Scaled":
         """The family ``fs``, whose tables hold rationals and ``None`` for
         minus infinity, converted once."""
-        scaled, den = int_tables([f.table for f in fs])
+        scaled, den = over_one_den([f.table for f in fs])
         bound = sum(max(map(abs, filter(None, ints)), default=0) for ints in scaled)
         floor = -(2 * bound + 1)
         tables = tuple([floor if n is None else n for n in ints] for ints in scaled)
         return cls(tables, den, bound)
-
-
-def int_tables(
-    tables: Iterable[Sequence[Fraction | None]],
-) -> tuple[tuple[tuple[int | None, ...], ...], int]:
-    """Rational tables over one denominator, the lcm of every entry's,
-    with ``None`` (minus infinity) kept: the integer tables and that
-    denominator."""
-    tables = list(tables)
-    den = math.lcm(*{q.denominator for t in tables for q in t if q is not None})
-    ints = []
-    for t in tables:
-        ints.append(tuple([None if q is None else q.numerator * (den // q.denominator) for q in t]))
-    return tuple(ints), den
 
 
 def max_sum(
@@ -275,7 +261,7 @@ def max_sum_decode(
     if plan is None:
         plan = ElimPlan.build(fs, order, dims)
     family = fs if isinstance(fs, Scaled) else Scaled.of(fs)
-    tables, choices = plan.sweep(family.tables, 0)
+    tables, choices = plan.sweep(family.tables)
     total = sum(tables[s][0] for s in plan.final)
     value = Fraction(total, family.den) if total >= -family.bound else None
     x = [0] * len(plan.dims)

@@ -18,16 +18,17 @@ and the checkers sum them as they stand; ``StdLp.fraction_row`` renders a
 row as ``Fraction``s for readers that want rationals.
 
 Every producer numbers its own columns.  An equality is two adjacent
-rows, the second negated.  The program reader (``fmdp.lpio.read_lp``)
-and the oracle's explicit program (``fmdp.oracle.explicit_weight_lp``)
-add their rows through ``StdRows``, which puts each rational row into
-this form once.  The builder (``fmdp.lpbuild.assemble_lp``) and the
-weight fit's master (``fmdp.weights``) write theirs straight from their
-integer tables; the builder renders its column tokens only on first
-read (``Deferred``).  The builder and ``StdRows`` keep one numerator
-tuple per row shape.  The dual convention is fixed once for the whole
-package: the dual of `min x_0, A x <= b` is
-`max -b^T y, A^T y = -e_0, y >= 0`.
+rows, the second negated; no producer lists the constraints, which
+``StdLp.constraint_rows`` reads off the rows.  The program reader
+(``fmdp.lpio.read_lp``) and the oracle's explicit program
+(``fmdp.oracle.explicit_weight_lp``) add their rows through ``StdRows``,
+which puts each rational row into this form once.  The builder
+(``fmdp.lpbuild.assemble_lp``) and the weight fit's master
+(``fmdp.weights``) write theirs straight from their integer tables; the
+builder renders its column tokens only on first read (``Deferred``).
+The builder and ``StdRows`` keep one numerator tuple per row shape.  The
+dual convention is fixed once for the whole package: the dual of
+`min x_0, A x <= b` is `max -b^T y, A^T y = -e_0, y >= 0`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 from typing import Callable, Iterable, Union
 
 __all__ = [
@@ -56,12 +58,10 @@ class StdLp:
 
     Row i reads `sum_k nums[i][k] * x[cols[i][k]] <= rhs[i]` with every
     number divided by ``dens[i] > 0``, in lowest terms with no zero
-    numerator (see the module notes).  ``constraint_rows[k]`` lists the row indices produced by the
-    k-th input constraint (one for an inequality, two adjacent for an
-    equality), which lets duals built against the input constraints
-    translate to row space.  ``columns`` holds each column's token; it and
-    ``constraint_rows`` may each be a ``Deferred`` tuple.  ``col_of``
-    inverts ``columns`` on first read.
+    numerator (see the module notes).  ``columns`` holds each column's
+    token, and may be a ``Deferred`` tuple.  ``col_of`` inverts
+    ``columns`` on first read, and ``constraint_rows`` derives the
+    constraints from the rows.
     """
 
     columns: Sequence[str]
@@ -69,11 +69,25 @@ class StdLp:
     nums: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
     dens: tuple[int, ...]
-    constraint_rows: Sequence[tuple[int, ...]]
 
     @cached_property
     def col_of(self) -> dict[str, int]:
         return {v: j for j, v in enumerate(self.columns)}
+
+    @cached_property
+    def constraint_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of each constraint, in order: ``(k, k + 1)`` for an
+        equality, a row followed by its negation (same columns and
+        denominator, negated numerators and right-hand side), and ``(k,)``
+        for every other row."""
+        cols, nums, rhs, dens = self.cols, self.nums, self.rhs, self.dens
+        out, k, m = [], 0, len(rhs)
+        while k < m:
+            j = k + 1
+            same = j < m and rhs[j] == -rhs[k] and cols[j] == cols[k] and dens[j] == dens[k]
+            out.append((k, j) if same and not any(map(add, nums[j], nums[k])) else (k,))
+            k += len(out[-1])
+        return tuple(out)
 
     @property
     def num_rows(self) -> int:
@@ -133,7 +147,6 @@ class StdRows:
         self.nums: list[tuple[int, ...]] = []
         self.rhs: list[int] = []
         self.dens: list[int] = []
-        self.constraint_rows: list[tuple[int, ...]] = []
         self._shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._negated: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -163,7 +176,6 @@ class StdRows:
             nums = tuple([n * (den // d) for n, d in zip(nums, dens)])
             r *= den // rd
         nums = self._shapes.setdefault(nums, nums)
-        k = len(self.rhs)
         if kind == "eq":
             negated = self._negated.get(nums)
             if negated is None:
@@ -173,13 +185,11 @@ class StdRows:
             self.nums += (nums, negated)
             self.rhs += (r, -r)
             self.dens += (den, den)
-            self.constraint_rows.append((k, k + 1))
         else:
             self.cols.append(cols)
             self.nums.append(nums)
             self.rhs.append(r)
             self.dens.append(den)
-            self.constraint_rows.append((k,))
 
     def std(self, columns: Sequence[str]) -> StdLp:
         return StdLp(
@@ -188,7 +198,6 @@ class StdRows:
             tuple(self.nums),
             tuple(self.rhs),
             tuple(self.dens),
-            tuple(self.constraint_rows),
         )
 
 

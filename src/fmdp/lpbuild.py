@@ -62,12 +62,13 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .elim import ElimPlan, ElimRound, Scaled, identity_order, int_tables
+from .elim import ElimPlan, ElimRound, Scaled, identity_order
 from .errors import InvalidInputError, LpInternalError
 from .factored import PartialState, ScopedFn, instantiate
 from .lp import Deferred, StdLp
 from .model import FactoredMdp
 from .policy import DecisionList
+from .values import over_one_den
 
 __all__ = ["Tag", "TagBlock", "branch_lp", "weight_lp_blocks"]
 __all__ += ["indicator_fns", "difference_fns", "Placed", "FullLp", "assemble_lp"]
@@ -199,7 +200,7 @@ def branch_lp(
     rewards = tuple(instantiate(r, t) for r in mdp.rewards[a])
     shadows = indicator_fns(ts, t, mdp.dims)
     plan = ElimPlan.build((*diffs, *rewards, *shadows), order, mdp.dims)
-    tables, den = int_tables([f.table for f in (*diffs, *rewards)])
+    tables, den = over_one_den([f.table for f in (*diffs, *rewards)])
     c, r = tables[: len(diffs)], tables[len(diffs) :]
     s = tuple(f.table for f in shadows)
     pos = TagBlock.of(Tag(t, a, True), c, _negated(r) + s, den, plan)
@@ -320,8 +321,9 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
     gcd(n, den), a pin of value n/den the row ``den * f <= n`` over den,
     divided likewise, and every other row has denominator 1.  Every column
     is one int object, the two rows of an equality share one column tuple,
-    rows of one shape share one numerator tuple, and the rows of each
-    constraint are listed only when read.
+    and rows of one shape share one numerator tuple.  Ties and pins are
+    equalities, a row and its negation; ``StdLp.constraint_rows`` reads
+    them back from the rows.
     """
     # Count the rows and columns first, so each row field and the column
     # ints are one list of final length: a list that regrows leaves holes
@@ -344,7 +346,6 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
     dens = [1] * m
     r = 0  # the next row
     width = 1  # the next column; phi is column 0
-    halves = bytearray()  # per constraint, its row count: 2 for an equality
     weight_cols: list[int | None] = []
     placed: list[Placed] = []
     shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -390,7 +391,6 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
                 nums[r], nums[r + 1] = pair
                 dens[r] = dens[r + 1] = d
                 r += 2
-            halves += b"\x02" * len(c)
         for k, b in zip(runs[nc:], block.b):
             first.append(r)
             for j, n in zip(ids[k : k + len(b)], b):
@@ -401,8 +401,6 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
                     rhs[r], rhs[r + 1] = sides
                     dens[r] = dens[r + 1] = d
                     r += 2
-                    halves.append(2)
-        start = r
         for slot, rnd in enumerate(plan.rounds, plan.inputs):
             e = runs[slot]
             first.append(r)
@@ -426,7 +424,6 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
         cols[r] = (0, *(ids[runs[s]] for s in plan.final))
         nums[r] = shared((-1,) + (1,) * len(plan.final))
         r += 1
-        halves.extend(repeat(1, r - start))
 
     def names() -> list[str]:
         out = ["phi"] * width
@@ -445,12 +442,6 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
                 out[k : k + len(zs)] = [head + z for z in zs]
         return out
 
-    def constraint_rows():
-        k = 0
-        for h in halves:
-            yield tuple(range(k, k + h))
-            k += h
-
     # One list at a time becomes its tuple and is dropped, so the peak
     # holds one spare copy of a row field, not four.
     cols = tuple(cols)
@@ -463,7 +454,6 @@ def assemble_lp(blocks: tuple[TagBlock, ...]) -> FullLp:
         nums,
         rhs,
         dens,
-        Deferred(len(halves), constraint_rows),
         tuple(weight_cols),
         tuple(placed),
     )

@@ -31,7 +31,8 @@ Omitted entries are zero; a section names each place at most once.
 Both directions work on the standard form (``fmdp.lp.StdLp``).  The
 writer names column 0 on the `min` line and writes each constraint's terms
 in column order, an equality once, from the first of its two rows,
-formatting each distinct numerator over its row denominator once.  The
+formatting each distinct numerator over its row denominator once.  Two
+`le` lines that negate each other are written back as one `eq` line.  The
 reader builds the standard form in one pass over the file, the objective
 as column 0, each row put in integer terms by ``fmdp.lp.StdRows``.  Both
 readers parse each distinct number token once per file, and every

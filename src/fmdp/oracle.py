@@ -90,13 +90,8 @@ def _successors(
     return out, den
 
 
-def _basis_tables(mdp: FactoredMdp) -> tuple[list[list[int]], int]:
-    """Every basis table as integers over their one lcm."""
-    return over_one_den([h.table for h in mdp.basis])
-
-
 def _expected_basis(
-    mdp: FactoredMdp, tables: tuple[list[list[int]], int], a: int, digits: Digits
+    mdp: FactoredMdp, tables: tuple[Sequence[Sequence[int]], int], a: int, digits: Digits
 ) -> tuple[list[int], int]:
     """E[h_i(next)] under ``a`` for every basis function h_i, as integer
     numerators over one denominator, from the basis ``tables``."""
@@ -108,12 +103,13 @@ def _expected_basis(
 
 def _backups(
     mdp: FactoredMdp,
-    tables: tuple[list[list[int]], int],
+    tables: tuple[Sequence[Sequence[int]], int],
     ws: Sequence[Weights],
     a: int,
     x: PartialState,
 ) -> list[Fraction]:
-    """``explicit_q`` from the caller's ``_basis_tables``."""
+    """``explicit_q`` from the basis ``tables``, put over one denominator
+    by the caller."""
     r = mdp.reward(a, x)
     sums, den = _expected_basis(mdp, tables, a, _digits(mdp, x))
     rows, scale = over_one_den(ws)
@@ -129,14 +125,14 @@ def explicit_q(
     """One-step backup of each linear value estimate in ``ws``, in order,
     from one full expansion of ``a`` at ``x``: the successors, reward and
     expected basis sums do not depend on the weights."""
-    return _backups(mdp, _basis_tables(mdp), ws, a, x)
+    return _backups(mdp, over_one_den([h.table for h in mdp.basis]), ws, a, x)
 
 
 def explicit_bellman_err(
     mdp: FactoredMdp, w: Weights, pol: DecisionList, limit: int = DEFAULT_STATE_LIMIT
 ) -> Fraction:
     """sup |Q_w(pi(x), x) - nu_w(x)| over every enumerated state."""
-    tables = _basis_tables(mdp)
+    tables = over_one_den([h.table for h in mdp.basis])
     best = Fraction(0)
     for x in enumerate_states(mdp, limit):
         a = select_action(pol, x)
@@ -154,7 +150,7 @@ def explicit_weight_lp(
     mirrored pair of rows per enumerated state.  Phi is column 0, `phi`;
     weight i, `w<i>`, takes the next column in the first row where it is
     nonzero."""
-    tables = _basis_tables(mdp)
+    tables = over_one_den([h.table for h in mdp.basis])
     col_of: dict[int, int] = {}  # basis index -> column
     minus = Fraction(-1)
     out = StdRows()

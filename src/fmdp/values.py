@@ -60,7 +60,14 @@ def format_rational(value: Fraction | int) -> str:
         raise InvalidInputError(f"cannot format a rational: it exceeds {_digit_limit()}") from exc
 
 
-def over_one_den(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rational rows as integer rows over their least common denominator."""
-    den = lcm(*[q.denominator for row in rows for q in row])
-    return [[q.numerator * (den // q.denominator) for q in row] for row in rows], den
+def over_one_den(
+    rows: Sequence[Sequence[Fraction | None]],
+) -> tuple[tuple[tuple[int | None, ...], ...], int]:
+    """Rational rows as integer rows over their least common denominator,
+    with ``None`` (minus infinity) kept: the integer rows and that
+    denominator."""
+    den = lcm(*{q.denominator for row in rows for q in row if q is not None})
+    ints = []
+    for r in rows:
+        ints.append(tuple([None if q is None else q.numerator * (den // q.denominator) for q in r]))
+    return tuple(ints), den

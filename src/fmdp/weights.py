@@ -109,9 +109,7 @@ def _master_std(m: int, box: int, cuts: Collection[_Cut]) -> StdLp:
     rows = [((i + 1,), q, box, 1) for i in range(m) for q in ((1,), (-1,))]
     rows += [cut.row for cut in cuts]
     cols, nums, rhs, dens = zip(*rows) if rows else ((), (), (), ())
-    columns = ("phi", *(f"w{i}" for i in range(m)))
-    singles = tuple((k,) for k in range(len(rows)))
-    return StdLp(columns, cols, nums, rhs, dens, singles)
+    return StdLp(("phi", *(f"w{i}" for i in range(m))), cols, nums, rhs, dens)
 
 
 def update_weights(
@@ -226,7 +224,7 @@ def _complete_primal(
             nums[col] = q.numerator * (den // q.denominator)
     for block, at in zip(blocks, std.placed):
         scaled = block.at(w)
-        tables, _ = block.plan.sweep(scaled.tables, 0)
+        tables, _ = block.plan.sweep(scaled.tables)
         factor = den // scaled.den
         if factor * sum(tables[s][0] for s in block.plan.final) > top:
             raise LpInternalError("completed block exceeds phi")

@@ -14,12 +14,13 @@ from typing import Iterable, Mapping, Union
 
 from hypothesis import strategies as st
 
-from fmdp.elim import ElimPlan, int_tables
+from fmdp.elim import ElimPlan
 from fmdp.errors import LpInternalError
 from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import StdLp, StdRows
 from fmdp.lpbuild import Tag, TagBlock, branch_lp
 from fmdp.model import FactoredMdp
+from fmdp.values import over_one_den
 
 
 # The named program layer the package once built its programs in, kept as
@@ -338,7 +339,7 @@ def min_lp(dims, tag, c_fns, b_fns, order) -> TagBlock:
     common denominator.
     """
     plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
-    tables, den = int_tables([f.table for f in (*c_fns, *b_fns)])
+    tables, den = over_one_den([f.table for f in (*c_fns, *b_fns)])
     return TagBlock.of(tag, tables[: len(c_fns)], tables[len(c_fns) :], den, plan)
 
 
@@ -507,7 +508,7 @@ def reference_block_tables(block, w, phi):
     stand_in = -(2 * bound + Fraction(1, block.den * lcm(*(q.denominator for q in w))))
     weighted = [tuple(wi * q for q in c.table) for wi, c in zip(w, c_fns)]
     pinned = [tuple(stand_in if v is None else v for v in b.table) for b in b_fns]
-    tables, _ = block.plan.sweep(weighted + pinned, Fraction(0))
+    tables, _ = block.plan.sweep(weighted + pinned)
     if sum((tables[s][0] for s in block.plan.final), Fraction(0)) > phi:
         raise LpInternalError("completed block exceeds phi")
     return tables

@@ -212,8 +212,9 @@ def test_posterior_bound_on_converged_ring():
 
 
 def test_posterior_bound_zero_discount_is_tight():
-    # The zero-error stop beats the weight-equality stop here, so convergence
-    # is shown directly: refitting the final policy reproduces its weights.
+    # The zero-error stop beats the weight-equality stop here; the bound
+    # accepts the run as it is, and refitting the final policy reproduces
+    # its weights.
     ring = make_ring(2)
     mdp = dataclasses.replace(
         ring, discount=Fraction(0), basis=ring.rewards[ring.default]
@@ -222,8 +223,7 @@ def test_posterior_bound_zero_discount_is_tight():
     assert res.err_le and res.err == 0
     w_again, _ = update_weights(mdp, res.pol)
     assert w_again == res.w
-    converged = dataclasses.replace(res, w_eq=True)
-    lhs, rhs, holds = posterior_bound(mdp, converged)
+    lhs, rhs, holds = posterior_bound(mdp, res)
     assert (lhs, rhs, holds) == (0, 0, True)
 
 

@@ -39,6 +39,16 @@ def test_solve_reports_convergence(tmp_path, capsys):
     assert report.read_text(encoding="utf-8") == out
 
 
+def test_solve_bounds_a_run_that_stops_at_zero_error(tmp_path, capsys):
+    # ring-1's basis represents every value exactly: the run stops on
+    # err = 0 before its weights repeat, and nu_w is then the optimum.
+    model = _ring_file(tmp_path, 1)
+    assert main(["solve", "--model", model, "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert "stop: t=1 w_eq=no err_le=yes timeout=no\nerr: 0\n" in out
+    assert "\nbound: lhs=0 rhs=0 holds=yes\n" in out
+
+
 def test_solve_timeout_is_normal_termination(tmp_path, capsys):
     model = _ring_file(tmp_path)
     code = main(["solve", "--model", model, "--t-max", "1"])
@@ -370,8 +380,8 @@ def test_oracle_check_certifies_a_fit_that_makes_every_row_tight(tmp_path, capsy
     # On ring-1 the constant and the indicator basis function represent
     # every value exactly, so each fit has phi = 0 and makes both rows of
     # every pair tight: the program the check solves is the whole one.
-    # Only the weight-lp line is read: api() stops ring-1 at t = 1 on
-    # err = 0 before its weights repeat, so posterior-bound is not run.
+    # The run stops on err = 0, where the posterior bound holds with both
+    # sides 0.
     model = _ring_file(tmp_path, 1)
     fits, solved = [], []
     real_fit, real_solve = cli.update_weights, cli.solve_lp
@@ -386,8 +396,11 @@ def test_oracle_check_certifies_a_fit_that_makes_every_row_tight(tmp_path, capsy
 
     monkeypatch.setattr(cli, "update_weights", fit)
     monkeypatch.setattr(cli, "solve_lp", solve)
-    main(["oracle-check", "--model", model])
-    assert "\nok   weight-lp-optimum (3 greedy lists)\n" in capsys.readouterr().out
+    assert main(["oracle-check", "--model", model]) == 0
+    out = capsys.readouterr().out
+    assert "\nok   weight-lp-optimum (3 greedy lists)\n" in out
+    assert "\nok   posterior-bound (t=1 lhs=0 rhs=0)\n" in out
+    assert out.endswith("\noracle-check: 4 of 4 checks passed\n")
     assert [phi for _, phi in fits] == [0, 0, 0]
     assert [std.num_rows for std in solved] == [4, 4, 4]
 

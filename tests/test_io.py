@@ -34,7 +34,7 @@ from fmdp.api import ApiConfig, api
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
 from fmdp.errors import InvalidInputError, LpInternalError
 from fmdp.factored import PartialState
-from fmdp.lp import Infeasible, Optimal, StdRows, Unbounded
+from fmdp.lp import Infeasible, Optimal, StdLp, StdRows, Unbounded
 from fmdp.lpbuild import Tag, assemble_lp, weight_lp_blocks
 from fmdp.lpio import read_certificate, read_lp, write_certificate, write_lp
 from fmdp.mdpio import load_mdp, mdp_from_json_dict, mdp_to_json_dict, save_mdp
@@ -135,6 +135,20 @@ def test_lp_round_trip_preserves_structure(tmp_path):
     assert _tokenized_rows(std_in) == _tokenized_rows(std_back)
     assert std_in.columns[0] == std_back.columns[0] == "phi"
     assert std_back.constraint_rows == ((0, 1), (2,), (3,))
+
+
+def test_two_le_rows_that_negate_each_other_are_written_as_one_eq_line(tmp_path):
+    # -phi + w0/2 <= 3/2 and its negation, built by hand as two rows.
+    std = StdLp(("phi", "w0"), ((0, 1), (0, 1)), ((-2, 1), (2, -1)), (3, -3), (2, 2))
+    assert std.constraint_rows == ((0, 1),)
+    path = tmp_path / "halves.lp"
+    write_lp(path, std)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert [line for line in lines if not line.startswith("#")] == [
+        "min phi",
+        "eq phi:-1 w0:1/2 3/2",
+    ]
+    assert read_lp(path) == std
 
 
 def test_lp_file_is_commented_and_stable(tmp_path):

@@ -25,7 +25,7 @@ from helpers import (
 
 from fmdp.api import ApiConfig, api
 from fmdp.factored import PartialState
-from fmdp.lp import Deferred
+from fmdp.lp import Deferred, StdRows
 from fmdp.lpbuild import Tag
 from fmdp.lpio import read_lp, write_lp
 from fmdp.model import elimination_order
@@ -194,6 +194,39 @@ def test_standard_form_col_of_follows_its_columns():
     std = flatten(Lp((con,), PHI))
     assert "col_of" not in vars(std)
     assert std.col_of == {"phi": 0, "w0": 1}
+
+
+def test_an_equality_and_its_two_halves_are_one_program():
+    half, terms = Fraction(1, 2), ((0, Fraction(-1)), (1, Fraction(3, 4)))
+    eq, les = StdRows(), StdRows()
+    eq.add("eq", terms, half)
+    les.add("le", terms, half)
+    les.add("le", tuple((j, -q) for j, q in terms), -half)
+    assert eq.std(("phi", "w0")) == les.std(("phi", "w0"))
+    assert les.std(("phi", "w0")).constraint_rows == ((0, 1),)
+
+
+def test_constraint_rows_pair_a_row_only_with_its_negation_just_after_it():
+    # Rows: a box pair (rhs not negated), an equality, a row equal to the
+    # equality's second half, a row over other columns, an equality that
+    # follows its own first half (the walk pairs left to right), then two
+    # pairs that negate all but the numerators, and all but the denominator.
+    out = StdRows()
+    one, two = Fraction(1), Fraction(2)
+    out.add("le", ((1, one),), two)
+    out.add("le", ((1, -one),), two)
+    out.add("eq", ((0, one), (1, two)), one)
+    out.add("le", ((0, -one), (1, -two)), -one)
+    out.add("le", ((0, one),), one)
+    out.add("le", ((2, one),), -one)
+    out.add("eq", ((2, -one),), one)
+    out.add("le", ((1, one),), one)
+    out.add("le", ((1, two),), -one)
+    out.add("le", ((1, one / 2),), one)
+    out.add("le", ((1, -one),), -two)
+    std = out.std(("phi", "w0", "w1"))
+    singles = ((9,), (10,), (11,), (12,))
+    assert std.constraint_rows == ((0,), (1,), (2, 3), (4,), (5,), (6, 7), (8,), *singles)
 
 
 def test_deferred_makes_its_items_once_on_first_read():

@@ -283,6 +283,21 @@ def test_master_is_the_standard_form_of_its_named_program():
             assert direct.col_of == named.col_of
 
 
+def test_every_master_of_a_ring3_run_has_one_constraint_per_row(monkeypatch):
+    masters = []
+
+    def kept(*args):
+        masters.append(master_std(*args))
+        return masters[-1]
+
+    master_std = weights_module._master_std
+    monkeypatch.setattr(weights_module, "_master_std", kept)
+    api(make_ring(3), ApiConfig(t_max=30))
+    assert len(masters) > 3
+    for std in masters:
+        assert std.constraint_rows == tuple((k,) for k in range(std.num_rows))
+
+
 def test_shadowed_branches_build_no_blocks(monkeypatch):
     # Branch {0=B, 1=B} extends the earlier {0=B}: it handles no state, so
     # it gets no blocks, and every block that is built is priced by the fit
