@@ -10,23 +10,23 @@ tables directly instead of assembling partial states.  The interpreters:
 
 * ``ElimPlan.sweep``, the numeric max-and-argmax pass over any values
   with ``+`` and ``<``;
-* ``max_sum_decode``, the one pricing kernel: it sweeps a ``Scaled``
-  family, plain integers over one denominator with minus infinity
-  (``None``, an assignment excluded by an indicator function) as a
-  stand-in below every finite total, and walks the argmax tables back
-  into a maximizing state; ``max_sum`` is its value-only case.  A family
-  of ``ScopedFn`` tables of rationals and ``None`` is converted once on
-  entry (``Scaled.of``); ``fmdp.lpbuild.TagBlock.at`` scales a block's
-  integer tables to w;
+* ``max_sum_decode``, the one pricing kernel: it takes a ``Scaled``
+  family and its plan, sweeps the family's plain integers over one
+  denominator, minus infinity (``None``, an assignment excluded by an
+  indicator function) held as a stand-in below every finite total, and
+  walks the argmax tables back into a maximizing state; ``max_sum`` is
+  its value-only case.  ``fmdp.lpbuild.TagBlock.at``, which scales a
+  block's integer tables to w, is the only producer of ``Scaled``
+  families;
 * ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
 * ``fmdp.weights``, which sweeps integers over one denominator to
   complete a primal solution and walks the rounds backwards to lift a
   dual one.
 
 ``explicit_max`` is the deliberately inefficient reference that enumerates
-every full state; tests hold the two implementations against each other.
-All three return a ``Fraction``, or ``None`` when every full state is
-excluded.
+every full state of a ``ScopedFn`` family of rationals and ``None``;
+tests hold the two implementations against each other.  All three return
+a ``Fraction``, or ``None`` when every full state is excluded.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 from .factored import PartialState, ScopedFn, assignments
-from .values import over_one_den
 
 __all__ = [
     "ElimRound",
@@ -199,7 +198,9 @@ class ElimPlan:
 
 @dataclass(frozen=True, slots=True)
 class Scaled:
-    """A function family as integer tables over one positive denominator.
+    """A function family as integer tables over one positive denominator,
+    in the slot order of the plan it is swept along; its one producer
+    is ``fmdp.lpbuild.TagBlock.at``.
 
     Entry ``e`` of input slot ``s`` stands for ``tables[s][e] / den``.
     Minus infinity is the stand-in ``-(2 * bound + 1)``, where ``bound``
@@ -215,52 +216,24 @@ class Scaled:
     den: int
     bound: int
 
-    @classmethod
-    def of(cls, fs: Sequence[ScopedFn]) -> "Scaled":
-        """The family ``fs``, whose tables hold rationals and ``None`` for
-        minus infinity, converted once."""
-        scaled, den = over_one_den([f.table for f in fs])
-        bound = sum(max(map(abs, filter(None, ints)), default=0) for ints in scaled)
-        floor = -(2 * bound + 1)
-        tables = tuple([floor if n is None else n for n in ints] for ints in scaled)
-        return cls(tables, den, bound)
+
+def max_sum(family: Scaled, plan: ElimPlan) -> Fraction | None:
+    """Maximum over all full states of the sum of ``family``'s functions,
+    ``None`` (minus infinity) exactly when every full state is excluded;
+    the value ``max_sum_decode`` returns."""
+    return max_sum_decode(family, plan)[0]
 
 
-def max_sum(
-    fs: Sequence[ScopedFn] | Scaled,
-    order: Sequence[int],
-    dims: Sequence[int],
-    plan: ElimPlan | None = None,
-) -> Fraction | None:
-    """Maximum over all full states of the sum of ``fs``.
+def max_sum_decode(family: Scaled, plan: ElimPlan) -> tuple[Fraction | None, PartialState]:
+    """The maximum of ``family`` along ``plan`` and a full state attaining it.
 
-    The result is ``None`` (minus infinity) exactly when every full state
-    is excluded.  ``fs`` and ``plan`` are as for ``max_sum_decode``.
-    """
-    return max_sum_decode(fs, order, dims, plan)[0]
-
-
-def max_sum_decode(
-    fs: Sequence[ScopedFn] | Scaled,
-    order: Sequence[int],
-    dims: Sequence[int],
-    plan: ElimPlan | None = None,
-) -> tuple[Fraction | None, PartialState]:
-    """Like ``max_sum`` but also returns a full state attaining the maximum.
-
-    ``fs`` is a family of ``ScopedFn`` tables of rationals and ``None``
-    (minus infinity) or a ``Scaled`` one; a ``Scaled`` family needs
-    ``plan``.  ``plan``, when given, must have been built for functions
-    shaped like ``fs`` along ``order``; it spares rebuilding the schedule.
-    Walking the rounds backwards, each eliminated variable takes its
-    recorded winner (the lowest value on ties) given the variables
+    ``plan`` must have been built for functions shaped like ``family``'s
+    slots.  Walking the rounds backwards, each eliminated variable takes
+    its recorded winner (the lowest value on ties) given the variables
     eliminated after it.  When the maximum is ``None`` the returned state
     is still a valid full state (every state is equally excluded, so an
     arbitrary consistent choice is fine).
     """
-    if plan is None:
-        plan = ElimPlan.build(fs, order, dims)
-    family = fs if isinstance(fs, Scaled) else Scaled.of(fs)
     tables, choices = plan.sweep(family.tables)
     total = sum(tables[s][0] for s in plan.final)
     value = Fraction(total, family.den) if total >= -family.bound else None

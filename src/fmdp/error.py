@@ -37,5 +37,5 @@ def factored_bellman_err(
     A list with no branch covers no state and is invalid input.
     """
     blocks = weight_lp_blocks(mdp, pol, order)
-    prices = (max_sum(b.at(w), order, mdp.dims, b.plan) for b in blocks)
+    prices = (max_sum(b.at(w), b.plan) for b in blocks)
     return max(p for p in prices if p is not None)

@@ -62,7 +62,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .elim import ElimPlan, ElimRound, Scaled, identity_order
+from .elim import ElimPlan, ElimRound, Scaled
 from .errors import InvalidInputError, LpInternalError
 from .factored import PartialState, ScopedFn, instantiate
 from .lp import Deferred, StdLp
@@ -208,7 +208,7 @@ def branch_lp(
 
 
 def weight_lp_blocks(
-    mdp: FactoredMdp, pol: DecisionList, order: tuple[int, ...] | None = None
+    mdp: FactoredMdp, pol: DecisionList, order: Sequence[int]
 ) -> tuple[TagBlock, ...]:
     """The pair of blocks of every live branch, in list order.
 
@@ -221,7 +221,7 @@ def weight_lp_blocks(
     """
     if not pol.branches:
         raise InvalidInputError("decision list covers no state at all")
-    order = identity_order(len(mdp.dims)) if order is None else tuple(order)
+    order = tuple(order)
     key = (pol, order)
     hit = mdp._cache.get("blocks")
     if hit is not None and hit[0] == key:

@@ -25,7 +25,8 @@ and `<z>` the entry's `<var>.<value>` pairs joined by `-`
 
 A certificate file names its kind on the first directive line, then holds
 labeled sections: `primal`, `point`, and `ray` entries are keyed by
-variable token, `dual` and `farkas` entries by standard row index.
+variable token, `dual` and `farkas` entries by standard row index, a run
+of ASCII digits.
 Omitted entries are zero; a section names each place at most once.
 
 Both directions work on the standard form (``fmdp.lp.StdLp``).  The
@@ -264,11 +265,14 @@ def _vector(
             if idx is None:
                 raise InvalidInputError(f"{path}:{lineno}: unknown variable {key!r} in {label}")
         else:
+            # ``int`` alone would also read a sign, ``_`` and non-ASCII digits.
             try:
+                if not (key.isascii() and key.isdigit()):
+                    raise ValueError(key)
                 idx = int(key)
             except ValueError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: bad row index {key!r}") from exc
-            if not 0 <= idx < size:
+            if idx >= size:
                 raise InvalidInputError(f"{path}:{lineno}: row {idx} outside 0..{size - 1}")
         if idx in seen:
             raise InvalidInputError(f"{path}:{lineno}: repeated entry {key!r} in {label}")

@@ -55,7 +55,7 @@ from math import gcd, lcm
 from typing import Collection, Iterable, Sequence
 
 from .certify import IntVector, check_optimality
-from .elim import identity_order, max_sum_decode
+from .elim import max_sum_decode
 from .errors import LpInternalError
 from .factored import PartialState
 from .lp import Optimal, StdLp
@@ -115,7 +115,7 @@ def _master_std(m: int, box: int, cuts: Collection[_Cut]) -> StdLp:
 def update_weights(
     mdp: FactoredMdp,
     pol: DecisionList,
-    order: Sequence[int] | None = None,
+    order: Sequence[int],
     *,
     trace: dict | None = None,
 ) -> tuple[Weights, Fraction]:
@@ -124,10 +124,6 @@ def update_weights(
     Returns the minimizing weights together with the optimal bound phi.
     The result is exact and certified; see the module notes for how.
     """
-    if order is None:
-        order = identity_order(len(mdp.dims))
-    order = tuple(order)
-    dims = mdp.dims
     m = len(mdp.basis)
     started = time.perf_counter()
     blocks = weight_lp_blocks(mdp, pol, order)
@@ -140,7 +136,7 @@ def update_weights(
         whether there was one."""
         found = False
         for idx, block in enumerate(blocks):
-            value, witness = max_sum_decode(block.at(w), order, dims, block.plan)
+            value, witness = max_sum_decode(block.at(w), block.plan)
             if value is not None and (floor is None or value > floor):
                 cut = _cut_at(idx, block, witness)
                 cuts.setdefault(cut.row, cut)

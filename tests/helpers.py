@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fmdp.elim import ElimPlan
 from fmdp.errors import LpInternalError
-from fmdp.factored import PartialState, ScopedFn, assignments, consistent, instantiate
+from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import StdLp, StdRows
 from fmdp.lpbuild import Tag, TagBlock, branch_lp
 from fmdp.model import FactoredMdp
@@ -341,6 +341,14 @@ def min_lp(dims, tag, c_fns, b_fns, order) -> TagBlock:
     plan = ElimPlan.build((*c_fns, *b_fns), order, dims)
     tables, den = over_one_den([f.table for f in (*c_fns, *b_fns)])
     return TagBlock.of(tag, tables[: len(c_fns)], tables[len(c_fns) :], den, plan)
+
+
+def priced(fns, order, dims):
+    """The kernel's inputs for ``fns``, rational tables with ``None`` for
+    minus infinity, as production forms them: a block with ``fns`` as its
+    constant summands, scaled at no weights, and its plan."""
+    block = min_lp(dims, Tag(EMPTY_STATE, 0, True), (), fns, order)
+    return block.at(()), block.plan
 
 
 def explicit_branch_sup(mdp, w, t, a, ts):

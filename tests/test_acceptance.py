@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from helpers import flatten, random_ext_table_fns, random_token_lp
+from helpers import flatten, priced, random_ext_table_fns, random_token_lp
 from test_model import corrupt_reward, corrupt_transition, violations_contain
 
 from fmdp.api import ApiConfig, api, posterior_bound
@@ -53,14 +53,14 @@ def test_accept_1_elimination_matches_brute_force():
     rng = random.Random(1001)
     for _ in range(200):
         fns, dims = random_ext_table_fns(rng)
-        assert max_sum(fns, identity_order(len(dims)), dims) == explicit_max(
+        assert max_sum(*priced(fns, identity_order(len(dims)), dims)) == explicit_max(
             fns, dims
         )
     rng = random.Random(1002)
     for _ in range(40):
         fns, dims = random_ext_table_fns(rng, n_max=4)
         values = {
-            max_sum(fns, order, dims)
+            max_sum(*priced(fns, order, dims))
             for order in itertools.permutations(range(len(dims)))
         }
         assert values == {explicit_max(fns, dims)}
@@ -128,14 +128,14 @@ def test_accept_4_weight_lp_optimum_matches_explicit():
         rng = random.Random(40 + n)
         for w in _weight_sweep(rng, mdp, 6):
             pol = greedy_decision_list(mdp, w)
-            _, phi = update_weights(mdp, pol)
+            _, phi = update_weights(mdp, pol, identity_order(mdp.n))
             cert = solve_lp(explicit_weight_lp(mdp, pol))
             assert isinstance(cert, Optimal)
             assert cert.primal[0] == phi
 
     tiny = dataclasses.replace(make_ring(1), basis=(ScopedFn.constant(F(1)),))
     pol = greedy_decision_list(tiny, (F(0),))
-    w, phi = update_weights(tiny, pol)
+    w, phi = update_weights(tiny, pol, identity_order(tiny.n))
     assert (w, phi) == ((F(5),), F(1, 2))
     _verdict(
         4,
@@ -158,7 +158,7 @@ def _solved_ring(n: int):
     else:
         # A run can stop on exact-zero error one step before the equality
         # check would fire; refitting the final list settles convergence.
-        again, _ = update_weights(mdp, res.pol)
+        again, _ = update_weights(mdp, res.pol, identity_order(mdp.n))
         converged = res.err == 0 and again == res.w
     return mdp, res, converged, elapsed
 

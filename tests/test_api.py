@@ -11,6 +11,7 @@ from helpers import perfbench_instances, sysadmin
 
 import fmdp.lpbuild
 from fmdp.api import ApiConfig, ApiResult, api, posterior_bound
+from fmdp.elim import identity_order
 from fmdp.error import factored_bellman_err
 from fmdp.errors import InvalidInputError, OracleLimitError
 from fmdp.lp import Optimal
@@ -221,7 +222,7 @@ def test_posterior_bound_zero_discount_is_tight():
     )
     res = api(mdp, ApiConfig(t_max=10))
     assert res.err_le and res.err == 0
-    w_again, _ = update_weights(mdp, res.pol)
+    w_again, _ = update_weights(mdp, res.pol, identity_order(mdp.n))
     assert w_again == res.w
     lhs, rhs, holds = posterior_bound(mdp, res)
     assert (lhs, rhs, holds) == (0, 0, True)

@@ -24,6 +24,7 @@ from helpers import (
     BIG_DENOMINATOR_LARGE,
     BIG_DENOMINATOR_SMALL,
     min_lp,
+    priced,
     random_ext_table_fns,
     reference_at,
     reference_max_sum_decode,
@@ -59,7 +60,7 @@ def test_single_function_collapses_to_its_max():
     assert plan.final == (1,)
     assert plan.scopes[1] == ()
     assert tables[1] == (F(3),)
-    assert max_sum_decode([f], (0,), [2]) == (F(3), PartialState.of({0: 1}))
+    assert max_sum_decode(*priced([f], (0,), [2])) == (F(3), PartialState.of({0: 1}))
 
 
 def test_step_with_no_dependent_functions_adds_constant_zero():
@@ -79,34 +80,35 @@ def test_step_hand_example_with_neg_inf():
     assert (first.dependents, first.scope_e) == ((0, 1), (1,))
     # e(y) = max over x0 of f1(x0) + f2(x0, y)
     assert tables[2] == (F(5), F(8))  # max(1+0, 3+2), max(1-inf, 3+5)
-    assert max_sum_decode([f1, f2], (0, 1), [2, 2]) == (F(8), PartialState.of({0: 1, 1: 1}))
+    assert max_sum_decode(*priced([f1, f2], (0, 1), [2, 2])) == (F(8), PartialState.of({0: 1, 1: 1}))
 
 
 def test_max_sum_constants_and_disjoint_scopes():
-    assert max_sum([ScopedFn.constant(F(5))], (), []) == F(5)
+    assert max_sum(*priced([ScopedFn.constant(F(5))], (), [])) == F(5)
     f1 = ScopedFn((0,), (2,), (F(1), F(3)))
     f2 = ScopedFn((1,), (2,), (F(2), F(4)))
-    assert max_sum([f1, f2], (0, 1), [2, 2]) == F(7)
-    assert max_sum([], (0, 1), [2, 2]) == F(0)
+    assert max_sum(*priced([f1, f2], (0, 1), [2, 2])) == F(7)
+    assert max_sum(*priced([], (0, 1), [2, 2])) == F(0)
 
 
 def test_max_sum_all_excluded_is_neg_inf():
     dead = ScopedFn((0,), (2,), (None, None))
     live = ScopedFn((1,), (2,), (F(1), F(2)))
-    assert max_sum([dead, live], (0, 1), [2, 2]) is None
+    assert max_sum(*priced([dead, live], (0, 1), [2, 2])) is None
     assert explicit_max([dead, live], [2, 2]) is None
 
 
 def test_max_sum_rejects_bad_inputs():
+    # The plan checks the kernel's inputs, once, as it is built.
     f = ScopedFn((3,), (2,), (F(0), F(1)))
     with pytest.raises(InvalidInputError):
-        max_sum([f], (0, 1), [2, 2])
+        ElimPlan.build([f], (0, 1), [2, 2])
     with pytest.raises(InvalidInputError):
-        max_sum([], (0, 0), [2, 2])
+        ElimPlan.build([], (0, 0), [2, 2])
     with pytest.raises(InvalidInputError):
-        max_sum([], (0,), [2, 2])
+        ElimPlan.build([], (0,), [2, 2])
     with pytest.raises(InvalidInputError, match="cardinalities"):
-        max_sum([ScopedFn((0,), (2,), (F(0), F(1)))], (0,), [3])
+        ElimPlan.build([ScopedFn((0,), (2,), (F(0), F(1)))], (0,), [3])
 
 
 def test_worklist_count_invariant():
@@ -137,7 +139,7 @@ def test_matches_explicit_max_on_random_instances():
         fns, dims = random_ext_table_fns(rng)
         order = list(range(len(dims)))
         rng.shuffle(order)
-        assert max_sum(fns, tuple(order), dims) == explicit_max(fns, dims)
+        assert max_sum(*priced(fns, tuple(order), dims)) == explicit_max(fns, dims)
 
 
 def test_permutation_independence_small():
@@ -145,7 +147,7 @@ def test_permutation_independence_small():
     for _ in range(10):
         fns, dims = random_ext_table_fns(rng, n_max=4)
         results = {
-            max_sum(fns, perm, dims)
+            max_sum(*priced(fns, perm, dims))
             for perm in itertools.permutations(range(len(dims)))
         }
         assert len(results) == 1
@@ -158,7 +160,9 @@ def test_constant_shift():
         order = identity_order(len(dims))
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         shifted = fns + [ScopedFn.constant(c)]
-        assert max_sum(shifted, order, dims) == sum_or_none([max_sum(fns, order, dims), c])
+        assert max_sum(*priced(shifted, order, dims)) == sum_or_none(
+            [max_sum(*priced(fns, order, dims)), c]
+        )
 
 
 def test_decode_returns_attaining_state():
@@ -167,7 +171,7 @@ def test_decode_returns_attaining_state():
         fns, dims = random_ext_table_fns(rng)
         order = list(range(len(dims)))
         rng.shuffle(order)
-        value, witness = max_sum_decode(fns, tuple(order), dims)
+        value, witness = max_sum_decode(*priced(fns, tuple(order), dims))
         assert value == explicit_max(fns, dims)
         assert witness.domain == tuple(range(len(dims)))
         if value is not None:
@@ -181,7 +185,7 @@ def test_min_degree_order_is_permutation_and_agrees():
         n = len(dims)
         order = min_degree_order([f.scope for f in fns], n)
         assert sorted(order) == list(range(n))
-        assert max_sum(fns, order, dims) == explicit_max(fns, dims)
+        assert max_sum(*priced(fns, order, dims)) == explicit_max(fns, dims)
 
 
 # -- the integer kernel against the exact reference sweep -------------------
@@ -192,7 +196,7 @@ def _priced_blocks(draw):
     dims, c_fns, b_fns, order = draw(summands())
     weight = st.one_of(st.just(Fraction(0)), BIG_DENOMINATOR_SMALL, BIG_DENOMINATOR_LARGE)
     w = tuple(draw(weight) for _ in c_fns)
-    return min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, b_fns, order), order, w
+    return min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, b_fns, order), w
 
 
 def _assert_matches_reference(got, want):
@@ -204,17 +208,13 @@ def _assert_matches_reference(got, want):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_priced_blocks())
 def test_integer_kernel_matches_the_extended_real_sweep(case):
-    block, order, w = case
+    block, w = case
     fns = reference_at(block, w)
     want = reference_max_sum_decode(fns, block.plan)
-    dims = block.plan.dims
-    # A ScopedFn family is converted once on entry.
-    _assert_matches_reference(max_sum_decode(fns, order, dims, block.plan), want)
-    _assert_matches_reference(max_sum_decode(fns, order, dims), want)
-    _assert_matches_reference(max_sum_decode(block.at(w), order, dims, block.plan), want)
+    _assert_matches_reference(max_sum_decode(block.at(w), block.plan), want)
 
 
-@pytest.mark.parametrize(
+_edge_cases = pytest.mark.parametrize(
     "dims, c_fns, b_fns, w",
     [
         # every assignment excluded, with no empty-scope minus infinity
@@ -247,14 +247,33 @@ def test_integer_kernel_matches_the_extended_real_sweep(case):
         "zero-and-coprime-weights",
     ],
 )
+
+
+@_edge_cases
 def test_integer_kernel_edge_cases(dims, c_fns, b_fns, w):
     order = identity_order(len(dims))
     block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, b_fns, order)
     fns = reference_at(block, w)
     want = reference_max_sum_decode(fns, block.plan)
     assert want[0] == explicit_max(fns, dims)
-    _assert_matches_reference(max_sum_decode(block.at(w), order, dims, block.plan), want)
-    _assert_matches_reference(max_sum_decode(fns, order, dims), want)
+    _assert_matches_reference(max_sum_decode(block.at(w), block.plan), want)
+    _assert_matches_reference(max_sum_decode(*priced(fns, order, dims)), want)
+
+
+@_edge_cases
+def test_a_block_at_no_weights_holds_its_tables_as_they_are(dims, c_fns, b_fns, w):
+    # Every summand a constant one: ``at(())`` scales nothing, and only
+    # minus infinity is written, as the stand-in below the bound.
+    fns = (*c_fns, *b_fns)
+    block = min_lp(dims, Tag(EMPTY_STATE, 0, True), (), fns, identity_order(len(dims)))
+    family = block.at(())
+    assert family.den == block.den
+    finite = [[n for n in ints if n is not None] for ints in block.b]
+    assert family.bound == sum(max(map(abs, ns), default=0) for ns in finite)
+    floor = -(2 * family.bound + 1)
+    for f, ints, table in zip(fns, block.b, family.tables, strict=True):
+        assert list(table) == [floor if n is None else n for n in ints]
+        assert tuple(None if n is None else Fraction(n, family.den) for n in ints) == f.table
 
 
 def test_empty_scope_minus_infinity_marks_a_shadowed_block():
@@ -263,9 +282,9 @@ def test_empty_scope_minus_infinity_marks_a_shadowed_block():
     dead = ScopedFn.constant(None)
     block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (dead,), (0,))
     assert block.b == ((None,),)
-    assert max_sum(block.at((Fraction(1),)), (0,), dims, block.plan) is None
-    assert max_sum(reference_at(block, (Fraction(1),)), (0,), dims) is None
+    assert max_sum(block.at((Fraction(1),)), block.plan) is None
+    assert reference_max_sum_decode(reference_at(block, (Fraction(1),)), block.plan)[0] is None
     live = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, (ScopedFn.constant(F(3)),), (0,))
     # The constant is a one-entry table like any other and counts in the bound.
     assert live.b == ((3 * live.den,),) and live.b_max == 3 * live.den
-    assert max_sum(live.at((Fraction(1, 2),)), (0,), dims, live.plan) == F(4)
+    assert max_sum(live.at((Fraction(1, 2),)), live.plan) == F(4)

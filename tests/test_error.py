@@ -19,10 +19,11 @@ from helpers import (
     models,
     reference_at,
     reference_indicator_fns,
+    reference_max_sum_decode,
     sum_or_none,
 )
 
-from fmdp.elim import identity_order, max_sum
+from fmdp.elim import identity_order
 from fmdp.errors import InvalidInputError
 from fmdp.error import factored_bellman_err
 from fmdp.factored import EMPTY_STATE, PartialState, assignments, consistent
@@ -47,7 +48,9 @@ def random_weights(rng, m):
 def priced_branch(mdp, w, t, a, ts, order):
     """The branch error read off the ``branch_lp`` pair priced at ``w``."""
     pair = branch_lp(mdp, t, a, tuple(ts), order)
-    return max_or_none(max_sum(reference_at(block, w), order, mdp.dims, block.plan) for block in pair)
+    return max_or_none(
+        reference_max_sum_decode(reference_at(block, w), block.plan)[0] for block in pair
+    )
 
 
 def test_indicator_fns_shapes():

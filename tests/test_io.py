@@ -322,6 +322,10 @@ def test_certificate_reader_rejects_malformed_input(tmp_path):
         load("optimal\nprimal\nx 1 2\ndual\n")
     with pytest.raises(InvalidInputError, match=r"bad\.cert:4: bad row index 'first'"):
         load("optimal\nprimal\ndual\nfirst 1\n")
+    # A row index is ASCII digits only: no sign, no ``_`` separator.
+    for key in ("+1", "1_0", "-1"):
+        with pytest.raises(InvalidInputError, match=rf"bad\.cert:4: bad row index '{re.escape(key)}'"):
+            load(f"optimal\nprimal\ndual\n{key} 1\n")
     # A bad number names its file and line, in either kind of section.
     path = tmp_path / "bad.cert"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}:3: not a rational: '1/0'$"):

@@ -23,6 +23,7 @@ from helpers import (
     reference_at,
     reference_difference_fns,
     reference_fn_vars,
+    reference_max_sum_decode,
     reference_weight_lp,
     renumbered,
     sum_or_none,
@@ -31,7 +32,7 @@ from helpers import (
 )
 
 from fmdp.certify import check_optimality
-from fmdp.elim import identity_order, max_sum
+from fmdp.elim import identity_order
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, restrict
 from fmdp.lp import Optimal, Unbounded
@@ -207,7 +208,7 @@ def test_branch_pair_recovers_branch_error():
             cert = solve_lp(std)
             assert isinstance(cert, Optimal)
             half = cert.primal[std.col_of["phi"]]
-            assert half == max_sum(reference_at(block, w), order, mdp.dims, block.plan)
+            assert half == reference_max_sum_decode(reference_at(block, w), block.plan)[0]
             halves.append(half)
         assert max(halves) == explicit_branch_sup(mdp, w, t, a, ts)
 
@@ -322,7 +323,7 @@ def test_ring_one_constant_basis_hand_optimum():
     mdp = dataclasses.replace(make_ring(1), basis=(ScopedFn.constant(Fraction(1)),))
     pol = greedy_decision_list(mdp, (Fraction(0),))
     assert len(pol.branches) == 1
-    std = assemble_lp(weight_lp_blocks(mdp, pol))
+    std = assemble_lp(weight_lp_blocks(mdp, pol, identity_order(mdp.n)))
     cert = solve_lp(std)
     assert isinstance(cert, Optimal)
     assert cert.primal[std.col_of["phi"]] == Fraction(1, 2)

@@ -56,7 +56,7 @@ def _default_pol(mdp):
 
 def test_single_machine_constant_basis_hand_optimum():
     mdp = dataclasses.replace(make_ring(1), basis=(ScopedFn.constant(Fraction(1)),))
-    w, phi = update_weights(mdp, _default_pol(mdp))
+    w, phi = update_weights(mdp, _default_pol(mdp), identity_order(mdp.n))
     assert w == (Fraction(5),)
     assert phi == Fraction(1, 2)
 
@@ -64,7 +64,7 @@ def test_single_machine_constant_basis_hand_optimum():
 def test_expressive_basis_reaches_zero_error():
     mdp = make_ring(1)
     pol = _default_pol(mdp)
-    w, phi = update_weights(mdp, pol)
+    w, phi = update_weights(mdp, pol, identity_order(mdp.n))
     assert phi == 0
     assert w == (Fraction(45, 14), Fraction(25, 7))
     values = policy_value(mdp, pol)
@@ -96,7 +96,7 @@ def test_matches_explicit_per_state_program():
             Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in mdp.basis
         )
         pol = greedy_decision_list(mdp, seed_w)
-        _, phi = update_weights(mdp, pol)
+        _, phi = update_weights(mdp, pol, identity_order(mdp.n))
         std = explicit_weight_lp(mdp, pol)
         cert = solve_lp(std)
         assert isinstance(cert, Optimal)
@@ -107,7 +107,7 @@ def test_certificate_is_exposed_and_checks_out():
     mdp = make_ring(2)
     pol = _default_pol(mdp)
     trace: dict = {}
-    w, phi = update_weights(mdp, pol, trace=trace)
+    w, phi = update_weights(mdp, pol, identity_order(mdp.n), trace=trace)
     cert = trace["certificate"]
     std = trace["std"]
     assert isinstance(cert, Optimal)
@@ -140,8 +140,8 @@ def test_a_binding_box_grows_and_the_fit_stays_the_optimum():
 def test_update_is_deterministic():
     mdp = make_ring(2)
     pol = greedy_decision_list(mdp, (Fraction(1), Fraction(-1), Fraction(1, 2)))
-    first = update_weights(mdp, pol)
-    second = update_weights(mdp, pol)
+    first = update_weights(mdp, pol, identity_order(mdp.n))
+    second = update_weights(mdp, pol, identity_order(mdp.n))
     assert first == second
 
 
@@ -313,9 +313,9 @@ def test_shadowed_branches_build_no_blocks(monkeypatch):
     swept = []
 
     def counting(original):
-        def wrapper(fs, order, dims, plan=None):
+        def wrapper(family, plan):
             swept.append(plan)
-            return original(fs, order, dims, plan)
+            return original(family, plan)
 
         return wrapper
 
@@ -458,7 +458,7 @@ def _shadowing_fits(draw):
     mdp, pol, order = draw(_shadowing_lists())
     blocks = weight_lp_blocks(mdp, pol, order)
     w = tuple(draw(SMALL) for _ in mdp.basis)
-    prices = (max_sum(b.at(w), order, mdp.dims, b.plan) for b in blocks)
+    prices = (max_sum(b.at(w), b.plan) for b in blocks)
     return blocks, w, max_or_none(prices)
 
 
@@ -510,7 +510,7 @@ def test_pruned_blocks_keep_the_optimum_of_the_program_with_shadowed_blocks(draw
 def test_a_list_covering_no_state_is_invalid_input():
     mdp = make_ring(2)
     with pytest.raises(InvalidInputError, match="covers no state"):
-        update_weights(mdp, DecisionList(()))
+        update_weights(mdp, DecisionList(()), identity_order(mdp.n))
 
 
 @pytest.mark.parametrize("name", ["ring-3", "ring-4", "ring-5", "sysadmin-3"])
@@ -547,7 +547,7 @@ def test_blocks_whose_states_earlier_branches_claim_complete_below_phi():
     assert (w, phi) == ((Fraction(855, 64), Fraction(25, 16), Fraction(25, 16)), Fraction(27, 128))
     blocks, std, cert = weight_lp_blocks(mdp, pol, order), trace["std"], trace["certificate"]
     assert len(blocks) == 8
-    excluded = [k for k, b in enumerate(blocks) if max_sum(b.at(w), order, mdp.dims, b.plan) is None]
+    excluded = [k for k, b in enumerate(blocks) if max_sum(b.at(w), b.plan) is None]
     assert excluded == [4, 5, 6, 7]
     for normalized in (True, False):
         assert check_optimality(std, cert.primal, cert.dual, normalized=normalized)
