@@ -73,7 +73,8 @@ def api(
 
     Starts from all-zero weights and their greedy list.  Each iteration
     computes fresh weights for the current list, re-derives the greedy list,
-    and measures its Bellman error.  The run stops when the weights repeat
+    and measures its Bellman error; weights that repeat keep the list and
+    error already found for them.  The run stops when the weights repeat
     exactly, when the error drops to ``epsilon`` or below, or when the next
     iteration would exceed ``t_max``.
 
@@ -95,10 +96,13 @@ def api(
         step: dict | None = {} if trace is not None else None
         started = time.perf_counter()
         w_new, phi = update_weights(mdp, pol, order, trace=step)
-        pol_new = greedy_decision_list(mdp, w_new)
-        err = factored_bellman_err(mdp, w_new, pol_new, order)
-        phis.append(phi)
         w_eq = w_new == w
+        # Repeated weights give the same greedy list, whose error at them
+        # the last iteration measured (none did before the first).
+        pol_new = pol if w_eq else greedy_decision_list(mdp, w_new)
+        if not (w_eq and t):
+            err = factored_bellman_err(mdp, w_new, pol_new, order)
+        phis.append(phi)
         err_le = err <= config.epsilon
         timeout = t + 1 >= config.t_max
         if step is not None:

@@ -15,9 +15,9 @@ tables directly instead of assembling partial states.  The interpreters:
   denominator, minus infinity (``None``, an assignment excluded by an
   indicator function) held as a stand-in below every finite total, and
   walks the argmax tables back into a maximizing state; ``max_sum`` is
-  its value-only case.  ``fmdp.lpbuild.TagBlock.at``, which scales a
-  block's integer tables to w, is the only producer of ``Scaled``
-  families;
+  its value-only case, the same sweep without the walk.
+  ``fmdp.lpbuild.TagBlock.at``, which scales a block's integer tables
+  to w, is the only producer of ``Scaled`` families;
 * ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
 * ``fmdp.weights``, which sweeps integers over one denominator to
   complete a primal solution and walks the rounds backwards to lift a
@@ -220,8 +220,14 @@ class Scaled:
 def max_sum(family: Scaled, plan: ElimPlan) -> Fraction | None:
     """Maximum over all full states of the sum of ``family``'s functions,
     ``None`` (minus infinity) exactly when every full state is excluded;
-    the value ``max_sum_decode`` returns."""
-    return max_sum_decode(family, plan)[0]
+    the value ``max_sum_decode`` returns, swept without the decode."""
+    return _total(family, plan, plan.sweep(family.tables)[0])
+
+
+def _total(family: Scaled, plan: ElimPlan, tables: Sequence[Sequence[int]]) -> Fraction | None:
+    """The sum of a swept family's final constants, ``None`` below ``-bound``."""
+    total = sum(tables[s][0] for s in plan.final)
+    return Fraction(total, family.den) if total >= -family.bound else None
 
 
 def max_sum_decode(family: Scaled, plan: ElimPlan) -> tuple[Fraction | None, PartialState]:
@@ -235,12 +241,10 @@ def max_sum_decode(family: Scaled, plan: ElimPlan) -> tuple[Fraction | None, Par
     arbitrary consistent choice is fine).
     """
     tables, choices = plan.sweep(family.tables)
-    total = sum(tables[s][0] for s in plan.final)
-    value = Fraction(total, family.den) if total >= -family.bound else None
     x = [0] * len(plan.dims)
     for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
         x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]
-    return value, PartialState(tuple(enumerate(x)))
+    return _total(family, plan, tables), PartialState(tuple(enumerate(x)))
 
 
 def explicit_max(fs: Sequence[ScopedFn], dims: Sequence[int]) -> Fraction | None:

@@ -8,11 +8,11 @@ negative block to Q_w^a - nu_w on the states the branch handles, and to
 minus infinity on every state an earlier branch claimed.  So the error is
 the largest variable-elimination maximum over the blocks, each block's
 integer tables scaled to w (``TagBlock.at``) and swept along its own
-plan.  Only live branches have blocks; one whose states all fall to
-earlier branches prices to ``None`` (minus infinity) and drops out, and
-the first branch's never does.  The blocks are the same objects the next
-weight fit for this policy reuses, so they are built once per policy,
-not once per call.
+plan.  A dead pair (``TagBlock.live``), whose states earlier branches
+jointly claim, prices to minus infinity and is never swept here; the
+first branch's is always live.  The blocks are the same objects the
+next weight fit for this policy reuses, so they are built once per
+policy, not once per call.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ __all__ = ["factored_bellman_err"]
 def factored_bellman_err(
     mdp: FactoredMdp, w: Sequence[Fraction], pol: DecisionList, order: Sequence[int]
 ) -> Fraction:
-    """The policy's Bellman error: the largest block price that is not
-    ``None``.
+    """The policy's Bellman error: the largest price of a live block.
 
     A list with no branch covers no state and is invalid input.
     """
     blocks = weight_lp_blocks(mdp, pol, order)
-    prices = (max_sum(b.at(w), b.plan) for b in blocks)
-    return max(p for p in prices if p is not None)
+    return max(max_sum(b.at(w), b.plan) for b in blocks if b.live)

@@ -20,12 +20,13 @@ which scales the tables to the ``fmdp.elim.Scaled`` family the
 elimination kernel sweeps; ``weight_lp_blocks`` keeps the latest
 policy's blocks in the model's cache, so both share one build.
 
-Only live branches get blocks.  A branch whose state extends an earlier
-live branch's state handles no state: its blocks would price to minus
-infinity at every w, so it gets none, and it is no earlier state to the
-branches after it, whose indicator for the live state it extends already
-excludes every state it would.  An empty list thus has no blocks, and is
-rejected.
+A branch whose state extends an earlier built branch's state handles no
+state and gets no blocks: it is no earlier state to the branches after
+it, whose indicator for the state it extends already excludes every
+state it would.  An empty list thus has no blocks, and is rejected.  A
+branch whose states earlier branches claim only jointly keeps its pair
+and rows, but the pair is dead (``TagBlock.live``): ``branch_lp`` finds
+it priced to minus infinity once, at w = 0, and no pricing sweeps it.
 
 As rows, a block's projection onto (phi, w) enforces
 `sum_i w_i C_i(x) + sum_j B_j(x) <= phi` for every full assignment x
@@ -55,14 +56,14 @@ to 16 or 64 if two of the program's tags collide there.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, product, repeat
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .elim import ElimPlan, ElimRound, Scaled
+from .elim import ElimPlan, ElimRound, Scaled, max_sum
 from .errors import InvalidInputError, LpInternalError
 from .factored import PartialState, ScopedFn, instantiate
 from .lp import Deferred, StdLp
@@ -90,7 +91,8 @@ class TagBlock:
     ``b`` (``None`` for minus infinity) and the elimination plan over both,
     weighted ones first.  ``c_max`` holds each weighted table's largest
     magnitude and ``b_max`` the sum of the constant tables' largest finite
-    magnitudes."""
+    magnitudes.  ``live`` is false when every full state meets a ``None``,
+    at every w alike; ``branch_lp`` decides it once per pair."""
 
     tag: Tag
     c: tuple[tuple[int, ...], ...]
@@ -99,13 +101,14 @@ class TagBlock:
     plan: ElimPlan
     c_max: tuple[int, ...]
     b_max: int
+    live: bool
 
     @classmethod
-    def of(cls, tag: Tag, c: tuple, b: tuple, den: int, plan: ElimPlan) -> "TagBlock":
+    def of(cls, tag: Tag, c: tuple, b: tuple, den: int, plan: ElimPlan, live=True) -> "TagBlock":
         """The block of these tables, with their largest magnitudes."""
         c_max = tuple(max(map(abs, t), default=0) for t in c)
         b_max = sum(max(map(abs, filter(None, t)), default=0) for t in b)
-        return cls(tag, c, b, den, plan, c_max, b_max)
+        return cls(tag, c, b, den, plan, c_max, b_max, live)
 
     @property
     def rounds(self) -> tuple[ElimRound, ...]:
@@ -204,17 +207,21 @@ def branch_lp(
     c, r = tables[: len(diffs)], tables[len(diffs) :]
     s = tuple(f.table for f in shadows)
     pos = TagBlock.of(Tag(t, a, True), c, _negated(r) + s, den, plan)
-    return pos, TagBlock.of(Tag(t, a, False), _negated(c), r + s, den, plan)
+    # Exclusions do not depend on w: the pair is dead exactly when it
+    # prices to minus infinity at w = 0.
+    if any(None in f for f in s) and max_sum(pos.at((Fraction(0),) * len(c)), plan) is None:
+        pos = replace(pos, live=False)
+    return pos, TagBlock.of(Tag(t, a, False), _negated(c), r + s, den, plan, pos.live)
 
 
 def weight_lp_blocks(
     mdp: FactoredMdp, pol: DecisionList, order: Sequence[int]
 ) -> tuple[TagBlock, ...]:
-    """The pair of blocks of every live branch, in list order.
+    """The pair of blocks of every branch, in list order, but one whose
+    state extends an earlier built branch's state.
 
-    A branch whose state extends an earlier live branch's state (an exact
-    repeat among them) handles no state and adds no blocks; a list with no branch
-    covers no state and is invalid.  The model's cache keeps only the
+    Such a branch (an exact repeat among them) handles no state and adds
+    no blocks; a list with no branch covers no state and is invalid.  The model's cache keeps only the
     latest (policy, order): the error of each new greedy policy is measured
     just before the weights are fitted to it, and both ask for the same
     blocks.

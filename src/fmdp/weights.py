@@ -5,12 +5,12 @@ but its projection onto (phi, w) is what actually matters.  So a small
 master program over (phi, w) collects one cut per violated block per
 round: pricing a block at the master optimum is an integer elimination
 sweep over the block's own plan, and its argmax yields the affine
-inequality the master was missing; a block whose states earlier branches
-all claim prices to ``None`` (minus infinity) and yields none.  Blocks
-hold their summands as integer tables over one denominator
-(``fmdp.lpbuild.TagBlock``), so pricing, cuts, rows and the completion
-all read the same ints.  Only live branches have blocks, so every block
-is priced and every block's rows are checked.  A box trust region keeps
+inequality the master was missing.  Blocks hold their summands as
+integer tables over one denominator (``fmdp.lpbuild.TagBlock``), so
+pricing, cuts, rows and the completion all read the same ints.  A dead
+block (``TagBlock.live``), whose states earlier branches jointly claim,
+is never priced; its rows are assembled, completed and checked like any
+other's.  A box trust region keeps
 the early masters bounded; whenever a box row carries positive dual
 weight at convergence the box grows and pricing resumes, since a binding
 box could be hiding the true optimum.
@@ -28,7 +28,7 @@ pricing's stand-in -(2 * bound + 1), and that is enough for every
 summary row, which reads the sweep's largest total.  If that total
 meets no stand-in it is the block's price, which the last pricing round
 found <= phi; if it meets one it is below -bound, so negative.  And
-phi >= 0: the first live branch has no indicator, so its mirrored
+phi >= 0: the first branch has no indicator, so its mirrored
 blocks sum to nu_w - Q_w^a and to the negation on the same non-empty set
 of states, and one of the two maxima is >= 0.
 The master duals are propagated backwards through the plan's rounds
@@ -129,15 +129,16 @@ def update_weights(
     blocks = weight_lp_blocks(mdp, pol, order)
 
     cuts: dict[tuple, _Cut] = {}
+    live = [(idx, block) for idx, block in enumerate(blocks) if block.live]
 
     def cut_above(w: Sequence[Fraction], floor: Fraction | None) -> bool:
-        """Keep the cut of every block whose price at ``w`` is not ``None``
-        and is above ``floor`` (any price is, when ``floor`` is ``None``);
-        whether there was one."""
+        """Keep the cut of every live block whose price at ``w`` is above
+        ``floor`` (any price is, when ``floor`` is ``None``); whether there
+        was one."""
         found = False
-        for idx, block in enumerate(blocks):
+        for idx, block in live:
             value, witness = max_sum_decode(block.at(w), block.plan)
-            if value is not None and (floor is None or value > floor):
+            if floor is None or value > floor:
                 cut = _cut_at(idx, block, witness)
                 cuts.setdefault(cut.row, cut)
                 found = True

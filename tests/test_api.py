@@ -1,6 +1,7 @@
 """Driver loop: termination flags, iteration accounting, and the bound."""
 
 import dataclasses
+import importlib
 import importlib.util
 import random
 from fractions import Fraction
@@ -20,6 +21,35 @@ from fmdp.oracle import explicit_bellman_err, explicit_weight_lp
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
 from fmdp.weights import update_weights
+
+api_module = importlib.import_module("fmdp.api")
+error_module = importlib.import_module("fmdp.error")
+weights_module = importlib.import_module("fmdp.weights")
+
+
+def _counting(calls, key, original):
+    def wrapper(*args, **kwargs):
+        calls[key] = calls.get(key, 0) + 1
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def _counted_api(mdp, monkeypatch, **config):
+    """A traced ``api`` run with its steps and its calls, by key: greedy
+    lists and Bellman errors ``api`` asked for, the fit's pricing
+    sweeps (``max_sum_decode``) and the error's (``max_sum``)."""
+    calls: dict = {}
+    for module, name, key in (
+        (api_module, "greedy_decision_list", "greedy"),
+        (api_module, "factored_bellman_err", "error"),
+        (weights_module, "max_sum_decode", "pricing"),
+        (error_module, "max_sum", "sweeps"),
+    ):
+        monkeypatch.setattr(module, name, _counting(calls, key, getattr(module, name)))
+    steps: list[dict] = []
+    res = api(mdp, ApiConfig(**config), trace=steps)
+    return res, steps, calls
 
 
 def test_ring_two_converges_quickly():
@@ -136,6 +166,52 @@ def test_master_pivots_per_iteration_are_pinned(n, pivots):
         [len(step["std"].constraint_rows) for step in steps],
     )
     assert shape == _LP_SHAPES[n]
+
+
+@pytest.mark.parametrize(
+    "name, pricing, sweeps",
+    [("ring-6", 198, 74), ("ring-5", 108, 44), ("ring-4", 84, 32), ("sysadmin-3", 244, 108)],
+)
+def test_pricing_calls_and_error_sweeps_are_pinned(name, pricing, sweeps, monkeypatch):
+    # Seed-0 min-degree runs, as perfbench's traced elim.pricing_calls
+    # counts them: the fit prices every live block once up front and once
+    # per cut round, and the error sweeps every live block of each greedy
+    # list it measures.  Pricing dead blocks too, and measuring the
+    # converged iteration's error again, gave 378/188/156/252 calls and
+    # 200/126/102/168 sweeps.
+    mdp = perfbench_instances(0)[name]
+    _, _, calls = _counted_api(mdp, monkeypatch, order=elimination_order(mdp, "min-degree"))
+    assert (calls["pricing"], calls["sweeps"]) == (pricing, sweeps)
+
+
+def test_a_converged_iteration_reuses_the_last_greedy_list_and_error(monkeypatch):
+    # Weights that repeat give the greedy list the iteration before derived
+    # from them, and the error it measured: the run derives the starting
+    # list and one per iteration but the last, and measures every error but
+    # the last one.  What it reports is what a fresh derivation gives.
+    mdp = make_ring(3)
+    order = elimination_order(mdp, "min-degree")
+    res, steps, calls = _counted_api(mdp, monkeypatch, order=order)
+    assert res.w_eq and len(steps) == res.t + 1 == 3
+    assert (calls["greedy"], calls["error"]) == (len(steps), len(steps) - 1)
+    monkeypatch.undo()
+    assert res.pol == greedy_decision_list(mdp, res.w)
+    for step in steps:
+        fresh = greedy_decision_list(mdp, step["w"])
+        assert step["err"] == factored_bellman_err(mdp, step["w"], fresh, order)
+    assert res.err == steps[-1]["err"] == steps[-2]["err"]
+
+
+def test_a_run_converged_at_the_first_fit_still_measures_its_error(monkeypatch):
+    # With no reward the first fit repeats the all-zero start, whose error
+    # no earlier iteration measured.
+    ring = make_ring(2)
+    rewards = tuple(tuple(r.map_table(lambda _: Fraction(0)) for r in rs) for rs in ring.rewards)
+    mdp = dataclasses.replace(ring, rewards=rewards)
+    res, steps, calls = _counted_api(mdp, monkeypatch, t_max=10)
+    assert res.w_eq and res.t == 0
+    assert (calls["greedy"], calls["error"]) == (1, 1)
+    assert res.err == explicit_bellman_err(mdp, res.w, res.pol) == 0
 
 
 @pytest.mark.parametrize("n, builds", [(3, 27), (4, 35)])

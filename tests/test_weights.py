@@ -18,7 +18,9 @@ from helpers import (
     max_or_none,
     min_lp,
     models,
+    reference_at,
     reference_complete_primal,
+    reference_max_sum_decode,
     reference_weight_lp,
     reference_weight_lp_blocks,
     renumbered,
@@ -300,8 +302,8 @@ def test_every_master_of_a_ring3_run_has_one_constraint_per_row(monkeypatch):
 
 def test_shadowed_branches_build_no_blocks(monkeypatch):
     # Branch {0=B, 1=B} extends the earlier {0=B}: it handles no state, so
-    # it gets no blocks, and every block that is built is priced by the fit
-    # and by the error and assembled into the full program.
+    # it gets no blocks, and every live block is priced by the fit and by
+    # the error and assembled into the full program.
     mdp = make_ring(2)
     order = identity_order(2)
     early, late = PartialState.of({0: 1}), PartialState.of({0: 1, 1: 1})
@@ -332,6 +334,46 @@ def test_shadowed_branches_build_no_blocks(monkeypatch):
     assert trace["std"] == assemble_lp(blocks)
     flattened = flatten(reference_weight_lp(blocks))
     assert renumbered(trace["std"], flattened.columns) == flattened
+
+
+def test_a_branch_its_predecessors_jointly_claim_is_built_but_never_priced(monkeypatch):
+    # {0=B} extends neither earlier state, but {0=B, 1=W} and {0=B, 1=B}
+    # together claim every state it would handle: its pair is dead.  It is
+    # built and assembled like any other, and neither the fit nor the error
+    # ever sweeps it.
+    mdp = make_ring(2)
+    order = identity_order(2)
+    dead = PartialState.of({0: 1})
+    pol = DecisionList(
+        (
+            Branch(PartialState.of({0: 1, 1: 0}), 1, Fraction(3)),
+            Branch(PartialState.of({0: 1, 1: 1}), 2, Fraction(2)),
+            Branch(dead, 1, Fraction(1)),
+            Branch(EMPTY_STATE, 0, Fraction(0)),
+        )
+    )
+    blocks = weight_lp_blocks(mdp, pol, order)
+    assert [block.tag.t for block in blocks if not block.live] == [dead, dead]
+    swept = []
+
+    def counting(original):
+        def wrapper(family, plan):
+            swept.append(plan)
+            return original(family, plan)
+
+        return wrapper
+
+    monkeypatch.setattr(weights_module, "max_sum_decode", counting(weights_module.max_sum_decode))
+    monkeypatch.setattr(error_module, "max_sum", counting(error_module.max_sum))
+    trace: dict = {}
+    w, _ = update_weights(mdp, pol, order, trace=trace)
+    drawn = (Fraction(-3, 2), Fraction(5), Fraction(1, 7))
+    for v in (w, drawn):
+        assert factored_bellman_err(mdp, v, pol, order) == explicit_bellman_err(mdp, v, pol)
+    priced = {id(plan) for plan in swept}
+    assert priced == {id(block.plan) for block in blocks if block.live}
+    assert len(trace["std"].placed) == len(blocks) == 8
+    assert trace["std"] == assemble_lp(blocks)
 
 
 def test_sysadmin3_final_list_of_82_branches_gives_56_blocks():
@@ -449,6 +491,19 @@ def _shadowing_lists(draw):
     order = identity_order(len(mdp.dims))
     assert len(weight_lp_blocks(mdp, pol, order)) < 2 * len(pol.branches)
     return mdp, pol, order
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_shadowing_lists(), st.lists(SMALL, min_size=3, max_size=3))
+def test_a_block_is_live_exactly_when_some_state_escapes_its_indicators(drawn, ws):
+    # A block is dead when its exact sweep is minus infinity, at w = 0 and
+    # so at every w, since no exclusion depends on the weights.
+    mdp, pol, order = drawn
+    zeros = tuple(Fraction(0) for _ in mdp.basis)
+    for block in weight_lp_blocks(mdp, pol, order):
+        for w in (zeros, tuple(ws[: len(mdp.basis)])):
+            value = reference_max_sum_decode(reference_at(block, w), block.plan)[0]
+            assert block.live == (value is not None)
 
 
 @st.composite
