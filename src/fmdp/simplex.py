@@ -26,16 +26,28 @@ Artificials never re-enter, so no artificial entry is ever needed.
 
 Each row is stored sparsely: a dict from stored column (u columns 0..n-1,
 slacks n..n+m-1, the right-hand side n+m) to a nonzero Python int, over
-one positive denominator.  Rows stay short however many there are.  A
-tableau row is a row of B^-1 times the starting tableau, so its slack
-part is that row of B^-1 up to the row signs sigma.  u_j and v_j are
-never basic together (v_j = -u_j), so the basis B holds at most n
-structural columns, and every other basic column is a signed unit
-vector; block-inverting B leaves at most n + 1 nonzeros in each row of
-B^-1.  With the n u entries and the right-hand side, a row holds at most
-about 2n + 2 nonzeros, against n + m + 1 entries in a dense row; the
-weight LPs have a handful of columns and tens to hundreds of rows.  The
-objective rows are stored the same way.
+one positive denominator.  A tableau row is a row of B^-1 times the
+starting tableau, so its slack part is that row of B^-1 up to the row
+signs sigma.  u_j and v_j are never basic together (v_j = -u_j), so the
+basis B holds at most n structural columns, and every other basic column
+is a signed unit vector; block-inverting B leaves at most n + 1 nonzeros
+in each row of B^-1, and a stored row holds at most about 2n + 2
+nonzeros, against n + m + 1 entries in a dense row.  The objective rows
+are stored the same way.
+
+A singleton row i, with one structural column j (a master's box rows
+`+-w_j <= box`), is derived instead of stored while its own artificial or
+slack is basic at position i.  Column i of B is then +-e_i, so no other
+tableau row holds any of seed row i, and seed row i less the multiple of
+the basic row of u_j or v_j that clears column j is zero on every other
+basic column: it is tableau row i, negated when the slack is basic at
+sigma_i = -1.  No pivot walks it; the ratio test reads its entry and
+right-hand side off the two rows, and one elimination materializes it
+when it is chosen to leave, and after phase one while its artificial is
+basic, for the infeasibility test and drive-out.  It is derived again
+once its own slack enters at position i.  The certificate reads only
+structural and objective rows.  Every derived entry is the rational the
+full tableau holds, so every decision is too.
 
 Input rows arrive as integers over one positive row denominator
 (``fmdp.lp``), already in lowest terms, and seed the tableau as they
@@ -133,9 +145,38 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
         dens.append(den)
         basis.append(a0 + i)
 
+    # Phase one minimizes the artificial sum from the all-artificial basis.
+    # Its reduced costs on stored columns are minus the column sums.
+    z1, d1 = {}, 1
+    for row, den in zip(rows, dens):
+        z1, d1 = _eliminate(z1, d1, d1, row, den)
+
+    # A derived row keeps its seed here and an empty stored row (a stored
+    # row holds its basic column).  basic_row[j] is the position where u_j
+    # or v_j is basic, if either is.
+    seeds = {i: (cols[0], rows[i], dens[i]) for i, cols in enumerate(std.cols) if len(cols) == 1}
+    for i in seeds:
+        rows[i] = {}
+    basic_row: list[int | None] = [None] * n
+
+    def materialize(i: int) -> None:
+        """Store derived row ``i`` as the full tableau holds it."""
+        j, row, den = seeds[i]
+        p = basic_row[j]
+        if p is not None:
+            f, q = row[j], rows[p][j]
+            if q < 0:
+                f, q = -f, -q
+            row, den = _eliminate(row, den, f, rows[p], q)
+        if basis[i] < a0 and row[n + i] < 0:
+            row = {k: -a for k, a in row.items()}
+        rows[i], dens[i] = row, den
+
     counts = {"phase1": 0, "phase2": 0, "driveout": 0}
 
     def pivot(r: int, e: int) -> None:
+        if not rows[r]:
+            materialize(r)
         k, sg = column(e)
         pr = rows[r]
         p = sg * pr[k]
@@ -148,7 +189,14 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
         g = gcd(p, *pr.values())
         rows[r] = {j: q // g for j, q in pr.items()} if g > 1 else pr
         dens[r] = p // g
+        old = basis[r]
+        if old < s0:
+            basic_row[old - v0 if old >= v0 else old] = None
         basis[r] = e
+        if e < s0:
+            basic_row[k] = r
+        elif e == s0 + r and r in seeds:
+            rows[r] = {}
 
     def entering() -> int | None:
         z = rows[m]
@@ -161,41 +209,73 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
         slack = min((k for k, q in z.items() if n <= k < rhs_key and q < 0), default=None)
         return None if slack is None else slack - n + s0
 
+    def positive(k: int, sg: int):
+        """Position, right-hand side and entry of each row positive in the
+        column stored at ``k`` with sign ``sg``, over one positive
+        denominator."""
+        for r in range(m):
+            row = rows[r]
+            t = sg * row.get(k, 0)
+            if t > 0:
+                yield r, row.get(rhs_key, 0), t
+        # Derived row r is (seed - seed[j] * row_p / row_p[j]) / den_r over
+        # p = basic_row[j], negated while its slack is basic at sigma_r = -1.
+        for r, (j, seed, _) in seeds.items():
+            if rows[r]:
+                continue
+            t, num = seed.get(k, 0), seed.get(rhs_key, 0)
+            p = basic_row[j]
+            if p is not None:
+                pr = rows[p]
+                q, f = pr[j], seed[j]
+                t, num = t * q - f * pr.get(k, 0), num * q - f * pr.get(rhs_key, 0)
+                if q < 0:
+                    t, num = -t, -num
+            if basis[r] < a0 and seed[n + r] < 0:
+                t, num = -t, -num
+            t *= sg
+            if t > 0:
+                yield r, num, t
+
+    def leaving(enter: int) -> int | None:
+        """Bland's ratio test: the least rhs / entry over positive entries
+        of column ``enter``, ties to the lowest basic column."""
+        own = enter - s0
+        if own >= 0 and basis[own] == a0 + own:
+            # Phase one prices s_own at -sigma_own while a_own is basic, so
+            # s_own enters only at sigma_own = +1, when its column is a_own's
+            # unit column.
+            return own
+        leave = None
+        for r, num, t in positive(*column(enter)):
+            if leave is not None:
+                lhs, rhs = num * best_t, best_num * t
+                if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                    continue
+            leave, best_num, best_t = r, num, t
+        return leave
+
     def run(phase: str) -> int | None:
         """Iterate to optimality; return the entering column on unboundedness."""
         while True:
             enter = entering()
             if enter is None:
                 return None
-            k, sg = column(enter)
-            leave = None
-            for r in range(m):
-                row = rows[r]
-                t = sg * row.get(k, 0)
-                if t > 0:
-                    num = row.get(rhs_key, 0)
-                    if leave is None:
-                        leave, best_num, best_t = r, num, t
-                        continue
-                    lhs, rhs = num * best_t, best_num * t
-                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                        leave, best_num, best_t = r, num, t
+            leave = leaving(enter)
             if leave is None:
                 return enter
             pivot(leave, enter)
             counts[phase] += 1
 
-    # Phase one: minimize the artificial sum from the all-artificial basis.
-    # Its reduced costs on stored columns are minus the column sums.
-    z1, d1 = {}, 1
-    for row, den in zip(rows, dens):
-        z1, d1 = _eliminate(z1, d1, d1, row, den)
     rows.append(z1)
     dens.append(d1)
     blocked = run("phase1")
     if blocked is not None:
         raise LpInternalError("artificial phase cannot be unbounded")
     z1, d1 = rows.pop(), dens.pop()
+    for i in seeds:
+        if basis[i] >= a0:
+            materialize(i)
 
     # Every right-hand side is nonnegative here, so the artificial sum is
     # positive exactly when some basic artificial is.

@@ -148,17 +148,27 @@ _LP_SHAPES = {
 
 
 @pytest.mark.parametrize(
-    "n, pivots", [(3, [104, 24, 24]), (4, [260, 27, 30])]
+    "n, pivots",
+    [
+        (3, [104, 24, 24]),
+        (4, [260, 27, 30]),
+        ("ring-5", [311, 38, 38]),
+        ("ring-6", [530, 90, 46, 45]),
+        ("sysadmin-3", [528, 87, 87]),
+    ],
 )
 def test_master_pivots_per_iteration_are_pinned(n, pivots):
     # Counts of the master simplex over each update_weights call with the
-    # min-degree order (ring-3 totals 152, as in perfbench/test_bench.py).
-    # A change to the pivot rule or to the cut sequence moves them, and a
-    # change to the block rows moves the program's shape.
-    mdp = make_ring(n)
+    # min-degree order (ring-3 totals 152, as in perfbench/test_bench.py),
+    # on make_ring(n) or a seed-0 perfbench model by name.  A change to
+    # the pivot rule or to the cut sequence moves them, and a change to the
+    # block rows moves the program's shape.
+    mdp = make_ring(n) if isinstance(n, int) else perfbench_instances(0)[n]
     steps: list[dict] = []
     api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")), trace=steps)
     assert [step["pivots"] for step in steps] == pivots
+    if n not in _LP_SHAPES:
+        return
     shape = (
         [step["cuts"] for step in steps],
         [step["rounds"] for step in steps],

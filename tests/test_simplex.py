@@ -207,6 +207,56 @@ def test_golden_solver_digest_on_tall_programs():
     assert _digest(batch) == _GOLDEN_TALL_SOLVER_DIGEST
 
 
+def _master_shaped_lp(rng, max_weights, max_cuts):
+    """A program shaped like a weight fit's master over `x0` (phi) and
+    `x1`..: a box pair `+-c x_j <= b` or an equality `x_j = b` per
+    weight, then dense rows `-x0 + a.x <= b`.  Some bounds are negative, so
+    some boxes are empty; some weights are unboxed, some draws have no
+    dense row; some equalities are listed twice, which leaves dependent
+    rows for drive-out."""
+    names = [f"x{j}" for j in range(rng.randint(2, max_weights + 1))]
+    cons = []
+    for name in names[1:]:
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        if roll < 0.2:
+            con = make_constraint("eq", {name: Fraction(1)}, Fraction(rng.randint(-4, 4), 2))
+            cons += [con] * rng.randint(1, 2)
+            continue
+        c = rng.choice((Fraction(1), Fraction(1), Fraction(2), Fraction(3, 2)))
+        for sign in (1, -1):
+            bound = Fraction(rng.randint(-2, 12), rng.randint(1, 2))
+            cons.append(make_constraint("le", {name: sign * c}, bound))
+    for _ in range(rng.randint(0, max_cuts)):
+        coefs = {names[0]: Fraction(-1)}
+        for name in names[1:]:
+            if rng.random() < 0.7:
+                coefs[name] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        kind = "eq" if rng.random() < 0.05 else "le"
+        con = make_constraint(kind, coefs, Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        cons += [con] * (2 if kind == "eq" and rng.random() < 0.5 else 1)
+    return Lp(tuple(cons), "x0")
+
+
+# The same digest over master-shaped programs, whose box rows are the
+# solver's singleton rows, with each outcome among them.  It was computed
+# while the solver still stored and eliminated every row, so it pins
+# derived rows to the full tableau's certificates and stats.
+_GOLDEN_MASTER_SOLVER_DIGEST = "6487f9446cf9eca0843a6f289e39d2d9ead789cab657a23dd215a869bc4af3b3"
+
+
+def test_golden_solver_digest_on_master_shaped_programs():
+    rng = random.Random(20261020)
+    batch = [flatten(_master_shaped_lp(rng, 4, 6)) for _ in range(150)]
+    batch += [flatten(_master_shaped_lp(rng, 8, 40)) for _ in range(50)]
+    kinds = {Optimal: 0, Infeasible: 0, Unbounded: 0}
+    for std in batch:
+        kinds[type(solve_lp(std))] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
+    assert _digest(batch) == _GOLDEN_MASTER_SOLVER_DIGEST
+
+
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
 
 
