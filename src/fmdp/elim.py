@@ -3,10 +3,14 @@
 An ``ElimPlan`` is the elimination schedule of a function family along a
 fixed variable order: per round, the variable removed, the slots of the
 functions mentioning it, and the joint scope ``scope_e`` of their
-replacement.  ``ElimPlan.build`` is the only place the schedule is
-derived; it checks the inputs once and precomputes every dependent's
-integer table index at every point of each round, so interpreters index
-tables directly instead of assembling partial states.  The interpreters:
+replacement.  ``ElimPlan.over`` is the only place the schedule is
+derived, from the inputs' scopes; ``ElimPlan.build`` checks a family of
+inputs once and plans over their scopes, and ``fmdp.lpbuild`` calls
+``over`` directly with scopes read off a plan it built before.  Each
+round precomputes every dependent's integer table index at every point,
+one tuple per distinct dependent scope, laid out from the scope's
+strides, so interpreters index tables directly instead of assembling
+partial states.  The interpreters:
 
 * ``ElimPlan.sweep``, the numeric max-and-argmax pass over any values
   with ``+`` and ``<``;
@@ -14,14 +18,16 @@ tables directly instead of assembling partial states.  The interpreters:
   family and its plan, sweeps the family's plain integers over one
   denominator, minus infinity (``None``, an assignment excluded by an
   indicator function) held as a stand-in below every finite total, and
-  walks the argmax tables back into a maximizing state; ``max_sum`` is
-  its value-only case, the same sweep without the walk.
+  walks the argmax tables back into a maximizing state.  It also hands
+  back every slot's swept table, which ``fmdp.weights`` keeps from its
+  last pricing round to complete the primal; ``max_sum`` is its
+  value-only case, the same sweep without the walk.
   ``fmdp.lpbuild.TagBlock.at``, which scales a block's integer tables
   to w, is the only producer of ``Scaled`` families;
 * ``fmdp.lpbuild``, which reads each round as the dominance rows of a block;
-* ``fmdp.weights``, which sweeps integers over one denominator to
-  complete a primal solution and walks the rounds backwards to lift a
-  dual one.
+* ``fmdp.weights``, which writes swept integer tables over one
+  denominator into a primal solution and walks the rounds backwards to
+  lift a dual one.
 
 ``explicit_max`` is the deliberately inefficient reference that enumerates
 every full state of a ``ScopedFn`` family of rationals and ``None``;
@@ -31,7 +37,6 @@ a ``Fraction``, or ``None`` when every full state is excluded.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,6 +96,22 @@ def _index(point: Sequence[int], digits: Iterable[tuple[int, int]]) -> int:
     return j
 
 
+def _gather(scope: tuple[int, ...], axes: tuple[int, ...], dims: Sequence[int]) -> tuple[int, ...]:
+    """The table index over ``scope`` at every point over ``axes`` (a
+    superset of ``scope``), points in table order: built one axis at a
+    time from each variable's stride in ``scope``'s table."""
+    strides = {}
+    step = 1
+    for v in reversed(scope):
+        strides[v] = step
+        step *= dims[v]
+    out = [0]
+    for v in axes:
+        offsets = [x * strides.get(v, 0) for x in range(dims[v])]
+        out = [j + k for j in out for k in offsets]
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class ElimRound:
     """One round: the variable removed, the slots of the functions it
@@ -146,16 +167,25 @@ class ElimPlan:
             want = tuple(dims[v] for v in f.scope)
             if f.card != want:
                 raise InvalidInputError(f"function {i} cardinalities {f.card} do not match {want}")
-        scopes = [f.scope for f in fns]
+        return cls.over([f.scope for f in fns], order, dims)
+
+    @classmethod
+    def over(
+        cls, scopes: Sequence[tuple[int, ...]], order: Sequence[int], dims: tuple[int, ...]
+    ) -> "ElimPlan":
+        """``build``'s plan for functions over ``scopes``, each with its
+        variables' full domains, unchecked: for callers whose scopes come
+        from a plan already built."""
+        scopes = list(scopes)
         live = list(range(len(scopes)))
         rounds = []
         for var in order:
             dependents = tuple(s for s in live if var in scopes[s])
             scope_e = tuple(sorted({v for s in dependents for v in scopes[s]} - {var}))
             axes = scope_e + (var,)
-            points = list(itertools.product(*(range(dims[v]) for v in axes)))
-            digits = [[(axes.index(v), dims[v]) for v in scopes[s]] for s in dependents]
-            gather = tuple(tuple(_index(p, d) for p in points) for d in digits)
+            # Dependents often share a scope, and so a gather tuple.
+            made = {sc: _gather(sc, axes, dims) for sc in dict.fromkeys(scopes[s] for s in dependents)}
+            gather = tuple(made[scopes[s]] for s in dependents)
             live = [s for s in live if s not in dependents] + [len(scopes)]
             scopes.append(scope_e)
             rounds.append(ElimRound(var, dependents, scope_e, gather))
@@ -230,8 +260,11 @@ def _total(family: Scaled, plan: ElimPlan, tables: Sequence[Sequence[int]]) -> F
     return Fraction(total, family.den) if total >= -family.bound else None
 
 
-def max_sum_decode(family: Scaled, plan: ElimPlan) -> tuple[Fraction | None, PartialState]:
-    """The maximum of ``family`` along ``plan`` and a full state attaining it.
+def max_sum_decode(
+    family: Scaled, plan: ElimPlan
+) -> tuple[Fraction | None, PartialState, list[Sequence[int]]]:
+    """The maximum of ``family`` along ``plan``, a full state attaining
+    it, and the table of every slot the sweep formed (``ElimPlan.sweep``).
 
     ``plan`` must have been built for functions shaped like ``family``'s
     slots.  Walking the rounds backwards, each eliminated variable takes
@@ -244,7 +277,7 @@ def max_sum_decode(family: Scaled, plan: ElimPlan) -> tuple[Fraction | None, Par
     x = [0] * len(plan.dims)
     for rnd, choice in zip(reversed(plan.rounds), reversed(choices)):
         x[rnd.var] = choice[plan.entry(rnd.scope_e, x)]
-    return _total(family, plan, tables), PartialState(tuple(enumerate(x)))
+    return _total(family, plan, tables), PartialState(tuple(enumerate(x))), tables
 
 
 def explicit_max(fs: Sequence[ScopedFn], dims: Sequence[int]) -> Fraction | None:

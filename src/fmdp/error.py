@@ -12,7 +12,8 @@ plan.  A dead pair (``TagBlock.live``), whose states earlier branches
 jointly claim, prices to minus infinity and is never swept here; the
 first branch's is always live.  The blocks are the same objects the
 next weight fit for this policy reuses, so they are built once per
-policy, not once per call.
+policy, not once per call, and a pair the policy before had is not
+built again (``weight_lp_blocks``).
 """
 
 from __future__ import annotations

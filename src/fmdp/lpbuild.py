@@ -17,8 +17,12 @@ the branch state, and each indicator is written straight onto its
 leftover scope.  ``fmdp.weights`` prices blocks for cuts and
 ``fmdp.error`` for the Bellman error, both through ``TagBlock.at(w)``,
 which scales the tables to the ``fmdp.elim.Scaled`` family the
-elimination kernel sweeps; ``weight_lp_blocks`` keeps the latest
-policy's blocks in the model's cache, so both share one build.
+elimination kernel sweeps.  ``weight_lp_blocks`` keeps the latest
+list's pairs in the model's cache, so the error and the fit of one
+list share one build, and the next list takes every pair it repeats
+from them: whole when the branch also repeats its earlier states, else
+its summand tables, denominator and their plan scopes, which depend
+only on the branch state and action.
 
 A branch whose state extends an earlier built branch's state handles no
 state and gets no blocks: it is no earlier state to the branches after
@@ -192,26 +196,41 @@ def branch_lp(
     a: int,
     ts: tuple[PartialState, ...],
     order: tuple[int, ...],
+    like: tuple[TagBlock, TagBlock] | None = None,
 ) -> tuple[TagBlock, TagBlock]:
     """The mirrored pair of blocks for one branch, given the branch states
     claimed earlier in the list.  At weights w the positive block's
     summands sum to nu_w - Q_w^a on the branch's states and the negative
-    block's to Q_w^a - nu_w; elsewhere some indicator is minus infinity."""
+    block's to Q_w^a - nu_w; elsewhere some indicator is minus infinity.
+
+    ``like``, a pair built for the same ``t`` and ``a`` under other
+    earlier states and the same order, lends its weighted and reward
+    tables, its denominator and their plan scopes, which depend on
+    neither: only the indicators, the plan and the liveness are built."""
     if not 0 <= a < len(mdp.actions):
         raise InvalidInputError(f"action index {a} out of range")
-    diffs = difference_fns(mdp, t, a)
-    rewards = tuple(instantiate(r, t) for r in mdp.rewards[a])
     shadows = indicator_fns(ts, t, mdp.dims)
-    plan = ElimPlan.build((*diffs, *rewards, *shadows), order, mdp.dims)
-    tables, den = over_one_den([f.table for f in (*diffs, *rewards)])
-    c, r = tables[: len(diffs)], tables[len(diffs) :]
     s = tuple(f.table for f in shadows)
-    pos = TagBlock.of(Tag(t, a, True), c, _negated(r) + s, den, plan)
+    if like is None:
+        diffs = difference_fns(mdp, t, a)
+        rewards = tuple(instantiate(r, t) for r in mdp.rewards[a])
+        plan = ElimPlan.build((*diffs, *rewards, *shadows), order, mdp.dims)
+        tables, den = over_one_den([f.table for f in (*diffs, *rewards)])
+        c, r = tables[: len(diffs)], tables[len(diffs) :]
+        pos = TagBlock.of(Tag(t, a, True), c, _negated(r) + s, den, plan)
+        neg = TagBlock.of(Tag(t, a, False), _negated(c), r + s, den, plan)
+    else:
+        # The reward tables lead each block's constant summands, and the
+        # indicators add nothing to ``b_max``.
+        nr = len(mdp.rewards[a])
+        scopes = like[0].plan.scopes[: len(like[0].c) + nr] + tuple(f.scope for f in shadows)
+        plan = ElimPlan.over(scopes, order, mdp.dims)
+        pos, neg = (replace(b, b=b.b[:nr] + s, plan=plan, live=True) for b in like)
     # Exclusions do not depend on w: the pair is dead exactly when it
     # prices to minus infinity at w = 0.
-    if any(None in f for f in s) and max_sum(pos.at((Fraction(0),) * len(c)), plan) is None:
-        pos = replace(pos, live=False)
-    return pos, TagBlock.of(Tag(t, a, False), _negated(c), r + s, den, plan, pos.live)
+    if any(None in f for f in s) and max_sum(pos.at((Fraction(0),) * len(pos.c)), plan) is None:
+        pos, neg = replace(pos, live=False), replace(neg, live=False)
+    return pos, neg
 
 
 def weight_lp_blocks(
@@ -221,29 +240,39 @@ def weight_lp_blocks(
     state extends an earlier built branch's state.
 
     Such a branch (an exact repeat among them) handles no state and adds
-    no blocks; a list with no branch covers no state and is invalid.  The model's cache keeps only the
-    latest (policy, order): the error of each new greedy policy is measured
-    just before the weights are fitted to it, and both ask for the same
-    blocks.
+    no blocks; a list with no branch covers no state and is invalid.
+
+    The model's cache keeps the latest list's pairs and its order.  The
+    error of each new greedy list is measured just before the weights are
+    fitted to it, and consecutive lists mostly repeat their branches.  So
+    under the same order a branch whose (t, action, earlier states) the
+    latest list has takes that pair as it stands, and one whose
+    (t, action) it has builds only its indicators, plan and liveness from
+    that pair (``branch_lp``'s ``like``).
     """
     if not pol.branches:
         raise InvalidInputError("decision list covers no state at all")
     order = tuple(order)
-    key = (pol, order)
     hit = mdp._cache.get("blocks")
-    if hit is not None and hit[0] == key:
-        return hit[1]
+    latest = hit[1] if hit is not None and hit[0] == order else {}
+    # Both keys of a pair in one dict: (t, action, earlier) and (t, action).
+    pairs: dict[tuple, tuple[TagBlock, TagBlock]] = {}
     blocks: list[TagBlock] = []
     earlier: list[PartialState] = []
     for branch in pol.branches:
-        pairs = set(branch.t.items)
-        if any(pairs.issuperset(tp.items) for tp in earlier):
+        t, a = branch.t, branch.action
+        items = set(t.items)
+        if any(items.issuperset(tp.items) for tp in earlier):
             continue
-        blocks += branch_lp(mdp, branch.t, branch.action, tuple(earlier), order)
-        earlier.append(branch.t)
-    result = tuple(blocks)
-    mdp._cache["blocks"] = (key, result)
-    return result
+        ts = tuple(earlier)
+        pair = latest.get((t, a, ts))
+        if pair is None:
+            pair = branch_lp(mdp, t, a, ts, order, latest.get((t, a)))
+        pairs[t, a, ts] = pairs[t, a] = pair
+        blocks += pair
+        earlier.append(t)
+    mdp._cache["blocks"] = (order, pairs)
+    return tuple(blocks)
 
 
 class Placed(NamedTuple):

@@ -18,10 +18,14 @@ box could be hiding the true optimum.
 Convergence alone is not trusted.  Each block's elimination plan
 (``fmdp.elim.ElimPlan``, built once by ``fmdp.lpbuild``) is the single
 source of its schedule, and both halves of the certificate interpret it.
-The finished point is lifted to a full primal solution by sweeping each
-block once more at w, as pricing sweeps it (``TagBlock.at``), every
-value then scaled to one denominator D fixed up front: the lcm of phi's
-denominator and of lcm(w) times the lcm of the blocks' denominators.
+The finished point is lifted to a full primal solution from each
+block's tables swept at w, as pricing sweeps them (``TagBlock.at``).
+The last pricing round ran at the returned w and found no cut, so its
+tables are kept and written as they are (``max_sum_decode`` hands them
+back); only the dead blocks, which no round prices, are swept for the
+completion.  Every value is then scaled to one denominator D fixed up
+front: the lcm of phi's denominator and of lcm(w) times the lcm of the
+blocks' denominators.
 The filled vector is divided by the gcd of D and its numerators, down to
 the least common denominator.  Unpinned (minus infinity) entries keep
 pricing's stand-in -(2 * bound + 1), and that is enough for every
@@ -52,7 +56,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .certify import IntVector, check_optimality
 from .elim import max_sum_decode
@@ -130,18 +134,25 @@ def update_weights(
 
     cuts: dict[tuple, _Cut] = {}
     live = [(idx, block) for idx, block in enumerate(blocks) if block.live]
+    # The swept tables of every live block, by index, from the last round
+    # that found no cut: its w is the one returned, so the completion
+    # writes them as they are.
+    swept: dict[int, list] = {}
 
     def cut_above(w: Sequence[Fraction], floor: Fraction | None) -> bool:
         """Keep the cut of every live block whose price at ``w`` is above
         ``floor`` (any price is, when ``floor`` is ``None``); whether there
         was one."""
         found = False
+        swept.clear()
         for idx, block in live:
-            value, witness = max_sum_decode(block.at(w), block.plan)
+            value, witness, swept[idx] = max_sum_decode(block.at(w), block.plan)
             if floor is None or value > floor:
                 cut = _cut_at(idx, block, witness)
                 cuts.setdefault(cut.row, cut)
                 found = True
+        if found:
+            swept.clear()
         return found
 
     # The first branch's blocks exclude no state, so they always cut here.
@@ -181,7 +192,7 @@ def update_weights(
         break
 
     std = assemble_lp(blocks)
-    primal = _complete_primal(std, blocks, phi, w)
+    primal = _complete_primal(std, blocks, phi, w, swept)
     dual = _lift_dual(std, blocks, cuts.values(), cut_duals)
     lp_seconds = time.perf_counter() - started
     if not check_optimality(std, primal, dual):
@@ -206,11 +217,14 @@ def _complete_primal(
     blocks: Sequence[TagBlock],
     phi: Fraction,
     w: Sequence[Fraction],
+    swept: Mapping[int, Sequence[Sequence[int]]] = {},
 ) -> IntVector:
     """The full primal as numerators over one denominator D: each block's
     summands at ``w`` swept once, as pricing sweeps them, and each slot's
     table written to its run of columns scaled to D; then all of it reduced
-    to the least common denominator."""
+    to the least common denominator.  ``swept`` holds, by block index, the
+    tables pricing already swept at ``w``; every other block is swept
+    here, and every block's total is checked against phi."""
     lw = lcm(*(q.denominator for q in w))
     den = lcm(phi.denominator, lw * lcm(*{block.den for block in blocks}))
     top = phi.numerator * (den // phi.denominator)
@@ -219,10 +233,12 @@ def _complete_primal(
     for q, col in zip(w, std.weight_cols):
         if col is not None:
             nums[col] = q.numerator * (den // q.denominator)
-    for block, at in zip(blocks, std.placed):
-        scaled = block.at(w)
-        tables, _ = block.plan.sweep(scaled.tables)
-        factor = den // scaled.den
+    for idx, (block, at) in enumerate(zip(blocks, std.placed)):
+        tables = swept.get(idx)
+        if tables is None:
+            tables, _ = block.plan.sweep(block.at(w).tables)
+        # ``TagBlock.at`` puts a block's tables over den * lcm(w).
+        factor = den // (block.den * lw)
         if factor * sum(tables[s][0] for s in block.plan.final) > top:
             raise LpInternalError("completed block exceeds phi")
         for k, table in zip(at.cols, tables):

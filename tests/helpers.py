@@ -3,6 +3,7 @@ test suite."""
 
 import hashlib
 import importlib.util
+import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping, Union
 
 from hypothesis import strategies as st
 
-from fmdp.elim import ElimPlan
+from fmdp.elim import ElimPlan, ElimRound
 from fmdp.errors import LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, consistent, instantiate
 from fmdp.lp import StdLp, StdRows
@@ -412,6 +413,33 @@ def reference_at(block, w):
     c_fns, b_fns = block_fns(block)
     scaled = [c.map_table(lambda q, wi=wi: wi * q) for wi, c in zip(w, c_fns)]
     return scaled + list(b_fns)
+
+
+def reference_plan(plan):
+    """``plan`` derived again from its input scopes and its order, as
+    ``fmdp.elim.ElimPlan.build`` first derived it: every round's points
+    enumerated, and each dependent's table index at each point read off
+    the point one digit per variable of its scope."""
+    dims, scopes = plan.dims, list(plan.scopes[: plan.inputs])
+    live, rounds = list(range(len(scopes))), []
+    for var in (rnd.var for rnd in plan.rounds):
+        dependents = tuple(s for s in live if var in scopes[s])
+        scope_e = tuple(sorted({v for s in dependents for v in scopes[s]} - {var}))
+        axes = scope_e + (var,)
+        points = list(itertools.product(*(range(dims[v]) for v in axes)))
+        gather = []
+        for s in dependents:
+            entries = []
+            for p in points:
+                j = 0
+                for v in scopes[s]:
+                    j = j * dims[v] + p[axes.index(v)]
+                entries.append(j)
+            gather.append(tuple(entries))
+        live = [s for s in live if s not in dependents] + [len(scopes)]
+        scopes.append(scope_e)
+        rounds.append(ElimRound(var, dependents, scope_e, tuple(gather)))
+    return ElimPlan(dims, tuple(scopes), tuple(rounds), tuple(live))
 
 
 def reference_sweep(plan, tables):

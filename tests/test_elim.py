@@ -28,6 +28,7 @@ from helpers import (
     random_ext_table_fns,
     reference_at,
     reference_max_sum_decode,
+    reference_plan,
     reference_sweep,
     sum_or_none,
     summands,
@@ -60,7 +61,9 @@ def test_single_function_collapses_to_its_max():
     assert plan.final == (1,)
     assert plan.scopes[1] == ()
     assert tables[1] == (F(3),)
-    assert max_sum_decode(*priced([f], (0,), [2])) == (F(3), PartialState.of({0: 1}))
+    value, witness, swept = max_sum_decode(*priced([f], (0,), [2]))
+    assert (value, witness) == (F(3), PartialState.of({0: 1}))
+    assert list(map(list, swept)) == [[1, 3], [3]]
 
 
 def test_step_with_no_dependent_functions_adds_constant_zero():
@@ -80,7 +83,10 @@ def test_step_hand_example_with_neg_inf():
     assert (first.dependents, first.scope_e) == ((0, 1), (1,))
     # e(y) = max over x0 of f1(x0) + f2(x0, y)
     assert tables[2] == (F(5), F(8))  # max(1+0, 3+2), max(1-inf, 3+5)
-    assert max_sum_decode(*priced([f1, f2], (0, 1), [2, 2])) == (F(8), PartialState.of({0: 1, 1: 1}))
+    value, witness, swept = max_sum_decode(*priced([f1, f2], (0, 1), [2, 2]))
+    assert (value, witness) == (F(8), PartialState.of({0: 1, 1: 1}))
+    # Minus infinity is the stand-in -(2 * (3 + 5) + 1) in the swept tables.
+    assert list(map(list, swept)) == [[1, 3], [0, -17, 2, 5], [5, 8], [8]]
 
 
 def test_max_sum_constants_and_disjoint_scopes():
@@ -171,7 +177,7 @@ def test_decode_returns_attaining_state():
         fns, dims = random_ext_table_fns(rng)
         order = list(range(len(dims)))
         rng.shuffle(order)
-        value, witness = max_sum_decode(*priced(fns, tuple(order), dims))
+        value, witness, _ = max_sum_decode(*priced(fns, tuple(order), dims))
         assert value == explicit_max(fns, dims)
         assert witness.domain == tuple(range(len(dims)))
         if value is not None:
@@ -209,6 +215,7 @@ def _assert_matches_reference(got, want):
 @given(_priced_blocks())
 def test_integer_kernel_matches_the_extended_real_sweep(case):
     block, w = case
+    assert block.plan == reference_plan(block.plan)
     fns = reference_at(block, w)
     want = reference_max_sum_decode(fns, block.plan)
     _assert_matches_reference(max_sum_decode(block.at(w), block.plan), want)
@@ -253,6 +260,7 @@ _edge_cases = pytest.mark.parametrize(
 def test_integer_kernel_edge_cases(dims, c_fns, b_fns, w):
     order = identity_order(len(dims))
     block = min_lp(dims, Tag(EMPTY_STATE, 0, True), c_fns, b_fns, order)
+    assert block.plan == reference_plan(block.plan)
     fns = reference_at(block, w)
     want = reference_max_sum_decode(fns, block.plan)
     assert want[0] == explicit_max(fns, dims)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -21,6 +22,7 @@ from helpers import (
     reference_at,
     reference_complete_primal,
     reference_max_sum_decode,
+    reference_plan,
     reference_weight_lp,
     reference_weight_lp_blocks,
     renumbered,
@@ -388,15 +390,17 @@ def test_sysadmin3_final_list_of_82_branches_gives_56_blocks():
 
 
 def _counted_run(mdp):
-    """An untraced min-degree ``api`` run, with its ``branch_lp`` calls, the
-    policies it derived, in order, and the arguments and result of its last
-    primal completion."""
-    calls, policies, completed = [0], [], []
+    """An untraced min-degree ``api`` run, with its ``branch_lp`` calls and
+    how many of them built their summands (no ``like`` pair), the policies
+    it derived, in order, and the arguments and result of its last primal
+    completion."""
+    calls, policies, completed = [0, 0], [], []
     branch_lp, greedy = lpbuild_module.branch_lp, api_module.greedy_decision_list
     complete = weights_module._complete_primal
 
     def counting_branch_lp(*args):
         calls[0] += 1
+        calls[1] += args[5] is None
         return branch_lp(*args)
 
     def recorded_greedy(*args):
@@ -412,53 +416,101 @@ def _counted_run(mdp):
         patch.setattr(api_module, "greedy_decision_list", recorded_greedy)
         patch.setattr(weights_module, "_complete_primal", recorded_complete)
         api(mdp, ApiConfig(order=elimination_order(mdp, "min-degree")))
-    return calls[0], policies, completed
+    return tuple(calls), policies, completed
+
+
+_SEED_0 = {f"ring-{n}": lambda n=n: make_ring(n) for n in (3, 4, 5, 6)}
+_SEED_0["sysadmin-3"] = lambda: sysadmin(3)
 
 
 @pytest.fixture(scope="module")
 def counted_runs():
     """``_counted_run`` of the seed-0 models by name, each run once."""
-    builders = {f"ring-{n}": lambda n=n: make_ring(n) for n in (3, 4, 5, 6)}
-    builders["sysadmin-3"] = lambda: sysadmin(3)
     done: dict = {}
 
     def run(name):
         if name not in done:
-            done[name] = _counted_run(builders[name]())
+            done[name] = _counted_run(_SEED_0[name]())
         return done[name]
 
     return run
 
 
-def _live_branches(pol) -> int:
-    """The branches whose state extends no earlier branch's state."""
-    return sum(
-        not any(set(b.t.items).issuperset(e.t.items) for e in pol.branches[:k])
-        for k, b in enumerate(pol.branches)
-    )
+def _pair_keys(pol) -> list[tuple]:
+    """The (t, action, earlier states) of every branch ``weight_lp_blocks``
+    builds a pair for: each one whose state extends no earlier branch's."""
+    keys: list[tuple] = []
+    for b in pol.branches:
+        earlier = tuple(key[0] for key in keys)
+        if not any(set(b.t.items).issuperset(t.items) for t in earlier):
+            keys.append((b.t, b.action, earlier))
+    return keys
 
 
 @pytest.mark.parametrize(
-    "names, calls", [(("sysadmin-3",), 57), (("ring-6", "ring-5", "ring-4"), 154)]
+    "names, pairs, summands",
+    [(("sysadmin-3",), 29, 28), (("ring-6", "ring-5", "ring-4"), 132, 63)],
 )
-def test_each_policy_builds_its_blocks_once(counted_runs, names, calls):
-    # Every policy the run derives gets one pair of blocks per live branch,
-    # built once and shared by the error of that policy and the fit to it;
-    # a converged run's last policy repeats the one before, so it builds none.
-    built = 0
+def test_each_policy_builds_its_blocks_once(counted_runs, names, pairs, summands):
+    # The model keeps the latest list's pairs.  The error of a new policy
+    # and the fit to it share its pairs, and a converged run's last policy
+    # repeats the one before, so it builds none.  Each new policy builds a
+    # pair for every branch whose (t, action, earlier states) the policy
+    # before it lacks, and its summands only for those whose (t, action)
+    # that policy lacks too.
+    built = [0, 0]
     for name in names:
-        count, policies, _ = counted_runs(name)
-        assert count == sum(map(_live_branches, dict.fromkeys(policies)))
-        built += count
-    assert built == calls
+        calls, policies, _ = counted_runs(name)
+        keys = [[]] + [_pair_keys(pol) for pol in policies]
+        assert calls[0] == sum(len(set(new) - set(old)) for old, new in zip(keys, keys[1:]))
+        assert calls[1] == sum(
+            len({k[:2] for k in new} - {k[:2] for k in old}) for old, new in zip(keys, keys[1:])
+        )
+        built = [built[0] + calls[0], built[1] + calls[1]]
+    assert built == [pairs, summands]
+
+
+@pytest.mark.parametrize("name", ["ring-4", "ring-5", "ring-6", "sysadmin-3"])
+def test_blocks_served_after_the_list_before_equal_a_fresh_build(counted_runs, name):
+    # Every pair a list takes from the one before, whole or as its tables,
+    # is the pair a fresh build on a fresh model gives, plan and liveness
+    # included.
+    policies = counted_runs(name)[1]
+    mdp = _SEED_0[name]()
+    order = elimination_order(mdp, "min-degree")
+    for before, pol in zip(policies, policies[1:]):
+        weight_lp_blocks(mdp, before, order)
+        served = weight_lp_blocks(mdp, pol, order)
+        fresh = weight_lp_blocks(_SEED_0[name](), pol, order)
+        assert served == fresh
+        assert all(block.plan == reference_plan(block.plan) for block in fresh[::2])
+
+
+@pytest.mark.parametrize("name", ["ring-5", "sysadmin-3"])
+def test_a_list_with_new_bonuses_only_takes_the_same_pairs(counted_runs, name):
+    # These runs fit a last list whose branches, states and actions in
+    # order, repeat the list before it with other bonuses.
+    policies = counted_runs(name)[1]
+    before, last = policies[-2:]
+    assert before != last
+    assert [(b.t, b.action) for b in before.branches] == [(b.t, b.action) for b in last.branches]
+    mdp = _SEED_0[name]()
+    order = elimination_order(mdp, "min-degree")
+    kept = weight_lp_blocks(mdp, before, order)
+    served = weight_lp_blocks(mdp, last, order)
+    assert len(served) == len(kept) and all(map(operator.is_, served, kept))
 
 
 @pytest.mark.parametrize("name", ["ring-3", "ring-4", "ring-5", "sysadmin-3"])
 def test_integer_completion_matches_the_fraction_reference(counted_runs, name):
-    (std, blocks, phi, w), primal = counted_runs(name)[2]
+    (std, blocks, phi, w, swept), primal = counted_runs(name)[2]
     assert primal.fractions() == reference_complete_primal(std, blocks, phi, w)
-    with pytest.raises(LpInternalError, match="exceeds phi"):
-        weights_module._complete_primal(std, blocks, phi - Fraction(1, primal.den), w)
+    # The last pricing round's tables are a fresh sweep's.
+    assert swept and weights_module._complete_primal(std, blocks, phi, w) == primal
+    lowered = phi - Fraction(1, primal.den)
+    for handed in ({}, swept):
+        with pytest.raises(LpInternalError, match="exceeds phi"):
+            weights_module._complete_primal(std, blocks, lowered, w, handed)
 
 
 def _partial_states(dims, least=0):
