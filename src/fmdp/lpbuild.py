@@ -12,17 +12,19 @@ of the positive one's: priced at w, the positive block sums to
 nu_w - Q_w^a on the branch's states and the negative one to the
 negation, while indicator summands send every state an earlier branch
 claimed to minus infinity.  Neither kind is tabulated per branch: each
-basis difference is tabulated once per model and only instantiated by
-the branch state, and each indicator is written straight onto its
-leftover scope.  ``fmdp.weights`` prices blocks for cuts and
-``fmdp.error`` for the Bellman error, both through ``TagBlock.at(w)``,
-which scales the tables to the ``fmdp.elim.Scaled`` family the
-elimination kernel sweeps.  ``weight_lp_blocks`` keeps the latest
-list's pairs in the model's cache, so the error and the fit of one
-list share one build, and the next list takes every pair it repeats
-from them: whole when the branch also repeats its earlier states, else
-its summand tables, denominator and their plan scopes, which depend
-only on the branch state and action.
+basis difference is tabulated once per model, one ``Fraction`` per
+entry read off the integer tables of h_i and of the backprojection
+(``FactoredMdp.g_int``), and only instantiated by the branch state, and
+each indicator is written straight onto its leftover scope.
+``fmdp.weights`` prices blocks for cuts and ``fmdp.error`` for the
+Bellman error, both through ``TagBlock.at(w)``, which scales the tables
+to the ``fmdp.elim.Scaled`` family the elimination kernel sweeps.
+``weight_lp_blocks`` keeps the latest list's pairs in the model's cache,
+so the error and the fit of one list share one build (the fit's call
+returns the error's block tuple), and the next list takes every pair it
+repeats from them: whole when the branch also repeats its earlier
+states, else its summand tables, denominator and their plan scopes,
+which depend only on the branch state and action.
 
 A branch whose state extends an earlier built branch's state handles no
 state and gets no blocks: it is no earlier state to the branches after
@@ -64,10 +66,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, product, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
-from .elim import ElimPlan, ElimRound, Scaled, max_sum
+from .elim import ElimPlan, ElimRound, Scaled, _gather, max_sum
 from .errors import InvalidInputError, LpInternalError
 from .factored import PartialState, ScopedFn, instantiate
 from .lp import Deferred, StdLp
@@ -173,19 +175,25 @@ def indicator_fns(
 def difference_fns(mdp: FactoredMdp, t: PartialState, a: int) -> tuple[ScopedFn, ...]:
     """The basis differences h_i - gamma * g_i^a instantiated by ``t``:
     the weighted summands of a branch's positive block.  Each difference is
-    tabulated once per model, kept in its cache under ("diff", i, a)."""
+    tabulated once per model, over the union of the two scopes, from the
+    integer tables of h_i and ``FactoredMdp.g_int`` (one ``Fraction`` per
+    entry), and kept in its cache under ("diff", i, a)."""
+    dims = mdp.dims
+    p, q = mdp.discount.as_integer_ratio()
     out = []
     for i, h in enumerate(mdp.basis):
         key = ("diff", i, a)
         combined = mdp._cache.get(key)
         if combined is None:
-            g = mdp.g(i, a)
-            combined = ScopedFn.tabulate(
-                set(h.scope) | set(g.scope),
-                mdp.dims,
-                lambda x, h=h, g=g: h(x) - mdp.discount * g(x),
-            )
-            mdp._cache[key] = combined
+            (hn,), h_den = over_one_den([h.table])
+            g, g_den = mdp.g_int(i, a)
+            den = q * lcm(h_den, g_den)
+            scope = tuple(sorted({*h.scope, *g.scope}))
+            hs = map(hn.__getitem__, _gather(h.scope, scope, dims))
+            gs = map(g.table.__getitem__, _gather(g.scope, scope, dims))
+            hs, gs = map((den // h_den).__mul__, hs), map((p * (den // q // g_den)).__mul__, gs)
+            table = tuple(map(Fraction, map(sub, hs, gs), repeat(den)))
+            combined = mdp._cache[key] = ScopedFn(scope, tuple(map(dims.__getitem__, scope)), table)
         out.append(instantiate(combined, t))
     return tuple(out)
 
@@ -248,12 +256,16 @@ def weight_lp_blocks(
     under the same order a branch whose (t, action, earlier states) the
     latest list has takes that pair as it stands, and one whose
     (t, action) it has builds only its indicators, plan and liveness from
-    that pair (``branch_lp``'s ``like``).
+    that pair (``branch_lp``'s ``like``).  The fit's call, which gets the
+    very list object the error's call just built under the same order,
+    takes that call's blocks as they stand.
     """
     if not pol.branches:
         raise InvalidInputError("decision list covers no state at all")
     order = tuple(order)
     hit = mdp._cache.get("blocks")
+    if hit is not None and hit[2] is pol and hit[0] == order:
+        return hit[3]
     latest = hit[1] if hit is not None and hit[0] == order else {}
     # Both keys of a pair in one dict: (t, action, earlier) and (t, action).
     pairs: dict[tuple, tuple[TagBlock, TagBlock]] = {}
@@ -271,8 +283,9 @@ def weight_lp_blocks(
         pairs[t, a, ts] = pairs[t, a] = pair
         blocks += pair
         earlier.append(t)
-    mdp._cache["blocks"] = (order, pairs)
-    return tuple(blocks)
+    built = tuple(blocks)
+    mdp._cache["blocks"] = (order, pairs, pol, built)
+    return built
 
 
 class Placed(NamedTuple):

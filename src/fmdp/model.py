@@ -14,18 +14,22 @@ weight vector w the model evaluates nu_w = sum w_i h_i directly, and the
 action-value Q via the one-step lookahead of each basis function, which
 stays a small scoped function (its scope is the union of the transition
 scopes feeding the basis scope) rather than an object over all states.
+Each lookahead is tabulated once per model as an integer table over one
+denominator (``FactoredMdp.g_int``); ``fmdp.lpbuild``'s basis differences
+and ``fmdp.policy``'s bonus tables are derived from that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .elim import identity_order, min_degree_order
+from .elim import _gather, identity_order, min_degree_order
 from .errors import InvalidInputError
-from .factored import PartialState, ScopedFn, assignments
+from .factored import PartialState, ScopedFn
 from .values import format_rational, over_one_den
 
 __all__ = [
@@ -301,34 +305,44 @@ class FactoredMdp:
             joint.update(self.transitions[a][j].scope)
         return tuple(sorted(joint))
 
-    def g(self, i: int, a: int) -> ScopedFn:
-        """Expected next-step value of basis ``i`` under action ``a``.
-
-        The sum runs over assignments to the basis scope only, never over
-        full successor states; the result is a ScopedFn over gamma_scope.
-        """
+    def g_int(self, i: int, a: int) -> tuple[ScopedFn, int]:
+        """Expected next-step value of basis ``i`` under action ``a`` as an
+        integer table over gamma_scope and one denominator, kept in the
+        model's cache under ("g", i, a).  Each point sums, over assignments
+        to the basis scope only, the basis numerator times the integer
+        probabilities, each transition function over its own lcm."""
         key = ("g", i, a)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        h = self.basis[i]
-        successors = assignments(h.scope, self.dims)
+        h, dims = self.basis[i], self.dims
+        scope = self.gamma_scope(i, a)
+        card = tuple(map(dims.__getitem__, scope))
+        (acc,), den = over_one_den([h.table])
+        reads = []
+        for j in reversed(h.scope):
+            f = self.transitions[a][j]
+            rows, row_den = over_one_den(f.table)
+            reads.append((_gather(f.scope, scope, dims), rows, dims[j]))
+            den *= row_den
+        table = []
+        for x in range(prod(card)):
+            # Sum out the basis scope's variables, the last one first.
+            sums = acc
+            for gather, rows, k in reads:
+                p = rows[gather[x]]
+                sums = [sum(map(mul, p, sums[s : s + k])) for s in range(0, len(sums), k)]
+            table.append(sums[0])
+        hit = self._cache[key] = (ScopedFn(scope, card, tuple(table)), den)
+        return hit
 
-        def expect(x: PartialState) -> Fraction:
-            total = Fraction(0)
-            for nxt in successors:
-                p = Fraction(1)
-                for j in h.scope:
-                    p *= self.transitions[a][j](x)[nxt.value(j)]
-                    if p == 0:
-                        break
-                if p != 0:
-                    total += p * h(nxt)
-            return total
-
-        result = ScopedFn.tabulate(self.gamma_scope(i, a), self.dims, expect)
-        self._cache[key] = result
-        return result
+    def g(self, i: int, a: int) -> ScopedFn:
+        """Expected next-step value of basis ``i`` under action ``a``, a
+        ScopedFn over gamma_scope rendered from ``g_int``'s table, the
+        one form the model keeps."""
+        table, den = self.g_int(i, a)
+        values = table.table
+        return ScopedFn(table.scope, table.card, tuple(map(Fraction, values, [den] * len(values))))
 
     def nu_w(self, w: Sequence[Fraction], x: PartialState) -> Fraction:
         """Value of the weighted basis combination at a full state."""
@@ -341,13 +355,15 @@ class FactoredMdp:
         combination in ``ws``, in order: immediate reward plus discounted
         expected next-step basis value.
 
-        The reward and each g(i, a)(x) are evaluated once for all of
-        ``ws``, and the g values put over one denominator, so each weight
-        vector costs one integer dot product.
+        The reward and each g(i, a)(x) are read once for all of ``ws``,
+        off ``g_int``'s integer tables put over one denominator, so each
+        weight vector costs one integer dot product.
         """
         self._check_action(a)
         r = self.reward(a, x)
-        (gs,), den = over_one_den([[self.g(i, a)(x) for i in range(len(self.basis))]])
+        tables = [self.g_int(i, a) for i in range(len(self.basis))]
+        den = lcm(*(d for _, d in tables))
+        gs = [table(x) * (den // d) for table, d in tables]
         rows, scale = over_one_den(ws)
         return [r + self.discount * Fraction(sum(map(mul, row, gs)), den * scale) for row in rows]
 

@@ -8,18 +8,25 @@ advantage Q_w^a - Q_w^d of playing a over the default.  Thanks to the
 default-action structure (shared transitions outside the effects, shared
 reward prefix), the bonus depends on a small variable set T_a only, so every
 state with positive advantage is captured by finitely many branches.
+
+The bonus is linear in w, so per model and action its parts are kept as
+integer tables over T_a (``FactoredMdp.g_int`` gives the lookaheads); a
+greedy list dots them with w and makes a ``Fraction`` per kept branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import add, attrgetter
 from typing import Sequence
 
+from .elim import _gather
 from .errors import InvalidInputError
-from .factored import EMPTY_STATE, PartialState, ScopedFn, assignments, consistent
+from .factored import EMPTY_STATE, PartialState, ScopedFn, consistent
 from .model import FactoredMdp
-from .values import format_rational, parse_rational
+from .values import format_rational, over_one_den, parse_rational
 
 __all__ = [
     "Branch",
@@ -77,31 +84,73 @@ def scope_T(mdp: FactoredMdp, a: int) -> tuple[int, ...]:
     return tuple(sorted(joint))
 
 
+def _bonus_tables(mdp: FactoredMdp, a: int) -> tuple:
+    """scope_T(a), the relevant basis functions, and the bonus of ``a``
+    apart from w as integer tables over scope_T(a) and one denominator:
+    the extra rewards' sum, then gamma * (g_i^a - g_i^d) per relevant
+    basis function.  Kept in the model's cache under ("bonus", a)."""
+    hit = mdp._cache.get(("bonus", a))
+    if hit is not None:
+        return hit
+    d, dims = mdp.default, mdp.dims
+    scope, relevant = scope_T(mdp, a), relevant_basis(mdp, a)
+    extra = mdp.rewards[a][len(mdp.rewards[d]) :]
+    ints, r_den = over_one_den([f.table for f in extra])
+    p, q = mdp.discount.as_integer_ratio()
+    # Every summand: its table's slot, scope, integers, denominator, factor.
+    terms = [(0, f.scope, t, r_den, 1) for f, t in zip(extra, ints)]
+    for slot, i in enumerate(relevant, 1):
+        for b, factor in ((a, p), (d, -p)):
+            g, g_den = mdp.g_int(i, b)
+            terms.append((slot, g.scope, g.table, q * g_den, factor))
+    den = lcm(*[term[3] for term in terms])
+    tables = [(0,) * prod(map(dims.__getitem__, scope))] * (1 + len(relevant))
+    for slot, at, table, t_den, factor in terms:
+        spread = map(table.__getitem__, _gather(at, scope, dims))
+        tables[slot] = tuple(map(add, tables[slot], map((factor * (den // t_den)).__mul__, spread)))
+    hit = mdp._cache["bonus", a] = (scope, relevant, tables, den)
+    return hit
+
+
+def _advantages(mdp: FactoredMdp, w: Sequence[Fraction], a: int) -> tuple:
+    """scope_T(a), the bonus numerators at ``w`` in its table order, and
+    their one denominator: ``_bonus_tables`` dotted with w over lcm(w)."""
+    scope, relevant, tables, den = _bonus_tables(mdp, a)
+    ws = list(map(w.__getitem__, relevant))
+    scale = lcm(*map(attrgetter("denominator"), ws))
+    nums = map(scale.__mul__, tables[0])
+    for wi, table in zip(ws, tables[1:]):
+        if wi:
+            k = wi.numerator * (scale // wi.denominator)
+            nums = map(add, nums, map(k.__mul__, table))
+    return scope, list(nums), den * scale
+
+
 def bonus(mdp: FactoredMdp, w: Sequence[Fraction], a: int) -> ScopedFn:
-    """The advantage function Q_w^a - Q_w^d as a ScopedFn over scope_T(a)."""
-    d = mdp.default
-    r_d = len(mdp.rewards[d])
-    extra_rewards = mdp.rewards[a][r_d:]
-    relevant = relevant_basis(mdp, a)
+    """The advantage function Q_w^a - Q_w^d as a ScopedFn over scope_T(a),
+    rendered from the integer bonus tables dotted with w."""
+    scope, nums, den = _advantages(mdp, w, a)
+    card = tuple(map(mdp.dims.__getitem__, scope))
+    return ScopedFn(scope, card, tuple(map(Fraction, nums, [den] * len(nums))))
 
-    def advantage(t: PartialState) -> Fraction:
-        value = sum((f(t) for f in extra_rewards), Fraction(0))
-        swing = sum(
-            (w[i] * (mdp.g(i, a)(t) - mdp.g(i, d)(t)) for i in relevant),
-            Fraction(0),
-        )
-        return value + mdp.discount * swing
 
-    return ScopedFn.tabulate(scope_T(mdp, a), mdp.dims, advantage)
+def _state(scope: tuple[int, ...], dims: Sequence[int], j: int) -> PartialState:
+    """The assignment at table index ``j`` over ``scope``."""
+    items = []
+    for v in reversed(scope):
+        j, x = divmod(j, dims[v])
+        items.append((v, x))
+    return PartialState(tuple(reversed(items)))
 
 
 def dec_list_act(mdp: FactoredMdp, w: Sequence[Fraction], a: int) -> list[Branch]:
-    """Branches of ``a``: one per T_a-assignment with strictly positive bonus."""
-    delta = bonus(mdp, w, a)
+    """Branches of ``a``: one per T_a-assignment with strictly positive
+    bonus, in table order.  The integer bonus tables are dotted with w over
+    one denominator, and only a kept entry becomes a ``Fraction``."""
+    scope, nums, den = _advantages(mdp, w, a)
+    dims = mdp.dims
     return [
-        Branch(t, a, value)
-        for t, value in zip(assignments(delta.scope, mdp.dims), delta.table)
-        if value > 0
+        Branch(_state(scope, dims, j), a, Fraction(n, den)) for j, n in enumerate(nums) if n > 0
     ]
 
 

@@ -21,6 +21,7 @@ from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, cons
 from fmdp.lp import StdLp, StdRows
 from fmdp.lpbuild import Tag, TagBlock, branch_lp
 from fmdp.model import FactoredMdp
+from fmdp.policy import Branch, relevant_basis, scope_T
 from fmdp.values import over_one_den
 
 
@@ -374,17 +375,68 @@ def reference_indicator_fns(ts, t, dims):
     return out
 
 
+def reference_g(mdp, i, a):
+    """``FactoredMdp.g`` as first written: each entry of gamma_scope summed
+    pointwise over the basis scope's successor assignments, one
+    ``Fraction`` product of transition probabilities per assignment."""
+    h = mdp.basis[i]
+    successors = assignments(h.scope, mdp.dims)
+
+    def expect(x):
+        total = Fraction(0)
+        for nxt in successors:
+            p = Fraction(1)
+            for j in h.scope:
+                p *= mdp.transitions[a][j](x)[nxt.value(j)]
+                if p == 0:
+                    break
+            if p != 0:
+                total += p * h(nxt)
+        return total
+
+    return ScopedFn.tabulate(mdp.gamma_scope(i, a), mdp.dims, expect)
+
+
 def reference_difference_fns(mdp, t, a):
     """The basis differences h_i - gamma * g_i^a, freshly tabulated over
-    the joint scope and instantiated by ``t``; nothing is cached."""
+    the joint scope from ``reference_g`` and instantiated by ``t``;
+    nothing is cached."""
     out = []
     for i, h in enumerate(mdp.basis):
-        g = mdp.g(i, a)
+        g = reference_g(mdp, i, a)
         joint = ScopedFn.tabulate(
             set(h.scope) | set(g.scope), mdp.dims, lambda x: h(x) - mdp.discount * g(x)
         )
         out.append(instantiate(joint, t))
     return tuple(out)
+
+
+def reference_bonus(mdp, w, a):
+    """``fmdp.policy.bonus`` as first written: the advantage of ``a`` over
+    the default at every point of scope_T(a), in ``Fraction`` arithmetic
+    over ``reference_g``."""
+    d = mdp.default
+    extra_rewards = mdp.rewards[a][len(mdp.rewards[d]) :]
+    relevant = relevant_basis(mdp, a)
+    swings = {i: (reference_g(mdp, i, a), reference_g(mdp, i, d)) for i in relevant}
+
+    def advantage(t):
+        value = sum((f(t) for f in extra_rewards), Fraction(0))
+        swing = sum((w[i] * (ga(t) - gd(t)) for i, (ga, gd) in swings.items()), Fraction(0))
+        return value + mdp.discount * swing
+
+    return ScopedFn.tabulate(scope_T(mdp, a), mdp.dims, advantage)
+
+
+def reference_dec_list_act(mdp, w, a):
+    """``fmdp.policy.dec_list_act`` as first written: a branch per
+    assignment of ``reference_bonus``'s scope with a positive bonus."""
+    delta = reference_bonus(mdp, w, a)
+    return [
+        Branch(t, a, value)
+        for t, value in zip(assignments(delta.scope, mdp.dims), delta.table)
+        if value > 0
+    ]
 
 
 def block_fns(block):

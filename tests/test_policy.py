@@ -5,11 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from helpers import (
+    SMALL,
+    models,
+    reference_bonus,
+    reference_dec_list_act,
+    reference_difference_fns,
+    reference_g,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmdp.errors import InvalidInputError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, restrict
+from fmdp.lpbuild import difference_fns
 from fmdp.model import make_ring
 from fmdp.policy import (
     Branch,
@@ -137,6 +146,27 @@ def test_dec_list_act_positive_filter():
     assert [(br.t, br.bonus) for br in branches] == expected
     assert all(br.action == 1 for br in branches)
     assert len(branches) == 4  # restarting a machine always helps here
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(models(), st.lists(SMALL, min_size=3, max_size=3))
+@example(make_ring(2), [F(0)] * 3)
+@example(make_ring(2), [F(2), F(-3, 2), F(5)])
+@example(with_extra_action_like_default(make_ring(1), "idle"), [F(1), F(-1, 3), F(0)])
+@example(dataclasses.replace(make_ring(2), discount=F(0)), [F(-1), F(2, 3), F(-4)])
+def test_integer_tables_match_the_pointwise_references(mdp, ws):
+    # The ring's restart rows hold zero probabilities, its copy with an
+    # idle action has an action with empty scope_T, and SMALL draws zero
+    # and negative weights; ``models`` draws discount 0 among others.
+    w = tuple(ws[: len(mdp.basis)])
+    for a in range(len(mdp.actions)):
+        for i in range(len(mdp.basis)):
+            assert mdp.g(i, a) == reference_g(mdp, i, a)
+        for t in assignments(scope_T(mdp, a), mdp.dims):
+            assert difference_fns(mdp, t, a) == reference_difference_fns(mdp, t, a)
+        if a != mdp.default:
+            assert bonus(mdp, w, a) == reference_bonus(mdp, w, a)
+            assert dec_list_act(mdp, w, a) == reference_dec_list_act(mdp, w, a)
 
 
 def test_greedy_list_zero_weights_is_default_only():

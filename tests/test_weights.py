@@ -501,6 +501,26 @@ def test_a_list_with_new_bonuses_only_takes_the_same_pairs(counted_runs, name):
     assert len(served) == len(kept) and all(map(operator.is_, served, kept))
 
 
+def test_the_same_list_again_gets_the_same_block_tuple(monkeypatch):
+    # The fit's call gets the very list object the error's call built
+    # blocks for, under the same order, and takes that call's tuple
+    # without building a pair; an equal list that is another object
+    # walks the list again, and an empty list is still refused.
+    mdp = make_ring(4)
+    order = elimination_order(mdp, "min-degree")
+    pol = greedy_decision_list(mdp, (Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
+    first = weight_lp_blocks(mdp, pol, order)
+    assert len(first) > 2
+    calls = []
+    monkeypatch.setattr(lpbuild_module, "branch_lp", lambda *args: calls.append(args))
+    assert weight_lp_blocks(mdp, pol, order) is first
+    assert calls == []
+    again = weight_lp_blocks(mdp, DecisionList(pol.branches), order)
+    assert again == first and again is not first and calls == []
+    with pytest.raises(InvalidInputError, match="covers no state"):
+        weight_lp_blocks(mdp, DecisionList(()), order)
+
+
 @pytest.mark.parametrize("name", ["ring-3", "ring-4", "ring-5", "sysadmin-3"])
 def test_integer_completion_matches_the_fraction_reference(counted_runs, name):
     (std, blocks, phi, w, swept), primal = counted_runs(name)[2]
