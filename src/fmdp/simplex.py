@@ -24,30 +24,39 @@ to all columns and they start out related:
 
 Artificials never re-enter, so no artificial entry is ever needed.
 
-Each row is stored sparsely: a dict from stored column (u columns 0..n-1,
+Each stored row is sparse: a dict from stored column (u columns 0..n-1,
 slacks n..n+m-1, the right-hand side n+m) to a nonzero Python int, over
-one positive denominator.  A tableau row is a row of B^-1 times the
-starting tableau, so its slack part is that row of B^-1 up to the row
-signs sigma.  u_j and v_j are never basic together (v_j = -u_j), so the
-basis B holds at most n structural columns, and every other basic column
-is a signed unit vector; block-inverting B leaves at most n + 1 nonzeros
-in each row of B^-1, and a stored row holds at most about 2n + 2
-nonzeros, against n + m + 1 entries in a dense row.  The objective rows
-are stored the same way.
+one positive denominator.  u_j and v_j are never basic together
+(v_j = -u_j), so the basis holds at most n structural columns, and every
+other basic column is a slack or an artificial, a signed unit vector e_i.
+Only the rows where a structural column is basic, and the objective
+row, are stored and walked by every pivot.  Every other row is derived
+from its seed, the input row it starts as.  Where s_i or a_i is basic at
+position r (r need not be i), tableau row r is
 
-A singleton row i, with one structural column j (a master's box rows
-`+-w_j <= box`), is derived instead of stored while its own artificial or
-slack is basic at position i.  Column i of B is then +-e_i, so no other
-tableau row holds any of seed row i, and seed row i less the multiple of
-the basic row of u_j or v_j that clears column j is zero on every other
-basic column: it is tableau row i, negated when the slack is basic at
-sigma_i = -1.  No pivot walks it; the ratio test reads its entry and
-right-hand side off the two rows, and one elimination materializes it
-when it is chosen to leave, and after phase one while its artificial is
-basic, for the infeasibility test and drive-out.  It is derived again
-once its own slack enters at position i.  The certificate reads only
-structural and objective rows.  Every derived entry is the rational the
-full tableau holds, so every decision is too.
+    (seed_i - sum_p seed_i[c_p] * T_p) / den_i,
+
+negated while s_i is basic at sigma_i = -1.  The sum runs over the
+stored structural rows T_p, whose basic column c_p is u_j or v_j with
+seed_i[u_j] != 0, and seed_i[c_p] is the seed's entry in that column.
+This row is zero on every basic column but its own, where it is one, and
+it is a combination of input rows, so it is that row of B^-1 times the
+starting tableau.  The derivation relies on one invariant: a seed dict
+lists its structural keys first, then its slack, then its right-hand
+side, so its structural part is read off in insertion order up to the
+first key >= n.
+
+The ratio test puts the entering column's entry and the right-hand side
+of every stored structural row over one lcm of their denominators, once
+per pivot; each derived row's entry and right-hand side are then integer
+dot products over its seed's structural entries.  A derived row is
+materialized, in one accumulation pass over the structural rows it
+meets, only when it leaves (unflipped: the pivot scales it by its pivot
+entry anyway), and after phase one while its artificial is basic, for
+the infeasibility test and drive-out.  A row is derived again whenever a
+slack enters: its seed is then that slack's input row.  The certificate
+reads only structural and objective rows.  Every derived entry is the
+rational the full tableau holds, so every decision is too.
 
 Input rows arrive as integers over one positive row denominator
 (``fmdp.lp``), already in lowest terms, and seed the tableau as they
@@ -84,6 +93,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _subtract(acc: dict[int, int], f: int, row: dict[int, int]) -> None:
+    """``acc -= f * row`` in place, dropping the entries that cancel."""
+    for k, b in row.items():
+        a = acc.get(k, 0) - f * b
+        if a:
+            acc[k] = a
+        else:
+            del acc[k]
+
+
 def _eliminate(
     row: dict[int, int], den: int, f: int, pivot_row: dict[int, int], p: int
 ) -> tuple[dict[int, int], int]:
@@ -93,12 +112,7 @@ def _eliminate(
         p //= g
         f //= g
     new = {k: p * a for k, a in row.items()} if p != 1 else dict(row)
-    for k, b in pivot_row.items():
-        a = new.get(k, 0) - f * b
-        if a:
-            new[k] = a
-        else:
-            del new[k]
+    _subtract(new, f, pivot_row)
     den *= p
     g = gcd(den, *new.values())
     if g > 1:
@@ -127,55 +141,88 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
             return e - v0, -1
         return e - s0 + n, 1
 
-    # rows[:m] are the constraint rows; while a phase runs, its objective
-    # row is rows[m], so every pivot updates it with the rest.
-    rows: list[dict[int, int]] = []
-    dens: list[int] = []
-    basis: list[int] = []
+    # seeds[i] is input row i as the tableau starts: its structural entries
+    # first, then its slack, then its right-hand side, if nonzero.  Derived
+    # rows read the structural part off that order, stopping at the first
+    # key >= n, so every input column must be structural (they ascend).
+    seeds: list[dict[int, int]] = []
     for i, (cols, nums, b, den) in enumerate(zip(std.cols, std.nums, std.rhs, std.dens)):
+        if cols and cols[-1] >= n:
+            raise LpInternalError(f"row {i} names column {cols[-1]} of {n}")
         if b >= 0:
-            row = dict(zip(cols, nums))
-            row[n + i] = den
+            seed = dict(zip(cols, nums))
+            seed[n + i] = den
         else:
-            row = {j: -q for j, q in zip(cols, nums)}
-            row[n + i] = -den
+            seed = {j: -q for j, q in zip(cols, nums)}
+            seed[n + i] = -den
         if b:
-            row[rhs_key] = abs(b)
-        rows.append(row)
-        dens.append(den)
-        basis.append(a0 + i)
+            seed[rhs_key] = abs(b)
+        seeds.append(seed)
 
     # Phase one minimizes the artificial sum from the all-artificial basis.
     # Its reduced costs on stored columns are minus the column sums.
-    z1, d1 = {}, 1
-    for row, den in zip(rows, dens):
-        z1, d1 = _eliminate(z1, d1, d1, row, den)
+    d1 = 1
+    for den in std.dens:
+        d1 = d1 * den // gcd(d1, den)
+    z1: dict[int, int] = {}
+    for seed, den in zip(seeds, std.dens):
+        _subtract(z1, d1 // den, seed)
+    g = gcd(d1, *z1.values())
+    if g > 1:
+        z1 = {k: q // g for k, q in z1.items()}
+        d1 //= g
 
-    # A derived row keeps its seed here and an empty stored row (a stored
-    # row holds its basic column).  basic_row[j] is the position where u_j
-    # or v_j is basic, if either is.
-    seeds = {i: (cols[0], rows[i], dens[i]) for i, cols in enumerate(std.cols) if len(cols) == 1}
-    for i in seeds:
-        rows[i] = {}
+    # rows[r] is None while the row at position r is derived, and held[r]
+    # is then the seed it is derived from, sign[r] = -1 while that seed's
+    # slack is basic at sigma = -1; while a phase runs, its objective row
+    # is rows[m], so every pivot updates it with the stored rows.
+    # basic_row[j] is the position where u_j or v_j is basic, if either is.
+    rows: list[dict[int, int] | None] = [None] * m
+    dens: list[int] = [1] * m
+    held: list[dict[int, int] | None] = list(seeds)
+    sign = [1] * m
+    basis = list(range(a0, a0 + m))
     basic_row: list[int | None] = [None] * n
+    # The entering column's entry and the right-hand side of each basic
+    # structural row, scaled to clear its basic column from a seed; zero
+    # where u_j and v_j are both nonbasic.
+    col_at = [0] * n
+    rhs_at = [0] * n
 
-    def materialize(i: int) -> None:
-        """Store derived row ``i`` as the full tableau holds it."""
-        j, row, den = seeds[i]
-        p = basic_row[j]
-        if p is not None:
-            f, q = row[j], rows[p][j]
-            if q < 0:
-                f, q = -f, -q
-            row, den = _eliminate(row, den, f, rows[p], q)
-        if basis[i] < a0 and row[n + i] < 0:
-            row = {k: -a for k, a in row.items()}
-        rows[i], dens[i] = row, den
+    def materialize(r: int) -> None:
+        """Store derived row ``r`` as the full tableau holds it, but for
+        the sign while a sigma = -1 slack is basic there: only a leaving
+        row can be such, and the pivot scales it by its pivot entry."""
+        seed = held[r]
+        scale = 1
+        for j in seed:
+            if j >= n:
+                break
+            p = basic_row[j]
+            if p is not None:
+                d = dens[p]
+                scale = scale * d // gcd(scale, d)
+        row = {k: scale * q for k, q in seed.items()} if scale != 1 else dict(seed)
+        for j, q in seed.items():
+            if j >= n:
+                break
+            p = basic_row[j]
+            if p is not None:
+                pr = rows[p]
+                f = q * (scale // dens[p])
+                _subtract(row, -f if pr[j] < 0 else f, pr)
+        e = basis[r]
+        den = std.dens[e - s0 if e < a0 else e - a0] * scale
+        g = gcd(den, *row.values())
+        if g > 1:
+            row = {k: a // g for k, a in row.items()}
+            den //= g
+        rows[r], dens[r], held[r] = row, den, None
 
     counts = {"phase1": 0, "phase2": 0, "driveout": 0}
 
     def pivot(r: int, e: int) -> None:
-        if not rows[r]:
+        if rows[r] is None:
             materialize(r)
         k, sg = column(e)
         pr = rows[r]
@@ -184,19 +231,22 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
             pr = {j: -q for j, q in pr.items()}
             p = -p
         for i, row in enumerate(rows):
-            if i != r and k in row:
+            if row is not None and i != r and k in row:
                 rows[i], dens[i] = _eliminate(row, dens[i], sg * row[k], pr, p)
-        g = gcd(p, *pr.values())
-        rows[r] = {j: q // g for j, q in pr.items()} if g > 1 else pr
-        dens[r] = p // g
         old = basis[r]
         if old < s0:
             basic_row[old - v0 if old >= v0 else old] = None
         basis[r] = e
         if e < s0:
+            g = gcd(p, *pr.values())
+            rows[r] = {j: q // g for j, q in pr.items()} if g > 1 else pr
+            dens[r] = p // g
             basic_row[k] = r
-        elif e == s0 + r and r in seeds:
-            rows[r] = {}
+        else:
+            # A slack entered: the row is derived from that slack's seed.
+            seed = held[r] = seeds[k - n]
+            sign[r] = -1 if seed[k] < 0 else 1
+            rows[r] = None
 
     def entering() -> int | None:
         z = rows[m]
@@ -212,30 +262,41 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     def positive(k: int, sg: int):
         """Position, right-hand side and entry of each row positive in the
         column stored at ``k`` with sign ``sg``, over one positive
-        denominator."""
-        for r in range(m):
-            row = rows[r]
-            t = sg * row.get(k, 0)
-            if t > 0:
-                yield r, row.get(rhs_key, 0), t
-        # Derived row r is (seed - seed[j] * row_p / row_p[j]) / den_r over
-        # p = basic_row[j], negated while its slack is basic at sigma_r = -1.
-        for r, (j, seed, _) in seeds.items():
-            if rows[r]:
-                continue
-            t, num = seed.get(k, 0), seed.get(rhs_key, 0)
-            p = basic_row[j]
+        denominator per row."""
+        scale = 1
+        for p in basic_row:
             if p is not None:
-                pr = rows[p]
-                q, f = pr[j], seed[j]
-                t, num = t * q - f * pr.get(k, 0), num * q - f * pr.get(rhs_key, 0)
-                if q < 0:
-                    t, num = -t, -num
-            if basis[r] < a0 and seed[n + r] < 0:
-                t, num = -t, -num
-            t *= sg
-            if t > 0:
-                yield r, num, t
+                d = dens[p]
+                scale = scale * d // gcd(scale, d)
+        for j, p in enumerate(basic_row):
+            if p is None:
+                col_at[j] = rhs_at[j] = 0
+                continue
+            row = rows[p]
+            t, num = row.get(k, 0), row.get(rhs_key, 0)
+            f = scale // dens[p]
+            if row[j] < 0:
+                f = -f
+            col_at[j], rhs_at[j] = f * t, f * num
+            if sg * t > 0:
+                yield p, num, sg * t
+        # A derived row over den_i * scale: its seed less, for each basic
+        # structural column j, seed[j] times the row that clears it.
+        for r, seed in enumerate(held):
+            if seed is None:
+                continue
+            t = scale * seed.get(k, 0)
+            for j, q in seed.items():
+                if j >= n:
+                    break
+                t -= q * col_at[j]
+            if t * sign[r] * sg > 0:
+                num = scale * seed.get(rhs_key, 0)
+                for j, q in seed.items():
+                    if j >= n:
+                        break
+                    num -= q * rhs_at[j]
+                yield r, num * sign[r], abs(t)
 
     def leaving(enter: int) -> int | None:
         """Bland's ratio test: the least rhs / entry over positive entries
@@ -273,9 +334,9 @@ def solve_lp(std: StdLp, stats: dict | None = None) -> Certificate:
     if blocked is not None:
         raise LpInternalError("artificial phase cannot be unbounded")
     z1, d1 = rows.pop(), dens.pop()
-    for i in seeds:
-        if basis[i] >= a0:
-            materialize(i)
+    for r in range(m):
+        if basis[r] >= a0:
+            materialize(r)
 
     # Every right-hand side is nonnegative here, so the artificial sum is
     # positive exactly when some basic artificial is.

@@ -5,10 +5,11 @@ import hashlib
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Union
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from fmdp.elim import ElimPlan, ElimRound
 from fmdp.errors import LpInternalError
 from fmdp.factored import EMPTY_STATE, PartialState, ScopedFn, assignments, consistent, instantiate
-from fmdp.lp import StdLp, StdRows
+from fmdp.lp import Infeasible, Optimal, StdLp, StdRows, Unbounded
 from fmdp.lpbuild import Tag, TagBlock, branch_lp
 from fmdp.model import FactoredMdp
 from fmdp.policy import Branch, relevant_basis, scope_T
@@ -330,6 +331,256 @@ def reference_unbounded(std, point, ray) -> bool:
         return False
     return ray[0] < 0
 
+
+
+# The exact simplex as it stood while it stored every tableau row but
+# singletons, kept as the reference ``fmdp.simplex.solve_lp`` must match
+# certificate for certificate and stats for stats.  It sees its whole
+# tableau, so it also counts, in ``cases``, the states the solver's
+# derived rows must get right.
+REFERENCE_SIMPLEX_CASES = (
+    "slack_basic_elsewhere",
+    "leaving_row_meets_two_basic_columns",
+    "leaving_slack_row_flipped",
+    "multi_column_artificial_outlives_phase_one",
+)
+
+
+def _reference_eliminate(row, den, f, pivot_row, p):
+    g = gcd(p, f)
+    if g > 1:
+        p //= g
+        f //= g
+    new = {k: p * a for k, a in row.items()} if p != 1 else dict(row)
+    for k, b in pivot_row.items():
+        a = new.get(k, 0) - f * b
+        if a:
+            new[k] = a
+        else:
+            del new[k]
+    den *= p
+    g = gcd(den, *new.values())
+    if g > 1:
+        new = {k: q // g for k, q in new.items()}
+        den //= g
+    return new, den
+
+
+def reference_solve_lp(std: StdLp, stats: dict | None = None, cases: Counter | None = None):
+    """``fmdp.simplex.solve_lp`` with every row stored but singleton rows
+    while their own slack or artificial is basic at their own position.
+    ``cases`` counts, over ``REFERENCE_SIMPLEX_CASES``: a slack entering
+    at a position other than its own row's; a row leaving while its slack
+    or artificial is basic whose input row meets at least two basic
+    structural columns; a row leaving while a slack of a sign-flipped row
+    (sigma = -1) is basic there; and an input row with two or more
+    columns whose artificial is still basic after phase one."""
+    cases = Counter() if cases is None else cases
+    n = std.num_cols
+    m = std.num_rows
+    v0, s0, a0 = n, 2 * n, 2 * n + m
+    rhs_key = n + m
+
+    def column(e):
+        if e < v0:
+            return e, 1
+        if e < s0:
+            return e - v0, -1
+        return e - s0 + n, 1
+
+    rows, dens, basis = [], [], []
+    for i, (cols, nums, b, den) in enumerate(zip(std.cols, std.nums, std.rhs, std.dens)):
+        if b >= 0:
+            row = dict(zip(cols, nums))
+            row[n + i] = den
+        else:
+            row = {j: -q for j, q in zip(cols, nums)}
+            row[n + i] = -den
+        if b:
+            row[rhs_key] = abs(b)
+        rows.append(row)
+        dens.append(den)
+        basis.append(a0 + i)
+
+    z1, d1 = {}, 1
+    for row, den in zip(rows, dens):
+        z1, d1 = _reference_eliminate(z1, d1, d1, row, den)
+
+    seeds = {i: (cols[0], rows[i], dens[i]) for i, cols in enumerate(std.cols) if len(cols) == 1}
+    for i in seeds:
+        rows[i] = {}
+    basic_row = [None] * n
+
+    def materialize(i):
+        j, row, den = seeds[i]
+        p = basic_row[j]
+        if p is not None:
+            f, q = row[j], rows[p][j]
+            if q < 0:
+                f, q = -f, -q
+            row, den = _reference_eliminate(row, den, f, rows[p], q)
+        if basis[i] < a0 and row[n + i] < 0:
+            row = {k: -a for k, a in row.items()}
+        rows[i], dens[i] = row, den
+
+    counts = {"phase1": 0, "phase2": 0, "driveout": 0}
+
+    def pivot(r, e):
+        old = basis[r]
+        if old >= s0:
+            j = old - s0 if old < a0 else old - a0
+            if sum(basic_row[c] is not None for c in std.cols[j]) >= 2:
+                cases["leaving_row_meets_two_basic_columns"] += 1
+            if old < a0 and std.rhs[j] < 0:
+                cases["leaving_slack_row_flipped"] += 1
+        if s0 <= e < a0 and e - s0 != r:
+            cases["slack_basic_elsewhere"] += 1
+        if not rows[r]:
+            materialize(r)
+        k, sg = column(e)
+        pr = rows[r]
+        p = sg * pr[k]
+        if p < 0:
+            pr = {j: -q for j, q in pr.items()}
+            p = -p
+        for i, row in enumerate(rows):
+            if i != r and k in row:
+                rows[i], dens[i] = _reference_eliminate(row, dens[i], sg * row[k], pr, p)
+        g = gcd(p, *pr.values())
+        rows[r] = {j: q // g for j, q in pr.items()} if g > 1 else pr
+        dens[r] = p // g
+        if old < s0:
+            basic_row[old - v0 if old >= v0 else old] = None
+        basis[r] = e
+        if e < s0:
+            basic_row[k] = r
+        elif e == s0 + r and r in seeds:
+            rows[r] = {}
+
+    def entering():
+        z = rows[m]
+        for j in range(n):
+            if z.get(j, 0) < 0:
+                return j
+        for j in range(n):
+            if z.get(j, 0) > 0:
+                return v0 + j
+        slack = min((k for k, q in z.items() if n <= k < rhs_key and q < 0), default=None)
+        return None if slack is None else slack - n + s0
+
+    def positive(k, sg):
+        for r in range(m):
+            row = rows[r]
+            t = sg * row.get(k, 0)
+            if t > 0:
+                yield r, row.get(rhs_key, 0), t
+        for r, (j, seed, _) in seeds.items():
+            if rows[r]:
+                continue
+            t, num = seed.get(k, 0), seed.get(rhs_key, 0)
+            p = basic_row[j]
+            if p is not None:
+                pr = rows[p]
+                q, f = pr[j], seed[j]
+                t, num = t * q - f * pr.get(k, 0), num * q - f * pr.get(rhs_key, 0)
+                if q < 0:
+                    t, num = -t, -num
+            if basis[r] < a0 and seed[n + r] < 0:
+                t, num = -t, -num
+            t *= sg
+            if t > 0:
+                yield r, num, t
+
+    def leaving(enter):
+        own = enter - s0
+        if own >= 0 and basis[own] == a0 + own:
+            return own
+        leave = None
+        for r, num, t in positive(*column(enter)):
+            if leave is not None:
+                lhs, rhs = num * best_t, best_num * t
+                if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                    continue
+            leave, best_num, best_t = r, num, t
+        return leave
+
+    def run(phase):
+        while True:
+            enter = entering()
+            if enter is None:
+                return None
+            leave = leaving(enter)
+            if leave is None:
+                return enter
+            pivot(leave, enter)
+            counts[phase] += 1
+
+    def record():
+        if stats is not None:
+            stats["pivots_phase1"] = counts["phase1"]
+            stats["pivots_phase2"] = counts["phase2"]
+            stats["pivots_driveout"] = counts["driveout"]
+            stats["pivots"] = counts["phase1"] + counts["phase2"] + counts["driveout"]
+            stats["rows"] = m
+            stats["cols"] = 2 * n + 2 * m
+
+    rows.append(z1)
+    dens.append(d1)
+    if run("phase1") is not None:
+        raise LpInternalError("artificial phase cannot be unbounded")
+    z1, d1 = rows.pop(), dens.pop()
+    for i in seeds:
+        if basis[i] >= a0:
+            materialize(i)
+    for i, cols in enumerate(std.cols):
+        if basis[i] >= a0 and len(cols) >= 2:
+            cases["multi_column_artificial_outlives_phase_one"] += 1
+
+    if any(basis[r] >= a0 and rows[r].get(rhs_key, 0) > 0 for r in range(m)):
+        record()
+        return Infeasible(tuple(Fraction(z1.get(n + i, 0), d1) for i in range(m)))
+
+    for r in range(m):
+        if basis[r] >= a0:
+            row = rows[r]
+            enter = next((j for j in range(n) if j in row), None)
+            if enter is None:
+                slack = min((k for k in row if n <= k < rhs_key), default=None)
+                if slack is None:
+                    raise LpInternalError("dependent row lost its slack column")
+                enter = slack - n + s0
+            pivot(r, enter)
+            counts["driveout"] += 1
+
+    z2, dz = {0: 1}, 1
+    for r, e in enumerate(basis):
+        if e == 0 or e == v0:
+            z2, dz = _reference_eliminate(z2, dz, 1 if e == 0 else -1, rows[r], dens[r])
+    rows.append(z2)
+    dens.append(dz)
+    blocked = run("phase2")
+    z2, dz = rows.pop(), dens.pop()
+    record()
+
+    def coordinates(entry):
+        out = [Fraction(0)] * n
+        for e, row, den in zip(basis, rows, dens):
+            if e < s0:
+                value = Fraction(entry(row), den)
+                if e < v0:
+                    out[e] = value
+                else:
+                    out[e - v0] = -value
+        return out
+
+    point = tuple(coordinates(lambda row: row.get(rhs_key, 0)))
+    if blocked is not None:
+        k, sg = column(blocked)
+        ray = coordinates(lambda row: -sg * row.get(k, 0))
+        if blocked < s0:
+            ray[k] = Fraction(1) if blocked < v0 else Fraction(-1)
+        return Unbounded(point, tuple(ray))
+    return Optimal(point, tuple(Fraction(z2.get(n + i, 0), dz) for i in range(m)))
 
 def min_lp(dims, tag, c_fns, b_fns, order) -> TagBlock:
     """The block for one tag from arbitrary summands.

@@ -3,14 +3,25 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
-from helpers import Lp, flatten, make_constraint, perfbench_instances, random_token_lp
-from hypothesis import given, settings
+from helpers import (
+    REFERENCE_SIMPLEX_CASES,
+    Lp,
+    flatten,
+    make_constraint,
+    perfbench_instances,
+    random_token_lp,
+    reference_solve_lp,
+)
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmdp.certify import check_infeasible, check_optimality, check_unbounded
-from fmdp.lp import Infeasible, Optimal, Unbounded
+from fmdp.errors import LpInternalError
+from fmdp.lp import Infeasible, Optimal, StdLp, Unbounded
 from fmdp.oracle import explicit_weight_lp
 from fmdp.policy import greedy_decision_list
 from fmdp.simplex import solve_lp
@@ -294,3 +305,58 @@ def test_property_certificates_verify_and_repeat(lp):
     again: dict = {}
     assert solve_lp(std, again) == cert
     assert again == stats
+
+
+@st.composite
+def _reference_draws(draw):
+    """Master-shaped, tall, tall feasible or mixed programs, some with
+    rows that have no structural column spliced in."""
+    kind = draw(st.sampled_from(("master", "tall", "feasible", "mixed")))
+    if kind == "mixed":
+        lp = draw(_mixed_lps())
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        if kind == "master":
+            lp = _master_shaped_lp(rng, 6, 12)
+        elif kind == "tall":
+            lp = random_token_lp(rng, max_vars=5, max_rows=40)
+        else:
+            lp = _feasible_token_lp(rng, max_vars=5, max_rows=40)
+    cons = list(lp.constraints)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["le", "eq"]))
+        empty = make_constraint(kind, {}, draw(st.sampled_from([-1, 0, 0, 2])))
+        cons.insert(draw(st.integers(0, len(cons))), empty)
+    return Lp(tuple(cons), lp.objective)
+
+
+def test_solve_lp_matches_the_full_tableau_reference():
+    # The reference stores every row but singletons; the solver derives
+    # every row whose basic column is a slack or an artificial.  The draws
+    # must reach each state where the two could part.
+    reached: Counter = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_reference_draws())
+    @example(Lp((), "x0"))
+    @example(Lp((make_constraint("le", {}, 0), make_constraint("le", {"x0": Fraction(-1)}, 1)), "x0"))
+    def check(lp):
+        std = flatten(lp)
+        stats: dict = {}
+        reference: dict = {}
+        assert solve_lp(std, stats) == reference_solve_lp(std, reference, reached)
+        assert stats == reference
+        reached["no_rows"] += std.num_rows == 0
+        reached["row_without_columns"] += any(not cols for cols in std.cols)
+
+    check()
+    wanted = REFERENCE_SIMPLEX_CASES + ("no_rows", "row_without_columns")
+    assert all(reached[case] for case in wanted), reached
+
+
+def test_column_outside_the_program_is_refused():
+    # Derived rows read a seed's structural entries off its first keys,
+    # which holds only while every input column is structural.
+    std = StdLp(columns=("x0",), cols=((0, 1),), nums=((1, 1),), rhs=(0,), dens=(1,))
+    with pytest.raises(LpInternalError):
+        solve_lp(std)
